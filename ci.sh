@@ -30,6 +30,17 @@ else
     echo "clippy not installed; skipping"
 fi
 
+# Rustdoc gate: intra-doc links to renamed or deleted items fail here
+# instead of silently rendering as plain text.
+echo "== cargo doc -D warnings =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
+# The benchmark package is a workspace of its own, so the root `cargo test`
+# never compiles it: a core API change could break `benchmark/run.sh`
+# unnoticed. Its unit tests drive all six workloads at tiny scale.
+echo "== benchmark unit tests =="
+CARGO_TARGET_DIR=target/benchmark cargo test --offline --locked --manifest-path benchmark/Cargo.toml
+
 # Figure smoke test: one reduced sweep end-to-end, gated on both the exit
 # status and the figure JSON actually being well-formed and non-empty. The
 # stale artifact is removed first so json_check can only ever validate the

@@ -8,8 +8,7 @@ use std::hint::black_box;
 
 use wsn_bench::harness::Harness;
 use wsn_core::detector::OutlierDetector;
-use wsn_core::global::GlobalNode;
-use wsn_core::semiglobal::SemiGlobalNode;
+use wsn_core::node::DetectorNode;
 use wsn_core::sufficient::{
     sufficient_set, sufficient_set_indexed, sufficient_set_rebuild_reference, FixedPointEngine,
 };
@@ -191,7 +190,7 @@ fn bench_node_processing(h: &mut Harness) {
             "node_process_event",
             &format!("global_nn/{size}"),
             || {
-                let mut node = GlobalNode::new(SensorId(0), NnDistance, 4, window);
+                let mut node = DetectorNode::new(SensorId(0), NnDistance, 4, None, window);
                 node.add_local_points(points.clone());
                 node
             },
@@ -203,7 +202,7 @@ fn bench_node_processing(h: &mut Harness) {
             "node_process_event",
             &format!("semiglobal_nn_d2/{size}"),
             || {
-                let mut node = SemiGlobalNode::new(SensorId(0), NnDistance, 4, 2, window);
+                let mut node = DetectorNode::new(SensorId(0), NnDistance, 4, Some(2), window);
                 node.add_local_points(points.clone());
                 node
             },

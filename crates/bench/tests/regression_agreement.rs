@@ -25,9 +25,7 @@ use std::collections::BTreeMap;
 
 use wsn_bench::paper::{global_nn, PaperScenario, PAPER_N};
 use wsn_core::app::{any_simulator_with_sampling, DetectorApp};
-use wsn_core::experiment::AnyDetector;
-use wsn_core::global::GlobalNode;
-use wsn_core::OutlierDetector;
+use wsn_core::{DetectorNode, OutlierDetector};
 use wsn_data::impute::WindowMeanImputer;
 use wsn_data::lab::LabDeployment;
 use wsn_data::stream::SensorStream;
@@ -69,10 +67,16 @@ fn quiescent_window_skew_divergence_is_real_and_clock_alignment_removes_it() {
             .ok()
             .cloned()
             .unwrap_or_else(|| SensorStream::new(deployment.sensors()[0]));
-        let detector = AnyDetector::Global(GlobalNode::new(id, ranking.clone(), config.n, window));
+        let detector = DetectorNode::new(
+            id,
+            ranking.clone(),
+            config.n,
+            config.algorithm.hop_diameter(),
+            window,
+        );
         DetectorApp::new(detector, stream, schedule)
     };
-    let mut sim: wsn_netsim::region::AnySimulator<DetectorApp<AnyDetector>> =
+    let mut sim: wsn_netsim::region::AnySimulator<DetectorApp<_>> =
         any_simulator_with_sampling(config.backend, sim_config, topology, &schedule, &make_app);
 
     // (a) The run settles (every message delivered, nothing pending) ...

@@ -293,7 +293,7 @@ impl<D: OutlierDetector> Application for DetectorApp<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::GlobalNode;
+    use crate::node::DetectorNode;
     use wsn_data::stream::{SensorReading, SensorSpec};
     use wsn_data::window::WindowConfig;
     use wsn_data::{Epoch, Position};
@@ -302,7 +302,7 @@ mod tests {
     use wsn_ranking::NnDistance;
 
     /// Builds a 3-node chain where node 0's stream contains one wild value.
-    fn build_sim(rounds: usize) -> Simulator<DetectorApp<GlobalNode<NnDistance>>> {
+    fn build_sim(rounds: usize) -> Simulator<DetectorApp<DetectorNode<NnDistance>>> {
         let specs: Vec<SensorSpec> = (0..3)
             .map(|i| SensorSpec::new(SensorId(i), Position::new(i as f64 * 5.0, 0.0)))
             .collect();
@@ -321,7 +321,7 @@ mod tests {
                 };
                 stream.readings.push(SensorReading::present(Epoch(r as u64), ts, value));
             }
-            DetectorApp::new(GlobalNode::new(id, NnDistance, 1, window), stream, schedule)
+            DetectorApp::new(DetectorNode::new(id, NnDistance, 1, None, window), stream, schedule)
         });
         sim
     }
@@ -371,7 +371,7 @@ mod tests {
                     20.0 + id.raw() as f64,
                 ));
             }
-            DetectorApp::new(GlobalNode::new(id, NnDistance, 1, window), stream, schedule)
+            DetectorApp::new(DetectorNode::new(id, NnDistance, 1, None, window), stream, schedule)
         });
         assert!(sim.run_until_quiescent(Timestamp::from_secs(200)));
         for (id, app) in sim.apps() {

@@ -1,12 +1,12 @@
-//! The common interface of the distributed detectors.
+//! The node-protocol interface of the distributed detector.
 //!
 //! Both the global (§5) and semi-global (§6) algorithms react to the same
 //! four local events — initialization, a change of the local data `D_i`,
 //! receipt of points from a neighbour, and a neighbourhood change — by
 //! recomputing, per neighbour, the points that still need to be sent.
-//! [`OutlierDetector`] captures that shared shape so the simulator adapter
-//! ([`crate::app`]), the metrics and the experiment runner can treat the two
-//! algorithms (and any future variant) uniformly.
+//! [`OutlierDetector`] captures that event loop;
+//! [`crate::node::DetectorNode`] implements it for both algorithms, and the
+//! simulator adapter ([`crate::app`]) and the tests drive it through it.
 
 use crate::message::OutlierBroadcast;
 use wsn_data::{DataPoint, PointSet, SensorId, Timestamp};
@@ -42,18 +42,8 @@ pub trait OutlierDetector {
     /// [`receive`](OutlierDetector::receive) for points already behind
     /// shared handles — the zero-copy path the simulator adapter feeds
     /// broadcast payloads through, so a delivered point shares one
-    /// allocation with the sender's window and every other receiver. The
-    /// default unwraps (or copies) each handle and delegates; both shipped
-    /// detectors override it as their primary implementation.
-    fn receive_arcs(&mut self, from: SensorId, points: Vec<std::sync::Arc<DataPoint>>) {
-        self.receive(
-            from,
-            points
-                .into_iter()
-                .map(|p| std::sync::Arc::try_unwrap(p).unwrap_or_else(|shared| (*shared).clone()))
-                .collect(),
-        );
-    }
+    /// allocation with the sender's window and every other receiver.
+    fn receive_arcs(&mut self, from: SensorId, points: Vec<std::sync::Arc<DataPoint>>);
 
     /// Advances the sliding-window clock to `now`, evicting points that have
     /// fallen out of the window everywhere they are tracked (§5.3).
@@ -71,11 +61,8 @@ pub trait OutlierDetector {
     /// All per-neighbour protocol state for the departed — shared-knowledge
     /// sets, revision bookkeeping, fixed-point chains — must be dropped, so
     /// no dead neighbour pins window points or suppresses convergence over
-    /// the surviving live set. The default is a no-op (for detectors without
-    /// per-neighbour state); both shipped detectors override it.
-    fn retain_neighbors(&mut self, live: &[SensorId]) {
-        let _ = live;
-    }
+    /// the surviving live set.
+    fn retain_neighbors(&mut self, live: &[SensorId]);
 
     /// The node's current outlier estimate.
     fn estimate(&self) -> OutlierEstimate;
@@ -87,8 +74,7 @@ pub trait OutlierDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::GlobalNode;
-    use crate::semiglobal::SemiGlobalNode;
+    use crate::node::DetectorNode;
     use wsn_data::window::WindowConfig;
     use wsn_ranking::NnDistance;
 
@@ -98,8 +84,8 @@ mod tests {
     fn detectors_are_object_safe() {
         let window = WindowConfig::from_secs(100).unwrap();
         let detectors: Vec<Box<dyn OutlierDetector>> = vec![
-            Box::new(GlobalNode::new(SensorId(1), NnDistance, 2, window)),
-            Box::new(SemiGlobalNode::new(SensorId(2), NnDistance, 2, 1, window)),
+            Box::new(DetectorNode::new(SensorId(1), NnDistance, 2, None, window)),
+            Box::new(DetectorNode::new(SensorId(2), NnDistance, 2, Some(1), window)),
         ];
         assert_eq!(detectors[0].id(), SensorId(1));
         assert_eq!(detectors[1].id(), SensorId(2));

@@ -15,16 +15,14 @@ use crate::app::{DetectorApp, SamplingSchedule};
 use crate::centralized::CentralizedApp;
 use crate::detector::OutlierDetector;
 use crate::error::CoreError;
-use crate::global::GlobalNode;
-use crate::message::OutlierBroadcast;
 use crate::metrics::{estimates_agree, paired_truths, AccuracyReport, LabelReport};
-use crate::semiglobal::SemiGlobalNode;
+use crate::node::DetectorNode;
 use wsn_data::impute::WindowMeanImputer;
 use wsn_data::lab::{LabDeployment, PAPER_TRANSMISSION_RANGE_M};
 use wsn_data::stream::SensorStream;
 use wsn_data::synth::SyntheticTraceConfig;
 use wsn_data::window::WindowConfig;
-use wsn_data::{DataPoint, HopCount, PointSet, SensorId, Timestamp};
+use wsn_data::{DataPoint, HopCount, SensorId, Timestamp};
 use wsn_netsim::fault::{FaultAction, FaultPlan};
 use wsn_netsim::radio::{LossModel, RadioConfig};
 use wsn_netsim::region::{AnySimulator, SimBackend, SimHandle};
@@ -125,6 +123,15 @@ impl AlgorithmConfig {
             AlgorithmConfig::Centralized { ranking } => ranking,
         }
     }
+
+    /// The semi-global hop diameter `d`; `None` for the whole-network
+    /// algorithms. This is the scope argument of [`DetectorNode::new`].
+    pub fn hop_diameter(&self) -> Option<HopCount> {
+        match *self {
+            AlgorithmConfig::SemiGlobal { hop_diameter, .. } => Some(hop_diameter),
+            AlgorithmConfig::Global { .. } | AlgorithmConfig::Centralized { .. } => None,
+        }
+    }
 }
 
 /// Full description of one simulation run.
@@ -163,7 +170,7 @@ pub struct ExperimentConfig {
     pub fault_plan: Option<FaultPlan>,
     /// Staleness threshold, in seconds, after which the distributed
     /// detectors presume a silent neighbour dead and prune its state
-    /// ([`GlobalNode::with_liveness_timeout`]). `None` (the default)
+    /// ([`DetectorNode::with_liveness_timeout`]). `None` (the default)
     /// preserves the paper's static-network behaviour exactly.
     pub liveness_timeout_secs: Option<f64>,
 }
@@ -280,6 +287,22 @@ impl ExperimentConfig {
         self.trace.validate().map_err(CoreError::from)
     }
 
+    /// The distributed detector this configuration runs on sensor `id`:
+    /// the algorithm's scope and the liveness timeout applied to
+    /// [`DetectorNode::new`].
+    pub(crate) fn detector(
+        &self,
+        id: SensorId,
+        ranking: Arc<dyn RankingFunction>,
+        window: WindowConfig,
+    ) -> DetectorNode<Arc<dyn RankingFunction>> {
+        let node = DetectorNode::new(id, ranking, self.n, self.algorithm.hop_diameter(), window);
+        match self.liveness_timeout_secs {
+            Some(secs) => node.with_liveness_timeout(secs),
+            None => node,
+        }
+    }
+
     /// The sampling schedule implied by the trace configuration.
     pub fn schedule(&self) -> SamplingSchedule {
         SamplingSchedule::new(self.trace.sample_interval_secs, self.trace.rounds)
@@ -378,159 +401,6 @@ impl ExperimentOutcome {
             0.0
         } else {
             per_node_total / self.rounds as f64
-        }
-    }
-}
-
-/// A detector that can be either of the two distributed algorithms, so one
-/// simulator type can run every distributed configuration.
-///
-/// The variants differ in size (the semi-global node carries per-hop engine
-/// and prefix state), but the enum is held once per simulated node inside
-/// its application — boxing the payload would buy nothing and cost an
-/// indirection on every event.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone)]
-pub enum AnyDetector {
-    /// The global algorithm (§5).
-    Global(GlobalNode<Arc<dyn RankingFunction>>),
-    /// The semi-global algorithm (§6).
-    SemiGlobal(SemiGlobalNode<Arc<dyn RankingFunction>>),
-}
-
-impl OutlierDetector for AnyDetector {
-    fn id(&self) -> SensorId {
-        match self {
-            AnyDetector::Global(d) => d.id(),
-            AnyDetector::SemiGlobal(d) => d.id(),
-        }
-    }
-
-    fn n(&self) -> usize {
-        match self {
-            AnyDetector::Global(d) => d.n(),
-            AnyDetector::SemiGlobal(d) => d.n(),
-        }
-    }
-
-    fn add_local_points(&mut self, points: Vec<DataPoint>) {
-        match self {
-            AnyDetector::Global(d) => d.add_local_points(points),
-            AnyDetector::SemiGlobal(d) => d.add_local_points(points),
-        }
-    }
-
-    fn receive(&mut self, from: SensorId, points: Vec<DataPoint>) {
-        match self {
-            AnyDetector::Global(d) => d.receive(from, points),
-            AnyDetector::SemiGlobal(d) => d.receive(from, points),
-        }
-    }
-
-    fn receive_arcs(&mut self, from: SensorId, points: Vec<Arc<DataPoint>>) {
-        match self {
-            AnyDetector::Global(d) => d.receive_arcs(from, points),
-            AnyDetector::SemiGlobal(d) => d.receive_arcs(from, points),
-        }
-    }
-
-    fn advance_time(&mut self, now: Timestamp) {
-        match self {
-            AnyDetector::Global(d) => d.advance_time(now),
-            AnyDetector::SemiGlobal(d) => d.advance_time(now),
-        }
-    }
-
-    fn retain_neighbors(&mut self, live: &[SensorId]) {
-        match self {
-            AnyDetector::Global(d) => d.retain_neighbors(live),
-            AnyDetector::SemiGlobal(d) => d.retain_neighbors(live),
-        }
-    }
-
-    fn process(&mut self, neighbors: &[SensorId]) -> Option<OutlierBroadcast> {
-        match self {
-            AnyDetector::Global(d) => d.process(neighbors),
-            AnyDetector::SemiGlobal(d) => d.process(neighbors),
-        }
-    }
-
-    fn estimate(&self) -> OutlierEstimate {
-        match self {
-            AnyDetector::Global(d) => d.estimate(),
-            AnyDetector::SemiGlobal(d) => d.estimate(),
-        }
-    }
-
-    fn held_points(&self) -> &PointSet {
-        match self {
-            AnyDetector::Global(d) => d.held_points(),
-            AnyDetector::SemiGlobal(d) => d.held_points(),
-        }
-    }
-}
-
-impl AnyDetector {
-    /// Total data points this node has broadcast.
-    pub fn points_sent(&self) -> u64 {
-        match self {
-            AnyDetector::Global(d) => d.points_sent(),
-            AnyDetector::SemiGlobal(d) => d.points_sent(),
-        }
-    }
-
-    /// Enables the staleness-based neighbour liveness timeout on whichever
-    /// detector this is.
-    pub fn with_liveness_timeout(self, secs: f64) -> Self {
-        match self {
-            AnyDetector::Global(d) => AnyDetector::Global(d.with_liveness_timeout(secs)),
-            AnyDetector::SemiGlobal(d) => AnyDetector::SemiGlobal(d.with_liveness_timeout(secs)),
-        }
-    }
-
-    /// Serializes the wrapped detector's canonical state (see
-    /// [`crate::persist`]); the variant is recorded in the payload's `kind`
-    /// discriminator.
-    pub fn persist_snapshot(&self) -> wsn_json::JsonValue {
-        match self {
-            AnyDetector::Global(d) => d.persist_snapshot(),
-            AnyDetector::SemiGlobal(d) => d.persist_snapshot(),
-        }
-    }
-
-    /// Installs a snapshot into the wrapped detector. The payload's `kind`
-    /// must match the live variant — a global snapshot never restores into a
-    /// semi-global node or vice versa.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::persist::PersistError::Mismatch`] on a variant or
-    /// configuration disagreement, [`crate::persist::PersistError::Schema`]
-    /// on malformed payloads.
-    pub fn persist_restore(
-        &mut self,
-        dump: &wsn_json::JsonValue,
-    ) -> Result<(), crate::persist::PersistError> {
-        match self {
-            AnyDetector::Global(d) => d.persist_restore(dump),
-            AnyDetector::SemiGlobal(d) => d.persist_restore(dump),
-        }
-    }
-}
-
-impl std::fmt::Debug for AnyDetector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AnyDetector::Global(d) => {
-                write!(f, "AnyDetector::Global(id={}, n={})", d.id(), d.n())
-            }
-            AnyDetector::SemiGlobal(d) => write!(
-                f,
-                "AnyDetector::SemiGlobal(id={}, n={}, d={})",
-                d.id(),
-                d.n(),
-                d.hop_diameter()
-            ),
         }
     }
 }
@@ -666,33 +536,16 @@ fn run_distributed(
     sim_config: SimConfig,
     ranking: Arc<dyn RankingFunction>,
 ) -> Result<ExperimentOutcome, CoreError> {
-    let hop_diameter = match config.algorithm {
-        AlgorithmConfig::SemiGlobal { hop_diameter, .. } => Some(hop_diameter),
-        _ => None,
-    };
+    let hop_diameter = config.algorithm.hop_diameter();
     let make_app = |id: SensorId| {
         let stream = trace
             .stream(id)
             .ok()
             .cloned()
             .unwrap_or_else(|| SensorStream::new(deployment.sensors()[0]));
-        let detector = match hop_diameter {
-            None => AnyDetector::Global(GlobalNode::new(id, ranking.clone(), config.n, window)),
-            Some(d) => AnyDetector::SemiGlobal(SemiGlobalNode::new(
-                id,
-                ranking.clone(),
-                config.n,
-                d,
-                window,
-            )),
-        };
-        let detector = match config.liveness_timeout_secs {
-            Some(t) => detector.with_liveness_timeout(t),
-            None => detector,
-        };
-        DetectorApp::new(detector, stream, schedule)
+        DetectorApp::new(config.detector(id, ranking.clone(), window), stream, schedule)
     };
-    let mut sim: AnySimulator<DetectorApp<AnyDetector>> = crate::app::any_simulator_with_sampling(
+    let mut sim: AnySimulator<DetectorApp<_>> = crate::app::any_simulator_with_sampling(
         config.backend,
         sim_config,
         topology,

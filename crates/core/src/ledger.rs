@@ -1,19 +1,28 @@
-//! Per-neighbour revision bookkeeping shared by the two detectors.
+//! Per-neighbour bookkeeping of the detector node: the [`NeighborBook`].
 //!
-//! Both [`crate::global::GlobalNode`] and
-//! [`crate::semiglobal::SemiGlobalNode`] memoize the per-neighbour "nothing
-//! to send" outcome of [`crate::detector::OutlierDetector::process`], keyed
-//! by `(window revision, bookkeeping revision)` — the exact inputs of the
-//! sufficient-set computation. The invariant that makes the memo safe is
-//! single-sourced here: **every** mutation of a neighbour's `sent_to` /
-//! `recv_from` set must bump that neighbour's revision, or a stale memo
-//! would silently suppress a broadcast. The ledger owns the revision and
-//! quiet-state maps and the window-slide eviction pass (the mutation site
-//! easiest to forget); the detectors report their remaining mutations
-//! (receive / record-send) through [`QuietLedger::bump`].
+//! [`crate::node::DetectorNode`] keeps, for every single-hop neighbour `p_j`,
+//! the points it knows `p_j` holds (`D^i_{i,j} ∪ D^i_{j,i}`), a revision
+//! counter and "nothing to send" memo over them, liveness timestamps, and
+//! traffic counters. All of it lives here, in one type that also persists
+//! itself.
+//!
+//! The memo of [`crate::detector::OutlierDetector::process`] is keyed by
+//! `(window revision, bookkeeping revision)` — the exact inputs of the
+//! sufficient-set computation. It is safe only if **every** mutation of a
+//! neighbour's shared-knowledge set bumps that neighbour's revision; a stale
+//! memo would silently suppress a broadcast. The book enforces this by
+//! construction: it is the only code that inserts into (or evicts from) a
+//! shared-knowledge set, and each of those paths bumps the revision and
+//! folds the conservative oldest-timestamp bound behind the O(1) eviction
+//! gate.
 
-use std::collections::BTreeMap;
-use wsn_data::{PointSet, SensorId, Timestamp};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+use crate::persist::{self, PersistError};
+use crate::sufficient::FixedPointEngine;
+use wsn_data::{DataPoint, PointSet, SensorId, Timestamp};
+use wsn_json::JsonValue;
 
 /// Telemetry ([`wsn_obs`]): quiet-memo lookups and the subset that hit —
 /// every hit is one whole sufficient-set computation skipped.
@@ -23,25 +32,116 @@ static OBS_QUIET_HITS: wsn_obs::Counter = wsn_obs::Counter::new("ledger.quiet_hi
 /// The memo key pinning the inputs of one per-neighbour computation.
 pub(crate) type LedgerState = (u64, u64);
 
-/// Revision and quiet-state bookkeeping for the per-neighbour
-/// shared-knowledge sets.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct QuietLedger {
-    /// Per-neighbour change counter of the bookkeeping sets.
-    revisions: BTreeMap<SensorId, u64>,
-    /// The `(window revision, bookkeeping revision)` at which the last
-    /// computation for a neighbour produced nothing to send.
-    quiet_at: BTreeMap<SensorId, LedgerState>,
+/// How a recorded point merges into a shared-knowledge set that already
+/// holds its observation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Merge {
+    /// Union semantics: the first copy wins (§5).
+    FirstCopy,
+    /// The lower hop count wins (§6's `[·]^min`).
+    MinHop,
 }
 
-impl QuietLedger {
-    pub fn new() -> Self {
-        QuietLedger::default()
+/// Everything a detector node knows about its neighbours: shared-knowledge
+/// sets, the quiet memo over them, liveness, and traffic counters.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NeighborBook {
+    /// Per neighbour, the points this node knows the neighbour holds —
+    /// `D^i_{i,j} ∪ D^i_{j,i}` (min-hop merged in the semi-global scope),
+    /// maintained **incrementally**: every recorded send and every receipt
+    /// inserts into it, window slides evict from it. The sufficient-set
+    /// computation only ever reads the union, so the two directions live
+    /// merged.
+    shared_with: BTreeMap<SensorId, PointSet>,
+    /// The smallest timestamp ever inserted into any shared-knowledge set
+    /// and still possibly present (conservative: never later than the true
+    /// minimum). Clock advances whose cutoff does not pass it skip the
+    /// whole per-neighbour eviction sweep in O(1) — the common case, since
+    /// every delivery advances the clock but only window slides evict.
+    shared_oldest: Option<Timestamp>,
+    /// Per-neighbour change counter of the shared-knowledge sets.
+    revisions: BTreeMap<SensorId, u64>,
+    /// The "nothing to send" memo: the `(window revision, bookkeeping
+    /// revision)` at which the last computation for a neighbour produced
+    /// nothing to send. While neither input changes, `process` skips that
+    /// neighbour outright — the sufficient-set computation is a pure
+    /// function of those inputs, so replaying the empty outcome is
+    /// bit-identical. This is what keeps the post-convergence chatter
+    /// (every delivery triggers a full process pass) from re-running one
+    /// fixed point per neighbour per event.
+    quiet_at: BTreeMap<SensorId, LedgerState>,
+    /// Silence threshold in seconds after which a neighbour is presumed dead
+    /// and its per-neighbour state pruned (`None` = disabled, the default —
+    /// the paper assumes a static network).
+    liveness_timeout_secs: Option<f64>,
+    /// The clock of the most recent [`NeighborBook::advance_time`] — the
+    /// node's notion of "now" for liveness bookkeeping.
+    last_now: Timestamp,
+    /// When each neighbour was last heard from (entry created at first
+    /// receipt, or at the first send attempt so silent-from-the-start
+    /// neighbours also age out). Maintained only while the timeout is on.
+    last_heard: BTreeMap<SensorId, Timestamp>,
+    /// Neighbours aged out by the timeout: skipped by `process` until they
+    /// speak again, at which point they re-sync from scratch.
+    presumed_dead: BTreeSet<SensorId>,
+    points_sent: u64,
+    points_received: u64,
+}
+
+impl NeighborBook {
+    pub fn set_liveness_timeout(&mut self, secs: f64) {
+        self.liveness_timeout_secs = Some(secs);
     }
 
-    /// Records a change to either bookkeeping set of `neighbor`.
-    pub fn bump(&mut self, neighbor: SensorId) {
-        *self.revisions.entry(neighbor).or_insert(0) += 1;
+    /// The points this node knows it shares with `neighbor`, if any were
+    /// ever recorded.
+    pub fn known(&self, neighbor: SensorId) -> Option<&PointSet> {
+        self.shared_with.get(&neighbor)
+    }
+
+    /// Whether the book holds a shared-knowledge set or liveness entry for
+    /// `neighbor`.
+    pub fn tracks(&self, neighbor: SensorId) -> bool {
+        self.shared_with.contains_key(&neighbor) || self.last_heard.contains_key(&neighbor)
+    }
+
+    pub fn presumes_dead(&self, neighbor: SensorId) -> bool {
+        self.presumed_dead.contains(&neighbor)
+    }
+
+    pub fn points_sent(&self) -> u64 {
+        self.points_sent
+    }
+
+    pub fn points_received(&self) -> u64 {
+        self.points_received
+    }
+
+    /// Counts one point accepted into the window from a neighbour.
+    pub fn count_received(&mut self) {
+        self.points_received += 1;
+    }
+
+    /// Receipt from `neighbor`: restarts its liveness clock and revives it
+    /// if it was presumed dead.
+    pub fn heard_from(&mut self, neighbor: SensorId) {
+        if self.liveness_timeout_secs.is_some() {
+            self.last_heard.insert(neighbor, self.last_now);
+            self.presumed_dead.remove(&neighbor);
+        }
+    }
+
+    /// A send attempt to `neighbor`: `false` if it is presumed dead (skip
+    /// it). The first attempt starts its liveness clock, so a neighbour that
+    /// never answers also ages out.
+    pub fn contact(&mut self, neighbor: SensorId) -> bool {
+        if self.presumed_dead.contains(&neighbor) {
+            return false;
+        }
+        if self.liveness_timeout_secs.is_some() {
+            self.last_heard.entry(neighbor).or_insert(self.last_now);
+        }
+        true
     }
 
     /// The memo key for `neighbor` at the given window revision.
@@ -65,114 +165,228 @@ impl QuietLedger {
         self.quiet_at.insert(neighbor, state);
     }
 
-    /// The full bookkeeping state, for the persistence layer
-    /// ([`crate::persist`]): per-neighbour revision counters and quiet memos,
-    /// in neighbour order.
-    #[allow(clippy::type_complexity)]
-    pub fn export(&self) -> (Vec<(SensorId, u64)>, Vec<(SensorId, LedgerState)>) {
-        (
-            self.revisions.iter().map(|(&j, &r)| (j, r)).collect(),
-            self.quiet_at.iter().map(|(&j, &s)| (j, s)).collect(),
-        )
-    }
-
-    /// Rebuilds a ledger from [`QuietLedger::export`]ed parts.
-    pub fn from_parts(
-        revisions: Vec<(SensorId, u64)>,
-        quiet_at: Vec<(SensorId, LedgerState)>,
-    ) -> Self {
-        QuietLedger {
-            revisions: revisions.into_iter().collect(),
-            quiet_at: quiet_at.into_iter().collect(),
+    /// Records that `neighbor` holds `points` (received from it, or about to
+    /// be sent to it). Points that change nothing — already known, or not at
+    /// a lower hop under [`Merge::MinHop`] — are removed from `points`. If
+    /// any remain, the neighbour's revision is bumped and the new revision
+    /// returned, for the caller to forward the exact delta to its engines.
+    pub fn record(
+        &mut self,
+        neighbor: SensorId,
+        points: &mut Vec<Arc<DataPoint>>,
+        merge: Merge,
+    ) -> Option<u64> {
+        let shared = self.shared_with.entry(neighbor).or_default();
+        points.retain(|p| match merge {
+            Merge::FirstCopy => shared.insert_arc(Arc::clone(p)),
+            Merge::MinHop => shared.insert_min_hop_arc(Arc::clone(p)).changed(),
+        });
+        let oldest = points.iter().map(|p| p.timestamp).min()?;
+        if !self.shared_oldest.is_some_and(|o| o <= oldest) {
+            self.shared_oldest = Some(oldest);
         }
+        Some(self.bump(neighbor))
     }
 
-    /// Drops all bookkeeping for a departed neighbour (revision counter and
-    /// quiet memo). If the neighbour later rejoins, it starts from revision
-    /// zero — exactly like a neighbour never heard from.
-    pub fn forget(&mut self, neighbor: SensorId) {
-        self.revisions.remove(&neighbor);
-        self.quiet_at.remove(&neighbor);
+    /// Moves `neighbor`'s revision on, returning the new one.
+    fn bump(&mut self, neighbor: SensorId) -> u64 {
+        let revision = self.revisions.entry(neighbor).or_insert(0);
+        *revision += 1;
+        *revision
     }
 
-    /// Window-slide eviction over one bookkeeping map, bumping the revision
-    /// of every neighbour whose set changed.
-    pub fn evict_and_bump(&mut self, sets: &mut BTreeMap<SensorId, PointSet>, cutoff: Timestamp) {
-        for (&j, set) in sets.iter_mut() {
+    /// Records a send of `batch` to `neighbor`: like [`NeighborBook::record`],
+    /// but every point is new to the neighbour by construction (it came out
+    /// of `Z_j` minus what the neighbour holds), so the batch is sent whole.
+    pub fn record_sent(
+        &mut self,
+        neighbor: SensorId,
+        batch: &mut Vec<Arc<DataPoint>>,
+        merge: Merge,
+    ) -> u64 {
+        let len = batch.len();
+        let revision = self.record(neighbor, batch, merge).expect("a send batch is never empty");
+        debug_assert_eq!(batch.len(), len, "every sent point is new to the neighbour");
+        self.points_sent += len as u64;
+        revision
+    }
+
+    /// Moves the clock to `now`: ages out neighbours silent for longer than
+    /// the liveness timeout (pruning their state in `engines` too), then
+    /// evicts every shared-knowledge point older than `cutoff`, bumping the
+    /// revision of each neighbour whose set shrank. The sweep is gated in
+    /// O(1) on the conservative oldest timestamp and recomputes it exactly.
+    pub fn advance_time(
+        &mut self,
+        now: Timestamp,
+        cutoff: Timestamp,
+        engines: &mut [FixedPointEngine],
+    ) {
+        self.last_now = now;
+        if let Some(timeout) = self.liveness_timeout_secs {
+            let stale: Vec<SensorId> = self
+                .last_heard
+                .iter()
+                .filter(|(_, heard)| now.as_secs_f64() - heard.as_secs_f64() > timeout)
+                .map(|(j, _)| *j)
+                .collect();
+            for j in stale {
+                self.forget(j, engines);
+                self.presumed_dead.insert(j);
+                crate::telemetry::STALE_NEIGHBORS_PRUNED.add(1);
+            }
+        }
+        if !self.shared_oldest.is_some_and(|o| o < cutoff) {
+            return;
+        }
+        for (&j, set) in self.shared_with.iter_mut() {
             if set.evict_older_than(cutoff) > 0 {
-                self.bump(j);
+                *self.revisions.entry(j).or_insert(0) += 1;
+            }
+        }
+        self.shared_oldest =
+            self.shared_with.values().flat_map(|s| s.iter().map(|p| p.timestamp)).min();
+    }
+
+    /// Forgets every neighbour **not** in `live`, here and in `engines` —
+    /// see [`crate::detector::OutlierDetector::retain_neighbors`].
+    pub fn retain(&mut self, live: &[SensorId], engines: &mut [FixedPointEngine]) {
+        let tracked: BTreeSet<SensorId> = self
+            .shared_with
+            .keys()
+            .copied()
+            .chain(engines.iter().flat_map(|e| e.tracked_neighbors()))
+            .chain(self.last_heard.keys().copied())
+            .chain(self.presumed_dead.iter().copied())
+            .collect();
+        for j in tracked {
+            if !live.contains(&j) {
+                self.forget(j, engines);
+                self.presumed_dead.remove(&j);
+                crate::telemetry::STALE_NEIGHBORS_PRUNED.add(1);
             }
         }
     }
 
-    /// [`QuietLedger::evict_and_bump`] behind an O(1) gate: `oldest` is the
-    /// conservative minimum timestamp across all sets (maintained by
-    /// [`fold_min_timestamp`] at every insertion site — it must never be
-    /// *later* than the true minimum, or evictions would be skipped). The
-    /// sweep only runs when the cutoff has actually passed it, and `oldest`
-    /// is recomputed exactly afterwards.
-    pub fn evict_and_bump_gated(
-        &mut self,
-        sets: &mut BTreeMap<SensorId, PointSet>,
-        cutoff: Timestamp,
-        oldest: &mut Option<Timestamp>,
-    ) {
-        if !oldest.is_some_and(|o| o < cutoff) {
-            return;
+    /// Drops all per-neighbour state for `neighbor` (shared-knowledge set,
+    /// revision and memo, liveness entry, cached fixed-point chains). If it
+    /// later returns, it re-syncs from scratch like a brand-new neighbour.
+    fn forget(&mut self, neighbor: SensorId, engines: &mut [FixedPointEngine]) {
+        self.shared_with.remove(&neighbor);
+        self.revisions.remove(&neighbor);
+        self.quiet_at.remove(&neighbor);
+        for engine in engines {
+            engine.forget_neighbor(neighbor);
         }
-        self.evict_and_bump(sets, cutoff);
-        *oldest = sets.values().flat_map(|s| s.iter().map(|p| p.timestamp)).min();
+        self.last_heard.remove(&neighbor);
     }
-}
 
-/// Lowers `slot` to `candidate` if it is earlier (or the slot is empty) —
-/// the single place the detectors' conservative shared-knowledge minimum is
-/// folded at, paired with [`QuietLedger::evict_and_bump_gated`].
-pub(crate) fn fold_min_timestamp(slot: &mut Option<Timestamp>, candidate: Timestamp) {
-    if !slot.is_some_and(|oldest| oldest <= candidate) {
-        *slot = Some(candidate);
+    /// The book's complete canonical state, for [`crate::persist`].
+    pub fn persist_snapshot(&self) -> JsonValue {
+        JsonValue::Object(vec![
+            ("liveness_timeout_secs".into(), persist::opt_f64_to_json(self.liveness_timeout_secs)),
+            ("shared_with".into(), persist::sets_by_id_to_json(&self.shared_with)),
+            (
+                "shared_oldest".into(),
+                persist::opt_u64_to_json(self.shared_oldest.map(|t| t.as_micros())),
+            ),
+            ("revisions".into(), persist::rows_by_id_to_json(&self.revisions, |&r| vec![r])),
+            ("quiet_at".into(), persist::rows_by_id_to_json(&self.quiet_at, |&(w, b)| vec![w, b])),
+            ("last_now".into(), JsonValue::from(self.last_now.as_micros())),
+            (
+                "last_heard".into(),
+                persist::rows_by_id_to_json(&self.last_heard, |t| vec![t.as_micros()]),
+            ),
+            ("presumed_dead".into(), persist::ids_to_json(self.presumed_dead.iter().copied())),
+            ("points_sent".into(), JsonValue::from(self.points_sent)),
+            ("points_received".into(), JsonValue::from(self.points_received)),
+        ])
+    }
+
+    /// Parses a [`NeighborBook::persist_snapshot`], refusing one taken under
+    /// a different liveness timeout than this book's.
+    pub fn restored(&self, dump: &JsonValue) -> Result<NeighborBook, PersistError> {
+        let liveness_timeout_secs = persist::opt_f64_field(dump, "liveness_timeout_secs")?;
+        if liveness_timeout_secs != self.liveness_timeout_secs {
+            return Err(PersistError::Mismatch("liveness timeout differs".into()));
+        }
+        Ok(NeighborBook {
+            shared_with: persist::sets_by_id_from_json(persist::field(dump, "shared_with")?)?,
+            shared_oldest: persist::opt_u64_field(dump, "shared_oldest")?
+                .map(Timestamp::from_micros),
+            revisions: persist::rows_by_id_from_json(persist::field(dump, "revisions")?, 1, |r| {
+                r[0]
+            })?,
+            quiet_at: persist::rows_by_id_from_json(persist::field(dump, "quiet_at")?, 2, |r| {
+                (r[0], r[1])
+            })?,
+            liveness_timeout_secs,
+            last_now: Timestamp::from_micros(persist::u64_field(dump, "last_now")?),
+            last_heard: persist::rows_by_id_from_json(
+                persist::field(dump, "last_heard")?,
+                1,
+                |r| Timestamp::from_micros(r[0]),
+            )?,
+            presumed_dead: persist::ids_from_json(persist::field(dump, "presumed_dead")?)?
+                .into_iter()
+                .collect(),
+            points_sent: persist::u64_field(dump, "points_sent")?,
+            points_received: persist::u64_field(dump, "points_received")?,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsn_data::{DataPoint, Epoch};
+    use wsn_data::Epoch;
 
-    #[test]
-    fn bump_invalidates_exactly_the_touched_neighbor() {
-        let mut ledger = QuietLedger::new();
-        let a = SensorId(1);
-        let b = SensorId(2);
-        let state_a = ledger.state(a, 7);
-        let state_b = ledger.state(b, 7);
-        ledger.mark_quiet(a, state_a);
-        ledger.mark_quiet(b, state_b);
-        assert!(ledger.is_quiet(a, state_a));
-        ledger.bump(a);
-        assert!(!ledger.is_quiet(a, ledger.state(a, 7)), "a's revision moved");
-        assert!(ledger.is_quiet(b, ledger.state(b, 7)), "b is untouched");
+    fn pt(epoch: u64, secs: u64, hop: u16) -> Arc<DataPoint> {
+        let mut p =
+            DataPoint::new(SensorId(9), Epoch(epoch), Timestamp::from_secs(secs), vec![1.0])
+                .unwrap();
+        p.hop = hop;
+        Arc::new(p)
     }
 
     #[test]
-    fn a_window_revision_move_changes_every_state() {
-        let ledger = QuietLedger::new();
-        let j = SensorId(3);
-        assert_ne!(ledger.state(j, 1), ledger.state(j, 2));
+    fn recording_bumps_exactly_the_touched_neighbor() {
+        let mut book = NeighborBook::default();
+        let (a, b) = (SensorId(1), SensorId(2));
+        let (state_a, state_b) = (book.state(a, 7), book.state(b, 7));
+        book.mark_quiet(a, state_a);
+        book.mark_quiet(b, state_b);
+        assert!(book.is_quiet(a, state_a));
+        assert_eq!(book.record(a, &mut vec![pt(0, 1, 0)], Merge::FirstCopy), Some(1));
+        assert!(!book.is_quiet(a, book.state(a, 7)), "a's revision moved");
+        assert!(book.is_quiet(b, book.state(b, 7)), "b is untouched");
+        // An echo of a known point changes nothing and bumps nothing.
+        let mut echo = vec![pt(0, 1, 0)];
+        assert_eq!(book.record(a, &mut echo, Merge::FirstCopy), None);
+        assert!(echo.is_empty());
+        assert_ne!(book.state(a, 1), book.state(a, 2), "a window move changes every state");
+    }
+
+    #[test]
+    fn min_hop_recording_keeps_only_hop_lowering_copies() {
+        let mut book = NeighborBook::default();
+        let j = SensorId(1);
+        book.record(j, &mut vec![pt(0, 1, 2)], Merge::MinHop);
+        let mut copies = vec![pt(0, 1, 3), pt(0, 1, 1)];
+        assert_eq!(book.record(j, &mut copies, Merge::MinHop), Some(2));
+        assert_eq!(copies.len(), 1);
+        assert_eq!(book.known(j).unwrap().get(&pt(0, 1, 0).key).unwrap().hop, 1);
     }
 
     #[test]
     fn eviction_bumps_only_neighbors_that_lost_points() {
-        let mut ledger = QuietLedger::new();
-        let old =
-            DataPoint::new(SensorId(9), Epoch(0), Timestamp::from_secs(1), vec![1.0]).unwrap();
-        let fresh =
-            DataPoint::new(SensorId(9), Epoch(1), Timestamp::from_secs(50), vec![2.0]).unwrap();
-        let mut sets = BTreeMap::new();
-        sets.insert(SensorId(1), vec![old].into_iter().collect::<PointSet>());
-        sets.insert(SensorId(2), vec![fresh].into_iter().collect::<PointSet>());
-        ledger.evict_and_bump(&mut sets, Timestamp::from_secs(10));
-        assert_ne!(ledger.state(SensorId(1), 0), (0, 0), "evicted neighbour bumped");
-        assert_eq!(ledger.state(SensorId(2), 0), (0, 0), "untouched neighbour stable");
+        let mut book = NeighborBook::default();
+        book.record(SensorId(1), &mut vec![pt(0, 1, 0)], Merge::FirstCopy);
+        book.record(SensorId(2), &mut vec![pt(1, 50, 0)], Merge::FirstCopy);
+        let before = (book.state(SensorId(1), 0), book.state(SensorId(2), 0));
+        book.advance_time(Timestamp::from_secs(60), Timestamp::from_secs(10), &mut []);
+        assert_ne!(book.state(SensorId(1), 0), before.0, "evicted neighbour bumped");
+        assert_eq!(book.state(SensorId(2), 0), before.1, "untouched neighbour stable");
+        assert!(book.known(SensorId(1)).unwrap().is_empty());
     }
 }

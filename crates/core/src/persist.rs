@@ -15,7 +15,7 @@
 //! A snapshot file is two lines of text:
 //!
 //! ```text
-//! {"format":"wsn-persist","kind":"checkpoint","version":1,"len":N,"checksum":C}
+//! {"format":"wsn-persist","kind":"checkpoint","version":2,"len":N,"checksum":C}
 //! { ... payload JSON, exactly N bytes, FNV-1a 64 checksum C ... }
 //! ```
 //!
@@ -60,7 +60,6 @@ use std::io::Write;
 use std::path::Path;
 
 use crate::experiment::ExperimentConfig;
-use crate::ledger::QuietLedger;
 use crate::sufficient::{FixedPointEngine, NeighborStateDump};
 use wsn_data::window::{SlidingWindow, WindowConfig};
 use wsn_data::{DataPoint, Epoch, HopCount, PointKey, PointSet, SensorId, Timestamp};
@@ -73,8 +72,10 @@ pub use wsn_json::JsonValue;
 pub const PERSIST_FORMAT: &str = "wsn-persist";
 
 /// The current on-disk format version (see the module docs for the
-/// compatibility contract).
-pub const PERSIST_VERSION: u64 = 1;
+/// compatibility contract). Version 2 replaced the separate global and
+/// semi-global node payloads with one `detector` payload that nests the
+/// neighbour book.
+pub const PERSIST_VERSION: u64 = 2;
 
 /// Telemetry ([`wsn_obs`]): snapshots written and their total size.
 pub(crate) static OBS_SNAPSHOTS_WRITTEN: wsn_obs::Counter =
@@ -511,38 +512,42 @@ pub(crate) fn sets_by_id_from_json(
     Ok(map)
 }
 
-/// A `SensorId → Timestamp` map as `[[id, micros], …]`.
-pub(crate) fn times_by_id_to_json(map: &BTreeMap<SensorId, Timestamp>) -> JsonValue {
+/// A `SensorId → V` map whose values encode as `width` integers, as
+/// `[[id, v_1, …, v_width], …]`.
+pub(crate) fn rows_by_id_to_json<V>(
+    map: &BTreeMap<SensorId, V>,
+    row: impl Fn(&V) -> Vec<u64>,
+) -> JsonValue {
     JsonValue::Array(
         map.iter()
-            .map(|(id, t)| {
-                JsonValue::Array(vec![JsonValue::from(id.raw()), JsonValue::from(t.as_micros())])
+            .map(|(id, v)| {
+                let cells = std::iter::once(u64::from(id.raw())).chain(row(v));
+                JsonValue::Array(cells.map(JsonValue::from).collect())
             })
             .collect(),
     )
 }
 
-pub(crate) fn times_by_id_from_json(
+pub(crate) fn rows_by_id_from_json<V>(
     value: &JsonValue,
-) -> Result<BTreeMap<SensorId, Timestamp>, PersistError> {
+    width: usize,
+    build: impl Fn(&[u64]) -> V,
+) -> Result<BTreeMap<SensorId, V>, PersistError> {
+    let malformed =
+        || PersistError::Schema(format!("map entry is not an [id, {width} integers] row"));
     let entries = value
         .as_array()
-        .ok_or_else(|| PersistError::Schema("timestamp map is not an array".into()))?;
+        .ok_or_else(|| PersistError::Schema("id-keyed map is not an array".into()))?;
     let mut map = BTreeMap::new();
     for entry in entries {
-        match entry.as_array() {
-            Some([id, t]) => {
-                let id = id
-                    .as_u64()
-                    .and_then(|v| u32::try_from(v).ok())
-                    .ok_or_else(|| PersistError::Schema("map key is not a sensor id".into()))?;
-                let t = t
-                    .as_u64()
-                    .ok_or_else(|| PersistError::Schema("timestamp is not a u64".into()))?;
-                map.insert(SensorId(id), Timestamp::from_micros(t));
-            }
-            _ => return Err(PersistError::Schema("map entry is not an [id, time] pair".into())),
-        }
+        let cells = entry
+            .as_array()
+            .filter(|cells| cells.len() == width + 1)
+            .and_then(|cells| cells.iter().map(JsonValue::as_u64).collect::<Option<Vec<u64>>>())
+            .ok_or_else(malformed)?;
+        let id = u32::try_from(cells[0])
+            .map_err(|_| PersistError::Schema("map key is not a sensor id".into()))?;
+        map.insert(SensorId(id), build(&cells[1..]));
     }
     Ok(map)
 }
@@ -566,7 +571,7 @@ pub(crate) fn ids_from_json(value: &JsonValue) -> Result<Vec<SensorId>, PersistE
 }
 
 // ---------------------------------------------------------------------------
-// Window, ledger and engine codecs
+// Window and engine codecs
 // ---------------------------------------------------------------------------
 
 /// Serializes a sliding window: configuration, clock, revision, contents.
@@ -596,78 +601,6 @@ pub fn restore_window(value: &JsonValue) -> Result<SlidingWindow, PersistError> 
         u64_field(value, "revision")?,
     )
     .map_err(|e| PersistError::Corrupt(format!("inconsistent window state: {e}")))
-}
-
-pub(crate) fn ledger_to_json(ledger: &QuietLedger) -> JsonValue {
-    let (revisions, quiet) = ledger.export();
-    JsonValue::Object(vec![
-        (
-            "revisions".into(),
-            JsonValue::Array(
-                revisions
-                    .into_iter()
-                    .map(|(j, r)| {
-                        JsonValue::Array(vec![JsonValue::from(j.raw()), JsonValue::from(r)])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "quiet".into(),
-            JsonValue::Array(
-                quiet
-                    .into_iter()
-                    .map(|(j, (wr, br))| {
-                        JsonValue::Array(vec![
-                            JsonValue::from(j.raw()),
-                            JsonValue::from(wr),
-                            JsonValue::from(br),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-pub(crate) fn ledger_from_json(value: &JsonValue) -> Result<QuietLedger, PersistError> {
-    let mut revisions = Vec::new();
-    for entry in array_field(value, "revisions")? {
-        match entry.as_array() {
-            Some([j, r]) => revisions.push((
-                SensorId(j.as_u64().and_then(|v| u32::try_from(v).ok()).ok_or_else(|| {
-                    PersistError::Schema("ledger revision id is not a u32".into())
-                })?),
-                r.as_u64()
-                    .ok_or_else(|| PersistError::Schema("ledger revision is not a u64".into()))?,
-            )),
-            _ => return Err(PersistError::Schema("ledger revision entry malformed".into())),
-        }
-    }
-    let mut quiet = Vec::new();
-    for entry in array_field(value, "quiet")? {
-        match entry.as_array() {
-            Some([j, wr, br]) => {
-                quiet.push((
-                    SensorId(j.as_u64().and_then(|v| u32::try_from(v).ok()).ok_or_else(|| {
-                        PersistError::Schema("ledger quiet id is not a u32".into())
-                    })?),
-                    (
-                        wr.as_u64().ok_or_else(|| {
-                            PersistError::Schema("ledger quiet window revision is not a u64".into())
-                        })?,
-                        br.as_u64().ok_or_else(|| {
-                            PersistError::Schema(
-                                "ledger quiet bookkeeping revision is not a u64".into(),
-                            )
-                        })?,
-                    ),
-                ))
-            }
-            _ => return Err(PersistError::Schema("ledger quiet entry malformed".into())),
-        }
-    }
-    Ok(QuietLedger::from_parts(revisions, quiet))
 }
 
 /// The per-neighbour `H` chains of one engine, canonical core only (see
@@ -794,13 +727,15 @@ mod tests {
         assert!(matches!(read_verified(&path), Err(PersistError::Corrupt(_))));
 
         // Wrong version tag.
-        let versioned = full.replace("\"version\":1", "\"version\":2");
+        let stale = PERSIST_VERSION - 1;
+        let versioned = full
+            .replace(&format!("\"version\":{PERSIST_VERSION}"), &format!("\"version\":{stale}"));
         assert_ne!(versioned, full);
         fs::write(&path, versioned).unwrap();
-        assert!(matches!(
+        assert_eq!(
             read_verified(&path),
-            Err(PersistError::Version { found: 2, expected: PERSIST_VERSION })
-        ));
+            Err(PersistError::Version { found: stale, expected: PERSIST_VERSION })
+        );
 
         // Not a persist file at all.
         fs::write(&path, "{\"rows\": []}\n").unwrap();

@@ -44,11 +44,10 @@ use crate::app::{DetectorApp, SamplingSchedule, ScheduleDriven};
 use crate::centralized::CentralizedApp;
 use crate::detector::OutlierDetector;
 use crate::error::CoreError;
-use crate::experiment::{AlgorithmConfig, AnyDetector, ExperimentConfig, FaultDriver};
-use crate::global::GlobalNode;
+use crate::experiment::{AlgorithmConfig, ExperimentConfig, FaultDriver};
 use crate::metrics::{estimates_agree, paired_truths, AccuracyReport, LabelReport};
+use crate::node::DetectorNode;
 use crate::persist::{self, PersistError};
-use crate::semiglobal::SemiGlobalNode;
 use wsn_data::impute::WindowMeanImputer;
 use wsn_data::lab::LabDeployment;
 use wsn_data::stream::{DeploymentTrace, SensorStream};
@@ -78,7 +77,7 @@ trait StreamingProbe {
     fn persist_restore(&mut self, dump: &JsonValue) -> Result<(), PersistError>;
 }
 
-impl StreamingProbe for DetectorApp<AnyDetector> {
+impl StreamingProbe for DetectorApp<DetectorNode<Arc<dyn RankingFunction>>> {
     fn streaming_estimate(&self) -> OutlierEstimate {
         self.detector().estimate()
     }
@@ -552,40 +551,21 @@ impl StreamingExperiment {
 
         match config.algorithm {
             AlgorithmConfig::Global { .. } | AlgorithmConfig::SemiGlobal { .. } => {
-                let hop_diameter = match config.algorithm {
-                    AlgorithmConfig::SemiGlobal { hop_diameter, .. } => Some(hop_diameter),
-                    _ => None,
-                };
+                let hop_diameter = config.algorithm.hop_diameter();
                 let make_app = |id: SensorId| {
-                    let detector = match hop_diameter {
-                        None => AnyDetector::Global(GlobalNode::new(
-                            id,
-                            ranking.clone(),
-                            config.n,
-                            window,
-                        )),
-                        Some(d) => AnyDetector::SemiGlobal(SemiGlobalNode::new(
-                            id,
-                            ranking.clone(),
-                            config.n,
-                            d,
-                            window,
-                        )),
-                    };
-                    let detector = match config.liveness_timeout_secs {
-                        Some(t) => detector.with_liveness_timeout(t),
-                        None => detector,
-                    };
-                    DetectorApp::new(detector, stream_for(id), schedule)
+                    DetectorApp::new(
+                        config.detector(id, ranking.clone(), window),
+                        stream_for(id),
+                        schedule,
+                    )
                 };
-                let mut sim: AnySimulator<DetectorApp<AnyDetector>> =
-                    crate::app::any_simulator_with_sampling(
-                        config.backend,
-                        sim_config,
-                        topology,
-                        &schedule,
-                        &make_app,
-                    );
+                let mut sim: AnySimulator<DetectorApp<_>> = crate::app::any_simulator_with_sampling(
+                    config.backend,
+                    sim_config,
+                    topology,
+                    &schedule,
+                    &make_app,
+                );
                 let faults = config.fault_plan.as_ref().map(|plan| {
                     sim.set_duty_cycles(Arc::new(plan.duty_cycles().clone()));
                     FaultDriver::new(plan, &schedule, Box::new(make_app))

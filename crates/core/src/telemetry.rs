@@ -1,9 +1,9 @@
 //! Shared telemetry statics of the detector layer.
 //!
-//! The two distributed detectors ([`crate::global`], [`crate::semiglobal`])
-//! and the simulator application ([`crate::app`]) record their broadcast
-//! volume into one set of process-wide metrics, defined here once so both
-//! detectors feed the same counters. Everything follows the `wsn_obs`
+//! The distributed detector ([`crate::node`], both scopes) and the
+//! simulator application ([`crate::app`]) record their broadcast volume
+//! into one set of process-wide metrics, defined here once so both layers
+//! feed the same counters. Everything follows the `wsn_obs`
 //! overhead contract: write-only, runtime-gated, compiled out without the
 //! `telemetry` feature.
 

@@ -10,11 +10,12 @@
 //! outlier estimates out, no radio model anywhere:
 //!
 //! * [`TenantRuntime`] owns **one deployment** (one *tenant*): its sensor
-//!   roster and adjacency, one detector per sensor (Global / Semi-global
-//!   via [`wsn_core::experiment::AnyDetector`], or the centralized sink
-//!   baseline), the per-node sliding windows those detectors hold, and a
-//!   deterministic loss-free local transport. A *slide* applies one
-//!   epoch's readings and drains the protocol to quiescence: every
+//!   roster and adjacency, one detector per sensor (a
+//!   [`DetectorNode`](wsn_core::DetectorNode) in the global or hop scope,
+//!   or the centralized sink baseline), the per-node sliding windows those
+//!   detectors hold, and a deterministic loss-free local transport. A
+//!   *slide* applies one epoch's readings and drains the protocol to
+//!   quiescence: every
 //!   [`OutlierBroadcast`](wsn_core::OutlierBroadcast) a node emits is
 //!   delivered to its adjacent nodes (in ascending id order, FIFO), each
 //!   receiver folds the points in with
@@ -48,11 +49,11 @@
 //! `tenant-<id>.json` snapshot (atomic two-line `wsn-persist` file,
 //! checksummed, crash-point instrumented) per tenant every `k` executed
 //! slides, wrapping each detector's own
-//! [`persist_snapshot`](wsn_core::experiment::AnyDetector::persist_snapshot)
+//! [`persist_snapshot`](wsn_core::DetectorNode::persist_snapshot)
 //! dump together with the tenant's epoch cursor, traffic counters and a
 //! per-tenant `config_hash`. [`DetectorFleet::resume_from`] restores each
-//! registered tenant from its file in isolation — a corrupt or
-//! hash-mismatched snapshot is refused with a typed
+//! registered tenant from its file in isolation — a corrupt, stale-version
+//! or hash-mismatched snapshot is refused with a typed
 //! [`PersistError`](wsn_core::PersistError) for that tenant only, the
 //! rest of the fleet resumes untouched. Ingestion is at-least-once:
 //! buffered-but-unexecuted readings are not part of a snapshot, and after

@@ -4,10 +4,10 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use wsn_core::experiment::{AlgorithmConfig, AnyDetector};
+use wsn_core::experiment::AlgorithmConfig;
 use wsn_core::message::{OutlierBroadcast, PROTOCOL_HEADER_BYTES};
 use wsn_core::persist::{self, array_field, expect_kind, snapshot_window, u64_field, PersistError};
-use wsn_core::{GlobalNode, OutlierDetector, SemiGlobalNode};
+use wsn_core::{DetectorNode, OutlierDetector};
 use wsn_data::stream::SensorSpec;
 use wsn_data::window::{SlidingWindow, WindowConfig};
 use wsn_data::{DataPoint, SensorId, Timestamp};
@@ -107,10 +107,10 @@ pub struct TenantSlide {
 }
 
 /// Per-node detector state: the distributed algorithms keep one
-/// [`AnyDetector`] per sensor; the centralized baseline keeps the sink's
+/// [`DetectorNode`] per sensor; the centralized baseline keeps the sink's
 /// union window and recomputes the sink answer on demand.
 enum Nodes {
-    Distributed(BTreeMap<SensorId, AnyDetector>),
+    Distributed(BTreeMap<SensorId, DetectorNode<Arc<dyn RankingFunction>>>),
     Centralized {
         /// Shortest-path hop count from each sensor to the sink (the
         /// lowest sensor id).
@@ -162,39 +162,17 @@ impl TenantRuntime {
         }
         let ranking = spec.algorithm.ranking().build();
         let nodes = match spec.algorithm {
-            AlgorithmConfig::Global { .. } => Nodes::Distributed(
-                neighbors
-                    .keys()
-                    .map(|&id| {
-                        (
-                            id,
-                            AnyDetector::Global(GlobalNode::new(
-                                id,
-                                ranking.clone(),
-                                spec.n,
-                                window,
-                            )),
-                        )
-                    })
-                    .collect(),
-            ),
-            AlgorithmConfig::SemiGlobal { hop_diameter, .. } => Nodes::Distributed(
-                neighbors
-                    .keys()
-                    .map(|&id| {
-                        (
-                            id,
-                            AnyDetector::SemiGlobal(SemiGlobalNode::new(
-                                id,
-                                ranking.clone(),
-                                spec.n,
-                                hop_diameter,
-                                window,
-                            )),
-                        )
-                    })
-                    .collect(),
-            ),
+            AlgorithmConfig::Global { .. } | AlgorithmConfig::SemiGlobal { .. } => {
+                Nodes::Distributed(
+                    neighbors
+                        .keys()
+                        .map(|&id| {
+                            let scope = spec.algorithm.hop_diameter();
+                            (id, DetectorNode::new(id, ranking.clone(), spec.n, scope, window))
+                        })
+                        .collect(),
+                )
+            }
             AlgorithmConfig::Centralized { .. } => {
                 let sink = *neighbors.keys().next().expect("non-empty roster");
                 let hops = bfs_hops(&neighbors, sink);

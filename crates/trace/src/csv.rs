@@ -2,7 +2,7 @@
 //!
 //! Experiments are only reproducible if their inputs can be archived next to
 //! their results. This module serialises any
-//! [`DeploymentTrace`](wsn_data::stream::DeploymentTrace) — whether imported
+//! [`DeploymentTrace`] — whether imported
 //! from the real Intel-lab files or produced by the synthetic generator — to
 //! a small, self-describing CSV, and reads it back losslessly (sensor
 //! positions, sampling interval, per-round values, missing readings and the

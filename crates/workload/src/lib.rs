@@ -9,31 +9,31 @@
 //! This crate opens the scenario-diversity axis on top of
 //! `wsn_data::synth` / `wsn_data::stream`:
 //!
-//! * [`injector`] — the [`Injector`](injector::Injector) trait plus seeded,
+//! * [`injector`] — the [`Injector`] trait plus seeded,
 //!   deterministic implementations of the classic sensor-fault taxonomy and
 //!   two structured attacks:
 //!
 //!   | injector | what it models |
 //!   |----------|----------------|
-//!   | [`SpikeInjector`](injector::SpikeInjector) | isolated point spikes ("SHORT" faults) |
-//!   | [`StuckAtInjector`](injector::StuckAtInjector) | stuck-at / constant faults |
-//!   | [`DriftInjector`](injector::DriftInjector) | offset / calibration drift |
-//!   | [`NoiseFaultInjector`](injector::NoiseFaultInjector) | noise-variance faults |
-//!   | [`CorrelatedBurstInjector`](injector::CorrelatedBurstInjector) | a moving hot region: spatially/temporally correlated, locally dense outliers — the hard case for rank-based detection |
-//!   | [`AdversarialInjector`](injector::AdversarialInjector) | points placed just inside/outside the top-`n` rank boundary of a configured ranking function |
+//!   | [`SpikeInjector`] | isolated point spikes ("SHORT" faults) |
+//!   | [`StuckAtInjector`] | stuck-at / constant faults |
+//!   | [`DriftInjector`] | offset / calibration drift |
+//!   | [`NoiseFaultInjector`] | noise-variance faults |
+//!   | [`CorrelatedBurstInjector`] | a moving hot region: spatially/temporally correlated, locally dense outliers — the hard case for rank-based detection |
+//!   | [`AdversarialInjector`] | points placed just inside/outside the top-`n` rank boundary of a configured ranking function |
 //!
 //!   Every injector emits per-point ground-truth labels
 //!   (`SensorReading::injected_anomaly`), so accuracy can be measured
 //!   against labels and not only against protocol agreement.
 //!
-//! * [`scenario`] — named, composable [`Scenario`](scenario::Scenario)s
+//! * [`scenario`] — named, composable [`Scenario`]s
 //!   (base field + injector stack, with a taxonomy-wide
 //!   [`catalog`](scenario::Scenario::catalog)) and
-//!   [`FieldStack`](scenario::FieldStack): multi-dimensional
+//!   [`FieldStack`]: multi-dimensional
 //!   temperature × humidity × voltage feature spaces built from stacked
 //!   `FieldModel`s.
 //!
-//! * [`replay`] — [`TraceReplay`](replay::TraceReplay): drive experiments
+//! * [`replay`] — [`TraceReplay`]: drive experiments
 //!   from the real Intel-lab trace when a copy is present, falling back
 //!   gracefully (message, not panic) to a committed Intel-shaped fixture.
 //!

@@ -33,8 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     dj.extend((a + 1..=a + b).map(|v| v as f64));
 
     let window = WindowConfig::from_secs(1_000)?;
-    let mut pi = GlobalNode::new(SensorId(1), NnDistance, 1, window);
-    let mut pj = GlobalNode::new(SensorId(2), NnDistance, 1, window);
+    let mut pi = DetectorNode::new(SensorId(1), NnDistance, 1, None, window);
+    let mut pj = DetectorNode::new(SensorId(2), NnDistance, 1, None, window);
     pi.add_local_points(one_dimensional(1, &di));
     pj.add_local_points(one_dimensional(2, &dj));
 

@@ -42,7 +42,7 @@ fn local_readings(sensor: u32) -> Vec<DataPoint> {
 }
 
 /// Runs the chain protocol synchronously until no sensor has anything to send.
-fn run_chain(nodes: &mut [SemiGlobalNode<NnDistance>]) {
+fn run_chain(nodes: &mut [DetectorNode<NnDistance>]) {
     let ids: Vec<SensorId> = nodes.iter().map(|n| n.id()).collect();
     for _ in 0..200 {
         let mut progress = false;
@@ -81,10 +81,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for epsilon in [1u16, 2, 3] {
-        let mut nodes: Vec<SemiGlobalNode<NnDistance>> = (0..SENSOR_COUNT)
+        let mut nodes: Vec<DetectorNode<NnDistance>> = (0..SENSOR_COUNT)
             .map(|sensor| {
                 let mut node =
-                    SemiGlobalNode::new(SensorId(sensor), NnDistance, 1, epsilon, window);
+                    DetectorNode::new(SensorId(sensor), NnDistance, 1, Some(epsilon), window);
                 node.add_local_points(local_readings(sensor));
                 node
             })

@@ -58,8 +58,8 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let window = WindowConfig::from_secs(1_000)?;
-//! let mut pi = GlobalNode::new(SensorId(1), NnDistance, 1, window);
-//! let mut pj = GlobalNode::new(SensorId(2), NnDistance, 1, window);
+//! let mut pi = DetectorNode::new(SensorId(1), NnDistance, 1, None, window);
+//! let mut pj = DetectorNode::new(SensorId(2), NnDistance, 1, None, window);
 //!
 //! let point = |s: u32, e: u64, v: f64| {
 //!     DataPoint::new(SensorId(s), Epoch(e), Timestamp::ZERO, vec![v]).unwrap()
@@ -113,8 +113,7 @@ pub mod prelude {
     pub use wsn_core::experiment::{
         run_experiment, AlgorithmConfig, ExperimentConfig, RankingChoice,
     };
-    pub use wsn_core::global::GlobalNode;
-    pub use wsn_core::semiglobal::SemiGlobalNode;
+    pub use wsn_core::node::{DetectorNode, Scope};
     pub use wsn_core::streaming::{SlideReport, StreamingExperiment, StreamingOutcome};
     pub use wsn_core::{CoreError, OutlierBroadcast};
     pub use wsn_data::window::WindowConfig;
@@ -135,7 +134,7 @@ mod tests {
     #[test]
     fn prelude_exposes_the_core_types() {
         let window = WindowConfig::from_secs(10).unwrap();
-        let node = GlobalNode::new(SensorId(1), NnDistance, 1, window);
+        let node = DetectorNode::new(SensorId(1), NnDistance, 1, None, window);
         assert_eq!(node.id(), SensorId(1));
         let config = ExperimentConfig::small();
         assert!(config.validate().is_ok());

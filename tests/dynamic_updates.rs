@@ -9,7 +9,7 @@ fn point_at(sensor: u32, epoch: u64, secs: u64, value: f64) -> DataPoint {
 }
 
 /// Drives two global nodes to quiescence.
-fn settle(pi: &mut GlobalNode<NnDistance>, pj: &mut GlobalNode<NnDistance>) {
+fn settle(pi: &mut DetectorNode<NnDistance>, pj: &mut DetectorNode<NnDistance>) {
     for _ in 0..100 {
         let mut progress = false;
         if let Some(m) = pi.process(&[SensorId(2)]) {
@@ -34,8 +34,8 @@ fn an_outlier_ages_out_of_the_window_everywhere() {
     // that learned about it — including the bookkeeping sets — and the
     // estimates move on to current data.
     let window = WindowConfig::from_secs(100).unwrap();
-    let mut pi = GlobalNode::new(SensorId(1), NnDistance, 1, window);
-    let mut pj = GlobalNode::new(SensorId(2), NnDistance, 1, window);
+    let mut pi = DetectorNode::new(SensorId(1), NnDistance, 1, None, window);
+    let mut pj = DetectorNode::new(SensorId(2), NnDistance, 1, None, window);
 
     pi.add_local_points(vec![
         point_at(1, 0, 10, -500.0),
@@ -68,8 +68,8 @@ fn an_outlier_ages_out_of_the_window_everywhere() {
 #[test]
 fn estimates_track_a_stream_of_increasingly_extreme_readings() {
     let window = WindowConfig::from_secs(1_000_000).unwrap();
-    let mut pi = GlobalNode::new(SensorId(1), NnDistance, 1, window);
-    let mut pj = GlobalNode::new(SensorId(2), NnDistance, 1, window);
+    let mut pi = DetectorNode::new(SensorId(1), NnDistance, 1, None, window);
+    let mut pj = DetectorNode::new(SensorId(2), NnDistance, 1, None, window);
     pi.add_local_points((0..5).map(|e| point_at(1, e, e, 20.0 + e as f64 * 0.1)).collect());
     pj.add_local_points((0..5).map(|e| point_at(2, e, e, 21.0 + e as f64 * 0.1)).collect());
     settle(&mut pi, &mut pj);
@@ -88,15 +88,15 @@ fn a_new_sensor_joining_is_just_another_event() {
     // §5.3: "All that is required is to treat the arrival of a new sensor as
     // an event for the new sensor and for all its immediate neighbours."
     let window = WindowConfig::from_secs(1_000_000).unwrap();
-    let mut a = GlobalNode::new(SensorId(1), NnDistance, 1, window);
-    let mut b = GlobalNode::new(SensorId(2), NnDistance, 1, window);
+    let mut a = DetectorNode::new(SensorId(1), NnDistance, 1, None, window);
+    let mut b = DetectorNode::new(SensorId(2), NnDistance, 1, None, window);
     a.add_local_points((0..4).map(|e| point_at(1, e, e, 20.0 + e as f64 * 0.1)).collect());
     b.add_local_points((0..4).map(|e| point_at(2, e, e, 21.0 + e as f64 * 0.1)).collect());
     settle(&mut a, &mut b);
     let before = a.estimate();
 
     // A third sensor appears next to b, holding the new global outlier.
-    let mut c = GlobalNode::new(SensorId(3), NnDistance, 1, window);
+    let mut c = DetectorNode::new(SensorId(3), NnDistance, 1, None, window);
     c.add_local_points(vec![point_at(3, 0, 5, 400.0), point_at(3, 1, 6, 22.0)]);
 
     // Run the three-node chain a - b - c to quiescence.
@@ -141,8 +141,8 @@ fn a_departed_sensors_points_age_out_of_the_window() {
     // §5.3's simple removal strategy: let the departed sensor's points age
     // out of the window rather than chasing them with explicit deletes.
     let window = WindowConfig::from_secs(50).unwrap();
-    let mut a = GlobalNode::new(SensorId(1), NnDistance, 1, window);
-    let mut b = GlobalNode::new(SensorId(2), NnDistance, 1, window);
+    let mut a = DetectorNode::new(SensorId(1), NnDistance, 1, None, window);
+    let mut b = DetectorNode::new(SensorId(2), NnDistance, 1, None, window);
     a.add_local_points(vec![point_at(1, 0, 10, 20.0), point_at(1, 1, 12, 20.4)]);
     b.add_local_points(vec![point_at(2, 0, 11, -300.0), point_at(2, 1, 13, 21.0)]);
     settle(&mut a, &mut b);
@@ -166,7 +166,7 @@ fn window_remove_origin_supports_explicit_deletion() {
     // (explicitly deleting a removed sensor's points): PointSet and
     // SlidingWindow can purge an origin outright.
     let window = WindowConfig::from_secs(1_000_000).unwrap();
-    let mut a = GlobalNode::new(SensorId(1), NnDistance, 1, window);
+    let mut a = DetectorNode::new(SensorId(1), NnDistance, 1, None, window);
     a.add_local_points(vec![point_at(1, 0, 1, 20.0)]);
     a.receive(SensorId(2), vec![point_at(2, 0, 2, -100.0), point_at(2, 1, 3, -99.0)]);
     assert_eq!(

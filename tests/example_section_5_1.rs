@@ -19,22 +19,25 @@ fn one_dimensional(sensor: u32, values: &[f64]) -> Vec<DataPoint> {
 }
 
 /// Builds the two §5.1 sensors with parameters `a` and `b`.
-fn section_5_1(a: u64, b: u64) -> (GlobalNode<NnDistance>, GlobalNode<NnDistance>) {
+fn section_5_1(a: u64, b: u64) -> (DetectorNode<NnDistance>, DetectorNode<NnDistance>) {
     let window = WindowConfig::from_secs(1_000).unwrap();
     let mut di: Vec<f64> = vec![0.5, 3.0, 6.0];
     di.extend((10..=a).map(|v| v as f64));
     let mut dj: Vec<f64> = vec![4.0, 5.0, 7.0, 8.0, 9.0];
     dj.extend((a + 1..=a + b).map(|v| v as f64));
 
-    let mut pi = GlobalNode::new(SensorId(1), NnDistance, 1, window);
-    let mut pj = GlobalNode::new(SensorId(2), NnDistance, 1, window);
+    let mut pi = DetectorNode::new(SensorId(1), NnDistance, 1, None, window);
+    let mut pj = DetectorNode::new(SensorId(2), NnDistance, 1, None, window);
     pi.add_local_points(one_dimensional(1, &di));
     pj.add_local_points(one_dimensional(2, &dj));
     (pi, pj)
 }
 
 /// Alternates the two nodes until quiescent; returns data points exchanged.
-fn run_to_quiescence(pi: &mut GlobalNode<NnDistance>, pj: &mut GlobalNode<NnDistance>) -> usize {
+fn run_to_quiescence(
+    pi: &mut DetectorNode<NnDistance>,
+    pj: &mut DetectorNode<NnDistance>,
+) -> usize {
     let mut exchanged = 0;
     for _ in 0..50 {
         let mut progress = false;

@@ -6,7 +6,7 @@ use in_network_outlier::detection::app::{simulator_with_sampling, DetectorApp, S
 use in_network_outlier::detection::experiment::{
     run_experiment, AlgorithmConfig, ExperimentConfig, RankingChoice,
 };
-use in_network_outlier::detection::global::GlobalNode;
+use in_network_outlier::detection::node::DetectorNode;
 use in_network_outlier::prelude::*;
 use wsn_data::stream::{SensorReading, SensorSpec, SensorStream};
 use wsn_data::window::WindowConfig;
@@ -19,7 +19,7 @@ fn chain_sim(
     rounds: usize,
     loss: LossModel,
     seed: u64,
-) -> Simulator<DetectorApp<GlobalNode<NnDistance>>> {
+) -> Simulator<DetectorApp<DetectorNode<NnDistance>>> {
     let specs: Vec<SensorSpec> = (0..node_count)
         .map(|i| SensorSpec::new(SensorId(i), Position::new(f64::from(i) * 5.0, 0.0)))
         .collect();
@@ -43,7 +43,7 @@ fn chain_sim(
             };
             stream.readings.push(SensorReading::present(Epoch(round as u64), timestamp, value));
         }
-        DetectorApp::new(GlobalNode::new(id, NnDistance, 1, window), stream, schedule)
+        DetectorApp::new(DetectorNode::new(id, NnDistance, 1, None, window), stream, schedule)
     })
 }
 

@@ -245,29 +245,9 @@ fn dead_at_tail(plan: &FaultPlan) -> Vec<SensorId> {
     last.into_iter().filter(|(_, dead)| *dead).map(|(id, _)| id).collect()
 }
 
-/// `shares_state_with` is an inherent diagnostic on each concrete node type,
-/// not part of the detector trait; this local probe lets the harness stay
-/// generic over both algorithms.
-trait GhostStateProbe {
-    fn shares_state_with(&self, neighbor: SensorId) -> bool;
-}
-
-impl GhostStateProbe for GlobalNode<NnDistance> {
-    fn shares_state_with(&self, neighbor: SensorId) -> bool {
-        GlobalNode::shares_state_with(self, neighbor)
-    }
-}
-
-impl GhostStateProbe for SemiGlobalNode<NnDistance> {
-    fn shares_state_with(&self, neighbor: SensorId) -> bool {
-        SemiGlobalNode::shares_state_with(self, neighbor)
-    }
-}
-
-fn assert_churn_leaves_no_ghost_state<D, F>(backend: SimBackend, seed: u64, make_detector: F)
+fn assert_churn_leaves_no_ghost_state<F>(backend: SimBackend, seed: u64, make_detector: F)
 where
-    D: OutlierDetector + GhostStateProbe + Clone + Send + 'static,
-    F: Fn(SensorId) -> D,
+    F: Fn(SensorId) -> DetectorNode<NnDistance>,
 {
     let specs = grid_specs();
     let topology = Topology::from_specs(&specs, 6.0);
@@ -294,7 +274,7 @@ where
     let dead = dead_at_tail(&plan);
     assert!(!dead.is_empty(), "seed {seed}: at least one node stays dead");
     let mut live = 0usize;
-    sim.for_each_app(&mut |id, app: &DetectorApp<D>| {
+    sim.for_each_app(&mut |id, app: &DetectorApp<DetectorNode<NnDistance>>| {
         live += 1;
         assert!(!dead.contains(&id), "backend {backend:?} seed {seed}: {id} is dead yet present");
         for d in &dead {
@@ -315,11 +295,12 @@ fn deaths_leave_no_ghost_state_across_64_cases() {
             let window = WindowConfig::from_samples(ROUNDS as u64 + 5, INTERVAL).unwrap();
             cases += 1;
             assert_churn_leaves_no_ghost_state(backend, seed, |id| {
-                GlobalNode::new(id, NnDistance, 1, window).with_liveness_timeout(3.0 * INTERVAL)
+                DetectorNode::new(id, NnDistance, 1, None, window)
+                    .with_liveness_timeout(3.0 * INTERVAL)
             });
             cases += 1;
             assert_churn_leaves_no_ghost_state(backend, seed, |id| {
-                SemiGlobalNode::new(id, NnDistance, 1, 2, window)
+                DetectorNode::new(id, NnDistance, 1, Some(2), window)
                     .with_liveness_timeout(3.0 * INTERVAL)
             });
         }

@@ -10,9 +10,7 @@
 //! case prints its index and the generated scenario parameters.
 
 use in_network_outlier::detection::app::{simulator_with_sampling, DetectorApp, SamplingSchedule};
-use in_network_outlier::detection::experiment::AnyDetector;
 use in_network_outlier::prelude::*;
-use std::sync::Arc;
 use wsn_data::rng::SeededRng;
 use wsn_data::stream::{SensorReading, SensorSpec, SensorStream};
 use wsn_data::{HopCount, Position};
@@ -74,7 +72,7 @@ fn chain_specs(rng: &mut SeededRng, nodes: u32) -> Vec<SensorSpec> {
 fn run_scenario(
     rng: &mut SeededRng,
     scenario: &Scenario,
-) -> (Simulator<DetectorApp<AnyDetector>>, bool) {
+) -> (Simulator<DetectorApp<DetectorNode<NnDistance>>>, bool) {
     let specs = chain_specs(rng, scenario.nodes);
     let topology = Topology::from_specs(&specs, RADIO_RANGE_M);
     assert!(topology.is_connected(), "the generated chain must be connected");
@@ -114,18 +112,15 @@ fn run_scenario(
         }
         streams.push(stream);
     }
-    let ranking: Arc<dyn RankingFunction> = Arc::new(NnDistance);
     let n = 2;
     let hop_diameter = scenario.hop_diameter;
     let mut sim = simulator_with_sampling(config, topology, &schedule, |id| {
         let stream = streams[id.raw() as usize].clone();
-        let detector = match hop_diameter {
-            None => AnyDetector::Global(GlobalNode::new(id, ranking.clone(), n, window)),
-            Some(d) => {
-                AnyDetector::SemiGlobal(SemiGlobalNode::new(id, ranking.clone(), n, d, window))
-            }
-        };
-        DetectorApp::new(detector, stream, schedule)
+        DetectorApp::new(
+            DetectorNode::new(id, NnDistance, n, hop_diameter, window),
+            stream,
+            schedule,
+        )
     });
     let deadline =
         Timestamp::from_secs_f64(SAMPLE_INTERVAL_SECS * (scenario.rounds as f64 + 2.0) + 600.0);

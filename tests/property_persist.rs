@@ -178,7 +178,7 @@ fn global_node_snapshots_round_trip_mid_protocol() {
         let ids: Vec<SensorId> = (0..count).map(|s| SensorId(s as u32)).collect();
         let mut nodes = Vec::with_capacity(count);
         for (sensor, values) in datasets.iter().enumerate() {
-            let mut node = GlobalNode::new(ids[sensor], NnDistance, n, window);
+            let mut node = DetectorNode::new(ids[sensor], NnDistance, n, None, window);
             node.add_local_points(
                 values
                     .iter()
@@ -193,7 +193,7 @@ fn global_node_snapshots_round_trip_mid_protocol() {
             ids,
             neighbors,
             partial,
-            |id| GlobalNode::new(id, NnDistance, n, window),
+            |id| DetectorNode::new(id, NnDistance, n, None, window),
             |node| node.persist_snapshot(),
             |node, dump| node.persist_restore(dump),
             &context,
@@ -222,7 +222,7 @@ fn semiglobal_node_snapshots_round_trip_mid_protocol() {
         let ids: Vec<SensorId> = (0..count).map(|s| SensorId(s as u32)).collect();
         let mut nodes = Vec::with_capacity(count);
         for (sensor, values) in datasets.iter().enumerate() {
-            let mut node = SemiGlobalNode::new(ids[sensor], NnDistance, n, d, window);
+            let mut node = DetectorNode::new(ids[sensor], NnDistance, n, Some(d), window);
             node.add_local_points(
                 values
                     .iter()
@@ -237,7 +237,7 @@ fn semiglobal_node_snapshots_round_trip_mid_protocol() {
             ids,
             neighbors,
             partial,
-            |id| SemiGlobalNode::new(id, NnDistance, n, d, window),
+            |id| DetectorNode::new(id, NnDistance, n, Some(d), window),
             |node| node.persist_snapshot(),
             |node, dump| node.persist_restore(dump),
             &context,

@@ -67,7 +67,7 @@ fn gen_topology(rng: &mut SeededRng, n: usize) -> Vec<(usize, usize)> {
 
 /// Runs the global algorithm synchronously on the given topology until no
 /// node has anything to send, with a generous round bound.
-fn run_network(nodes: &mut [GlobalNode<NnDistance>], neighbors: &[Vec<usize>]) -> usize {
+fn run_network(nodes: &mut [DetectorNode<NnDistance>], neighbors: &[Vec<usize>]) -> usize {
     let ids: Vec<SensorId> = nodes.iter().map(|n| n.id()).collect();
     let mut exchanged = 0;
     for _ in 0..500 {
@@ -125,7 +125,7 @@ fn global_algorithm_converges_to_the_exact_answer() {
             }
         }
 
-        let mut nodes: Vec<GlobalNode<NnDistance>> = Vec::new();
+        let mut nodes: Vec<DetectorNode<NnDistance>> = Vec::new();
         let mut local_data: BTreeMap<SensorId, Vec<DataPoint>> = BTreeMap::new();
         for (sensor, values) in datasets.iter().enumerate() {
             let id = SensorId(sensor as u32);
@@ -135,7 +135,7 @@ fn global_algorithm_converges_to_the_exact_answer() {
                 .map(|(epoch, v)| point(sensor as u32, epoch as u64, *v))
                 .collect();
             local_data.insert(id, points.clone());
-            let mut node = GlobalNode::new(id, NnDistance, n, window);
+            let mut node = DetectorNode::new(id, NnDistance, n, None, window);
             node.add_local_points(points);
             nodes.push(node);
         }
@@ -173,8 +173,8 @@ fn two_node_communication_is_bounded_by_the_data() {
         let context = || format!("case {case} (seed {SEED:#x}), n={n}\ndi: {di:?}\ndj: {dj:?}");
 
         let window = WindowConfig::from_secs(1_000_000).unwrap();
-        let mut pi = GlobalNode::new(SensorId(1), NnDistance, n, window);
-        let mut pj = GlobalNode::new(SensorId(2), NnDistance, n, window);
+        let mut pi = DetectorNode::new(SensorId(1), NnDistance, n, None, window);
+        let mut pj = DetectorNode::new(SensorId(2), NnDistance, n, None, window);
         pi.add_local_points(di.iter().enumerate().map(|(e, v)| point(1, e as u64, *v)).collect());
         pj.add_local_points(dj.iter().enumerate().map(|(e, v)| point(2, e as u64, *v)).collect());
 

@@ -80,7 +80,7 @@ fn hop_distances(neighbors: &[Vec<usize>], source: usize) -> Vec<usize> {
 
 /// Asserts invariants 1 and 3 for every node's current window.
 fn assert_window_invariants(
-    nodes: &[SemiGlobalNode<NnDistance>],
+    nodes: &[DetectorNode<NnDistance>],
     neighbors: &[Vec<usize>],
     d: HopCount,
     context: &str,
@@ -128,9 +128,9 @@ fn run_case(rng: &mut SeededRng, case: usize, loss: f64) {
         format!("case {case} (seed {SEED:#x}), n={n}, d={d}, loss={loss}\nadjacency: {neighbors:?}\ndatasets: {datasets:?}");
 
     let window = WindowConfig::from_secs(1_000_000).unwrap();
-    let mut nodes: Vec<SemiGlobalNode<NnDistance>> = (0..n)
+    let mut nodes: Vec<DetectorNode<NnDistance>> = (0..n)
         .map(|i| {
-            let mut node = SemiGlobalNode::new(SensorId(i as u32), NnDistance, 1, d, window);
+            let mut node = DetectorNode::new(SensorId(i as u32), NnDistance, 1, Some(d), window);
             node.add_local_points(
                 datasets[i]
                     .iter()

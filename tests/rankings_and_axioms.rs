@@ -100,10 +100,10 @@ fn run_pair<R: RankingFunction + Clone>(
     di: &[f64],
     dj: &[f64],
     n: usize,
-) -> (GlobalNode<R>, GlobalNode<R>) {
+) -> (DetectorNode<R>, DetectorNode<R>) {
     let window = WindowConfig::from_secs(1_000_000).unwrap();
-    let mut pi = GlobalNode::new(SensorId(1), ranking.clone(), n, window);
-    let mut pj = GlobalNode::new(SensorId(2), ranking, n, window);
+    let mut pi = DetectorNode::new(SensorId(1), ranking.clone(), n, None, window);
+    let mut pj = DetectorNode::new(SensorId(2), ranking, n, None, window);
     pi.add_local_points(di.iter().enumerate().map(|(e, v)| point(1, e as u64, *v)).collect());
     pj.add_local_points(dj.iter().enumerate().map(|(e, v)| point(2, e as u64, *v)).collect());
     for _ in 0..200 {

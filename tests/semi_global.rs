@@ -57,9 +57,9 @@ fn data_never_travels_farther_than_epsilon_hops() {
     let mk = |sensor: u32, epoch: u64, value: f64| {
         DataPoint::new(SensorId(sensor), Epoch(epoch), Timestamp::ZERO, vec![value]).unwrap()
     };
-    let mut nodes: Vec<SemiGlobalNode<NnDistance>> = (0..4)
+    let mut nodes: Vec<DetectorNode<NnDistance>> = (0..4)
         .map(|i| {
-            let mut node = SemiGlobalNode::new(SensorId(i), NnDistance, 1, 1, window);
+            let mut node = DetectorNode::new(SensorId(i), NnDistance, 1, Some(1), window);
             node.add_local_points(
                 (0..4).map(|e| mk(i, e, 10.0 * f64::from(i) + e as f64)).collect(),
             );

@@ -6,7 +6,7 @@
 
 use in_network_outlier::data::lab::{LabDeployment, LAB_SENSOR_COUNT, PAPER_TRANSMISSION_RANGE_M};
 use in_network_outlier::detection::app::{simulator_with_sampling, DetectorApp, SamplingSchedule};
-use in_network_outlier::detection::global::GlobalNode;
+use in_network_outlier::detection::node::DetectorNode;
 use in_network_outlier::netsim::energy::EnergyModel;
 use in_network_outlier::netsim::radio::RadioConfig;
 use in_network_outlier::prelude::*;
@@ -67,7 +67,7 @@ fn every_in_range_node_pays_receive_energy_for_a_broadcast() {
                 21.0 + id.raw() as f64 * 0.05,
             ));
         }
-        DetectorApp::new(GlobalNode::new(id, NnDistance, 2, window), stream, schedule)
+        DetectorApp::new(DetectorNode::new(id, NnDistance, 2, None, window), stream, schedule)
     });
     assert!(sim.run_until_quiescent(Timestamp::from_secs(400)));
     let stats = sim.network_stats();
@@ -115,7 +115,11 @@ fn packet_loss_costs_energy_but_delivers_nothing() {
                     Timestamp::from_secs(30),
                     21.5 + id.raw() as f64 * 0.05,
                 ));
-                DetectorApp::new(GlobalNode::new(id, NnDistance, 1, window), stream, schedule)
+                DetectorApp::new(
+                    DetectorNode::new(id, NnDistance, 1, None, window),
+                    stream,
+                    schedule,
+                )
             });
             sim.run_until_quiescent(Timestamp::from_secs(400));
             sim.network_stats()
