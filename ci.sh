@@ -129,6 +129,22 @@ WSN_CRASH_RESUME_OUT="$PWD/target/crash_resume_journal.jsonl" \
     cargo run --release --offline -p wsn-bench --bin crash_resume
 cargo run --release --offline -p wsn-bench --bin json_check -- target/crash_resume_journal.jsonl
 
+# Archive gate: EXPERIMENTS.md must regenerate from the committed Figure 4/5
+# journal alone. experiments_fig45 runs where a copy of the journal sits at
+# its default relative path, so the output names the journal as the
+# committed file does; the copy must keep its 84 rows (a pure re-read, no
+# cell re-simulated). `crates/bench/tests/archive_reproduces.rs` checks that
+# the archived rows are what the batch runner computes today.
+echo "== archive gate (EXPERIMENTS.md from the committed journal) =="
+rm -rf target/archive_check
+mkdir -p target/archive_check/results
+cp results/journal_fig4_fig5.jsonl target/archive_check/results/
+(cd target/archive_check && cargo run --release --offline -q -p wsn-bench --bin experiments_fig45)
+rows=$(wc -l < target/archive_check/results/journal_fig4_fig5.jsonl)
+[ "$rows" -eq 84 ] || { echo "experiments_fig45 appended to the journal copy: $rows rows"; exit 1; }
+diff EXPERIMENTS.md target/archive_check/EXPERIMENTS.md
+cargo run --release --offline -p wsn-bench --bin json_check -- results/journal_fig4_fig5.jsonl
+
 # Fleet smoke: the multi-tenant detection service end to end — a small
 # fleet of grid tenants with per-tenant checkpoints enabled, driven by the
 # fig_fleet throughput binary at --quick scale and gated through json_check

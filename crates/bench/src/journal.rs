@@ -20,10 +20,11 @@
 //!
 //! # Bit-identical aggregation
 //!
-//! Each row stores exactly the per-run scalars
-//! [`crate::sweep::run_averaged`]'s aggregation consumes, and
-//! [`aggregate_rows`] repeats that arithmetic term for term (same seed
-//! order, same summation order). Because [`wsn_json`] round-trips `f64`s
+//! Each row stores a run's [`CellMetrics`]: exactly the per-run scalars
+//! the seed averaging consumes. Live runs are reduced to the same
+//! [`CellMetrics`] before they are averaged, and [`aggregate_rows`] and
+//! [`crate::sweep::run_averaged`] call one aggregation (same seed order,
+//! same summation order). Because [`wsn_json`] round-trips `f64`s
 //! losslessly, an average recomputed from archived rows is bit-identical
 //! to the one computed from live runs — there is a test for that.
 
@@ -33,12 +34,11 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::pool;
-use crate::sweep::{seed_configs, AveragedOutcome};
+use crate::sweep::{aggregate, seed_configs, AveragedOutcome};
 use wsn_core::experiment::{run_experiment, ExperimentConfig, ExperimentOutcome};
-use wsn_core::persist::config_hash;
+use wsn_core::persist::{bool_field, config_hash, f64_field, field, str_field, u64_field};
 use wsn_core::{CoreError, PersistError};
 use wsn_json::JsonValue;
-use wsn_netsim::stats::MinAvgMax;
 
 /// Rows appended to any journal this process runs.
 static OBS_JOURNAL_ROWS: wsn_obs::Counter = wsn_obs::Counter::new("persist.journal_rows");
@@ -85,7 +85,7 @@ impl Toolchain {
 }
 
 /// The per-run scalars the seed-averaging arithmetic consumes — one value
-/// per term of [`crate::sweep`]'s `aggregate`, nothing more. Everything an
+/// per averaged term, nothing more. Everything an
 /// [`AveragedOutcome`] reports is a mean (or element-wise mean) of these.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellMetrics {
@@ -120,9 +120,9 @@ pub struct CellMetrics {
 }
 
 impl CellMetrics {
-    /// Extracts the aggregation inputs from one finished run, calling the
-    /// exact accessors `aggregate` calls so the stored values are the
-    /// values the live path would have summed.
+    /// Extracts the aggregation inputs from one finished run. The live
+    /// path averages exactly these values, so a journaled row reproduces
+    /// its run's contribution bit for bit.
     pub fn of(outcome: &ExperimentOutcome) -> CellMetrics {
         let energy = outcome.total_energy_summary();
         CellMetrics {
@@ -410,67 +410,16 @@ impl SweepJournal {
     }
 }
 
-/// Averages journal rows (in the given order) exactly as
-/// [`crate::sweep::run_averaged`] averages live runs: same terms, same
-/// summation order, bit-identical floating-point results.
+/// Averages journal rows (in the given order) with the aggregation
+/// [`crate::sweep::run_averaged`] applies to live runs.
 ///
 /// # Panics
 ///
 /// Panics on an empty slice — an average of nothing is a caller bug.
 pub fn aggregate_rows(rows: &[JournalRow]) -> AveragedOutcome {
     assert!(!rows.is_empty(), "cannot aggregate zero journal rows");
-    let count = rows.len() as f64;
-    let mean = |f: &dyn Fn(&JournalRow) -> f64| rows.iter().map(f).sum::<f64>() / count;
-    let total_energy = MinAvgMax {
-        min: mean(&|r| r.metrics.total_energy_min),
-        avg: mean(&|r| r.metrics.total_energy_avg),
-        max: mean(&|r| r.metrics.total_energy_max),
-    };
-    AveragedOutcome {
-        label: rows[0].label.clone(),
-        seeds: rows.len() as u64,
-        avg_tx_per_node_per_round: mean(&|r| r.metrics.tx_per_node_per_round),
-        avg_rx_per_node_per_round: mean(&|r| r.metrics.rx_per_node_per_round),
-        total_energy,
-        accuracy: mean(&|r| r.metrics.accuracy),
-        mean_recall: mean(&|r| r.metrics.mean_recall),
-        label_precision: mean(&|r| r.metrics.label_precision),
-        label_recall: mean(&|r| r.metrics.label_recall),
-        agreement_rate: mean(&|r| if r.metrics.estimates_agree { 1.0 } else { 0.0 }),
-        quiescence_rate: mean(&|r| if r.metrics.quiescent { 1.0 } else { 0.0 }),
-        avg_data_points_sent: mean(&|r| r.metrics.data_points_sent as f64),
-        avg_packets_sent: mean(&|r| r.metrics.packets_sent as f64),
-        avg_traffic_imbalance: mean(&|r| r.metrics.traffic_imbalance),
-    }
-}
-
-fn field<'v>(value: &'v JsonValue, key: &str) -> Result<&'v JsonValue, PersistError> {
-    value.get(key).ok_or_else(|| PersistError::Schema(format!("missing field \"{key}\"")))
-}
-
-fn u64_field(value: &JsonValue, key: &str) -> Result<u64, PersistError> {
-    field(value, key)?
-        .as_u64()
-        .ok_or_else(|| PersistError::Schema(format!("field \"{key}\" is not an unsigned integer")))
-}
-
-fn f64_field(value: &JsonValue, key: &str) -> Result<f64, PersistError> {
-    field(value, key)?
-        .as_f64()
-        .ok_or_else(|| PersistError::Schema(format!("field \"{key}\" is not a number")))
-}
-
-fn bool_field(value: &JsonValue, key: &str) -> Result<bool, PersistError> {
-    match field(value, key)? {
-        JsonValue::Bool(b) => Ok(*b),
-        _ => Err(PersistError::Schema(format!("field \"{key}\" is not a boolean"))),
-    }
-}
-
-fn str_field<'v>(value: &'v JsonValue, key: &str) -> Result<&'v str, PersistError> {
-    field(value, key)?
-        .as_str()
-        .ok_or_else(|| PersistError::Schema(format!("field \"{key}\" is not a string")))
+    let cells: Vec<CellMetrics> = rows.iter().map(|r| r.metrics.clone()).collect();
+    aggregate(&rows[0].label, &cells)
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 //! ascending seed order, which makes the pooled path bit-identical to
 //! [`run_averaged_sequential`] (there is a test for that).
 
+use crate::journal::CellMetrics;
 use crate::pool::{self, JobHandle, WorkerPool};
 use wsn_core::experiment::{run_experiment, ExperimentConfig, ExperimentOutcome};
 use wsn_core::CoreError;
@@ -77,7 +78,7 @@ impl AveragedOutcome {
 /// The per-seed configurations of one averaged cell: seed `s` offsets both
 /// the simulation and the trace seed by `s`. Shared with the journaled
 /// runner ([`crate::journal`]) so both paths run identical cells.
-pub(crate) fn seed_configs(config: &ExperimentConfig, seeds: u64) -> Vec<ExperimentConfig> {
+pub fn seed_configs(config: &ExperimentConfig, seeds: u64) -> Vec<ExperimentConfig> {
     assert!(seeds > 0, "at least one seed is required");
     (0..seeds)
         .map(|s| {
@@ -89,34 +90,45 @@ pub(crate) fn seed_configs(config: &ExperimentConfig, seeds: u64) -> Vec<Experim
         .collect()
 }
 
-/// Averages the per-seed outcomes (in ascending seed order) into one
-/// [`AveragedOutcome`]. Shared by the pooled and the sequential path, so the
-/// two are arithmetic-for-arithmetic identical.
-fn aggregate(runs: &[ExperimentOutcome]) -> AveragedOutcome {
-    let count = runs.len() as f64;
-    let mean = |f: &dyn Fn(&ExperimentOutcome) -> f64| runs.iter().map(f).sum::<f64>() / count;
-    let total_energy = MinAvgMax {
-        min: mean(&|r| r.total_energy_summary().min),
-        avg: mean(&|r| r.total_energy_summary().avg),
-        max: mean(&|r| r.total_energy_summary().max),
-    };
-
+/// Averages per-seed metrics (in ascending seed order) into one
+/// [`AveragedOutcome`]. This is the only seed aggregation: live runs are
+/// reduced with [`CellMetrics::of`] first, and journal rows store exactly
+/// those metrics, so the pooled, sequential and journaled averages are
+/// bit-identical by construction.
+///
+/// # Panics
+///
+/// Panics on an empty slice — an average of nothing is a caller bug.
+pub(crate) fn aggregate(label: &str, cells: &[CellMetrics]) -> AveragedOutcome {
+    assert!(!cells.is_empty(), "cannot aggregate zero runs");
+    let count = cells.len() as f64;
+    let mean = |f: &dyn Fn(&CellMetrics) -> f64| cells.iter().map(f).sum::<f64>() / count;
     AveragedOutcome {
-        label: runs[0].label.clone(),
-        seeds: runs.len() as u64,
-        avg_tx_per_node_per_round: mean(&|r| r.avg_tx_energy_per_node_per_round()),
-        avg_rx_per_node_per_round: mean(&|r| r.avg_rx_energy_per_node_per_round()),
-        total_energy,
-        accuracy: mean(&|r| r.accuracy()),
-        mean_recall: mean(&|r| r.mean_recall()),
-        label_precision: mean(&|r| r.label_precision()),
-        label_recall: mean(&|r| r.label_recall()),
-        agreement_rate: mean(&|r| if r.all_estimates_agree { 1.0 } else { 0.0 }),
-        quiescence_rate: mean(&|r| if r.quiescent { 1.0 } else { 0.0 }),
-        avg_data_points_sent: mean(&|r| r.data_points_sent as f64),
-        avg_packets_sent: mean(&|r| r.stats.total_packets_sent() as f64),
-        avg_traffic_imbalance: mean(&|r| r.stats.traffic_imbalance()),
+        label: label.to_string(),
+        seeds: cells.len() as u64,
+        avg_tx_per_node_per_round: mean(&|m| m.tx_per_node_per_round),
+        avg_rx_per_node_per_round: mean(&|m| m.rx_per_node_per_round),
+        total_energy: MinAvgMax {
+            min: mean(&|m| m.total_energy_min),
+            avg: mean(&|m| m.total_energy_avg),
+            max: mean(&|m| m.total_energy_max),
+        },
+        accuracy: mean(&|m| m.accuracy),
+        mean_recall: mean(&|m| m.mean_recall),
+        label_precision: mean(&|m| m.label_precision),
+        label_recall: mean(&|m| m.label_recall),
+        agreement_rate: mean(&|m| if m.estimates_agree { 1.0 } else { 0.0 }),
+        quiescence_rate: mean(&|m| if m.quiescent { 1.0 } else { 0.0 }),
+        avg_data_points_sent: mean(&|m| m.data_points_sent as f64),
+        avg_packets_sent: mean(&|m| m.packets_sent as f64),
+        avg_traffic_imbalance: mean(&|m| m.traffic_imbalance),
     }
+}
+
+/// Averages finished live runs, given in ascending seed order.
+fn aggregate_runs(runs: &[ExperimentOutcome]) -> AveragedOutcome {
+    let cells: Vec<CellMetrics> = runs.iter().map(CellMetrics::of).collect();
+    aggregate(&runs[0].label, &cells)
 }
 
 /// One averaged cell whose per-seed simulations are in flight on a
@@ -146,7 +158,7 @@ impl PendingAverage {
         for result in results {
             runs.push(result?);
         }
-        Ok(aggregate(&runs))
+        Ok(aggregate_runs(&runs))
     }
 }
 
@@ -193,7 +205,7 @@ pub fn run_averaged_sequential(
     for c in seed_configs(config, seeds) {
         runs.push(run_experiment(&c)?);
     }
-    Ok(aggregate(&runs))
+    Ok(aggregate_runs(&runs))
 }
 
 #[cfg(test)]

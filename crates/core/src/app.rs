@@ -51,6 +51,12 @@ impl SamplingSchedule {
         Timestamp::from_secs_f64(self.sample_interval_secs * (self.rounds as f64 + 2.0))
     }
 
+    /// A generous simulation deadline: all rounds plus settling time for
+    /// the protocol to reach quiescence.
+    pub(crate) fn deadline(&self) -> Timestamp {
+        Timestamp::from_secs_f64(self.sample_interval_secs * (self.rounds as f64 + 2.0) + 600.0)
+    }
+
     /// The time at which `round` is sampled (with a tiny per-node stagger so
     /// that the radios do not all fire in the same microsecond; nodes share
     /// one of [`STAGGER_SLOTS`] slots, 200 µs apart).

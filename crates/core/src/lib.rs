@@ -25,9 +25,12 @@
 //!   that runs any detector on the [`wsn_netsim`] simulator with periodic
 //!   sampling from a trace and sliding-window eviction (§5.3).
 //! * [`metrics`] — ground truth, convergence and accuracy metrics (§7.2).
-//! * [`experiment`], [`streaming`] — the batch and streaming (window-slide)
-//!   experiment runners used by the examples and by the figure-reproduction
-//!   harness in `wsn-bench`.
+//! * [`streaming`] — the one experiment driver (deployment → trace →
+//!   simulation → grading), used by the examples and by the
+//!   figure-reproduction harness in `wsn-bench`. [`StreamingExperiment`]
+//!   grades at every window slide; [`experiment::run_experiment`], the
+//!   paper's batch evaluation, grades once after the quiescent tail.
+//!   [`experiment`] holds the configuration both entry points take.
 //! * [`persist`] — crash-safe, checksummed snapshots of every node's state.
 //!
 //! # Example: the two-sensor walk-through of §5.1

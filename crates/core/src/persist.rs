@@ -309,8 +309,8 @@ pub fn read_verified(path: &Path) -> Result<(String, JsonValue), PersistError> {
 // ---------------------------------------------------------------------------
 // The scalar accessors are `pub`: external persistence layers composing
 // their own payloads around the snapshot dumps (e.g. `wsn-fleet`'s
-// per-tenant checkpoints) parse with the same typed [`PersistError::Schema`]
-// errors this module produces.
+// per-tenant checkpoints, `wsn-bench`'s sweep journal) parse with the same
+// typed [`PersistError::Schema`] errors this module produces.
 
 /// Looks up `key` in an object payload, as a typed [`PersistError::Schema`].
 pub fn field<'v>(value: &'v JsonValue, key: &str) -> Result<&'v JsonValue, PersistError> {
@@ -335,13 +335,15 @@ pub fn usize_field(value: &JsonValue, key: &str) -> Result<usize, PersistError> 
         .map_err(|_| PersistError::Schema(format!("field \"{key}\" overflows usize")))
 }
 
-pub(crate) fn f64_field(value: &JsonValue, key: &str) -> Result<f64, PersistError> {
+/// Reads `key` as a number.
+pub fn f64_field(value: &JsonValue, key: &str) -> Result<f64, PersistError> {
     field(value, key)?
         .as_f64()
         .ok_or_else(|| PersistError::Schema(format!("field \"{key}\" is not a number")))
 }
 
-pub(crate) fn bool_field(value: &JsonValue, key: &str) -> Result<bool, PersistError> {
+/// Reads `key` as a boolean.
+pub fn bool_field(value: &JsonValue, key: &str) -> Result<bool, PersistError> {
     match field(value, key)? {
         JsonValue::Bool(b) => Ok(*b),
         _ => Err(PersistError::Schema(format!("field \"{key}\" is not a boolean"))),

@@ -1,24 +1,32 @@
-//! The streaming (window-slide) experiment driver.
+//! The experiment driver: one deploy → simulate → grade pipeline with two
+//! entry points.
 //!
-//! [`crate::experiment::run_experiment`] judges a protocol once, at the end
-//! of a batch — the paper's evaluation mode. A deployed network is never in
-//! that state: data keeps arriving, the window keeps sliding, and what
-//! matters is how the protocol tracks the moving answer *while it runs*.
-//! [`StreamingExperiment`] drives the same simulator continuously and
-//! evaluates at **every window slide** (every sampling round):
+//! Every run goes through the same code. It validates the configuration,
+//! builds the topology (nodes a fault plan joins later start outside it),
+//! imputes the trace's missing readings (§7.1), builds the simulator for
+//! the configured algorithm, replays the fault plan in-band, and grades
+//! every live node's estimate against the ground truth over the points the
+//! nodes hold. The driver accepts any [`DeploymentTrace`] (synthetic, a
+//! `wsn-workload` scenario, or a replayed Intel trace) and any
+//! [`AlgorithmConfig`] (global, semi-global, centralized).
 //!
-//! * a per-slide [`AccuracyReport`] against the slide's own ground truth
-//!   `O_n` (recomputed over what the nodes hold at that instant),
-//! * a per-slide [`LabelReport`] (precision/recall against the injected
-//!   ground-truth labels of `wsn-workload` scenarios),
-//! * whether the estimates currently agree ([`estimates_agree`], Theorem 1's
-//!   property — the convergence-latency clock), and
-//! * the slide's marginal cost: packets, bytes, protocol data points and
-//!   per-node TX/RX energy spent since the previous slide.
+//! The two entry points differ only in *when* they grade:
 //!
-//! The driver accepts any [`DeploymentTrace`] — synthetic, a `wsn-workload`
-//! scenario, or a replayed Intel trace — and any [`AlgorithmConfig`]
-//! (global, semi-global, centralized).
+//! * [`StreamingExperiment`] grades at **every window slide** (every
+//!   sampling round). A deployed network is never in a finished state: data
+//!   keeps arriving, the window keeps sliding, and what matters is how the
+//!   protocol tracks the moving answer *while it runs*. Each [`SlideReport`]
+//!   grades the slide against its own ground truth `O_n` (recomputed over
+//!   what the nodes hold at that instant) and the injected labels, records
+//!   whether the estimates agree (Theorem 1's property, which sets the
+//!   convergence-latency clock), and accounts the slide's marginal cost.
+//! * [`crate::experiment::run_experiment`], the paper's evaluation mode
+//!   (§7.2, Figures 4–9), runs **no slide loop** and grades once, after the
+//!   quiescent tail. Grading every slide would add wall time for answers no
+//!   batch caller reads. Stopping at slides would also change the result:
+//!   `run_until` moves the simulated clock up to each slide's evaluation
+//!   instant, which charges the radios idle energy a batch run never
+//!   spends, and idle energy feeds the Figure 5/6 totals.
 //!
 //! # Crash safety
 //!
@@ -44,7 +52,7 @@ use crate::app::{DetectorApp, SamplingSchedule, ScheduleDriven};
 use crate::centralized::CentralizedApp;
 use crate::detector::OutlierDetector;
 use crate::error::CoreError;
-use crate::experiment::{AlgorithmConfig, ExperimentConfig, FaultDriver};
+use crate::experiment::{AlgorithmConfig, ExperimentConfig};
 use crate::metrics::{estimates_agree, paired_truths, AccuracyReport, LabelReport};
 use crate::node::DetectorNode;
 use crate::persist::{self, PersistError};
@@ -54,6 +62,7 @@ use wsn_data::stream::{DeploymentTrace, SensorStream};
 use wsn_data::window::WindowConfig;
 use wsn_data::{DataPoint, HopCount, PointKey, SensorId, Timestamp};
 use wsn_json::JsonValue;
+use wsn_netsim::fault::{FaultAction, FaultPlan};
 use wsn_netsim::radio::RadioConfig;
 use wsn_netsim::region::{AnySimulator, SimHandle};
 use wsn_netsim::sim::{Application, SimConfig};
@@ -420,8 +429,9 @@ impl StreamingOutcome {
     }
 }
 
-/// A continuously evaluated experiment: the streaming counterpart of
-/// [`crate::experiment::run_experiment`].
+/// A continuously evaluated experiment, graded at every window slide. The
+/// batch entry point, [`crate::experiment::run_experiment`], runs the same
+/// driver and grades once, at the end.
 #[derive(Debug, Clone)]
 pub struct StreamingExperiment {
     config: ExperimentConfig,
@@ -469,8 +479,8 @@ impl StreamingExperiment {
         self
     }
 
-    /// Generates the configured deployment and synthetic trace (exactly as
-    /// [`crate::experiment::run_experiment`] would) and streams it.
+    /// Generates the configured deployment and synthetic trace and streams
+    /// it.
     ///
     /// # Errors
     ///
@@ -478,13 +488,7 @@ impl StreamingExperiment {
     /// [`CoreError::DisconnectedNetwork`] for a disconnected layout, and
     /// propagates trace-generation errors.
     pub fn run(&self) -> Result<StreamingOutcome, CoreError> {
-        self.config.validate()?;
-        let deployment = LabDeployment::with_sensor_count(
-            self.config.sensor_count,
-            self.config.deployment_seed,
-        )?;
-        let trace = deployment.generate_trace(&self.config.trace, self.config.trace_seed)?;
-        self.run_on_trace(&trace)
+        self.run_on_trace(&self.generate_trace()?)
     }
 
     /// Streams an explicit trace — a `wsn-workload` scenario, a replayed
@@ -499,6 +503,31 @@ impl StreamingExperiment {
     /// [`CoreError::DisconnectedNetwork`] if the trace's sensor layout is
     /// not connected at the configured radio range.
     pub fn run_on_trace(&self, trace: &DeploymentTrace) -> Result<StreamingOutcome, CoreError> {
+        Ok(self.simulate(trace, Grading::EverySlide)?.0)
+    }
+
+    /// The batch run behind [`crate::experiment::run_experiment`]: the
+    /// configured trace, simulated with no slide stops and graded once
+    /// after the quiescent tail.
+    pub(crate) fn settle(&self) -> Result<(StreamingOutcome, Grade), CoreError> {
+        let (run, grade) = self.simulate(&self.generate_trace()?, Grading::Settled)?;
+        Ok((run, grade.expect("a settled run is graded after its tail")))
+    }
+
+    fn generate_trace(&self) -> Result<DeploymentTrace, CoreError> {
+        let config = &self.config;
+        config.validate()?;
+        let deployment =
+            LabDeployment::with_sensor_count(config.sensor_count, config.deployment_seed)?;
+        Ok(deployment.generate_trace(&config.trace, config.trace_seed)?)
+    }
+
+    /// Builds the topology and the simulator for `trace` and drives it.
+    fn simulate(
+        &self,
+        trace: &DeploymentTrace,
+        grading: Grading,
+    ) -> Result<(StreamingOutcome, Option<Grade>), CoreError> {
         let config = &self.config;
         config.validate()?;
         // Preflight the checkpoint before any simulation work: a torn file
@@ -512,11 +541,8 @@ impl StreamingExperiment {
         });
         // Nodes whose first fault event is a join start outside the network;
         // the fault driver adds them when their time comes.
-        let absent = config
-            .fault_plan
-            .as_ref()
-            .map(wsn_netsim::fault::FaultPlan::initially_absent)
-            .unwrap_or_default();
+        let absent =
+            config.fault_plan.as_ref().map(FaultPlan::initially_absent).unwrap_or_default();
         let specs: Vec<wsn_data::stream::SensorSpec> =
             trace.sensor_specs().into_iter().filter(|s| !absent.contains(&s.id)).collect();
         let rounds = trace.round_count();
@@ -529,7 +555,12 @@ impl StreamingExperiment {
         if !topology.is_connected() {
             return Err(CoreError::DisconnectedNetwork);
         }
-        let labels: BTreeSet<PointKey> = trace.anomaly_keys().into_iter().collect();
+        let grader = Grader {
+            ranking: config.algorithm.ranking().build(),
+            n: config.n,
+            hop_diameter: config.algorithm.hop_diameter(),
+            labels: trace.anomaly_keys().into_iter().collect(),
+        };
         let mut imputed = trace.clone();
         WindowMeanImputer::new(config.window_samples as usize).impute_trace(&mut imputed);
 
@@ -541,20 +572,17 @@ impl StreamingExperiment {
             seed: config.sim_seed,
             ..Default::default()
         };
-        let ranking = config.algorithm.ranking().build();
-        // The same settling margin run_experiment's deadline allows.
-        let deadline = Timestamp::from_secs_f64(interval * (rounds as f64 + 2.0) + 600.0);
-
         let stream_for = |id: SensorId| -> SensorStream {
             imputed.stream(id).ok().cloned().unwrap_or_else(|| SensorStream::new(specs[0]))
         };
+        let label = config.algorithm.label();
+        let persist_ctx = persist_ctx.as_ref();
 
         match config.algorithm {
             AlgorithmConfig::Global { .. } | AlgorithmConfig::SemiGlobal { .. } => {
-                let hop_diameter = config.algorithm.hop_diameter();
                 let make_app = |id: SensorId| {
                     DetectorApp::new(
-                        config.detector(id, ranking.clone(), window),
+                        config.detector(id, grader.ranking.clone(), window),
                         stream_for(id),
                         schedule,
                     )
@@ -568,19 +596,16 @@ impl StreamingExperiment {
                 );
                 let faults = config.fault_plan.as_ref().map(|plan| {
                     sim.set_duty_cycles(Arc::new(plan.duty_cycles().clone()));
-                    FaultDriver::new(plan, &schedule, Box::new(make_app))
+                    FaultDriver { plan, schedule: &schedule, make_app: Box::new(make_app), next: 0 }
                 });
                 drive(
                     &mut sim,
                     &schedule,
-                    &ranking,
-                    config.n,
-                    hop_diameter,
+                    &grader,
                     faults,
-                    &labels,
-                    deadline,
-                    config.algorithm.label(),
-                    persist_ctx.as_ref(),
+                    label,
+                    grading,
+                    persist_ctx,
                     resume_state,
                 )
             }
@@ -596,7 +621,7 @@ impl StreamingExperiment {
                             CentralizedApp::new(
                                 id,
                                 sink,
-                                ranking.clone(),
+                                grader.ranking.clone(),
                                 config.n,
                                 window,
                                 stream_for(id),
@@ -604,42 +629,112 @@ impl StreamingExperiment {
                             )
                         },
                     );
-                drive(
-                    &mut sim,
-                    &schedule,
-                    &ranking,
-                    config.n,
-                    None,
-                    None,
-                    &labels,
-                    deadline,
-                    config.algorithm.label(),
-                    persist_ctx.as_ref(),
-                    resume_state,
-                )
+                drive(&mut sim, &schedule, &grader, None, label, grading, persist_ctx, resume_state)
             }
         }
     }
 }
 
-/// Runs the slide loop on a built simulator: advance to just before each
-/// next sampling round, apply any fault-plan events that are due, snapshot
-/// every node, grade over the **live** node set, and account the slide's
-/// marginal cost.
+/// When a run is graded: the one choice that separates the two entry
+/// points (see the [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Grading {
+    /// At every window slide ([`StreamingExperiment`]).
+    EverySlide,
+    /// Once, after the quiescent tail, with no slide stops
+    /// ([`crate::experiment::run_experiment`]).
+    Settled,
+}
+
+/// What a run is graded against.
+struct Grader {
+    ranking: Arc<dyn RankingFunction>,
+    n: usize,
+    /// The semi-global hop diameter `d`; `None` grades every node against
+    /// the whole network.
+    hop_diameter: Option<HopCount>,
+    /// The injected ground-truth anomaly labels of the trace.
+    labels: BTreeSet<PointKey>,
+}
+
+/// One collect-and-grade pass over the live nodes.
+pub(crate) struct Grade {
+    /// Points held across all nodes' own windows.
+    window_points: usize,
+    /// Per-node accuracy against the ground truth `O_n` over those points.
+    pub(crate) accuracy: AccuracyReport,
+    /// Per-node precision/recall against the injected labels in scope.
+    pub(crate) labels: LabelReport,
+    /// Whether every node's estimate agrees with every other node's
+    /// (Theorem 1's property); `None` under a hop scope, where pairwise
+    /// agreement is meaningless.
+    pub(crate) agree: Option<bool>,
+    /// Protocol data points broadcast so far, network-wide.
+    data_points: u64,
+}
+
+impl Grader {
+    /// Reads every live node's own data `D_i` and estimate, and grades the
+    /// estimates against the ground truth over that data. Under churn the
+    /// radio graph changes over time, so the `d`-hop grading scopes come
+    /// from what is deployed *now*.
+    fn grade<A: Application + StreamingProbe, S: SimHandle<A>>(&self, sim: &S) -> Grade {
+        let mut local_data: BTreeMap<SensorId, Vec<DataPoint>> = BTreeMap::new();
+        let mut estimates: BTreeMap<SensorId, OutlierEstimate> = BTreeMap::new();
+        let mut data_points = 0u64;
+        {
+            let _collect_span = wsn_obs::span("collect");
+            sim.for_each_app(&mut |id, app| {
+                local_data.insert(id, app.streaming_own_points(id));
+                estimates.insert(id, app.streaming_estimate());
+                data_points += app.streaming_points_sent();
+            });
+        }
+        let window_points = local_data.values().map(Vec::len).sum();
+        let _eval_span = wsn_obs::span("evaluate");
+        let (truth, label_truth) = paired_truths(
+            &self.ranking,
+            self.n,
+            &self.labels,
+            &local_data,
+            self.hop_diameter.map(|d| (sim.topology(), u32::from(d))),
+        );
+        Grade {
+            window_points,
+            accuracy: truth.grade(&estimates),
+            labels: label_truth.grade(&estimates),
+            agree: self.hop_diameter.is_none().then(|| estimates_agree(&estimates)),
+            data_points,
+        }
+    }
+}
+
+/// The instant slide `round` is graded: 1 µs before the next round's
+/// earliest (unstaggered) sample, so the slide sees everything of round
+/// `round` and nothing of round `round + 1`.
+fn eval_time(schedule: &SamplingSchedule, round: usize) -> Timestamp {
+    let next_round_start =
+        Timestamp::from_secs_f64((round + 1) as f64 * schedule.sample_interval_secs);
+    Timestamp::from_micros(next_round_start.as_micros().saturating_sub(1))
+}
+
+/// Runs a built simulator through every sampling round and the quiescent
+/// tail. Under [`Grading::EverySlide`] it stops at each slide's
+/// [`eval_time`]: applies the fault-plan events that are due, grades the
+/// **live** node set, accounts the slide's marginal cost, and writes a
+/// checkpoint when one is due. Under [`Grading::Settled`] it never stops
+/// and grades once, after the tail.
 #[allow(clippy::too_many_arguments)]
 fn drive<A, S>(
     sim: &mut S,
     schedule: &SamplingSchedule,
-    ranking: &Arc<dyn RankingFunction>,
-    n: usize,
-    hop_diameter: Option<HopCount>,
+    grader: &Grader,
     mut faults: Option<FaultDriver<'_, A>>,
-    labels: &BTreeSet<PointKey>,
-    deadline: Timestamp,
     label: String,
+    grading: Grading,
     persist: Option<&CheckpointCtx>,
     resume: Option<ResumeState>,
-) -> Result<StreamingOutcome, CoreError>
+) -> Result<(StreamingOutcome, Option<Grade>), CoreError>
 where
     A: Application + StreamingProbe + ScheduleDriven,
     S: SimHandle<A>,
@@ -659,15 +754,13 @@ where
         // different run and loading it would silently corrupt the results.
         let _resume_span = wsn_obs::span("resume");
         for round in 0..state.cursor {
-            let next_round_start =
-                Timestamp::from_secs_f64((round + 1) as f64 * schedule.sample_interval_secs);
-            let eval_at = Timestamp::from_micros(next_round_start.as_micros().saturating_sub(1));
+            let eval_at = eval_time(schedule, round);
             if let Some(driver) = faults.as_mut() {
                 driver.apply_through(sim, eval_at);
             }
             sim.run_until(eval_at);
         }
-        let fault_cursor = faults.as_ref().map(FaultDriver::cursor).unwrap_or(0);
+        let fault_cursor = faults.as_ref().map_or(0, |f| f.next);
         if fault_cursor != state.fault_cursor {
             return Err(PersistError::Mismatch(format!(
                 "replay applied {fault_cursor} fault events but the checkpoint recorded {}",
@@ -720,13 +813,12 @@ where
         convergence_latency = state.convergence;
         start_round = state.cursor;
     }
-    for round in start_round..schedule.rounds {
-        // Evaluate 1 µs before the next round's earliest (unstaggered)
-        // sample, so the slide sees everything of round `round` and nothing
-        // of round `round + 1`.
-        let next_round_start =
-            Timestamp::from_secs_f64((round + 1) as f64 * schedule.sample_interval_secs);
-        let eval_at = Timestamp::from_micros(next_round_start.as_micros().saturating_sub(1));
+    let graded_slides = match grading {
+        Grading::EverySlide => schedule.rounds,
+        Grading::Settled => 0,
+    };
+    for round in start_round..graded_slides {
+        let eval_at = eval_time(schedule, round);
         // Telemetry spans: the per-slide latency breakdown. Children of
         // "slide" cover the whole body, so `slide/sim + slide/collect +
         // slide/evaluate ≈ slide` (detector and fixed-point time nests
@@ -739,50 +831,20 @@ where
             }
             sim.run_until(eval_at);
         }
-
-        let mut local_data: BTreeMap<SensorId, Vec<DataPoint>> = BTreeMap::new();
-        let mut estimates: BTreeMap<SensorId, OutlierEstimate> = BTreeMap::new();
-        let mut data_points = 0u64;
-        {
-            let _collect_span = wsn_obs::span("collect");
-            sim.for_each_app(&mut |id, app| {
-                local_data.insert(id, app.streaming_own_points(id));
-                estimates.insert(id, app.streaming_estimate());
-                data_points += app.streaming_points_sent();
-            });
-        }
-        let window_points = local_data.values().map(Vec::len).sum();
-        let eval_span = wsn_obs::span("evaluate");
-        let (truth, label_truth) = paired_truths(
-            ranking,
-            n,
-            labels,
-            &local_data,
-            // Under churn the radio graph changes between slides; each
-            // slide's d-hop grading scopes come from what is deployed *now*.
-            hop_diameter.map(|d| (sim.topology(), u32::from(d))),
-        );
-        let accuracy = truth.grade(&estimates);
-        let label_report = label_truth.grade(&estimates);
-        let agree = match hop_diameter {
-            None => estimates_agree(&estimates),
-            // Pairwise agreement is meaningless for hop-local answers; the
-            // semi-global convergence event is "everyone matches their own
-            // d-hop ground truth".
-            Some(_) => accuracy.all_correct(),
-        };
+        let grade = grader.grade(sim);
+        // The semi-global convergence event is "everyone matches their own
+        // d-hop ground truth".
+        let agree = grade.agree.unwrap_or_else(|| grade.accuracy.all_correct());
         if agree && convergence_latency.is_none() {
             convergence_latency = Some(round);
         }
-        let stats = sim.network_stats();
-        let totals = Totals::of(&stats, data_points);
-        drop(eval_span);
+        let totals = Totals::of(&sim.network_stats(), grade.data_points);
         slides.push(SlideReport {
             slide: round,
             at: sim.now(),
-            window_points,
-            accuracy,
-            labels: label_report,
+            window_points: grade.window_points,
+            accuracy: grade.accuracy,
+            labels: grade.labels,
             estimates_agree: agree,
             packets_delta: totals.packets - previous.packets,
             bytes_delta: totals.bytes - previous.bytes,
@@ -808,7 +870,7 @@ where
                     ("cursor".to_string(), JsonValue::from(round + 1)),
                     (
                         "fault_cursor".to_string(),
-                        JsonValue::from(faults.as_ref().map(FaultDriver::cursor).unwrap_or(0)),
+                        JsonValue::from(faults.as_ref().map_or(0, |f| f.next)),
                     ),
                     ("at".to_string(), JsonValue::from(sim.now().as_micros())),
                     (
@@ -846,11 +908,12 @@ where
         if let Some(driver) = faults.as_mut() {
             driver.finish(sim);
         }
-        sim.run_until_quiescent(deadline)
+        sim.run_until_quiescent(schedule.deadline())
     };
+    let settled = (grading == Grading::Settled).then(|| grader.grade(sim));
     let mut data_points_sent = 0;
     sim.for_each_app(&mut |_, a| data_points_sent += a.streaming_points_sent());
-    Ok(StreamingOutcome {
+    let outcome = StreamingOutcome {
         label,
         slides,
         convergence_latency_slides: convergence_latency,
@@ -859,7 +922,54 @@ where
         data_points_sent,
         node_count,
         rounds: schedule.rounds,
-    })
+    };
+    Ok((outcome, settled))
+}
+
+/// Replays a [`FaultPlan`] onto a running simulator, in-band: the simulator
+/// is advanced to each event's time before the event is applied, so deaths
+/// and joins interleave with protocol traffic exactly where the plan puts
+/// them. Joins construct a fresh application via the experiment's app
+/// factory, mark it schedule-driven, and install the node's *remaining*
+/// sampling rounds (past rounds are skipped, not replayed — a late joiner
+/// has no data for them).
+struct FaultDriver<'a, A> {
+    plan: &'a FaultPlan,
+    schedule: &'a SamplingSchedule,
+    make_app: Box<dyn FnMut(SensorId) -> A + 'a>,
+    /// Index of the next unapplied event of `plan.events()`: the
+    /// fault-plan cursor a checkpoint records and a resume validates.
+    next: usize,
+}
+
+impl<'a, A> FaultDriver<'a, A>
+where
+    A: Application + ScheduleDriven,
+{
+    /// Applies every not-yet-applied event scheduled at or before `until`.
+    fn apply_through<S: SimHandle<A> + ?Sized>(&mut self, sim: &mut S, until: Timestamp) {
+        while let Some(ev) = self.plan.events().get(self.next) {
+            if ev.at > until {
+                break;
+            }
+            self.next += 1;
+            sim.run_until(ev.at);
+            match &ev.action {
+                FaultAction::Death(id) => sim.remove_node(*id),
+                FaultAction::Join { id, position } => {
+                    let mut app = (self.make_app)(*id);
+                    app.sampling_installed();
+                    let _ = sim.add_node(*id, *position, app);
+                    sim.schedule_timer_batch(self.schedule.node_batch_after(sim.now(), *id));
+                }
+            }
+        }
+    }
+
+    /// Applies all remaining events (call before waiting for quiescence).
+    fn finish<S: SimHandle<A> + ?Sized>(&mut self, sim: &mut S) {
+        self.apply_through(sim, Timestamp::from_micros(u64::MAX));
+    }
 }
 
 #[cfg(test)]
@@ -867,6 +977,7 @@ mod tests {
     use super::*;
     use crate::experiment::{run_experiment, RankingChoice};
     use wsn_data::synth::AnomalyModel;
+    use wsn_netsim::fault::DutyCycle;
 
     fn spiky_small(algorithm: AlgorithmConfig) -> ExperimentConfig {
         let mut config = ExperimentConfig::small().with_algorithm(algorithm);
@@ -898,20 +1009,53 @@ mod tests {
 
     #[test]
     fn streaming_converges_and_matches_the_batch_experiment_at_the_end() {
-        let config = spiky_small(AlgorithmConfig::Global { ranking: RankingChoice::Nn });
-        let streaming = StreamingExperiment::new(config.clone()).run().unwrap();
+        let global = spiky_small(AlgorithmConfig::Global { ranking: RankingChoice::Nn });
         // The protocol must have agreed at some slide.
+        let streaming = StreamingExperiment::new(global.clone()).run().unwrap();
         assert!(streaming.convergence_latency_slides.is_some());
-        // And the whole run's energy matches the one-shot runner's (same
-        // simulation, just observed mid-flight).
-        let batch = run_experiment(&config).unwrap();
-        let streaming_tx = streaming.final_stats.tx_energy_summary().avg;
-        let batch_tx = batch.stats.tx_energy_summary().avg;
-        assert!(
-            (streaming_tx - batch_tx).abs() < 1e-9,
-            "observing slides must not change what the network does: {streaming_tx} vs {batch_tx}"
-        );
-        assert_eq!(streaming.data_points_sent, batch.data_points_sent);
+
+        // A churned, duty-cycled semi-global network that prunes silent
+        // neighbours: two deaths mid-round, one rejoin.
+        let mut faulted = spiky_small(AlgorithmConfig::SemiGlobal {
+            ranking: RankingChoice::Nn,
+            hop_diameter: 2,
+        });
+        let specs = LabDeployment::with_sensor_count(faulted.sensor_count, faulted.deployment_seed)
+            .unwrap()
+            .sensors()
+            .to_vec();
+        let interval = faulted.trace.sample_interval_secs;
+        let at = |rounds: f64| Timestamp::from_secs_f64(rounds * interval);
+        let mut plan = FaultPlan::new()
+            .with_death(at(1.5), specs[2].id)
+            .with_death(at(2.5), specs[5].id)
+            .with_join(at(3.5), specs[2].id, specs[2].position);
+        for (k, spec) in specs.iter().enumerate() {
+            let cycle = DutyCycle::from_micros(2_000_000, 1_500_000, 200_000 * k as u64);
+            plan = plan.with_duty_cycle(spec.id, cycle);
+        }
+        faulted = faulted.with_fault_plan(plan).with_liveness_timeout(3.0 * interval);
+        let centralized = spiky_small(AlgorithmConfig::Centralized { ranking: RankingChoice::Nn });
+
+        for config in [global, faulted, centralized] {
+            // Observing slides must not change what the network does: the
+            // same simulation, graded mid-flight instead of once at the end.
+            let streaming = StreamingExperiment::new(config.clone()).run().unwrap();
+            let batch = run_experiment(&config).unwrap();
+            let label = &batch.label;
+            assert_eq!(streaming.final_stats.nodes, batch.stats.nodes, "{label}: link counters");
+            assert_eq!(streaming.data_points_sent, batch.data_points_sent, "{label}");
+            assert_eq!(streaming.quiescent_tail, batch.quiescent, "{label}");
+            assert!(streaming.final_stats.energy.keys().eq(batch.stats.energy.keys()), "{label}");
+            for (id, s) in &streaming.final_stats.energy {
+                let b = &batch.stats.energy[id];
+                assert_eq!(s.tx_joules, b.tx_joules, "{label}: TX of node {id}");
+                assert_eq!(s.rx_joules, b.rx_joules, "{label}: RX of node {id}");
+                // The slide loop's `run_until` moves the clock up to each
+                // slide's evaluation instant, which a batch run never does.
+                assert!(s.idle_joules >= b.idle_joules, "{label}: idle of node {id}");
+            }
+        }
     }
 
     #[test]

@@ -90,9 +90,12 @@
 //! # }
 //! ```
 //!
-//! For whole-network simulations (the paper's evaluation), use
-//! [`detection::experiment::run_experiment`]; the `examples/` directory and
-//! the `wsn-bench` figure harness show every configuration of §7.
+//! For whole-network simulations, use
+//! [`detection::experiment::run_experiment`] (the paper's evaluation, graded
+//! once at the end of the run) or
+//! [`detection::streaming::StreamingExperiment`] (the same simulation,
+//! graded at every window slide); the `examples/` directory and the
+//! `wsn-bench` figure harness show every configuration of §7.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
