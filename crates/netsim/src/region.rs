@@ -48,7 +48,7 @@ use crate::event::{EventKey, CLASS_CONTROL, CLASS_START, CLASS_TIMER, EXTERNAL_S
 use crate::fault::DutyCycle;
 use crate::sim::{Application, BatchTimerEntry, NetEvent, SimConfig, Simulator, TimerId};
 use crate::stats::{NetworkStats, RegionStats};
-use crate::topology::Topology;
+use crate::topology::{extent, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use wsn_data::{GridTiling, Position, SensorId, Timestamp};
@@ -224,10 +224,6 @@ impl Partition {
             self.regions[region].insert(pos, id);
         }
     }
-}
-
-fn extent(values: impl Iterator<Item = f64>) -> (f64, f64) {
-    values.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| (lo.min(v), hi.max(v)))
 }
 
 /// The common driving surface of the sequential and partitioned engines.

@@ -4,14 +4,32 @@
 //! (unit-disc connectivity). It also provides the hop-distance matrix used to
 //! define the semi-global ground truth `D_i^{≤d}` (§6) and the diameter used
 //! to relate the semi-global and global problems.
+//!
+//! [`Topology::from_specs`] builds the graph from a range-sized spatial grid:
+//! it bins the sensors into [`GridTiling`] cells at least two radio ranges
+//! wide and tests only pairs in the same or adjacent cells, so the number of
+//! distance tests grows linearly with the sensor count at constant density
+//! (about 35 per sensor on [`LabDeployment::city`]) instead of as N²/2. Its
+//! result equals [`Topology::from_specs_reference`], the all-pairs loop it
+//! replaced, for every input; `tests/property_topology.rs` checks this.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use wsn_data::lab::LabDeployment;
 use wsn_data::stream::SensorSpec;
-use wsn_data::{Position, SensorId};
+use wsn_data::{GridTiling, Position, SensorId};
 
 /// Hop distance that denotes "unreachable".
 pub const UNREACHABLE: u32 = u32::MAX;
+
+/// Telemetry ([`wsn_obs`]): the distance tests [`Topology::from_specs`]
+/// made, added once per build. A build that tests every pair shows here as
+/// N(N−1)/2 long before it shows in a wall-clock benchmark.
+static OBS_PAIR_CHECKS: wsn_obs::Counter = wsn_obs::Counter::new("topology.pair_checks");
+
+/// The most cells the build grid lays along one axis. It keeps the
+/// row-major index of `cols × rows` cells below 2⁴⁰ and the rounding of a
+/// cell coordinate below 2⁻³⁰ of a cell; a wider extent gets wider cells.
+const MAX_GRID_CELLS_PER_AXIS: usize = 1 << 20;
 
 /// An undirected communication graph over a set of sensors.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,8 +40,69 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Builds the topology induced by a radio range over sensor positions.
+    /// Builds the topology induced by a radio range over sensor positions:
+    /// two sensors are linked when `distance <= range_m`. When two specs
+    /// share an id, the later one wins.
+    ///
+    /// The predicate is the reference's, evaluated on the same operands, but
+    /// only on pairs that can pass it. The sensors are binned into a
+    /// [`GridTiling`] over their bounding box whose cells are at least
+    /// `2 · range_m` wide (an axis narrower than that is one cell), and a
+    /// pair is tested only if its cells are the same or adjacent. At
+    /// constant density that is a constant number of tests per sensor, so
+    /// the build is linear in the sensor count apart from sorting the
+    /// sensors by cell; memory is O(N) whatever the extent, because no
+    /// per-cell storage exists. The result equals
+    /// [`Topology::from_specs_reference`] for every input:
+    ///
+    /// * A pair that passes the predicate is at most one range apart on each
+    ///   axis, up to one rounding of the coordinate difference — or closer
+    ///   than `√f64::MIN_POSITIVE` ≈ 1.5·10⁻¹⁵⁴ m, where the squares
+    ///   underflow, so cells are at least twice that wide too. A linked pair
+    ///   therefore spans at most half a cell on each axis. (On cells one
+    ///   range wide, a pair just over one range apart whose difference
+    ///   rounds down to the range can land two cells apart.)
+    /// * A cell coordinate is the position's offset from the grid origin
+    ///   divided by the cell width, two roundings off by at most 2⁻⁵² of the
+    ///   extent, which is under 2⁻³⁰ of a cell with at most 2²⁰ cells per
+    ///   axis. Half a cell of slack absorbs that, so a linked pair never
+    ///   lands two cells apart; no epsilon is involved.
+    /// * A sensor with a non-finite coordinate is at distance ∞ or NaN from
+    ///   every other, so it can link only at an infinite range, where the
+    ///   grid is one cell holding every sensor. At a NaN or negative range
+    ///   nothing links and nothing is tested.
+    ///
+    /// With the `telemetry` feature the number of distance tests is added to
+    /// the `topology.pair_checks` counter.
     pub fn from_specs(specs: &[SensorSpec], range_m: f64) -> Self {
+        let positions: BTreeMap<SensorId, Position> =
+            specs.iter().map(|s| (s.id, s.position)).collect();
+        let points: Vec<Position> = positions.values().copied().collect();
+        let mut linked: Vec<Vec<usize>> = vec![Vec::new(); points.len()];
+        let mut checks = 0u64;
+        for_each_candidate_pair(&points, range_m, |a, b| {
+            checks += 1;
+            if points[a].distance(&points[b]) <= range_m {
+                linked[a].push(b);
+                linked[b].push(a);
+            }
+        });
+        OBS_PAIR_CHECKS.add(checks);
+        let ids: Vec<SensorId> = positions.keys().copied().collect();
+        let neighbors = ids
+            .iter()
+            .zip(linked)
+            .map(|(id, near)| (*id, near.into_iter().map(|i| ids[i]).collect()))
+            .collect();
+        Topology { positions, neighbors, range_m }
+    }
+
+    /// The all-pairs build [`Topology::from_specs`] replaced, kept verbatim
+    /// as its executable specification: every pair of distinct ids, in
+    /// ascending order, is tested with `distance <= range_m`. It makes
+    /// N(N−1)/2 distance tests and is called only by tests, which assert
+    /// that the bucketed build equals it.
+    pub fn from_specs_reference(specs: &[SensorSpec], range_m: f64) -> Self {
         let positions: BTreeMap<SensorId, Position> =
             specs.iter().map(|s| (s.id, s.position)).collect();
         let mut neighbors: BTreeMap<SensorId, BTreeSet<SensorId>> =
@@ -182,11 +261,16 @@ impl Topology {
     }
 
     /// Removes a sensor and all its links (used to model node failure).
+    ///
+    /// Links are symmetric (every build and join inserts both directions),
+    /// so only the removed sensor's own neighbours hold it: the cost is
+    /// O(degree), not O(N).
     pub fn remove_sensor(&mut self, id: SensorId) {
         self.positions.remove(&id);
-        self.neighbors.remove(&id);
-        for set in self.neighbors.values_mut() {
-            set.remove(&id);
+        for other in self.neighbors.remove(&id).unwrap_or_default() {
+            if let Some(set) = self.neighbors.get_mut(&other) {
+                set.remove(&id);
+            }
         }
     }
 
@@ -211,6 +295,90 @@ impl Topology {
         self.neighbors.insert(id, linked);
         result
     }
+}
+
+/// Calls `visit(a, b)`, `a < b`, once on every pair of indices into
+/// `points` that [`Topology::from_specs`] tests: the pairs whose cells of
+/// [`range_grid`] are the same or adjacent.
+fn for_each_candidate_pair(points: &[Position], range_m: f64, mut visit: impl FnMut(usize, usize)) {
+    // A distance is never negative. (`-0.0 < 0.0` is false: co-located
+    // sensors link at a range of −0.)
+    if range_m.is_nan() || range_m < 0.0 {
+        return;
+    }
+    let grid = range_grid(points, range_m);
+    // Sorted by (cell, index), each cell is one run of ascending indices.
+    let mut binned: Vec<(usize, usize)> = points
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.is_finite() || range_m == f64::INFINITY)
+        .map(|(i, p)| (grid.cell_of(p), i))
+        .collect();
+    binned.sort_unstable();
+    fn run_of(binned: &[(usize, usize)], cell: usize) -> &[(usize, usize)] {
+        let start = binned.partition_point(|(c, _)| *c < cell);
+        let len = binned[start..].partition_point(|(c, _)| *c == cell);
+        &binned[start..start + len]
+    }
+    let cols = grid.cols();
+    let mut start = 0;
+    while start < binned.len() {
+        let cell = binned[start].0;
+        let here = run_of(&binned, cell);
+        for (k, &(_, a)) in here.iter().enumerate() {
+            for &(_, b) in &here[k + 1..] {
+                visit(a, b);
+            }
+        }
+        // The four adjacent cells after this one in row-major order; the
+        // four before it visit this cell themselves.
+        let (col, row) = (cell % cols, cell / cols);
+        let (right, down) = (col + 1 < cols, row + 1 < grid.rows());
+        let later = [
+            right.then(|| cell + 1),
+            (down && col > 0).then(|| cell + cols - 1),
+            down.then(|| cell + cols),
+            (down && right).then(|| cell + cols + 1),
+        ];
+        for there in later.into_iter().flatten().map(|c| run_of(&binned, c)) {
+            for &(_, a) in here {
+                for &(_, b) in there {
+                    visit(a.min(b), a.max(b));
+                }
+            }
+        }
+        start += here.len();
+    }
+}
+
+/// The grid of [`Topology::from_specs`]: the bounding box of the finite
+/// `points` tiled into cells at least `2 · max(range_m, √f64::MIN_POSITIVE)`
+/// wide, at most [`MAX_GRID_CELLS_PER_AXIS`] per axis.
+fn range_grid(points: &[Position], range_m: f64) -> GridTiling {
+    let cell = 2.0 * range_m.max(f64::MIN_POSITIVE.sqrt());
+    let finite = || points.iter().filter(|p| p.is_finite());
+    let (x0, width, cols) = grid_axis(finite().map(|p| p.x), cell);
+    let (y0, height, rows) = grid_axis(finite().map(|p| p.y), cell);
+    GridTiling::new(Position::new(x0, y0), width, height, cols, rows)
+}
+
+/// One axis of [`range_grid`]: the origin, extent and number of cells at
+/// least `cell` wide that cover `values`. An empty axis, or one whose extent
+/// exceeds `f64::MAX`, is a single cell of zero width.
+fn grid_axis(values: impl Iterator<Item = f64>, cell: f64) -> (f64, f64, usize) {
+    let (lo, hi) = extent(values);
+    let span = hi - lo;
+    if !span.is_finite() {
+        return (0.0, 0.0, 1);
+    }
+    // `as` saturates, so a quotient beyond `usize::MAX` still clamps.
+    let cells = ((span / cell).floor() as usize).clamp(1, MAX_GRID_CELLS_PER_AXIS);
+    (lo, span, cells)
+}
+
+/// The smallest and largest of `values`: `(∞, −∞)` when there are none.
+pub(crate) fn extent(values: impl Iterator<Item = f64>) -> (f64, f64) {
+    values.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| (lo.min(v), hi.max(v)))
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@
 //! ```
 
 use crate::error::TraceError;
+use crate::parse_coordinate;
 use wsn_data::stream::{DeploymentTrace, SensorReading, SensorSpec, SensorStream};
 use wsn_data::{Epoch, Position, SensorId, Timestamp};
 
@@ -57,7 +58,8 @@ pub fn write_trace(trace: &DeploymentTrace) -> String {
 /// # Errors
 ///
 /// Returns [`TraceError::Parse`] (with the offending line) for malformed
-/// headers or records, and [`TraceError::Invalid`] if the same
+/// headers or records, including a sensor coordinate that is not a finite
+/// number, and [`TraceError::Invalid`] if the same
 /// `(sensor, epoch)` pair appears twice or a sensor's position is
 /// inconsistent between its records.
 pub fn read_trace(text: &str) -> Result<DeploymentTrace, TraceError> {
@@ -94,10 +96,8 @@ pub fn read_trace(text: &str) -> Result<DeploymentTrace, TraceError> {
         let sensor: u32 = fields[0]
             .parse()
             .map_err(|_| TraceError::parse(line_number, "sensor id is not an integer"))?;
-        let x: f64 =
-            fields[1].parse().map_err(|_| TraceError::parse(line_number, "x is not a number"))?;
-        let y: f64 =
-            fields[2].parse().map_err(|_| TraceError::parse(line_number, "y is not a number"))?;
+        let x = parse_coordinate(fields[1], line_number, "x")?;
+        let y = parse_coordinate(fields[2], line_number, "y")?;
         let epoch: u64 = fields[3]
             .parse()
             .map_err(|_| TraceError::parse(line_number, "epoch is not an integer"))?;
@@ -214,6 +214,15 @@ mod tests {
         assert!(read_trace(&bad_flag).is_err());
         let no_records = format!("{HEADER_PREFIX}31\n{COLUMNS}\n");
         assert!(matches!(read_trace(&no_records), Err(TraceError::Invalid(_))));
+        for coordinates in ["NaN,0", "0,inf", "-inf,1", "nan,NaN"] {
+            let record = format!("{HEADER_PREFIX}31\n{COLUMNS}\n1,{coordinates},0,0,1.5,0\n");
+            assert!(matches!(read_trace(&record), Err(TraceError::Parse { line: 3, .. })));
+        }
+        // NaN is never equal to the first record's position, so the moved-
+        // sensor check alone would let this record through.
+        let moved_to_nan =
+            format!("{HEADER_PREFIX}31\n{COLUMNS}\n1,0,0,0,0,1.5,0\n1,NaN,0,1,31000000,1.6,0\n");
+        assert!(matches!(read_trace(&moved_to_nan), Err(TraceError::Parse { line: 4, .. })));
     }
 
     #[test]

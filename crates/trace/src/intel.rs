@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use crate::error::TraceError;
+use crate::parse_coordinate;
 use wsn_data::stream::{DeploymentTrace, SensorReading, SensorSpec, SensorStream};
 use wsn_data::{Epoch, Position, SensorId, Timestamp};
 
@@ -113,8 +114,9 @@ pub fn parse_readings(text: &str) -> Result<Vec<IntelLabReading>, TraceError> {
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::Parse`] for malformed lines and
-/// [`TraceError::Invalid`] if the same mote appears twice.
+/// Returns [`TraceError::Parse`] for malformed lines, including a
+/// coordinate that is not a finite number, and [`TraceError::Invalid`] if
+/// the same mote appears twice.
 pub fn parse_locations(text: &str) -> Result<Vec<(SensorId, Position)>, TraceError> {
     let mut locations: Vec<(SensorId, Position)> = Vec::new();
     for (index, raw_line) in text.lines().enumerate() {
@@ -133,12 +135,8 @@ pub fn parse_locations(text: &str) -> Result<Vec<(SensorId, Position)>, TraceErr
         let mote: u32 = fields[0].parse().map_err(|_| {
             TraceError::parse(line_number, format!("mote id is not an integer: {:?}", fields[0]))
         })?;
-        let x: f64 = fields[1].parse().map_err(|_| {
-            TraceError::parse(line_number, format!("x is not a number: {:?}", fields[1]))
-        })?;
-        let y: f64 = fields[2].parse().map_err(|_| {
-            TraceError::parse(line_number, format!("y is not a number: {:?}", fields[2]))
-        })?;
+        let x = parse_coordinate(fields[1], line_number, "x")?;
+        let y = parse_coordinate(fields[2], line_number, "y")?;
         if locations.iter().any(|(id, _)| *id == SensorId(mote)) {
             return Err(TraceError::Invalid(format!(
                 "mote {mote} appears twice in the locations file"
@@ -296,6 +294,12 @@ mod tests {
 
         assert!(parse_locations("1 2.0").is_err());
         assert!(parse_locations("1 a 3.0").is_err());
+        let non_finite = parse_locations("1 inf 2.0\n2 NaN 1\n");
+        assert!(matches!(non_finite, Err(TraceError::Parse { line: 1, .. })));
+        let late = parse_locations("1 1.0 2.0\n2 NaN 1\n3 0 -inf\n");
+        assert!(matches!(late, Err(TraceError::Parse { line: 2, .. })));
+        let negative = parse_locations("# header\n1 0 -inf\n");
+        assert!(matches!(negative, Err(TraceError::Parse { line: 2, .. })));
         let duplicated = "1 1.0 1.0\n1 2.0 2.0";
         assert!(matches!(parse_locations(duplicated), Err(TraceError::Invalid(_))));
     }

@@ -29,3 +29,15 @@ pub mod intel;
 
 pub use error::TraceError;
 pub use intel::{build_trace, parse_locations, parse_readings, IntelLabReading};
+
+/// Parses one sensor coordinate on line `line` of a trace file. `inf` and
+/// `NaN` parse as `f64`, but they would put the sensor at distance ∞ or NaN
+/// from every other, where it can never link, so they are refused here
+/// with the line number rather than surfacing later as a disconnected
+/// network.
+pub(crate) fn parse_coordinate(text: &str, line: usize, axis: &str) -> Result<f64, TraceError> {
+    match text.parse::<f64>() {
+        Ok(value) if value.is_finite() => Ok(value),
+        _ => Err(TraceError::parse(line, format!("{axis} is not a finite number: {text:?}"))),
+    }
+}

@@ -282,6 +282,34 @@ fn checkpointing_is_observationally_free_and_counted() {
     std::fs::remove_dir_all(&dir_on).expect("on-run checkpoint dir exists");
 }
 
+/// The topology build's complexity gate: `Topology::from_specs` on the
+/// 10 000-sensor city must make a number of distance tests linear in the
+/// sensor count, about 35 per sensor, where the all-pairs build made
+/// N(N−1)/2 ≈ 5·10⁷. A quadratic build creeping back fails this count
+/// exactly, on a workload where a wall-clock bound would not resolve it.
+#[test]
+fn the_city_topology_build_makes_a_linear_number_of_distance_tests() {
+    use wsn_data::lab::{LabDeployment, PAPER_TRANSMISSION_RANGE_M};
+
+    let _guard = lock();
+    let sensors = 10_000;
+    let city = LabDeployment::city(sensors, 1).expect("the city deploys");
+    wsn_obs::reset();
+    wsn_obs::set_enabled(true);
+    let topology = Topology::from_deployment(&city, PAPER_TRANSMISSION_RANGE_M);
+    wsn_obs::set_enabled(false);
+    assert_eq!(topology.len(), sensors);
+    assert!(topology.is_connected(), "the city is connected at the paper's range");
+
+    if wsn_obs::compiled() {
+        let checks = wsn_obs::report().counter("topology.pair_checks");
+        assert!(
+            checks > 0 && checks < 50 * sensors as u64,
+            "{checks} distance tests to build a {sensors}-sensor topology"
+        );
+    }
+}
+
 /// The merged span report is deterministic: two identical instrumented runs
 /// on the partitioned backend (which drains per-thread span buffers from
 /// the worker pool) must agree on every counter value, every span path and
