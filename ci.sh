@@ -41,15 +41,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 echo "== benchmark unit tests =="
 CARGO_TARGET_DIR=target/benchmark cargo test --offline --locked --manifest-path benchmark/Cargo.toml
 
-# Figure smoke test: one reduced sweep end-to-end, gated on both the exit
-# status and the figure JSON actually being well-formed and non-empty. The
-# stale artifact is removed first so json_check can only ever validate the
-# output of THIS run (emit() deliberately tolerates write failures).
-echo "== figure smoke (fig4 --quick) =="
-rm -f results/fig4_global_energy_vs_window.json
-cargo run --release --offline -p wsn-bench --bin fig4_global_energy_vs_window -- --quick
-cargo run --release --offline -p wsn-bench --bin json_check -- \
-    results/fig4_global_energy_vs_window.json
+# Campaign smoke: every figure and table spec of the paper's evaluation at
+# --quick scale, through the one journaled pipeline, gated on the exit
+# status and on json_check of the quick journal (which the binary recreates
+# on every run, so it can only hold this run's rows). The quick run must
+# leave the committed archive alone: results/journal.jsonl and
+# EXPERIMENTS.md are checksummed before and compared after.
+echo "== campaign smoke (all figures --quick; the archive stays untouched) =="
+archive_before=$(cksum results/journal.jsonl EXPERIMENTS.md)
+cargo run --release --offline -p wsn-bench --bin campaign -- --quick
+cargo run --release --offline -p wsn-bench --bin json_check -- results/journal_quick.jsonl
+archive_after=$(cksum results/journal.jsonl EXPERIMENTS.md)
+[ "$archive_before" = "$archive_after" ] \
+    || { echo "campaign --quick modified results/journal.jsonl or EXPERIMENTS.md"; exit 1; }
 
 # Simulation-bench smoke: run one quick group with a tiny measurement budget
 # and gate its JSON through json_check (non-empty groups, finite medians).
@@ -129,21 +133,24 @@ WSN_CRASH_RESUME_OUT="$PWD/target/crash_resume_journal.jsonl" \
     cargo run --release --offline -p wsn-bench --bin crash_resume
 cargo run --release --offline -p wsn-bench --bin json_check -- target/crash_resume_journal.jsonl
 
-# Archive gate: EXPERIMENTS.md must regenerate from the committed Figure 4/5
-# journal alone. experiments_fig45 runs where a copy of the journal sits at
-# its default relative path, so the output names the journal as the
-# committed file does; the copy must keep its 84 rows (a pure re-read, no
+# Archive gate: EXPERIMENTS.md must regenerate from the committed journal
+# alone. campaign runs the archived figures where a copy of the journal
+# sits at its default relative path, so the output names the journal as the
+# committed file does; the copy must keep its row count (a pure re-read, no
 # cell re-simulated). `crates/bench/tests/archive_reproduces.rs` checks that
-# the archived rows are what the batch runner computes today.
+# archived rows are what the batch runner computes today.
 echo "== archive gate (EXPERIMENTS.md from the committed journal) =="
 rm -rf target/archive_check
 mkdir -p target/archive_check/results
-cp results/journal_fig4_fig5.jsonl target/archive_check/results/
-(cd target/archive_check && cargo run --release --offline -q -p wsn-bench --bin experiments_fig45)
-rows=$(wc -l < target/archive_check/results/journal_fig4_fig5.jsonl)
-[ "$rows" -eq 84 ] || { echo "experiments_fig45 appended to the journal copy: $rows rows"; exit 1; }
+cp results/journal.jsonl target/archive_check/results/
+archived_rows=$(wc -l < target/archive_check/results/journal.jsonl)
+(cd target/archive_check && cargo run --release --offline -q -p wsn-bench --bin campaign -- \
+    fig4 fig5 fig6 fig7 imbalance)
+rows=$(wc -l < target/archive_check/results/journal.jsonl)
+[ "$rows" -eq "$archived_rows" ] \
+    || { echo "campaign appended to the journal copy: $archived_rows -> $rows rows"; exit 1; }
 diff EXPERIMENTS.md target/archive_check/EXPERIMENTS.md
-cargo run --release --offline -p wsn-bench --bin json_check -- results/journal_fig4_fig5.jsonl
+cargo run --release --offline -p wsn-bench --bin json_check -- results/journal.jsonl
 
 # Fleet smoke: the multi-tenant detection service end to end — a small
 # fleet of grid tenants with per-tenant checkpoints enabled, driven by the

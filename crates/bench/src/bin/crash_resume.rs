@@ -11,7 +11,8 @@
 //! 2. **Journaled sweep** — a seed sweep is journaled to JSONL, then re-run
 //!    against the same journal; the second pass must skip every completed
 //!    cell and reproduce the identical averaged outcome, which must in turn
-//!    be bit-identical to the live (non-journaled) sweep path.
+//!    be bit-identical to the sequential oracle
+//!    ([`wsn_bench::run_averaged_sequential`]).
 //! 3. **Artifact** — the journal is left behind (default
 //!    `target/crash_resume_journal.jsonl`, override with
 //!    `WSN_CRASH_RESUME_OUT`) for `json_check` to validate downstream.
@@ -113,7 +114,7 @@ fn main() -> ExitCode {
     );
 
     // The journaled sweep: run, re-run (all cells skipped), and cross-check
-    // against the live path.
+    // against the sequential oracle.
     let journal_path = std::env::var("WSN_CRASH_RESUME_OUT")
         .unwrap_or_else(|_| "target/crash_resume_journal.jsonl".into());
     let _ = std::fs::remove_file(&journal_path);
@@ -122,11 +123,12 @@ fn main() -> ExitCode {
     let seeds = 3u64;
 
     let mut journal = wsn_bench::SweepJournal::open(&journal_path).expect("sweep journal opens");
-    let first = journal.run_averaged(&sweep_config, seeds).expect("journaled sweep runs");
+    let plan = [sweep_config];
+    let first = journal.run_plan(&plan, seeds).expect("journaled sweep runs");
     let rows_after_first = journal.rows().len();
 
     let mut reopened = wsn_bench::SweepJournal::open(&journal_path).expect("journal reopens");
-    let second = reopened.run_averaged(&sweep_config, seeds).expect("journaled re-run runs");
+    let second = reopened.run_plan(&plan, seeds).expect("journaled re-run runs");
     if reopened.rows().len() != rows_after_first {
         eprintln!(
             "crash_resume: the re-run appended rows ({} -> {}) instead of skipping",
@@ -139,14 +141,15 @@ fn main() -> ExitCode {
         eprintln!("crash_resume: the journaled re-run does not reproduce the first sweep");
         return ExitCode::FAILURE;
     }
-    let live = wsn_bench::run_averaged(&sweep_config, seeds).expect("live sweep runs");
-    if first != live {
-        eprintln!("crash_resume: the journaled aggregate diverges from the live sweep path");
+    let oracle =
+        wsn_bench::run_averaged_sequential(&plan[0], seeds).expect("the sequential oracle runs");
+    if first != vec![oracle] {
+        eprintln!("crash_resume: the journaled aggregate diverges from the sequential oracle");
         return ExitCode::FAILURE;
     }
     println!(
         "journaled sweep: {rows_after_first} rows, re-run skipped all cells, \
-         aggregate == live sweep"
+         aggregate == sequential oracle"
     );
     println!("journal -> {journal_path}");
     ExitCode::SUCCESS

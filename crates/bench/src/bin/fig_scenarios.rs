@@ -3,39 +3,42 @@
 //! (`wsn_core::streaming`) instead of the one-shot batch runner.
 //!
 //! For every cell the table reports slide-averaged exact-match accuracy,
-//! label recall (against the scenario's injected ground truth), per-slide
-//! energy and protocol traffic; the per-cell log lines additionally carry
-//! label precision, the convergence latency in slides and the agreement
-//! rate. The correlated-burst and adversarial rows are the interesting
-//! ones — they are exactly the workloads the paper's Bernoulli model cannot
-//! produce.
+//! label precision and recall (against the scenario's injected ground
+//! truth), the agreement rate, the convergence latency in slides, per-slide
+//! energy and protocol traffic. The correlated-burst and adversarial rows
+//! are the interesting ones — they are exactly the workloads the paper's
+//! Bernoulli model cannot produce.
 //!
-//! Run with `--quick` for a reduced (12-node, 8-round) sweep.
+//! The table prints through the campaign renderer; the rows are written to
+//! `results/fig_scenarios.json` for `json_check`. A generated scenario
+//! trace has no `ExperimentConfig` of its own, so these cells are not
+//! journaled. Run with `--quick` for a reduced (12-node, 8-round) sweep.
 
+use wsn_bench::campaign::markdown_table;
+use wsn_bench::json::JsonValue;
 use wsn_bench::pool;
-use wsn_bench::report::{FigureReport, SeriesRow};
-use wsn_bench::runner::{emit, TableStyle};
 use wsn_core::experiment::{AlgorithmConfig, ExperimentConfig, RankingChoice};
 use wsn_core::streaming::{StreamingExperiment, StreamingOutcome};
 use wsn_core::CoreError;
 use wsn_data::lab::{LabDeployment, PAPER_TRANSMISSION_RANGE_M};
 use wsn_workload::Scenario;
 
-fn row_from_outcome(x: f64, outcome: &StreamingOutcome) -> SeriesRow {
+/// One row of the JSON report, keyed by the scenario's catalog index.
+fn row_json(index: usize, outcome: &StreamingOutcome) -> JsonValue {
     let total = outcome.final_stats.total_energy_summary();
-    SeriesRow {
-        x,
-        label: outcome.label.clone(),
-        avg_tx_per_round: outcome.avg_tx_per_node_per_slide(),
-        avg_rx_per_round: outcome.avg_rx_per_node_per_slide(),
-        min_total_energy: total.min,
-        avg_total_energy: total.avg,
-        max_total_energy: total.max,
-        accuracy: outcome.mean_slide_accuracy(),
-        mean_recall: outcome.mean_label_recall(),
-        traffic_imbalance: outcome.final_stats.traffic_imbalance(),
-        data_points_sent: outcome.data_points_sent as f64,
-    }
+    JsonValue::object([
+        ("x", JsonValue::from(index as f64)),
+        ("label", JsonValue::from(outcome.label.as_str())),
+        ("avg_tx_per_round", JsonValue::from(outcome.avg_tx_per_node_per_slide())),
+        ("avg_rx_per_round", JsonValue::from(outcome.avg_rx_per_node_per_slide())),
+        ("min_total_energy", JsonValue::from(total.min)),
+        ("avg_total_energy", JsonValue::from(total.avg)),
+        ("max_total_energy", JsonValue::from(total.max)),
+        ("accuracy", JsonValue::from(outcome.mean_slide_accuracy())),
+        ("mean_recall", JsonValue::from(outcome.mean_label_recall())),
+        ("traffic_imbalance", JsonValue::from(outcome.final_stats.traffic_imbalance())),
+        ("data_points_sent", JsonValue::from(outcome.data_points_sent as f64)),
+    ])
 }
 
 fn main() {
@@ -51,8 +54,8 @@ fn main() {
     let scenarios = Scenario::catalog(rounds);
 
     // Submit the whole scenario × algorithm grid to the shared worker pool,
-    // then collect in sweep order (the same discipline as the window/n
-    // sweeps of the other figure binaries).
+    // then collect in sweep order (the same discipline as the campaign's
+    // plan runner).
     let pool = pool::global();
     let mut pending = Vec::new();
     for (index, scenario) in scenarios.iter().enumerate() {
@@ -95,30 +98,51 @@ fn main() {
 
     let legend: Vec<String> =
         scenarios.iter().enumerate().map(|(i, s)| format!("{i}={}", s.name)).collect();
-    let mut report = FigureReport::new(
-        "Streaming scenario sweep (per-slide evaluation)",
-        format!(
-            "{sensor_count} sensors, {rounds} rounds, w=10, n=4, one seed; scenarios: {}",
-            legend.join(", ")
-        ),
-        "scenario",
+    let configuration = format!(
+        "{sensor_count} sensors, {rounds} rounds, w=10, n=4, one seed; scenarios: {}",
+        legend.join(", ")
     );
+    let (mut header, mut table, mut rows) = (Vec::new(), Vec::new(), Vec::new());
     for (index, name, handle) in pending {
         let outcome = handle.join().expect("scenario cell failed");
-        eprintln!(
-            "  [fig_scenarios] {} on {name}: acc/slide={:.3} label p/r={:.3}/{:.3} \
-             agree={:.2} conv={} pts={}",
-            outcome.label,
-            outcome.mean_slide_accuracy(),
-            outcome.mean_label_precision(),
-            outcome.mean_label_recall(),
-            outcome.agreement_rate(),
-            outcome
-                .convergence_latency_slides
-                .map_or_else(|| "never".to_string(), |s| format!("{s} slides")),
-            outcome.data_points_sent,
-        );
-        report.push(row_from_outcome(index as f64, &outcome));
+        let cells = [
+            ("scenario", name),
+            ("algorithm", outcome.label.clone()),
+            ("acc/slide", format!("{:.3}", outcome.mean_slide_accuracy())),
+            (
+                "label p/r",
+                format!(
+                    "{:.3} / {:.3}",
+                    outcome.mean_label_precision(),
+                    outcome.mean_label_recall()
+                ),
+            ),
+            ("agreement", format!("{:.2}", outcome.agreement_rate())),
+            (
+                "convergence",
+                outcome
+                    .convergence_latency_slides
+                    .map_or_else(|| "never".to_string(), |s| format!("{s} slides")),
+            ),
+            ("TX (mJ/slide)", format!("{:.3}", outcome.avg_tx_per_node_per_slide() * 1e3)),
+            ("points sent", outcome.data_points_sent.to_string()),
+        ];
+        header = cells.iter().map(|(column, _)| column.to_string()).collect();
+        table.push(cells.map(|(_, cell)| cell).to_vec());
+        rows.push(row_json(index, &outcome));
     }
-    emit(&report, "fig_scenarios", TableStyle::Energy);
+    println!(
+        "## Streaming scenario sweep (per-slide evaluation)\n\n{configuration}\n\n{}",
+        markdown_table(&header, &table)
+    );
+    let report = JsonValue::object([
+        ("figure", JsonValue::from("Streaming scenario sweep (per-slide evaluation)")),
+        ("configuration", JsonValue::from(configuration)),
+        ("x_name", JsonValue::from("scenario")),
+        ("rows", JsonValue::Array(rows)),
+    ]);
+    let path = "results/fig_scenarios.json";
+    std::fs::create_dir_all("results").expect("the results directory creates");
+    std::fs::write(path, report.to_pretty_string()).expect("the figure JSON writes");
+    println!("(wrote {path})");
 }

@@ -104,7 +104,7 @@ fn main() -> ExitCode {
     for _ in 0..2 {
         wsn_bench::journal::SweepJournal::open(&journal_path)
             .expect("sweep journal opens")
-            .run_averaged(&tiny, 2)
+            .run_plan(std::slice::from_ref(&tiny), 2)
             .expect("journaled sweep runs");
     }
     let _ = std::fs::remove_file(&journal_path);

@@ -1,13 +1,14 @@
-//! Journaled, resumable sweep runs.
+//! Journaled, resumable sweep runs: the one path every paper cell runs
+//! through.
 //!
 //! A long sweep grid (hundreds of `(configuration, seed)` cells, each a full
 //! simulation) should survive being killed. [`SweepJournal`] makes that
-//! cheap: every cell's metrics are appended to a JSONL file **on
-//! completion**, one row per line, fsynced before the runner moves on. A
-//! re-run against the same journal skips every cell whose row is already
-//! present — identified by the cell's configuration hash
-//! ([`wsn_core::persist::config_hash`], which covers the seed) — and only
-//! simulates the remainder.
+//! cheap: every cell's metrics are appended to a JSONL file, one row per
+//! line, fsynced before the runner moves on. A re-run against the same
+//! journal skips every cell whose row is already present — identified by
+//! the cell's configuration hash ([`wsn_core::persist::config_hash`], which
+//! covers the seed) — and only simulates the remainder. The hash does not
+//! cover the code, so a journal answers for the build that wrote it.
 //!
 //! # Crash recovery
 //!
@@ -21,14 +22,14 @@
 //! # Bit-identical aggregation
 //!
 //! Each row stores a run's [`CellMetrics`]: exactly the per-run scalars
-//! the seed averaging consumes. Live runs are reduced to the same
-//! [`CellMetrics`] before they are averaged, and [`aggregate_rows`] and
-//! [`crate::sweep::run_averaged`] call one aggregation (same seed order,
-//! same summation order). Because [`wsn_json`] round-trips `f64`s
-//! losslessly, an average recomputed from archived rows is bit-identical
-//! to the one computed from live runs — there is a test for that.
+//! the seed averaging consumes. [`SweepJournal::aggregate_plan`] and the
+//! sequential oracle [`crate::sweep::run_averaged_sequential`] call one
+//! aggregation (same seed order, same summation order). Because [`wsn_json`]
+//! round-trips `f64`s losslessly, an average recomputed from archived rows
+//! is bit-identical to the one computed from live runs — there is a test
+//! for that.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -350,82 +351,93 @@ impl SweepJournal {
         Ok(())
     }
 
-    /// The journaled counterpart of [`crate::sweep::run_averaged`]: runs
-    /// `config` under `seeds` seeds, skipping every cell whose row is
-    /// already in this journal, journaling every cell that completes (even
-    /// if a later seed fails), and averaging from the rows.
+    /// Runs a plan of seed-averaged cells: every entry of `plan` under
+    /// `seeds` seeds (see [`seed_configs`]), returning one
+    /// [`AveragedOutcome`] per entry, in plan order, aggregated from this
+    /// journal's rows.
     ///
-    /// The fresh cells run in parallel on the shared worker pool; rows are
-    /// appended and aggregated in ascending seed order, so the result is
-    /// bit-identical to [`crate::sweep::run_averaged`] on the same
-    /// configuration.
+    /// Every configuration is validated before anything is submitted.
+    /// Cells are deduplicated by [`config_hash`], so entries that figures
+    /// share run once, and every cell already journaled is skipped. Every
+    /// fresh cell is submitted to the shared worker pool before the first
+    /// is joined. The handles are then joined in plan order and each
+    /// completed cell is appended as it is joined, so a killed run keeps
+    /// every row before the kill; a failed cell does not stop the joins,
+    /// and a failed append stops only further appends (a torn row must
+    /// stay the trailing line). Every handle is joined before any error is
+    /// returned, so a panic in any job resurfaces here and no job outlives
+    /// the call.
     ///
     /// # Errors
     ///
-    /// The first (lowest-seed) simulation error, or [`CoreError::Persist`]
-    /// if journaling a completed cell fails. Completed cells stay journaled
-    /// either way — a re-run resumes from them.
-    pub fn run_averaged(
+    /// The first invalid configuration (nothing runs), else the first
+    /// failed cell or [`CoreError::Persist`] append in plan order.
+    pub fn run_plan(
         &mut self,
-        config: &ExperimentConfig,
+        plan: &[ExperimentConfig],
         seeds: u64,
-    ) -> Result<AveragedOutcome, CoreError> {
-        let mut slots: Vec<Option<JournalRow>> = Vec::new();
+    ) -> Result<Vec<AveragedOutcome>, CoreError> {
+        plan.iter().try_for_each(ExperimentConfig::validate)?;
+        let mut submitted = BTreeSet::new();
         let mut pending = Vec::new();
-        for c in seed_configs(config, seeds) {
-            let hash = config_hash(&c);
-            match self.completed.get(&hash) {
-                Some(&index) => {
-                    OBS_CELLS_SKIPPED.add(1);
-                    slots.push(Some(self.rows[index].clone()));
-                }
-                None => {
-                    let seed = c.sim_seed;
-                    let slot = slots.len();
-                    slots.push(None);
-                    let handle = pool::global().submit(move || run_experiment(&c));
-                    pending.push((slot, hash, seed, handle));
-                }
+        for config in plan.iter().flat_map(|config| seed_configs(config, seeds)) {
+            let hash = config_hash(&config);
+            if self.contains(hash) {
+                OBS_CELLS_SKIPPED.add(1);
+            } else if submitted.insert(hash) {
+                let seed = config.sim_seed;
+                pending.push((hash, seed, pool::global().submit(move || run_experiment(&config))));
             }
         }
-        // Join every in-flight cell before surfacing the first error, so a
-        // panic in any seed's job resurfaces and completed cells still get
-        // journaled.
         let mut first_error: Option<CoreError> = None;
-        for (slot, hash, seed, handle) in pending {
-            match handle.join() {
-                Ok(outcome) => {
+        let mut journaling = true;
+        for (hash, seed, handle) in pending {
+            let result = match handle.join() {
+                Ok(outcome) if journaling => {
                     let row = JournalRow::of(self.next_cell(), hash, seed, &outcome);
-                    self.append(row.clone())?;
-                    slots[slot] = Some(row);
+                    let appended = self.append(row).map_err(CoreError::from);
+                    journaling = appended.is_ok();
+                    appended
                 }
-                Err(e) => first_error = first_error.or(Some(e)),
+                Ok(_) => Ok(()),
+                Err(e) => Err(e),
+            };
+            first_error = first_error.or(result.err());
+        }
+        match first_error {
+            Some(e) => Err(e),
+            None => {
+                Ok(self.aggregate_plan(plan, seeds).expect("every cell of the plan is journaled"))
             }
         }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        let rows: Vec<JournalRow> = slots.into_iter().map(Option::unwrap).collect();
-        Ok(aggregate_rows(&rows))
     }
-}
 
-/// Averages journal rows (in the given order) with the aggregation
-/// [`crate::sweep::run_averaged`] applies to live runs.
-///
-/// # Panics
-///
-/// Panics on an empty slice — an average of nothing is a caller bug.
-pub fn aggregate_rows(rows: &[JournalRow]) -> AveragedOutcome {
-    assert!(!rows.is_empty(), "cannot aggregate zero journal rows");
-    let cells: Vec<CellMetrics> = rows.iter().map(|r| r.metrics.clone()).collect();
-    aggregate(&rows[0].label, &cells)
+    /// The seed-averaged outcome of every entry of `plan` under `seeds`
+    /// seeds, aggregated from this journal's rows alone, in plan order;
+    /// `None` if any cell is not journaled.
+    pub fn aggregate_plan(
+        &self,
+        plan: &[ExperimentConfig],
+        seeds: u64,
+    ) -> Option<Vec<AveragedOutcome>> {
+        plan.iter()
+            .map(|config| {
+                let rows: Option<Vec<&JournalRow>> = seed_configs(config, seeds)
+                    .iter()
+                    .map(|c| self.completed.get(&config_hash(c)).map(|&i| &self.rows[i]))
+                    .collect();
+                let rows = rows?;
+                let metrics: Vec<CellMetrics> = rows.iter().map(|r| r.metrics.clone()).collect();
+                Some(aggregate(&rows[0].label, &metrics))
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{run_averaged, run_averaged_sequential};
+    use crate::sweep::run_averaged_sequential;
     use wsn_core::experiment::{AlgorithmConfig, RankingChoice};
 
     fn tiny() -> ExperimentConfig {
@@ -441,34 +453,118 @@ mod tests {
         path
     }
 
+    fn hashes(journal: &SweepJournal) -> Vec<u64> {
+        journal.rows().iter().map(|r| r.config_hash).collect()
+    }
+
+    /// The three series kinds, with Global-NN shared by two "figures".
+    fn shared_plan() -> Vec<ExperimentConfig> {
+        let global = tiny();
+        let semi = tiny().with_algorithm(AlgorithmConfig::SemiGlobal {
+            ranking: RankingChoice::Nn,
+            hop_diameter: 2,
+        });
+        let centralized =
+            tiny().with_algorithm(AlgorithmConfig::Centralized { ranking: RankingChoice::Nn });
+        vec![global.clone(), semi, centralized, global]
+    }
+
     #[test]
-    fn journaled_average_is_bit_identical_to_the_live_path() {
-        let config = tiny();
-        let path = scratch("bitident");
-        let journaled = SweepJournal::open(&path).unwrap().run_averaged(&config, 3).unwrap();
-        assert_eq!(journaled, run_averaged(&config, 3).unwrap());
-        assert_eq!(journaled, run_averaged_sequential(&config, 3).unwrap());
+    fn a_plan_equals_the_sequential_oracle_and_runs_shared_cells_once() {
+        let plan = shared_plan();
+        let path = scratch("plan");
+        let mut journal = SweepJournal::open(&path).unwrap();
+        let outcomes = journal.run_plan(&plan, 3).unwrap();
+        // Same seeds, same aggregation order: every field, the
+        // floating-point energy averages included, matches bit for bit, in
+        // plan order.
+        assert_eq!(outcomes.len(), plan.len());
+        for (outcome, config) in outcomes.iter().zip(&plan) {
+            assert_eq!(*outcome, run_averaged_sequential(config, 3).unwrap());
+        }
+        assert_eq!(journal.rows().len(), 3 * 3, "the shared Global-NN cells ran once");
+        let distinct: BTreeSet<u64> = hashes(&journal).into_iter().collect();
+        assert_eq!(distinct.len(), 9);
+        // Centralized shares the interface: no protocol data points.
+        assert_eq!(outcomes[2].label, "Centralized");
+        assert_eq!(outcomes[2].avg_data_points_sent, 0.0);
+        assert!(outcomes[0].avg_data_points_sent > 0.0);
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_rerun_after_truncation_simulates_exactly_the_lost_cells() {
+        let plan = shared_plan();
+        let path = scratch("truncate");
+        let first = SweepJournal::open(&path).unwrap().run_plan(&plan, 2).unwrap();
+        let complete = SweepJournal::open(&path).unwrap();
+        let all = hashes(&complete);
+        drop(complete);
+        let k = 4;
+        let text = fs::read_to_string(&path).unwrap();
+        let kept: Vec<&str> = text.lines().take(all.len() - k).collect();
+        fs::write(&path, kept.join("\n") + "\n").unwrap();
+
+        let mut journal = SweepJournal::open(&path).unwrap();
+        assert_eq!(journal.rows().len(), all.len() - k);
+        assert_eq!(journal.run_plan(&plan, 2).unwrap(), first);
+        assert_eq!(hashes(&journal), all, "exactly the {k} truncated cells re-ran, in plan order");
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_failing_cell_errors_after_every_good_cell_is_joined_and_journaled() {
+        let mut bad = tiny().with_n(3);
+        bad.transmission_range_m = 0.1; // valid, but the deployment is disconnected
+        let good = [tiny(), tiny().with_n(1)];
+        let path = scratch("error");
+        let mut journal = SweepJournal::open(&path).unwrap();
+        assert!(journal.run_plan(&[good[0].clone(), bad, good[1].clone()], 2).is_err());
+        assert_eq!(journal.rows().len(), 4, "both good cells are journaled, seed by seed");
+
+        let reopened = SweepJournal::open(&path).unwrap().run_plan(&good, 2).unwrap();
+        assert_eq!(
+            fs::read_to_string(&path).unwrap().lines().count(),
+            4,
+            "a re-run appends nothing"
+        );
+        for (outcome, config) in reopened.iter().zip(&good) {
+            assert_eq!(*outcome, run_averaged_sequential(config, 2).unwrap());
+        }
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_invalid_configuration_fails_the_plan_before_anything_runs() {
+        let path = scratch("invalid");
+        let mut journal = SweepJournal::open(&path).unwrap();
+        let invalid = tiny().with_n(0);
+        assert!(matches!(
+            journal.run_plan(&[tiny(), invalid], 2),
+            Err(CoreError::InvalidConfig(_))
+        ));
+        assert!(journal.rows().is_empty());
         fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn a_rerun_skips_journaled_cells_and_reproduces_the_result() {
-        let config = tiny();
+        let config = [tiny()];
         let path = scratch("skip");
-        let first = SweepJournal::open(&path).unwrap().run_averaged(&config, 3).unwrap();
+        let first = SweepJournal::open(&path).unwrap().run_plan(&config, 3).unwrap();
 
         // Reopen: all three cells are on disk; the rerun runs nothing new.
         let mut journal = SweepJournal::open(&path).unwrap();
         assert_eq!(journal.rows().len(), 3);
         assert!(journal.rows().windows(2).all(|w| w[0].cell < w[1].cell));
-        let again = journal.run_averaged(&config, 3).unwrap();
+        let again = journal.run_plan(&config, 3).unwrap();
         assert_eq!(again, first);
         assert_eq!(journal.rows().len(), 3, "a full rerun must append nothing");
 
         // Widening the sweep only runs the two new seeds.
-        let widened = journal.run_averaged(&config, 5).unwrap();
+        let widened = journal.run_plan(&config, 5).unwrap();
         assert_eq!(journal.rows().len(), 5);
-        assert_eq!(widened, run_averaged_sequential(&config, 5).unwrap());
+        assert_eq!(widened[0], run_averaged_sequential(&config[0], 5).unwrap());
         fs::remove_file(&path).unwrap();
     }
 
@@ -478,7 +574,7 @@ mod tests {
             tiny().with_algorithm(AlgorithmConfig::Centralized { ranking: RankingChoice::Nn });
         let path = scratch("roundtrip");
         let mut journal = SweepJournal::open(&path).unwrap();
-        journal.run_averaged(&config, 2).unwrap();
+        journal.run_plan(&[config], 2).unwrap();
         let written = journal.rows().to_vec();
         drop(journal);
         let reopened = SweepJournal::open(&path).unwrap();
@@ -490,9 +586,9 @@ mod tests {
 
     #[test]
     fn a_torn_trailing_row_is_truncated_and_rerun() {
-        let config = tiny();
+        let config = [tiny()];
         let path = scratch("torn");
-        let baseline = SweepJournal::open(&path).unwrap().run_averaged(&config, 2).unwrap();
+        let baseline = SweepJournal::open(&path).unwrap().run_plan(&config, 2).unwrap();
 
         // Tear the last row in half, as a kill mid-append would.
         let text = fs::read_to_string(&path).unwrap();
@@ -502,7 +598,7 @@ mod tests {
         assert_eq!(fs::read_to_string(&path).unwrap().len(), journal.rows()[0].byte_len());
 
         // The rerun redoes only the torn cell and matches the baseline.
-        let recovered = journal.run_averaged(&config, 2).unwrap();
+        let recovered = journal.run_plan(&config, 2).unwrap();
         assert_eq!(recovered, baseline);
         assert_eq!(journal.rows().len(), 2);
         fs::remove_file(&path).unwrap();
@@ -516,26 +612,13 @@ mod tests {
 
     #[test]
     fn corruption_before_the_tail_is_refused() {
-        let config = tiny();
         let path = scratch("midfile");
-        SweepJournal::open(&path).unwrap().run_averaged(&config, 3).unwrap();
+        SweepJournal::open(&path).unwrap().run_plan(&[tiny()], 3).unwrap();
         let text = fs::read_to_string(&path).unwrap();
         let corrupted = text.replacen("\"cell\":1", "\"cell\",1", 1);
         assert_ne!(corrupted, text);
         fs::write(&path, corrupted).unwrap();
         assert!(matches!(SweepJournal::open(&path), Err(PersistError::Corrupt(_))));
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn errors_propagate_but_leave_the_journal_reusable() {
-        let mut bad = tiny();
-        bad.transmission_range_m = 0.1;
-        let path = scratch("error");
-        let mut journal = SweepJournal::open(&path).unwrap();
-        assert!(journal.run_averaged(&bad, 2).is_err());
-        let good = journal.run_averaged(&tiny(), 2).unwrap();
-        assert_eq!(good, run_averaged_sequential(&tiny(), 2).unwrap());
         fs::remove_file(&path).unwrap();
     }
 }

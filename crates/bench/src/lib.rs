@@ -3,24 +3,28 @@
 //! The figure-reproduction harness for *In-Network Outlier Detection in
 //! Wireless Sensor Networks* (Branch et al., ICDCS 2006).
 //!
-//! Every figure of the paper's evaluation (§7.2) is regenerated by a binary
-//! in `src/bin/`; this library holds the shared machinery:
+//! Every figure and table of the paper's evaluation (§7.1–7.2, §8) is one
+//! spec in [`campaign`], regenerated by the `campaign` binary
+//! (`campaign [--quick] [FIGURE…]`) through one pipeline:
 //!
 //! * [`paper`] — the experiment configurations of §7.1 (53-sensor lab
 //!   deployment, 1000 s of simulated time, Crossbow energy model, the sweeps
 //!   over the window size `w` and the number of reported outliers `n`),
-//! * [`sweep`] — running one configuration over several seeds (the paper
-//!   averages four) in parallel and aggregating the energy metrics,
-//! * [`report`] — plain-text tables (the "rows/series the paper plots") and
-//!   JSON output for machine consumption.
+//! * [`campaign`] — one declarative spec per figure, compiled into a plan
+//!   of cells and rendered as the markdown sections of `EXPERIMENTS.md`,
+//! * [`journal`] — the plan runner: every `(configuration, seed)` cell runs
+//!   on the shared worker pool and is journaled to JSONL, so sweeps resume
+//!   and tables regenerate from the archive alone,
+//! * [`sweep`] — the seed-averaged outcome and its sequential test oracle.
 //!
-//! The Criterion benches in `benches/` cover the pure-algorithm costs
-//! (ranking, support sets, sufficient sets, per-event node processing) and
-//! end-to-end simulation throughput.
+//! The std-only benches in `benches/` (on [`harness`]) cover the
+//! pure-algorithm costs (ranking, support sets, sufficient sets, per-event
+//! node processing), end-to-end simulation throughput and the fleet.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod check;
 pub mod fleetload;
 pub mod harness;
@@ -36,14 +40,10 @@ pub mod paper;
 /// `wsn-netsim` in the dependency order when the partitioned simulator
 /// ([`wsn_netsim::region`]) started running regions on it.
 pub use wsn_pool as pool;
-pub mod report;
-pub mod runner;
 pub mod sweep;
 pub mod telemetry;
 
-pub use journal::{aggregate_rows, JournalRow, SweepJournal};
+pub use journal::{JournalRow, SweepJournal};
 pub use paper::PaperScenario;
 pub use pool::WorkerPool;
-pub use report::{FigureReport, SeriesRow};
-pub use runner::{emit, n_sweep_report, window_sweep_report, TableStyle};
-pub use sweep::{run_averaged, run_averaged_sequential, submit_averaged, AveragedOutcome};
+pub use sweep::{run_averaged_sequential, AveragedOutcome};

@@ -9,9 +9,10 @@
 //! * the number of reported outliers `n ∈ {1, …, 8}`,
 //! * the semi-global hop diameter `ε ∈ {1, 2, 3}`,
 //!
-//! with `n = 4` and `k = 4` wherever they are held fixed. [`PaperScenario`]
-//! reproduces exactly those configurations, plus a `--quick` variant for
-//! iterating on the harness without waiting for the full sweep.
+//! with `w = 20`, `n = 4` and `k = 4` wherever they are held fixed.
+//! [`PaperScenario`] reproduces exactly those configurations, plus a
+//! `--quick` variant for iterating on the harness without waiting for the
+//! full sweep.
 
 use wsn_core::experiment::{AlgorithmConfig, ExperimentConfig, RankingChoice};
 use wsn_data::synth::{AnomalyModel, SyntheticTraceConfig};
@@ -22,21 +23,19 @@ pub const PAPER_K: usize = 4;
 /// The paper's default number of reported outliers.
 pub const PAPER_N: usize = 4;
 
+/// The sliding-window length held fixed where `w` is not swept (Figure 9,
+/// the accuracy and the scaling tables).
+pub const PAPER_W: u64 = 20;
+
 /// The sliding-window sweep of Figures 4–8.
 pub const WINDOW_SWEEP: [u64; 7] = [10, 15, 20, 25, 30, 35, 40];
 
 /// The outlier-count sweep of Figure 9.
-pub const N_SWEEP: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
-
-/// The semi-global hop diameters of Figures 7–9.
-pub const EPSILON_SWEEP: [u16; 3] = [1, 2, 3];
+pub const N_SWEEP: [u64; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 
 /// Number of seeds averaged per data point (the paper repeats every
 /// simulation four times).
 pub const PAPER_SEEDS: u64 = 4;
-
-/// The paper's simulated duration in seconds.
-pub const PAPER_SIM_SECONDS: f64 = 1000.0;
 
 /// The sampling period of the Intel-lab trace, in seconds.
 pub const PAPER_SAMPLE_INTERVAL_SECS: f64 = 31.0;
@@ -49,21 +48,11 @@ pub enum PaperScenario {
     Full,
     /// A reduced configuration (fewer sensors, rounds and seeds) that keeps
     /// the qualitative shape of every figure but runs in seconds. Selected by
-    /// passing `--quick` to any figure binary.
+    /// passing `--quick` to the `campaign` binary.
     Quick,
 }
 
 impl PaperScenario {
-    /// Parses the scenario from command-line arguments (`--quick` selects the
-    /// reduced configuration).
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--quick") {
-            PaperScenario::Quick
-        } else {
-            PaperScenario::Full
-        }
-    }
-
     /// Number of sensors simulated.
     pub fn sensor_count(&self) -> usize {
         match self {
@@ -91,22 +80,6 @@ impl PaperScenario {
         match self {
             PaperScenario::Full => PAPER_SEEDS,
             PaperScenario::Quick => 1,
-        }
-    }
-
-    /// The sliding-window sweep used by this scenario.
-    pub fn window_sweep(&self) -> Vec<u64> {
-        match self {
-            PaperScenario::Full => WINDOW_SWEEP.to_vec(),
-            PaperScenario::Quick => vec![10, 20, 40],
-        }
-    }
-
-    /// The `n` sweep used by this scenario.
-    pub fn n_sweep(&self) -> Vec<usize> {
-        match self {
-            PaperScenario::Full => N_SWEEP.to_vec(),
-            PaperScenario::Quick => vec![1, 4, 8],
         }
     }
 
@@ -151,7 +124,7 @@ impl PaperScenario {
             trace: self.trace(),
             trace_seed: 7,
             sim_seed: 1,
-            window_samples: 20,
+            window_samples: PAPER_W,
             n: PAPER_N,
             algorithm: AlgorithmConfig::Global { ranking: RankingChoice::Nn },
             loss: wsn_netsim::radio::LossModel::Reliable,
@@ -169,27 +142,27 @@ impl PaperScenario {
 }
 
 /// The `Centralized` series of every figure.
-pub fn centralized() -> AlgorithmConfig {
+pub const fn centralized() -> AlgorithmConfig {
     AlgorithmConfig::Centralized { ranking: RankingChoice::Nn }
 }
 
 /// The `Global-NN` series of Figures 4–6.
-pub fn global_nn() -> AlgorithmConfig {
+pub const fn global_nn() -> AlgorithmConfig {
     AlgorithmConfig::Global { ranking: RankingChoice::Nn }
 }
 
 /// The `Global-KNN` series of Figures 4–6 (`k = 4`).
-pub fn global_knn() -> AlgorithmConfig {
+pub const fn global_knn() -> AlgorithmConfig {
     AlgorithmConfig::Global { ranking: RankingChoice::KnnAverage { k: PAPER_K } }
 }
 
 /// The `Semi-global, epsilon=ε` series of Figure 7 (NN ranking).
-pub fn semi_global_nn(epsilon: u16) -> AlgorithmConfig {
+pub const fn semi_global_nn(epsilon: u16) -> AlgorithmConfig {
     AlgorithmConfig::SemiGlobal { ranking: RankingChoice::Nn, hop_diameter: epsilon }
 }
 
 /// The `Semi-global, epsilon=ε` series of Figures 8–9 (KNN ranking, `k = 4`).
-pub fn semi_global_knn(epsilon: u16) -> AlgorithmConfig {
+pub const fn semi_global_knn(epsilon: u16) -> AlgorithmConfig {
     AlgorithmConfig::SemiGlobal {
         ranking: RankingChoice::KnnAverage { k: PAPER_K },
         hop_diameter: epsilon,
@@ -206,8 +179,6 @@ mod tests {
         assert_eq!(s.sensor_count(), 53);
         assert_eq!(s.rounds(), 48);
         assert_eq!(s.seeds(), 4);
-        assert_eq!(s.window_sweep(), vec![10, 15, 20, 25, 30, 35, 40]);
-        assert_eq!(s.n_sweep(), vec![1, 2, 3, 4, 5, 6, 7, 8]);
         assert!((s.transmission_range_m() - 6.77).abs() < 1e-9);
     }
 
@@ -218,7 +189,6 @@ mod tests {
         assert!(quick.sensor_count() < full.sensor_count());
         assert!(quick.rounds() < full.rounds());
         assert!(quick.seeds() < full.seeds());
-        assert!(quick.window_sweep().len() < full.window_sweep().len());
     }
 
     #[test]

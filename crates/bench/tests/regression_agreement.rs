@@ -1,6 +1,6 @@
-//! Regression test for the fig4/fig5 journal grid's agreement-rate floor.
+//! Regression test for the agreement-rate floor of Figure 4's archived grid.
 //!
-//! Four of the 84 archived grid cells (e.g. Global-NN, `w = 15`,
+//! Four of the grid's 84 archived cells (e.g. Global-NN, `w = 15`,
 //! `sim_seed = 2`) report `estimates_agree = false` at quiescence even
 //! though the radio is loss-free, flooring the paper-claims agreement rate
 //! at 0.75. This is **not** a too-short protocol deadline: the runs are
@@ -94,7 +94,7 @@ fn quiescent_window_skew_divergence_is_real_and_clock_alignment_removes_it() {
         !wsn_core::metrics::estimates_agree(&estimates),
         "the archived divergence no longer reproduces — if a change \
          intentionally aligned the simulator's sampling clocks, re-anchor \
-         the agreement floor in experiments_fig45 and retire this test"
+         the agreement floor in the campaign's Figure 4 claims and retire this test"
     );
 
     // (b) Advance every window to one common instant — no new points, no

@@ -4,7 +4,7 @@
 //! lives in its own leaf crate (below `wsn-netsim` *and* `wsn-bench` in the
 //! dependency order):
 //!
-//! * **Sweep sharding** (`wsn_bench::sweep`). The paper's figures are grids
+//! * **Sweep sharding** (`wsn_bench::journal`). The paper's figures are grids
 //!   of `(configuration, seed)` cells, each an independent simulation. The
 //!   first parallel implementation spawned one thread per seed per cell,
 //!   which serialises the grid and oversubscribes the machine as soon as the
@@ -17,10 +17,11 @@
 //!
 //! Results are returned through [`JobHandle`]s, so callers collect them in
 //! whatever order they submitted — the pool's scheduling never influences
-//! the aggregated output. `wsn_bench::sweep::run_averaged` is proven
-//! bit-identical to its sequential reference implementation by an equality
-//! test, and `tests/property_partitioned_sim.rs` proves the same for the
-//! partitioned simulator.
+//! the aggregated output. The journaled plan runner
+//! (`wsn_bench::journal::SweepJournal::run_plan`) is proven bit-identical to
+//! its sequential oracle (`wsn_bench::sweep::run_averaged_sequential`) by an
+//! equality test, and `tests/property_partitioned_sim.rs` proves the same
+//! for the partitioned simulator.
 //!
 //! One rule: a job must never block on the [`JobHandle`] of another job of
 //! the same pool (a worker waiting on work only a busy worker can do is a
@@ -183,7 +184,7 @@ pub fn default_size() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// The process-wide pool shared by every sweep of a figure binary, created
+/// The process-wide pool shared by every sweep the process runs, created
 /// lazily with [`default_size`] workers. All `(configuration, seed)` cells
 /// of a grid funnel through this one pool, which is what bounds the
 /// process's simulation concurrency.

@@ -41,10 +41,10 @@
 //! ./ci.sh                        # the full offline gate: build + test + fmt + clippy
 //! ```
 //!
-//! The figure-reproduction binaries live in `wsn-bench` (for example
-//! `cargo run --release -p wsn-bench --bin fig4_global_energy_vs_window --
-//! --quick`); each prints the paper's table and writes
-//! `results/<figure>.json`.
+//! The paper's figures and tables are reproduced by one binary in
+//! `wsn-bench` (for example `cargo run --release -p wsn-bench --bin
+//! campaign -- --quick fig4`); it prints each figure's table and journals
+//! every simulated cell under `results/`.
 //!
 //! # Quickstart
 //!
