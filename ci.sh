@@ -119,7 +119,9 @@ done
 
 # Crash-resume smoke: the kill-and-resume harness end to end — a faulted
 # partitioned streaming run killed by an injected crash at a checkpoint
-# boundary must resume from disk to the exact never-stopped outcome, and a
+# boundary leaves a checkpoint that must pass json_check's snapshot schema
+# (the binary calls the same validator) and must resume from disk to the
+# exact never-stopped outcome, and a
 # journaled seed sweep re-run against its own journal must skip every
 # completed cell while reproducing the live sweep's aggregate bit for bit.
 # The journal artifact is gated through json_check (strictly increasing

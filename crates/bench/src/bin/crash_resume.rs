@@ -5,9 +5,10 @@
 //!
 //! 1. **Checkpoint/resume** — a faulted streaming run (node deaths, rejoins,
 //!    duty-cycled radios, partitioned backend) is killed by an injected
-//!    crash right after a mid-run checkpoint, then resumed from the on-disk
-//!    snapshot; the resumed [`StreamingOutcome`] must equal the run that was
-//!    never stopped, field for field.
+//!    crash right after a mid-run checkpoint. The on-disk snapshot must pass
+//!    `json_check`'s snapshot schema ([`wsn_bench::check::check_file`]),
+//!    then the run resumes from it; the resumed [`StreamingOutcome`] must
+//!    equal the run that was never stopped, field for field.
 //! 2. **Journaled sweep** — a seed sweep is journaled to JSONL, then re-run
 //!    against the same journal; the second pass must skip every completed
 //!    cell and reproduce the identical averaged outcome, which must in turn
@@ -97,6 +98,16 @@ fn main() -> ExitCode {
         KILL_AT_CHECKPOINT as usize * EVERY
     );
 
+    // The checkpoint the current writer produced, validated as json_check
+    // would validate any snapshot artifact, before it is trusted.
+    match wsn_bench::check::check_file(&dir.join("checkpoint.json").to_string_lossy()) {
+        Ok(summary) => println!("{summary}"),
+        Err(e) => {
+            let _ = std::fs::remove_dir_all(&dir);
+            eprintln!("crash_resume: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
     let resumed = StreamingExperiment::new(config.clone())
         .resume_from(&dir)
         .run()

@@ -109,8 +109,9 @@ fn check_fleet(path: &str, value: &JsonValue) -> Result<usize, String> {
 
 /// Persistence snapshots are validated exactly as a loader would before
 /// trusting a byte of payload: header format and version tag, declared
-/// length (a shorter payload is a torn write), FNV-1a checksum, and the
-/// payload parsing at all.
+/// length (a shorter payload is a torn write), FNV-1a checksum, the payload
+/// parsing at all, and every point table in it decoding
+/// ([`persist::PointRows`]).
 fn check_snapshot(path: &str, text: &str) -> Result<String, String> {
     let (header_line, body) =
         text.split_once('\n').ok_or_else(|| format!("{path}: missing snapshot header line"))?;
@@ -153,8 +154,25 @@ fn check_snapshot(path: &str, text: &str) -> Result<String, String> {
     }
     let payload = std::str::from_utf8(&bytes[..len])
         .map_err(|e| format!("{path}: snapshot payload is not UTF-8: {e}"))?;
-    JsonValue::parse(payload).map_err(|e| format!("{path}: unparsable snapshot payload: {e}"))?;
+    let payload = JsonValue::parse(payload)
+        .map_err(|e| format!("{path}: unparsable snapshot payload: {e}"))?;
+    check_point_tables(&payload).map_err(|e| format!("{path}: bad point table: {e}"))?;
     Ok(format!("{path}: valid wsn-persist {kind} snapshot v{version}, {len} payload bytes"))
+}
+
+/// Every object of a snapshot payload that carries a point table (each
+/// node dump, a fleet tenant's sink window) must decode it.
+fn check_point_tables(value: &JsonValue) -> Result<(), persist::PersistError> {
+    match value {
+        JsonValue::Object(pairs) => {
+            if value.get("table").is_some() {
+                persist::PointRows::of(value)?;
+            }
+            pairs.iter().try_for_each(|(_, v)| check_point_tables(v))
+        }
+        JsonValue::Array(items) => items.iter().try_for_each(check_point_tables),
+        _ => Ok(()),
+    }
 }
 
 /// Sweep journals must hold at least one complete row, with strictly
@@ -412,7 +430,10 @@ mod tests {
     }
 
     fn snapshot_doc() -> String {
-        let payload = r#"{"x":1}"#;
+        snapshot_with(r#"{"x":1,"nodes":[[0,{"table":[[0,1,2,1.5],[1,1,2,2.5]]}]]}"#)
+    }
+
+    fn snapshot_with(payload: &str) -> String {
         format!(
             "{{\"format\":\"wsn-persist\",\"kind\":\"checkpoint\",\"version\":{},\"len\":{},\"checksum\":{}}}\n{payload}\n",
             persist::PERSIST_VERSION,
@@ -452,6 +473,8 @@ mod tests {
         assert!(check_text("s.json", &future).unwrap_err().contains("version"));
         let untagged = doc.replace(&format!("\"version\":{},", persist::PERSIST_VERSION), "");
         assert!(check_text("s.json", &untagged).unwrap_err().contains("version tag"));
+        let mixed = snapshot_with(r#"{"nodes":[[0,{"table":[[0,1,2,1.5],[1,1,2,2.5,0.5]]}]]}"#);
+        assert!(check_text("s.json", &mixed).unwrap_err().contains("point table"));
     }
 
     #[test]

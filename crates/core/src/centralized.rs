@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use crate::app::SamplingSchedule;
 use crate::cache::RevisionCache;
-use crate::persist::{self, PersistError};
+use crate::persist::{self, PersistError, PointRows, PointTable};
 use wsn_data::stream::SensorStream;
 use wsn_data::window::WindowConfig;
 use wsn_data::{DataPoint, PointSet, SensorId, SlidingWindow};
@@ -218,28 +218,32 @@ impl<R: RankingFunction> CentralizedApp<R> {
     /// replays the simulation up to the checkpoint, which reconstructs it
     /// deterministically.
     pub fn persist_snapshot(&self) -> JsonValue {
+        let mut table = PointTable::new();
+        let window = persist::snapshot_window(&self.window, &mut table);
+        let collected = table.sets_by_id(&self.collected);
+        let union = table.set(&self.union);
+        let last_result = match &self.last_result {
+            Some(points) => {
+                let points: Vec<Arc<DataPoint>> = points.iter().cloned().map(Arc::new).collect();
+                table.refs(&points)
+            }
+            None => JsonValue::Null,
+        };
         JsonValue::Object(vec![
             ("kind".into(), JsonValue::from("centralized")),
             ("id".into(), JsonValue::from(self.id.raw())),
             ("sink".into(), JsonValue::from(self.sink.raw())),
             ("n".into(), JsonValue::from(self.n)),
-            ("window".into(), persist::snapshot_window(&self.window)),
-            ("collected".into(), persist::sets_by_id_to_json(&self.collected)),
-            ("union".into(), persist::set_to_json(&self.union)),
-            (
-                "last_result".into(),
-                match &self.last_result {
-                    Some(points) => {
-                        JsonValue::Array(points.iter().map(persist::point_to_json).collect())
-                    }
-                    None => JsonValue::Null,
-                },
-            ),
+            ("window".into(), window),
+            ("collected".into(), collected),
+            ("union".into(), union),
+            ("last_result".into(), last_result),
             ("reports_sent".into(), JsonValue::from(self.reports_sent)),
             ("reports_received".into(), JsonValue::from(self.reports_received)),
             ("results_sent".into(), JsonValue::from(self.results_sent)),
             ("results_received".into(), JsonValue::from(self.results_received)),
             ("state_revision".into(), JsonValue::from(self.state_revision)),
+            table.into_field(),
         ])
     }
 
@@ -274,7 +278,8 @@ impl<R: RankingFunction> CentralizedApp<R> {
                 self.n
             )));
         }
-        let window = persist::restore_window(persist::field(dump, "window")?)?;
+        let mut rows = PointRows::of(dump)?;
+        let window = persist::restore_window(persist::field(dump, "window")?, &mut rows)?;
         if window.config().length_micros != self.window.config().length_micros {
             return Err(PersistError::Mismatch(format!(
                 "snapshot window is {}µs long, this node's is {}µs",
@@ -282,20 +287,11 @@ impl<R: RankingFunction> CentralizedApp<R> {
                 self.window.config().length_micros
             )));
         }
-        let collected = persist::sets_by_id_from_json(persist::field(dump, "collected")?)?;
-        let union = persist::set_from_json(persist::field(dump, "union")?)?;
+        let collected = rows.sets_by_id(persist::field(dump, "collected")?)?;
+        let union = rows.set(persist::field(dump, "union")?)?;
         let last_result = match persist::field(dump, "last_result")? {
             JsonValue::Null => None,
-            value => Some(
-                value
-                    .as_array()
-                    .ok_or_else(|| {
-                        PersistError::Schema("field \"last_result\" is not null or array".into())
-                    })?
-                    .iter()
-                    .map(persist::point_from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
+            refs => Some(rows.points(refs)?.iter().map(|p| DataPoint::clone(p)).collect()),
         };
         let reports_sent = persist::u64_field(dump, "reports_sent")?;
         let reports_received = persist::u64_field(dump, "reports_received")?;

@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use crate::persist::{self, PersistError};
+use crate::persist::{self, PersistError, PointRows, PointTable};
 use crate::sufficient::FixedPointEngine;
 use wsn_data::{DataPoint, PointSet, SensorId, Timestamp};
 use wsn_json::JsonValue;
@@ -119,7 +119,7 @@ impl NeighborBook {
 
     /// Counts one point accepted into the window from a neighbour.
     pub fn count_received(&mut self) {
-        self.points_received += 1;
+        self.points_received = self.points_received.saturating_add(1);
     }
 
     /// Receipt from `neighbor`: restarts its liveness clock and revives it
@@ -188,10 +188,11 @@ impl NeighborBook {
         Some(self.bump(neighbor))
     }
 
-    /// Moves `neighbor`'s revision on, returning the new one.
+    /// Moves `neighbor`'s revision on, returning the new one. Revisions are
+    /// only compared for equality, so they wrap rather than overflow.
     fn bump(&mut self, neighbor: SensorId) -> u64 {
         let revision = self.revisions.entry(neighbor).or_insert(0);
-        *revision += 1;
+        *revision = revision.wrapping_add(1);
         *revision
     }
 
@@ -207,7 +208,7 @@ impl NeighborBook {
         let len = batch.len();
         let revision = self.record(neighbor, batch, merge).expect("a send batch is never empty");
         debug_assert_eq!(batch.len(), len, "every sent point is new to the neighbour");
-        self.points_sent += len as u64;
+        self.points_sent = self.points_sent.saturating_add(len as u64);
         revision
     }
 
@@ -241,7 +242,8 @@ impl NeighborBook {
         }
         for (&j, set) in self.shared_with.iter_mut() {
             if set.evict_older_than(cutoff) > 0 {
-                *self.revisions.entry(j).or_insert(0) += 1;
+                let revision = self.revisions.entry(j).or_insert(0);
+                *revision = revision.wrapping_add(1);
             }
         }
         self.shared_oldest =
@@ -281,11 +283,12 @@ impl NeighborBook {
         self.last_heard.remove(&neighbor);
     }
 
-    /// The book's complete canonical state, for [`crate::persist`].
-    pub fn persist_snapshot(&self) -> JsonValue {
+    /// The book's complete canonical state, for [`crate::persist`], its
+    /// points written into the node dump's `table`.
+    pub fn persist_snapshot(&self, table: &mut PointTable) -> JsonValue {
         JsonValue::Object(vec![
             ("liveness_timeout_secs".into(), persist::opt_f64_to_json(self.liveness_timeout_secs)),
-            ("shared_with".into(), persist::sets_by_id_to_json(&self.shared_with)),
+            ("shared_with".into(), table.sets_by_id(&self.shared_with)),
             (
                 "shared_oldest".into(),
                 persist::opt_u64_to_json(self.shared_oldest.map(|t| t.as_micros())),
@@ -303,15 +306,20 @@ impl NeighborBook {
         ])
     }
 
-    /// Parses a [`NeighborBook::persist_snapshot`], refusing one taken under
-    /// a different liveness timeout than this book's.
-    pub fn restored(&self, dump: &JsonValue) -> Result<NeighborBook, PersistError> {
+    /// Parses a [`NeighborBook::persist_snapshot`] against the node dump's
+    /// `rows`, refusing one taken under a different liveness timeout than
+    /// this book's.
+    pub fn restored(
+        &self,
+        dump: &JsonValue,
+        rows: &mut PointRows,
+    ) -> Result<NeighborBook, PersistError> {
         let liveness_timeout_secs = persist::opt_f64_field(dump, "liveness_timeout_secs")?;
         if liveness_timeout_secs != self.liveness_timeout_secs {
             return Err(PersistError::Mismatch("liveness timeout differs".into()));
         }
         Ok(NeighborBook {
-            shared_with: persist::sets_by_id_from_json(persist::field(dump, "shared_with")?)?,
+            shared_with: rows.sets_by_id(persist::field(dump, "shared_with")?)?,
             shared_oldest: persist::opt_u64_field(dump, "shared_oldest")?
                 .map(Timestamp::from_micros),
             revisions: persist::rows_by_id_from_json(persist::field(dump, "revisions")?, 1, |r| {

@@ -44,7 +44,7 @@ use crate::cache::RevisionCache;
 use crate::detector::OutlierDetector;
 use crate::ledger::{Merge, NeighborBook};
 use crate::message::OutlierBroadcast;
-use crate::persist::{self, PersistError};
+use crate::persist::{self, PersistError, PointRows, PointTable};
 use crate::sufficient::FixedPointEngine;
 use wsn_data::window::WindowConfig;
 use wsn_data::{DataPoint, HopCount, PointSet, SensorId, SlidingWindow, Timestamp};
@@ -269,17 +269,20 @@ impl<R: RankingFunction> DetectorNode<R> {
     /// [`DetectorNode::persist_restore`] rebuilds them cold with identical
     /// outputs.
     pub fn persist_snapshot(&self) -> JsonValue {
+        let mut table = PointTable::new();
+        let window = persist::snapshot_window(&self.window, &mut table);
+        let book = self.book.persist_snapshot(&mut table);
+        let engines =
+            self.engines.iter().map(|engine| persist::engine_to_json(engine, &mut table)).collect();
         JsonValue::Object(vec![
             ("kind".into(), JsonValue::from("detector")),
             ("id".into(), JsonValue::from(self.id.raw())),
             ("n".into(), JsonValue::from(self.n)),
             ("hop_diameter".into(), persist::opt_u64_to_json(self.hop_diameter().map(u64::from))),
-            ("window".into(), persist::snapshot_window(&self.window)),
-            ("book".into(), self.book.persist_snapshot()),
-            (
-                "engines".into(),
-                JsonValue::Array(self.engines.iter().map(persist::engine_to_json).collect()),
-            ),
+            ("window".into(), window),
+            ("book".into(), book),
+            ("engines".into(), JsonValue::Array(engines)),
+            table.into_field(),
         ])
     }
 
@@ -316,7 +319,8 @@ impl<R: RankingFunction> DetectorNode<R> {
                 self.hop_diameter()
             )));
         }
-        let window = persist::restore_window(persist::field(dump, "window")?)?;
+        let mut rows = PointRows::of(dump)?;
+        let window = persist::restore_window(persist::field(dump, "window")?, &mut rows)?;
         if window.config().length_micros != self.window.config().length_micros {
             return Err(PersistError::Mismatch(format!(
                 "snapshot window is {}µs long, this node's is {}µs",
@@ -324,7 +328,7 @@ impl<R: RankingFunction> DetectorNode<R> {
                 self.window.config().length_micros
             )));
         }
-        let book = self.book.restored(persist::field(dump, "book")?)?;
+        let book = self.book.restored(persist::field(dump, "book")?, &mut rows)?;
         let engine_values = persist::array_field(dump, "engines")?;
         if engine_values.len() != self.engines.len() {
             return Err(PersistError::Schema(format!(
@@ -335,7 +339,7 @@ impl<R: RankingFunction> DetectorNode<R> {
         }
         let engine_dumps = engine_values
             .iter()
-            .map(persist::engine_dumps_from_json)
+            .map(|engine| persist::engine_dumps_from_json(engine, &mut rows))
             .collect::<Result<Vec<_>, _>>()?;
         self.window = window;
         self.book = book;
@@ -844,6 +848,37 @@ mod tests {
             ] {
                 assert!(matches!(other.persist_restore(&dump), Err(PersistError::Mismatch(_))));
             }
+        }
+    }
+
+    #[test]
+    fn a_restored_node_shares_one_allocation_per_copy_across_its_sets() {
+        for scope in SCOPES {
+            let mut nodes = chain(3, scope);
+            nodes[0].add_local_points(vec![pt(0, 99, -500.0)]);
+            run_chain(&mut nodes);
+            let dump = nodes[1].persist_snapshot();
+            let rows = persist::array_field(&dump, "table").unwrap();
+            assert_eq!(rows.len(), nodes[1].held_points().len(), "{scope:?}: a row per point");
+            let mut fresh = node(1, scope);
+            fresh.persist_restore(&dump).unwrap();
+            // Every copy a chain ranks is the very copy the window and the
+            // neighbour's shared-knowledge set hold, as in the live node.
+            let mut shared = 0;
+            for engine in &fresh.engines {
+                for chain in engine.export_neighbor_states() {
+                    let known = fresh.book.known(chain.neighbor).expect("a chain has a book entry");
+                    for p in chain.membership.iter_arcs() {
+                        let held = fresh.window.contents().get_arc(&p.key);
+                        let Some((w, k)) = held.zip(known.get_arc(&p.key)) else { continue };
+                        if w.hop == p.hop && k.hop == p.hop {
+                            assert!(Arc::ptr_eq(w, p) && Arc::ptr_eq(k, p), "{scope:?}: {p}");
+                            shared += 1;
+                        }
+                    }
+                }
+            }
+            assert!(shared > 0, "{scope:?}: some point sits in all three sets");
         }
     }
 

@@ -15,7 +15,7 @@
 //! A snapshot file is two lines of text:
 //!
 //! ```text
-//! {"format":"wsn-persist","kind":"checkpoint","version":2,"len":N,"checksum":C}
+//! {"format":"wsn-persist","kind":"checkpoint","version":3,"len":N,"checksum":C}
 //! { ... payload JSON, exactly N bytes, FNV-1a 64 checksum C ... }
 //! ```
 //!
@@ -24,6 +24,36 @@
 //! only — a torn tail, a flipped bit, or a truncated file all fail
 //! [`read_verified`] with a typed [`PersistError`] instead of silently
 //! loading garbage.
+//!
+//! # Point tables
+//!
+//! A node holds one observation in many sets at once: its window, the
+//! `shared_with` set of every neighbour that has it, and the `membership`
+//! of every fixed-point chain that ranks it. Each node dump therefore
+//! carries one point table, a closing `"table"` field written by
+//! [`PointTable`]. Each distinct observation is one row,
+//! `[origin, epoch, micros, f_1, …, f_k]`, and every point set in the dump
+//! is a flat list `[row, hop, row, hop, …]` of references into it:
+//!
+//! ```text
+//! {"kind":"detector", …,
+//!  "window":{…,"points":[0,0,1,0,2,1]},
+//!  "book":{…,"shared_with":[[4,[2,1]]],…},
+//!  "engines":[[{"j":4,"membership":[0,0,1,0,2,1],…}]],
+//!  "table":[[3,17,527000000,20.25],[3,18,558000000,19.5],[4,18,558000000,35.0]]}
+//! ```
+//!
+//! Rows are deduplicated by the whole observation — key, timestamp and
+//! feature bits — never by the key alone, so a same-key copy that differs
+//! gets a row of its own and the encoding is lossless. Rows are numbered in
+//! first-reference order over the dump's fixed traversal, so re-encoding a
+//! restored node reproduces its dump byte for byte. On restore,
+//! [`PointRows`] turns each distinct `(row, hop)` reference into one shared
+//! point, as in the live node. It refuses, as [`PersistError::Schema`], an
+//! out-of-range row, an odd-length reference list, a hop that overflows
+//! [`HopCount`], a non-finite feature and rows of mixed feature counts.
+//! Versions 1 and 2 wrote a full copy of a point per set; their files get
+//! [`PersistError::Version`].
 //!
 //! # Atomicity contract
 //!
@@ -52,12 +82,13 @@
 //! parallel tests cannot trip each other's crashes.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::experiment::ExperimentConfig;
 use crate::sufficient::{FixedPointEngine, NeighborStateDump};
@@ -74,8 +105,9 @@ pub const PERSIST_FORMAT: &str = "wsn-persist";
 /// The current on-disk format version (see the module docs for the
 /// compatibility contract). Version 2 replaced the separate global and
 /// semi-global node payloads with one `detector` payload that nests the
-/// neighbour book.
-pub const PERSIST_VERSION: u64 = 2;
+/// neighbour book; version 3 writes each observation once, in a per-dump
+/// point table, and every point set as references into it.
+pub const PERSIST_VERSION: u64 = 3;
 
 /// Telemetry ([`wsn_obs`]): snapshots written and their total size.
 pub(crate) static OBS_SNAPSHOTS_WRITTEN: wsn_obs::Counter =
@@ -267,11 +299,18 @@ pub fn write_atomic(path: &Path, kind: &str, payload: &JsonValue) -> Result<u64,
 /// [`PersistError::Corrupt`] for a torn/truncated/bit-rotted file,
 /// [`PersistError::Version`] for an incompatible format version.
 pub fn read_verified(path: &Path) -> Result<(String, JsonValue), PersistError> {
-    let text = fs::read_to_string(path).map_err(|e| io_err("cannot read", path, &e))?;
-    let (header_line, body) =
-        text.split_once('\n').ok_or_else(|| PersistError::Corrupt("missing header line".into()))?;
-    let header = JsonValue::parse(header_line)
-        .map_err(|e| PersistError::Corrupt(format!("unreadable header: {e}")))?;
+    let file = fs::read(path).map_err(|e| io_err("cannot read", path, &e))?;
+    let newline = file
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or_else(|| PersistError::Corrupt("missing header line".into()))?;
+    let (header_line, bytes) = (&file[..newline], &file[newline + 1..]);
+    let header = std::str::from_utf8(header_line)
+        .map_err(|e| PersistError::Corrupt(format!("header is not UTF-8: {e}")))
+        .and_then(|line| {
+            JsonValue::parse(line)
+                .map_err(|e| PersistError::Corrupt(format!("unreadable header: {e}")))
+        })?;
     let corrupt = |e: PersistError| PersistError::Corrupt(format!("bad header: {e}"));
     if str_field(&header, "format").map_err(corrupt)? != PERSIST_FORMAT {
         return Err(PersistError::Corrupt("not a wsn-persist file".into()));
@@ -282,7 +321,6 @@ pub fn read_verified(path: &Path) -> Result<(String, JsonValue), PersistError> {
     }
     let kind = str_field(&header, "kind").map_err(corrupt)?.to_string();
     let len = u64_field(&header, "len").map_err(corrupt)? as usize;
-    let bytes = body.as_bytes();
     if bytes.len() < len {
         return Err(PersistError::Corrupt(format!(
             "torn write: payload holds {} of {len} declared bytes",
@@ -410,43 +448,246 @@ pub fn expect_kind(value: &JsonValue, kind: &str) -> Result<(), PersistError> {
 }
 
 // ---------------------------------------------------------------------------
-// Data-model codecs
+// Point table
 // ---------------------------------------------------------------------------
 
-/// One data point as `{"o":origin,"e":epoch,"t":micros,"h":hop,"f":[..]}`.
-pub(crate) fn point_to_json(point: &DataPoint) -> JsonValue {
-    JsonValue::Object(vec![
-        ("o".into(), JsonValue::from(point.key.origin.raw())),
-        ("e".into(), JsonValue::from(point.key.epoch.raw())),
-        ("t".into(), JsonValue::from(point.timestamp.as_micros())),
-        ("h".into(), JsonValue::from(u32::from(point.hop))),
-        (
-            "f".into(),
-            JsonValue::Array(point.features.iter().map(|&v| JsonValue::Number(v)).collect()),
-        ),
-    ])
+/// The encode side of one dump's point table (see the module docs). Every
+/// distinct observation the dump references is written once, as a row;
+/// every point set becomes a flat `[row, hop, …]` reference list. Rows are
+/// deduplicated by the whole observation — key, timestamp and feature bits
+/// — and numbered in first-reference order, so encoding one state in one
+/// traversal order always yields the same dump.
+#[derive(Default)]
+pub struct PointTable {
+    rows: Vec<Arc<DataPoint>>,
+    /// The first row of each observation key.
+    first_row: HashMap<PointKey, u32>,
 }
 
-pub(crate) fn point_from_json(value: &JsonValue) -> Result<DataPoint, PersistError> {
-    let features = array_field(value, "f")?
-        .iter()
-        .map(|f| {
-            f.as_f64().ok_or_else(|| PersistError::Schema("point feature is not a number".into()))
-        })
-        .collect::<Result<Vec<f64>, _>>()?;
-    let hop = u32_field(value, "h")?;
-    let hop = HopCount::try_from(hop)
-        .map_err(|_| PersistError::Schema(format!("hop count {hop} overflows")))?;
-    let mut point = DataPoint::new(
-        SensorId(u32_field(value, "o")?),
-        Epoch(u64_field(value, "e")?),
-        Timestamp::from_micros(u64_field(value, "t")?),
-        features,
-    )
-    .map_err(|e| PersistError::Schema(format!("invalid point: {e}")))?;
-    point.hop = hop;
-    Ok(point)
+impl PointTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        PointTable::default()
+    }
+
+    /// The row of `point`'s observation, appended if the table lacks it.
+    fn row(&mut self, point: &Arc<DataPoint>) -> u32 {
+        let fresh =
+            u32::try_from(self.rows.len()).expect("a dump holds fewer than 2^32 observations");
+        let first = *self.first_row.entry(point.key).or_insert(fresh);
+        if first != fresh {
+            // A same-key copy that differs from the first row is rare, so
+            // later rows of its key are found by a scan.
+            let later = self.rows[first as usize..]
+                .iter()
+                .position(|row| row.key == point.key && same_observation(row, point));
+            if let Some(offset) = later {
+                return first + offset as u32;
+            }
+        }
+        self.rows.push(Arc::clone(point));
+        fresh
+    }
+
+    /// References to `points`, in iteration order, as `[row, hop, …]`.
+    pub(crate) fn refs<'p>(
+        &mut self,
+        points: impl IntoIterator<Item = &'p Arc<DataPoint>>,
+    ) -> JsonValue {
+        let points = points.into_iter();
+        let mut refs = Vec::with_capacity(2 * points.size_hint().0);
+        for point in points {
+            refs.push(JsonValue::from(self.row(point)));
+            refs.push(JsonValue::from(u32::from(point.hop)));
+        }
+        JsonValue::Array(refs)
+    }
+
+    /// References to a point set's points, in ascending key order.
+    pub(crate) fn set(&mut self, set: &PointSet) -> JsonValue {
+        self.refs(set.iter_arcs())
+    }
+
+    /// A `SensorId → PointSet` map as `[[id, [row, hop, …]], …]`.
+    pub(crate) fn sets_by_id(&mut self, map: &BTreeMap<SensorId, PointSet>) -> JsonValue {
+        JsonValue::Array(
+            map.iter()
+                .map(|(id, set)| JsonValue::Array(vec![JsonValue::from(id.raw()), self.set(set)]))
+                .collect(),
+        )
+    }
+
+    /// The `"table"` field that closes a dump object: one row
+    /// `[origin, epoch, micros, f_1, …, f_k]` per observation, in row order.
+    pub fn into_field(self) -> (String, JsonValue) {
+        let rows = self
+            .rows
+            .iter()
+            .map(|p| {
+                let mut row = Vec::with_capacity(3 + p.features.len());
+                row.push(JsonValue::from(p.key.origin.raw()));
+                row.push(JsonValue::from(p.key.epoch.raw()));
+                row.push(JsonValue::from(p.timestamp.as_micros()));
+                row.extend(p.features.iter().map(|&f| JsonValue::Number(f)));
+                JsonValue::Array(row)
+            })
+            .collect();
+        ("table".into(), JsonValue::Array(rows))
+    }
 }
+
+/// Whether two copies record the same observation: same key (the caller's
+/// lookup), timestamp and feature bits. The hop is not part of it.
+fn same_observation(a: &Arc<DataPoint>, b: &Arc<DataPoint>) -> bool {
+    Arc::ptr_eq(a, b)
+        || (a.timestamp == b.timestamp
+            && a.features.len() == b.features.len()
+            && a.features.iter().zip(&b.features).all(|(x, y)| x.to_bits() == y.to_bits()))
+}
+
+/// The decode side of a dump's point table: the parsed rows, and one
+/// shared handle per `(row, hop)` reference, so every set of a restored
+/// dump that references one copy of a point shares one allocation, as the
+/// sets of a live node do.
+pub struct PointRows {
+    rows: Vec<DataPoint>,
+    handles: HashMap<(usize, HopCount), Arc<DataPoint>>,
+}
+
+impl PointRows {
+    /// Parses the `"table"` field of a dump written with
+    /// [`PointTable::into_field`].
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Schema`] for a missing table, a row that is not
+    /// `[origin, epoch, micros, f_1, …]`, a non-finite feature, or rows
+    /// of different feature counts: every point of one node meets every
+    /// other in a distance computation, so a mixed table would only fail
+    /// later, as a panic.
+    pub fn of(dump: &JsonValue) -> Result<Self, PersistError> {
+        let malformed =
+            || PersistError::Schema("point table row is not [origin, epoch, micros, f…]".into());
+        let entries = array_field(dump, "table")?;
+        let mut rows: Vec<DataPoint> = Vec::with_capacity(entries.len());
+        for entry in entries {
+            let cells = entry.as_array().filter(|cells| cells.len() >= 3).ok_or_else(malformed)?;
+            let origin = cells[0].as_u64().and_then(|v| u32::try_from(v).ok());
+            let (Some(origin), Some(epoch), Some(micros)) =
+                (origin, cells[1].as_u64(), cells[2].as_u64())
+            else {
+                return Err(malformed());
+            };
+            let features = cells[3..]
+                .iter()
+                .map(|f| {
+                    f.as_f64()
+                        .ok_or_else(|| PersistError::Schema("point feature is not a number".into()))
+                })
+                .collect::<Result<Vec<f64>, _>>()?;
+            if let Some(first) = rows.first().filter(|p| p.dimension() != features.len()) {
+                return Err(PersistError::Schema(format!(
+                    "point table mixes {}- and {}-feature rows",
+                    first.dimension(),
+                    features.len()
+                )));
+            }
+            let point = DataPoint::new(
+                SensorId(origin),
+                Epoch(epoch),
+                Timestamp::from_micros(micros),
+                features,
+            )
+            .map_err(|e| PersistError::Schema(format!("invalid point: {e}")))?;
+            rows.push(point);
+        }
+        Ok(PointRows { rows, handles: HashMap::new() })
+    }
+
+    /// Resolves a `[row, hop, …]` reference list, in order.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Schema`] for a list of odd length, a row outside the
+    /// table, or a hop that overflows [`HopCount`].
+    pub(crate) fn points(&mut self, refs: &JsonValue) -> Result<Vec<Arc<DataPoint>>, PersistError> {
+        let cells = refs
+            .as_array()
+            .ok_or_else(|| PersistError::Schema("point references are not an array".into()))?;
+        if cells.len() % 2 != 0 {
+            return Err(PersistError::Schema(format!(
+                "point reference list has odd length {}",
+                cells.len()
+            )));
+        }
+        cells.chunks_exact(2).map(|pair| self.point(&pair[0], &pair[1])).collect()
+    }
+
+    fn point(&mut self, row: &JsonValue, hop: &JsonValue) -> Result<Arc<DataPoint>, PersistError> {
+        let not_integer =
+            || PersistError::Schema("point reference is not a pair of unsigned integers".into());
+        let (row, hop) =
+            (row.as_u64().ok_or_else(not_integer)?, hop.as_u64().ok_or_else(not_integer)?);
+        let index =
+            usize::try_from(row).ok().filter(|&r| r < self.rows.len()).ok_or_else(|| {
+                PersistError::Schema(format!(
+                    "point reference row {row} lies outside the {}-row table",
+                    self.rows.len()
+                ))
+            })?;
+        let hop = HopCount::try_from(hop)
+            .map_err(|_| PersistError::Schema(format!("hop count {hop} overflows")))?;
+        let rows = &self.rows;
+        let handle =
+            self.handles.entry((index, hop)).or_insert_with(|| Arc::new(rows[index].with_hop(hop)));
+        Ok(Arc::clone(handle))
+    }
+
+    /// Resolves a reference list into a point set.
+    ///
+    /// # Errors
+    ///
+    /// As [`PointRows::points`], and [`PersistError::Schema`] for a list
+    /// that references one observation key twice: a set holds one copy.
+    pub(crate) fn set(&mut self, refs: &JsonValue) -> Result<PointSet, PersistError> {
+        let mut set = PointSet::new();
+        for point in self.points(refs)? {
+            let key = point.key;
+            if !set.insert_arc(point) {
+                return Err(PersistError::Schema(format!("point set references {key} twice")));
+            }
+        }
+        Ok(set)
+    }
+
+    /// Resolves a [`PointTable::sets_by_id`] map.
+    pub(crate) fn sets_by_id(
+        &mut self,
+        value: &JsonValue,
+    ) -> Result<BTreeMap<SensorId, PointSet>, PersistError> {
+        let entries = value
+            .as_array()
+            .ok_or_else(|| PersistError::Schema("per-neighbour set map is not an array".into()))?;
+        let mut map = BTreeMap::new();
+        for entry in entries {
+            match entry.as_array() {
+                Some([id, set]) => {
+                    let id = id
+                        .as_u64()
+                        .and_then(|v| u32::try_from(v).ok())
+                        .ok_or_else(|| PersistError::Schema("map key is not a sensor id".into()))?;
+                    map.insert(SensorId(id), self.set(set)?);
+                }
+                _ => return Err(PersistError::Schema("map entry is not an [id, set] pair".into())),
+            }
+        }
+        Ok(map)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Scalar codecs
+// ---------------------------------------------------------------------------
 
 pub(crate) fn key_to_json(key: &PointKey) -> JsonValue {
     JsonValue::Array(vec![JsonValue::from(key.origin.raw()), JsonValue::from(key.epoch.raw())])
@@ -467,51 +708,6 @@ pub(crate) fn key_from_json(value: &JsonValue) -> Result<PointKey, PersistError>
         }),
         _ => Err(PersistError::Schema("point key is not a two-element array".into())),
     }
-}
-
-pub(crate) fn set_to_json(set: &PointSet) -> JsonValue {
-    JsonValue::Array(set.iter().map(point_to_json).collect())
-}
-
-pub(crate) fn set_from_json(value: &JsonValue) -> Result<PointSet, PersistError> {
-    let entries =
-        value.as_array().ok_or_else(|| PersistError::Schema("point set is not an array".into()))?;
-    let mut set = PointSet::new();
-    for entry in entries {
-        set.insert(point_from_json(entry)?);
-    }
-    Ok(set)
-}
-
-/// A `SensorId → PointSet` map as `[[id, [points…]], …]`.
-pub(crate) fn sets_by_id_to_json(map: &BTreeMap<SensorId, PointSet>) -> JsonValue {
-    JsonValue::Array(
-        map.iter()
-            .map(|(id, set)| JsonValue::Array(vec![JsonValue::from(id.raw()), set_to_json(set)]))
-            .collect(),
-    )
-}
-
-pub(crate) fn sets_by_id_from_json(
-    value: &JsonValue,
-) -> Result<BTreeMap<SensorId, PointSet>, PersistError> {
-    let entries = value
-        .as_array()
-        .ok_or_else(|| PersistError::Schema("per-neighbour set map is not an array".into()))?;
-    let mut map = BTreeMap::new();
-    for entry in entries {
-        match entry.as_array() {
-            Some([id, set]) => {
-                let id = id
-                    .as_u64()
-                    .and_then(|v| u32::try_from(v).ok())
-                    .ok_or_else(|| PersistError::Schema("map key is not a sensor id".into()))?;
-                map.insert(SensorId(id), set_from_json(set)?);
-            }
-            _ => return Err(PersistError::Schema("map entry is not an [id, set] pair".into())),
-        }
-    }
-    Ok(map)
 }
 
 /// A `SensorId → V` map whose values encode as `width` integers, as
@@ -576,29 +772,34 @@ pub(crate) fn ids_from_json(value: &JsonValue) -> Result<Vec<SensorId>, PersistE
 // Window and engine codecs
 // ---------------------------------------------------------------------------
 
-/// Serializes a sliding window: configuration, clock, revision, contents.
-pub fn snapshot_window(window: &SlidingWindow) -> JsonValue {
+/// Serializes a sliding window: configuration, clock, revision, and its
+/// contents as references into `table`.
+pub fn snapshot_window(window: &SlidingWindow, table: &mut PointTable) -> JsonValue {
     JsonValue::Object(vec![
         ("length_micros".into(), JsonValue::from(window.config().length_micros)),
         ("now".into(), JsonValue::from(window.now().as_micros())),
         ("revision".into(), JsonValue::from(window.revision())),
-        ("points".into(), set_to_json(window.contents())),
+        ("points".into(), table.set(window.contents())),
     ])
 }
 
-/// Rebuilds a sliding window from [`snapshot_window`] output.
+/// Rebuilds a sliding window from [`snapshot_window`] output, resolving its
+/// contents against the dump's `rows`.
 ///
 /// # Errors
 ///
-/// [`PersistError::Schema`] for missing/mistyped fields and
+/// [`PersistError::Schema`] for missing/mistyped fields or references and
 /// [`PersistError::Corrupt`] for internally inconsistent state (a point
 /// behind the window's own cutoff).
-pub fn restore_window(value: &JsonValue) -> Result<SlidingWindow, PersistError> {
+pub fn restore_window(
+    value: &JsonValue,
+    rows: &mut PointRows,
+) -> Result<SlidingWindow, PersistError> {
     let config = WindowConfig::from_micros(u64_field(value, "length_micros")?)
         .map_err(|e| PersistError::Schema(format!("invalid window config: {e}")))?;
     SlidingWindow::from_parts(
         config,
-        set_from_json(field(value, "points")?)?,
+        rows.set(field(value, "points")?)?,
         Timestamp::from_micros(u64_field(value, "now")?),
         u64_field(value, "revision")?,
     )
@@ -607,7 +808,7 @@ pub fn restore_window(value: &JsonValue) -> Result<SlidingWindow, PersistError> 
 
 /// The per-neighbour `H` chains of one engine, canonical core only (see
 /// [`FixedPointEngine::export_neighbor_states`]).
-pub(crate) fn engine_to_json(engine: &FixedPointEngine) -> JsonValue {
+pub(crate) fn engine_to_json(engine: &FixedPointEngine, table: &mut PointTable) -> JsonValue {
     JsonValue::Array(
         engine
             .export_neighbor_states()
@@ -615,7 +816,7 @@ pub(crate) fn engine_to_json(engine: &FixedPointEngine) -> JsonValue {
             .map(|dump| {
                 JsonValue::Object(vec![
                     ("j".into(), JsonValue::from(dump.neighbor.raw())),
-                    ("membership".into(), set_to_json(&dump.membership)),
+                    ("membership".into(), table.set(&dump.membership)),
                     ("synced_at".into(), opt_u64_to_json(dump.synced_at)),
                     ("seed_at".into(), opt_u64_to_json(dump.seed_at)),
                     (
@@ -630,6 +831,7 @@ pub(crate) fn engine_to_json(engine: &FixedPointEngine) -> JsonValue {
 
 pub(crate) fn engine_dumps_from_json(
     value: &JsonValue,
+    rows: &mut PointRows,
 ) -> Result<Vec<NeighborStateDump>, PersistError> {
     value
         .as_array()
@@ -638,7 +840,7 @@ pub(crate) fn engine_dumps_from_json(
         .map(|entry| {
             Ok(NeighborStateDump {
                 neighbor: SensorId(u32_field(entry, "j")?),
-                membership: set_from_json(field(entry, "membership")?)?,
+                membership: rows.set(field(entry, "membership")?)?,
                 synced_at: opt_u64_field(entry, "synced_at")?,
                 seed_at: opt_u64_field(entry, "seed_at")?,
                 unrecorded: array_field(entry, "unrecorded")?
@@ -670,15 +872,94 @@ mod tests {
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
+    /// Encodes `sets` into one table and decodes them back, through text.
+    fn round_trip(sets: &[&PointSet]) -> (JsonValue, Vec<PointSet>) {
+        let mut table = PointTable::new();
+        let refs: Vec<JsonValue> = sets.iter().map(|set| table.set(set)).collect();
+        let dump =
+            JsonValue::Object(vec![("sets".into(), JsonValue::Array(refs)), table.into_field()]);
+        let dump = JsonValue::parse(&dump.to_compact_string()).unwrap();
+        let mut rows = PointRows::of(&dump).unwrap();
+        let sets = array_field(&dump, "sets").unwrap();
+        let back = sets.iter().map(|refs| rows.set(refs).unwrap()).collect();
+        (dump, back)
+    }
+
+    /// Decodes the reference list `refs` against the table `table`: the
+    /// error of whichever part fails first.
+    fn decode_error(table: &str, refs: &str) -> PersistError {
+        let dump = JsonValue::parse(&format!("{{\"table\":{table}}}")).unwrap();
+        let refs = JsonValue::parse(refs).unwrap();
+        match PointRows::of(&dump) {
+            Ok(mut rows) => rows.set(&refs).unwrap_err(),
+            Err(e) => e,
+        }
+    }
+
     #[test]
-    fn points_and_sets_round_trip_exactly() {
-        let p = pt(7, u64::MAX - 3, 1234, 5, -17.25);
-        let back = point_from_json(&point_to_json(&p)).unwrap();
-        assert_eq!(back, p);
-        assert_eq!(back.hop, 5);
-        let set: PointSet = vec![pt(1, 0, 1, 0, 1.0), pt(2, 9, 2, 3, -2.5)].into_iter().collect();
-        let back = set_from_json(&set_to_json(&set)).unwrap();
-        assert_eq!(back, set);
+    fn point_sets_round_trip_exactly_through_the_table() {
+        let a: PointSet =
+            vec![pt(1, 0, 1, 0, 1.0), pt(2, 9, 2, 3, -2.5), pt(7, u64::MAX - 3, 1234, 5, -17.25)]
+                .into_iter()
+                .collect();
+        let b: PointSet = vec![pt(2, 9, 2, 1, -2.5), pt(3, 4, 5, 0, 0.5)].into_iter().collect();
+        let (_, back) = round_trip(&[&a, &b, &PointSet::new()]);
+        assert_eq!(back, vec![a, b, PointSet::new()]);
+        assert_eq!(back[0].get(&pt(7, u64::MAX - 3, 0, 0, 0.0).key).unwrap().hop, 5);
+    }
+
+    #[test]
+    fn rows_are_deduplicated_by_the_whole_observation() {
+        let first: PointSet = vec![pt(1, 0, 1, 0, 1.0), pt(2, 0, 1, 0, 2.0)].into_iter().collect();
+        // The same observations at other hops, and a same-key copy of (2, 0)
+        // whose features differ: only the latter needs a row of its own.
+        let second: PointSet = vec![pt(1, 0, 1, 2, 1.0), pt(2, 0, 1, 1, 2.5)].into_iter().collect();
+        let third: PointSet = vec![pt(2, 0, 1, 0, 2.0)].into_iter().collect();
+        let (dump, back) = round_trip(&[&first, &second, &third]);
+        let table = array_field(&dump, "table").unwrap();
+        assert_eq!(table.len(), 3, "one row per distinct observation: {dump:?}");
+        let refs = |i: usize| array_field(&dump, "sets").unwrap()[i].clone();
+        let ints = |v: &[u64]| JsonValue::Array(v.iter().map(|&x| JsonValue::from(x)).collect());
+        assert_eq!(refs(0), ints(&[0, 0, 1, 0]));
+        assert_eq!(refs(1), ints(&[0, 2, 2, 1]));
+        assert_eq!(refs(2), ints(&[1, 0]));
+        assert_eq!(back, vec![first, second, third]);
+    }
+
+    #[test]
+    fn restored_references_share_one_allocation_per_row_and_hop() {
+        let window: PointSet = vec![pt(1, 0, 1, 1, 1.0), pt(2, 0, 1, 0, 2.0)].into_iter().collect();
+        let shared: PointSet = vec![pt(1, 0, 1, 1, 1.0)].into_iter().collect();
+        let other_hop: PointSet = vec![pt(1, 0, 1, 2, 1.0)].into_iter().collect();
+        let (_, back) = round_trip(&[&window, &shared, &other_hop]);
+        let key = pt(1, 0, 0, 0, 0.0).key;
+        let handle = |i: usize| back[i].get_arc(&key).unwrap();
+        assert!(Arc::ptr_eq(handle(0), handle(1)), "one copy, one allocation");
+        assert!(!Arc::ptr_eq(handle(0), handle(2)), "another hop is another copy");
+    }
+
+    #[test]
+    fn malformed_tables_and_references_are_typed_schema_errors() {
+        let table = "[[1,0,1000000,1.5],[2,0,1000000,2.5]]";
+        for (table, refs, what) in [
+            (table, "[0,0,2,0]", "out-of-range row"),
+            (table, "[0,0,1]", "odd-length list"),
+            (table, "[0,65536]", "hop overflow"),
+            (table, "[0,-1]", "negative hop"),
+            (table, "[0,0,0,1]", "one key twice"),
+            (table, "{}", "references not an array"),
+            ("[[1,0,1000000,1e999]]", "[0,0]", "non-finite feature"),
+            ("[[1,0,1000000,null]]", "[0,0]", "null feature"),
+            ("[[1,0,1000000,1.5],[2,0,1000000,2.5,0.5]]", "[0,0]", "mixed dimensionality"),
+            ("[[1,0]]", "[0,0]", "short row"),
+            ("[[4294967296,0,1,1.5]]", "[0,0]", "origin overflow"),
+            ("{}", "[]", "table not an array"),
+        ] {
+            let error = decode_error(table, refs);
+            assert!(matches!(error, PersistError::Schema(_)), "{what}: {error:?}");
+        }
+        let missing = PointRows::of(&JsonValue::Object(Vec::new()));
+        assert!(matches!(missing, Err(PersistError::Schema(_))));
     }
 
     #[test]
@@ -687,7 +968,11 @@ mod tests {
         w.insert(pt(1, 0, 5, 0, 1.0));
         w.insert(pt(2, 0, 9, 1, 2.0));
         w.advance_to(Timestamp::from_secs(30));
-        let restored = restore_window(&snapshot_window(&w)).unwrap();
+        let mut table = PointTable::new();
+        let snapshot = snapshot_window(&w, &mut table);
+        let dump = JsonValue::Object(vec![("window".into(), snapshot), table.into_field()]);
+        let mut rows = PointRows::of(&dump).unwrap();
+        let restored = restore_window(field(&dump, "window").unwrap(), &mut rows).unwrap();
         assert_eq!(restored, w);
         assert_eq!(restored.revision(), w.revision());
     }

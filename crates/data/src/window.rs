@@ -86,6 +86,9 @@ pub struct SlidingWindow {
     /// window next changes.
     contents: Arc<PointSet>,
     now: Timestamp,
+    /// Bumped on every change. Readers only compare revisions for equality,
+    /// so it wraps: a window restored from a damaged snapshot at
+    /// `u64::MAX` must not overflow.
     revision: u64,
     /// The smallest timestamp currently held (`None` when empty), kept up
     /// to date on insertion and recomputed after removals. Clock advances
@@ -163,7 +166,7 @@ impl SlidingWindow {
         let timestamp = point.timestamp;
         let changed = Arc::make_mut(&mut self.contents).insert_min_hop_arc(point).changed();
         if changed {
-            self.revision += 1;
+            self.revision = self.revision.wrapping_add(1);
             if !self.oldest.is_some_and(|oldest| oldest <= timestamp) {
                 self.oldest = Some(timestamp);
             }
@@ -186,7 +189,7 @@ impl SlidingWindow {
         }
         let evicted = Arc::make_mut(&mut self.contents).evict_older_than(cutoff);
         if evicted > 0 {
-            self.revision += 1;
+            self.revision = self.revision.wrapping_add(1);
         }
         self.refresh_oldest();
         evicted
@@ -246,7 +249,7 @@ impl SlidingWindow {
         }
         let removed = Arc::make_mut(&mut self.contents).remove_origin(origin);
         if removed > 0 {
-            self.revision += 1;
+            self.revision = self.revision.wrapping_add(1);
             self.refresh_oldest();
         }
         removed

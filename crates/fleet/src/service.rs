@@ -61,8 +61,9 @@ impl From<PersistError> for FleetError {
 pub struct IngestReceipt {
     /// Points buffered for future slides.
     pub buffered: usize,
-    /// Points dropped as stale (epoch already executed) or foreign
-    /// (unknown sensor).
+    /// Points dropped as stale (epoch already executed), foreign (unknown
+    /// sensor) or malformed (a feature count other than the tenant's, see
+    /// [`TenantRuntime::ingest`]).
     pub dropped: usize,
 }
 
@@ -173,8 +174,8 @@ impl DetectorFleet {
     }
 
     /// Buffers a batch of readings for `tenant`. Points are routed by their
-    /// origin sensor and epoch; stale or foreign points are dropped and
-    /// counted in the receipt.
+    /// origin sensor and epoch; stale, foreign or malformed points are
+    /// dropped and counted in the receipt.
     pub fn ingest(
         &mut self,
         tenant: TenantId,
@@ -479,5 +480,89 @@ mod tests {
         assert_eq!(resumed.next_epoch(TenantId(0)).unwrap(), 2);
         assert_eq!(resumed.next_epoch(TenantId(1)).unwrap(), 0, "refused tenant stays fresh");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_deeply_nested_header_is_refused_without_aborting_the_fleet() {
+        let dir = std::env::temp_dir().join(format!("wsn-fleet-deep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut fleet = DetectorFleet::sequential();
+        for t in 0..3u64 {
+            fleet.add_tenant(TenantId(t), spec()).unwrap();
+        }
+        fleet.checkpoint_every_epochs(1, &dir);
+        for t in 0..3u64 {
+            fleet.ingest(TenantId(t), epoch_batch(t, 0)).unwrap();
+        }
+        fleet.step().unwrap();
+        // Tenant 1's header line becomes 100 000 nested arrays: parsing it by
+        // unbounded recursion would overflow the stack and abort everyone.
+        let path = DetectorFleet::tenant_path(&dir, TenantId(1));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (_, payload) = text.split_once('\n').unwrap();
+        std::fs::write(&path, format!("{}\n{payload}", "[".repeat(100_000))).unwrap();
+
+        let mut resumed = DetectorFleet::sequential();
+        for t in 0..3u64 {
+            resumed.add_tenant(TenantId(t), spec()).unwrap();
+        }
+        let report = resumed.resume_from(&dir);
+        assert_eq!(report.restored, vec![TenantId(0), TenantId(2)]);
+        assert_eq!(report.failed.len(), 1);
+        assert_eq!(report.failed[0].0, TenantId(1));
+        assert!(matches!(report.failed[0].1, PersistError::Corrupt(_)), "{report:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reading_of_the_wrong_dimensionality_is_dropped_not_panicked_on() {
+        let pooled: fn() -> DetectorFleet = || DetectorFleet::new(2);
+        for make in [DetectorFleet::sequential, pooled] {
+            let (mut fleet, mut clean) = (make(), make());
+            for t in 0..3u64 {
+                fleet.add_tenant(TenantId(t), spec()).unwrap();
+                clean.add_tenant(TenantId(t), spec()).unwrap();
+            }
+            for epoch in 0..4u64 {
+                for t in 0..3u64 {
+                    let mut batch = epoch_batch(t, epoch);
+                    let receipt = clean.ingest(TenantId(t), batch.clone()).unwrap();
+                    assert_eq!(receipt, IngestReceipt { buffered: 4, dropped: 0 });
+                    if t == 1 && epoch == 2 {
+                        batch[3].features.push(1.0);
+                        let receipt = fleet.ingest(TenantId(t), batch).unwrap();
+                        assert_eq!(receipt, IngestReceipt { buffered: 3, dropped: 1 });
+                    } else {
+                        fleet.ingest(TenantId(t), batch).unwrap();
+                    }
+                }
+                // Tenant 1's epoch 2 lacks a sensor, so it waits for the
+                // epoch 3 watermark and then slides twice.
+                let slides = fleet.step().unwrap();
+                assert_eq!(slides.len(), [3, 3, 2, 4][epoch as usize], "epoch {epoch}");
+                clean.step().unwrap();
+            }
+            fleet.flush().unwrap();
+            clean.flush().unwrap();
+            for t in [0, 2] {
+                let id = TenantId(t);
+                assert_eq!(fleet.estimates(id).unwrap(), clean.estimates(id).unwrap());
+                assert_eq!(fleet.traffic(id).unwrap(), clean.traffic(id).unwrap());
+            }
+            assert_eq!(fleet.next_epoch(TenantId(1)).unwrap(), 4, "tenant 1 still slides");
+        }
+    }
+
+    #[test]
+    fn the_first_reading_of_an_empty_tenant_sets_its_dimensionality() {
+        let mut fleet = DetectorFleet::sequential();
+        fleet.add_tenant(TenantId(0), spec()).unwrap();
+        let mut batch = epoch_batch(0, 0);
+        for p in &mut batch {
+            p.features.push(0.5);
+        }
+        batch[2].features.pop();
+        let receipt = fleet.ingest(TenantId(0), batch).unwrap();
+        assert_eq!(receipt, IngestReceipt { buffered: 3, dropped: 1 });
     }
 }

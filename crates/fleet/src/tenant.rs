@@ -6,7 +6,9 @@ use std::sync::Arc;
 
 use wsn_core::experiment::AlgorithmConfig;
 use wsn_core::message::{OutlierBroadcast, PROTOCOL_HEADER_BYTES};
-use wsn_core::persist::{self, array_field, expect_kind, snapshot_window, u64_field, PersistError};
+use wsn_core::persist::{
+    self, array_field, expect_kind, snapshot_window, u64_field, PersistError, PointRows, PointTable,
+};
 use wsn_core::{DetectorNode, OutlierDetector};
 use wsn_data::stream::SensorSpec;
 use wsn_data::window::{SlidingWindow, WindowConfig};
@@ -95,6 +97,16 @@ pub struct TenantTraffic {
     pub points: u64,
     /// Estimated on-the-wire bytes (protocol header + point payloads).
     pub bytes: u64,
+}
+
+impl TenantTraffic {
+    /// Counts traffic. The counters saturate, so a damaged snapshot that
+    /// restores one near its maximum cannot make a slide overflow.
+    fn add(&mut self, messages: u64, points: u64, bytes: u64) {
+        self.messages = self.messages.saturating_add(messages);
+        self.points = self.points.saturating_add(points);
+        self.bytes = self.bytes.saturating_add(bytes);
+    }
 }
 
 /// The outcome of one executed slide.
@@ -219,14 +231,21 @@ impl TenantRuntime {
 
     /// Buffers a batch of readings. Points for epochs the cursor already
     /// passed, or from sensors outside the roster, are dropped and counted
-    /// (the at-least-once re-ingestion contract after a resume). Returns
-    /// `(buffered, dropped)`.
+    /// (the at-least-once re-ingestion contract after a resume). So is a
+    /// point whose feature count differs from the points the tenant holds or
+    /// buffers (the first reading of an empty tenant sets it): the ranking
+    /// functions measure distances between feature vectors, and a mismatch
+    /// would panic the next slide. Returns `(buffered, dropped)`.
     pub fn ingest(&mut self, batch: Vec<DataPoint>) -> (usize, usize) {
         let mut buffered = 0;
         let mut dropped = 0;
+        let mut dimension = self.dimension();
         for p in batch {
             let origin = p.key.origin;
-            if p.key.epoch.0 < self.next_epoch || !self.neighbors.contains_key(&origin) {
+            if p.key.epoch.0 < self.next_epoch
+                || !self.neighbors.contains_key(&origin)
+                || *dimension.get_or_insert(p.dimension()) != p.dimension()
+            {
                 dropped += 1;
                 continue;
             }
@@ -234,6 +253,20 @@ impl TenantRuntime {
             buffered += 1;
         }
         (buffered, dropped)
+    }
+
+    /// The feature count of the points this tenant buffers or holds, if
+    /// any: every node's window holds points of one count (ingest and
+    /// restore both enforce it), so one point per node decides.
+    fn dimension(&self) -> Option<usize> {
+        let buffered = self.buffer.values().flat_map(BTreeMap::values).flatten().next();
+        let held = match &self.nodes {
+            Nodes::Distributed(nodes) => {
+                nodes.values().find_map(|det| det.held_points().iter().next())
+            }
+            Nodes::Centralized { window, .. } => window.contents().iter().next(),
+        };
+        buffered.or(held).map(DataPoint::dimension)
     }
 
     /// Whether the next epoch is executable without forcing: either every
@@ -334,17 +367,15 @@ impl TenantRuntime {
                 for (origin, points) in batch {
                     let hop_count = hops.get(&origin).copied().unwrap_or(0);
                     for p in points {
-                        self.traffic.messages += hop_count;
-                        self.traffic.points += hop_count;
-                        self.traffic.bytes +=
-                            hop_count * (PROTOCOL_HEADER_BYTES + p.wire_size()) as u64;
+                        let bytes = hop_count * (PROTOCOL_HEADER_BYTES + p.wire_size()) as u64;
+                        self.traffic.add(hop_count, hop_count, bytes);
                         window.insert(p);
                     }
                 }
             }
         }
         self.next_epoch = epoch + 1;
-        self.slides += 1;
+        self.slides = self.slides.saturating_add(1);
         let traffic = TenantTraffic {
             messages: self.traffic.messages - before.messages,
             points: self.traffic.points - before.points,
@@ -393,7 +424,9 @@ impl TenantRuntime {
                 fields.push(("nodes".to_string(), JsonValue::Array(dumps)));
             }
             Nodes::Centralized { window, .. } => {
-                fields.push(("sink_window".to_string(), snapshot_window(window)));
+                let mut table = PointTable::new();
+                fields.push(("sink_window".to_string(), snapshot_window(window, &mut table)));
+                fields.push(table.into_field());
             }
         }
         JsonValue::Object(fields)
@@ -453,9 +486,24 @@ impl TenantRuntime {
                     })?;
                     det.persist_restore(dump)?;
                 }
+                // Each node dump is refused if it mixes feature counts, but
+                // points of different nodes meet on the next slide too.
+                let mut counts = nodes
+                    .values()
+                    .filter_map(|det| det.held_points().iter().next())
+                    .map(DataPoint::dimension);
+                if let Some(first) = counts.next() {
+                    if let Some(other) = counts.find(|&count| count != first) {
+                        return Err(PersistError::Schema(format!(
+                            "snapshot nodes hold {first}- and {other}-feature points"
+                        )));
+                    }
+                }
             }
             Nodes::Centralized { window, .. } => {
-                *window = persist::restore_window(persist::field(payload, "sink_window")?)?;
+                let mut rows = PointRows::of(payload)?;
+                *window =
+                    persist::restore_window(persist::field(payload, "sink_window")?, &mut rows)?;
             }
         }
         staged.next_epoch = next_epoch;
@@ -467,9 +515,7 @@ impl TenantRuntime {
 }
 
 fn record(traffic: &mut TenantTraffic, m: &OutlierBroadcast) {
-    traffic.messages += 1;
-    traffic.points += m.point_count() as u64;
-    traffic.bytes += m.wire_size() as u64;
+    traffic.add(1, m.point_count() as u64, m.wire_size() as u64);
 }
 
 /// Shortest-path hop counts from `root` over the adjacency (unreachable

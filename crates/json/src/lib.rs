@@ -28,6 +28,14 @@
 //! this makes `parse(emit(v)) == v` hold *per variant* for every finite
 //! number and every integer.
 //!
+//! # Nesting
+//!
+//! The parser recurses once per array or object, so it refuses documents
+//! nested deeper than [`MAX_NESTING`] levels with a [`JsonError`] instead of
+//! overflowing the stack: a hostile file on disk must not abort the process.
+//! Nothing the workspace writes comes close (a tenant snapshot nests about
+//! ten levels).
+//!
 //! # Example
 //!
 //! ```
@@ -48,6 +56,9 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+
+/// The deepest array/object nesting [`JsonValue::parse`] accepts.
+pub const MAX_NESTING: usize = 128;
 
 /// A parsed or to-be-emitted JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -212,9 +223,7 @@ impl JsonValue {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Int(i) => {
-                out.push_str(&i.to_string());
-            }
+            JsonValue::Int(i) => write_int(out, *i),
             JsonValue::Number(n) => write_number(out, *n),
             JsonValue::String(s) => write_string(out, s),
             JsonValue::Array(items) => {
@@ -261,9 +270,10 @@ impl JsonValue {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] with the byte offset of the first problem.
+    /// Returns a [`JsonError`] with the byte offset of the first problem,
+    /// including nesting deeper than [`MAX_NESTING`].
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let mut parser = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut parser = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         parser.skip_whitespace();
         let value = parser.parse_value()?;
         parser.skip_whitespace();
@@ -281,6 +291,27 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
             out.push(' ');
         }
     }
+}
+
+fn write_int(out: &mut String, i: i128) {
+    // Digits go straight into `out`, with no temporary String per integer:
+    // snapshots are mostly small integers, so the allocation would cost
+    // more than the digits.
+    let Ok(mut rest) = u64::try_from(i) else {
+        out.push_str(&i.to_string());
+        return;
+    };
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
 }
 
 fn write_number(out: &mut String, n: f64) {
@@ -326,6 +357,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -368,12 +401,27 @@ impl<'a> Parser<'a> {
             Some(b't') if self.consume_literal("true") => Ok(JsonValue::Bool(true)),
             Some(b'f') if self.consume_literal("false") => Ok(JsonValue::Bool(false)),
             Some(b'"') => self.parse_string().map(JsonValue::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             Some(_) => Err(self.error("unexpected character")),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing to pass
+    /// [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<JsonValue, JsonError> {
@@ -709,6 +757,26 @@ mod tests {
         let pretty = deep.to_pretty_string();
         assert!(pretty.contains("[]"), "innermost empty array stays compact: {pretty}");
         assert_eq!(JsonValue::parse(&pretty).unwrap(), deep);
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects =
+            |depth: usize| format!("{}null{}", "{\"k\":".repeat(depth), "}".repeat(depth));
+        for doc in [arrays(MAX_NESTING), objects(MAX_NESTING)] {
+            let value = JsonValue::parse(&doc).unwrap();
+            assert_eq!(value.to_compact_string(), doc, "the bound itself parses");
+        }
+        for depth in [MAX_NESTING + 1, 100_000] {
+            for doc in [arrays(depth), objects(depth), "[".repeat(depth)] {
+                let err = JsonValue::parse(&doc).unwrap_err();
+                assert!(err.message.contains("nesting"), "depth {depth}: {err}");
+                // The error points at the first opener past the bound.
+                let opener_len = if doc.starts_with('{') { "{\"k\":".len() } else { 1 };
+                assert_eq!(err.offset, MAX_NESTING * opener_len, "depth {depth}");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! A checkpoint written under an older persistence format version is refused
 //! end to end with a typed [`PersistError::Version`]: the streaming driver
 //! fails before it simulates anything, and the fleet refuses only the stale
-//! tenant while the others resume.
+//! tenant while the others resume. Both older versions are covered: 1 (the
+//! separate global and semi-global payloads) and 2 (a full copy of a point
+//! per set, before the point table).
 
 use std::path::{Path, PathBuf};
 
@@ -11,8 +13,8 @@ use in_network_outlier::detection::PersistError;
 use in_network_outlier::prelude::*;
 use wsn_data::Position;
 
-/// The format version before the detector payloads were unified.
-const STALE_VERSION: u64 = 1;
+/// Every format version before the current one.
+const STALE_VERSIONS: [u64; 2] = [1, 2];
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wsn-stale-{tag}-{}", std::process::id()));
@@ -20,40 +22,42 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Rewrites the header of a snapshot file so it claims the stale version.
+/// Rewrites the header of a snapshot file so it claims version `stale`.
 /// The checksum covers the payload only, so the file stays otherwise valid.
-fn downgrade(path: &Path) {
+fn downgrade(path: &Path, stale: u64) {
     let text = std::fs::read_to_string(path).unwrap();
     let current = format!("\"version\":{PERSIST_VERSION}");
     assert!(text.contains(&current), "{} has no version tag", path.display());
-    let stale = text.replacen(&current, &format!("\"version\":{STALE_VERSION}"), 1);
-    std::fs::write(path, stale).unwrap();
+    let downgraded = text.replacen(&current, &format!("\"version\":{stale}"), 1);
+    std::fs::write(path, downgraded).unwrap();
 }
 
-fn stale_error() -> PersistError {
-    PersistError::Version { found: STALE_VERSION, expected: PERSIST_VERSION }
+fn stale_error(stale: u64) -> PersistError {
+    PersistError::Version { found: stale, expected: PERSIST_VERSION }
 }
 
 #[test]
 fn a_stale_streaming_checkpoint_is_refused_before_any_simulation() {
     let mut config = ExperimentConfig::small();
     config.trace.rounds = 4;
-    let dir = scratch_dir("stream");
-    StreamingExperiment::new(config.clone()).checkpoint_every_slides(2, &dir).run().unwrap();
-    let path = dir.join("checkpoint.json");
-    downgrade(&path);
-    let stale = std::fs::read(&path).unwrap();
+    for version in STALE_VERSIONS {
+        let dir = scratch_dir(&format!("stream-v{version}"));
+        StreamingExperiment::new(config.clone()).checkpoint_every_slides(2, &dir).run().unwrap();
+        let path = dir.join("checkpoint.json");
+        downgrade(&path, version);
+        let stale = std::fs::read(&path).unwrap();
 
-    // The resumed run also checkpoints every slide: had a single slide been
-    // simulated, it would have overwritten the stale file.
-    let err = StreamingExperiment::new(config)
-        .checkpoint_every_slides(1, &dir)
-        .resume_from(&dir)
-        .run()
-        .unwrap_err();
-    assert_eq!(err, CoreError::Persist(stale_error()));
-    assert_eq!(std::fs::read(&path).unwrap(), stale, "the refused run wrote nothing");
-    std::fs::remove_dir_all(&dir).unwrap();
+        // The resumed run also checkpoints every slide: had a single slide
+        // been simulated, it would have overwritten the stale file.
+        let err = StreamingExperiment::new(config.clone())
+            .checkpoint_every_slides(1, &dir)
+            .resume_from(&dir)
+            .run()
+            .unwrap_err();
+        assert_eq!(err, CoreError::Persist(stale_error(version)));
+        assert_eq!(std::fs::read(&path).unwrap(), stale, "the refused run wrote nothing");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 fn grid_spec(algorithm: AlgorithmConfig) -> TenantSpec {
@@ -91,32 +95,34 @@ fn fleet(dir: &Path) -> DetectorFleet {
 
 #[test]
 fn a_stale_tenant_snapshot_is_refused_while_the_rest_of_the_fleet_resumes() {
-    let dir = scratch_dir("fleet");
-    let mut live = fleet(&dir);
-    for tenant in live.tenant_ids() {
-        for epoch in 0..3u64 {
-            let batch = (0..4)
-                .map(|i| {
-                    let at = Timestamp::from_secs_f64(epoch as f64 * 31.0);
-                    DataPoint::new(SensorId(i), Epoch(epoch), at, vec![20.0 + f64::from(i)])
-                        .unwrap()
-                })
-                .collect();
-            live.ingest(tenant, batch).unwrap();
+    for version in STALE_VERSIONS {
+        let dir = scratch_dir(&format!("fleet-v{version}"));
+        let mut live = fleet(&dir);
+        for tenant in live.tenant_ids() {
+            for epoch in 0..3u64 {
+                let batch = (0..4)
+                    .map(|i| {
+                        let at = Timestamp::from_secs_f64(epoch as f64 * 31.0);
+                        DataPoint::new(SensorId(i), Epoch(epoch), at, vec![20.0 + f64::from(i)])
+                            .unwrap()
+                    })
+                    .collect();
+                live.ingest(tenant, batch).unwrap();
+            }
         }
-    }
-    live.flush().unwrap();
-    downgrade(&DetectorFleet::tenant_path(&dir, TenantId(1)));
+        live.flush().unwrap();
+        downgrade(&DetectorFleet::tenant_path(&dir, TenantId(1)), version);
 
-    let mut resumed = fleet(&dir);
-    let report = resumed.resume_from(&dir);
-    assert_eq!(report.failed, vec![(TenantId(1), stale_error())]);
-    assert_eq!(report.restored, vec![TenantId(0), TenantId(2)]);
-    assert!(report.fresh.is_empty());
-    assert_eq!(resumed.next_epoch(TenantId(1)).unwrap(), 0, "the stale tenant stays fresh");
-    for tenant in [TenantId(0), TenantId(2)] {
-        assert_eq!(resumed.next_epoch(tenant).unwrap(), live.next_epoch(tenant).unwrap());
-        assert_eq!(resumed.estimates(tenant).unwrap(), live.estimates(tenant).unwrap());
+        let mut resumed = fleet(&dir);
+        let report = resumed.resume_from(&dir);
+        assert_eq!(report.failed, vec![(TenantId(1), stale_error(version))]);
+        assert_eq!(report.restored, vec![TenantId(0), TenantId(2)]);
+        assert!(report.fresh.is_empty());
+        assert_eq!(resumed.next_epoch(TenantId(1)).unwrap(), 0, "the stale tenant stays fresh");
+        for tenant in [TenantId(0), TenantId(2)] {
+            assert_eq!(resumed.next_epoch(tenant).unwrap(), live.next_epoch(tenant).unwrap());
+            assert_eq!(resumed.estimates(tenant).unwrap(), live.estimates(tenant).unwrap());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
