@@ -35,11 +35,29 @@ fi
 echo "== cargo doc -D warnings =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
-# The benchmark package is a workspace of its own, so the root `cargo test`
-# never compiles it: a core API change could break `benchmark/run.sh`
-# unnoticed. Its unit tests drive all six workloads at tiny scale.
+# The benchmark package is a workspace of its own, so the root `cargo test`,
+# fmt, clippy and rustdoc steps never see it: a core API change could break
+# `benchmark/run.sh` unnoticed. Its unit tests drive all six workloads at
+# tiny scale; it gets the same lints as the workspace, on both its builds.
 echo "== benchmark unit tests =="
 CARGO_TARGET_DIR=target/benchmark cargo test --offline --locked --manifest-path benchmark/Cargo.toml
+
+echo "== benchmark fmt, clippy (untraced and traced), rustdoc =="
+if cargo fmt --version >/dev/null 2>&1; then
+    cargo fmt --manifest-path benchmark/Cargo.toml --check
+else
+    echo "rustfmt not installed; skipping"
+fi
+if cargo clippy --version >/dev/null 2>&1; then
+    CARGO_TARGET_DIR=target/benchmark cargo clippy --offline --locked \
+        --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+    CARGO_TARGET_DIR=target/benchmark cargo clippy --offline --locked \
+        --manifest-path benchmark/Cargo.toml --all-targets --features telemetry -- -D warnings
+else
+    echo "clippy not installed; skipping"
+fi
+CARGO_TARGET_DIR=target/benchmark RUSTDOCFLAGS="-D warnings" \
+    cargo doc --offline --locked --no-deps --manifest-path benchmark/Cargo.toml
 
 # Campaign smoke: every figure and table spec of the paper's evaluation at
 # --quick scale, through the one journaled pipeline, gated on the exit
@@ -55,50 +73,11 @@ archive_after=$(cksum results/journal.jsonl EXPERIMENTS.md)
 [ "$archive_before" = "$archive_after" ] \
     || { echo "campaign --quick modified results/journal.jsonl or EXPERIMENTS.md"; exit 1; }
 
-# Simulation-bench smoke: run one quick group with a tiny measurement budget
-# and gate its JSON through json_check (non-empty groups, finite medians).
-# WSN_BENCH_OUT redirects the output so the committed full-run
-# BENCH_simulation_bench.json is never overwritten by the smoke numbers.
-echo "== simulation_bench smoke (fig4 group) =="
-rm -f target/bench_smoke.json
-WSN_BENCH_WARMUP_MS=1 WSN_BENCH_MEASURE_MS=25 WSN_BENCH_OUT="$PWD/target/bench_smoke.json" \
-    cargo bench --offline -p wsn-bench --bench simulation_bench -- fig4_global_vs_centralized
-cargo run --release --offline -p wsn-bench --bin json_check -- target/bench_smoke.json
-
-# Scaling smoke: the 200-sensor distributed deployment end to end, once,
-# with the minimum measurement budget — the regime where the sufficient-set
-# fixed point used to go super-linear. Gated through json_check so the
-# scaling path cannot silently regress into not completing (the harness
-# would hang or die, leaving no valid JSON behind).
-echo "== scaling smoke (200-sensor Global-NN) =="
-rm -f target/bench_scaling_smoke.json
-WSN_BENCH_WARMUP_MS=1 WSN_BENCH_MEASURE_MS=1 WSN_BENCH_OUT="$PWD/target/bench_scaling_smoke.json" \
-    cargo bench --offline -p wsn-bench --bench simulation_bench -- scaling/global_nn/200
-cargo run --release --offline -p wsn-bench --bin json_check -- target/bench_scaling_smoke.json
-
-# Partitioned-backend smoke: the 10 000-sensor city deployment streamed end
-# to end on both backends (sequential oracle and spatially partitioned
-# regions), once each with the minimum measurement budget. This is the
-# city-scale acceptance path: it proves the partitioned epoch protocol
-# completes at four orders of magnitude more sensors than the paper's 53,
-# and json_check gates it the same way as the other smokes.
-echo "== partitioned smoke (10k-sensor city, both backends) =="
-rm -f target/bench_partitioned_smoke.json
-WSN_BENCH_WARMUP_MS=1 WSN_BENCH_MEASURE_MS=1 WSN_BENCH_OUT="$PWD/target/bench_partitioned_smoke.json" \
-    cargo bench --offline -p wsn-bench --bench simulation_bench -- scaling/partitioned/10000
-cargo run --release --offline -p wsn-bench --bin json_check -- target/bench_partitioned_smoke.json
-
-# Streaming-scenario smoke: the scenario bench group (workload generation +
-# streaming window-slide driver + per-slide grading) with a tiny measurement
-# budget, then the fig_scenarios sweep at --quick scale. Both are gated
-# through json_check (non-empty rows/results, finite positive medians), and
-# both write to scratch paths so the committed bench/figure JSONs stay
-# intact.
-echo "== streaming scenario smoke (scenario bench group + fig_scenarios --quick) =="
-rm -f target/bench_scenario_smoke.json
-WSN_BENCH_WARMUP_MS=1 WSN_BENCH_MEASURE_MS=25 WSN_BENCH_OUT="$PWD/target/bench_scenario_smoke.json" \
-    cargo bench --offline -p wsn-bench --bench simulation_bench -- scenario/
-cargo run --release --offline -p wsn-bench --bin json_check -- target/bench_scenario_smoke.json
+# Streaming-scenario smoke: the fig_scenarios sweep at --quick scale (every
+# workload catalog scenario × a grid of algorithms through the streaming
+# window-slide driver and its per-slide grading), gated through json_check
+# (a non-empty rows array). It writes a gitignored results/ file.
+echo "== streaming scenario smoke (fig_scenarios --quick) =="
 rm -f results/fig_scenarios.json
 cargo run --release --offline -p wsn-bench --bin fig_scenarios -- --quick
 cargo run --release --offline -p wsn-bench --bin json_check -- results/fig_scenarios.json
@@ -124,8 +103,9 @@ done
 # exact never-stopped outcome, and a
 # journaled seed sweep re-run against its own journal must skip every
 # completed cell while reproducing the live sweep's aggregate bit for bit.
-# The journal artifact is gated through json_check (strictly increasing
-# cells, finite metrics) like every other machine-readable output. (The
+# The journal artifact is gated through json_check, which reads it under
+# the journal's one rule (the parse SweepJournal::open loads with) and
+# refuses a torn tail, like every other machine-readable output. (The
 # exhaustive versions — kill at every boundary, torn-file refusal, the
 # 256-case resume grid — are the `property_persist` suite in the default
 # test pass above.)
@@ -154,36 +134,43 @@ rows=$(wc -l < target/archive_check/results/journal.jsonl)
 diff EXPERIMENTS.md target/archive_check/EXPERIMENTS.md
 cargo run --release --offline -p wsn-bench --bin json_check -- results/journal.jsonl
 
-# Fleet smoke: the multi-tenant detection service end to end — a small
-# fleet of grid tenants with per-tenant checkpoints enabled, driven by the
-# fig_fleet throughput binary at --quick scale and gated through json_check
-# (the `kind: "fleet"` schema: positive tenant/shard/slide counts, finite
-# positive tenant-slides/sec). The output goes to a scratch path so a
-# committed full-run results/fig_fleet.json stays intact. (The correctness
-# properties — fleet-over-pool ≡ sequential bit for bit, kill-at-checkpoint
-# resume ≡ never-stopped — are the `property_fleet` suite in the default
-# test pass above.)
-echo "== fleet smoke (fig_fleet --quick, checkpoints on) =="
-rm -f target/fig_fleet_smoke.json
-WSN_FIG_FLEET_OUT="$PWD/target/fig_fleet_smoke.json" \
-    cargo run --release --offline -p wsn-bench --bin fig_fleet -- --quick
-cargo run --release --offline -p wsn-bench --bin json_check -- target/fig_fleet_smoke.json
-
-# Telemetry gate: build the instrumented configuration, prove it is
-# observationally free (the property suite pairs collection-on and
-# collection-off runs and asserts bit-identical outcomes), then run the
-# instrumented 2k-city streaming profile end to end. fig_telemetry exits
-# non-zero if the per-slide stage breakdown does not reconcile within 10%,
-# and json_check validates the sidecar schema (non-empty registries, finite
-# non-negative values, strictly increasing histogram bounds).
+# Telemetry gate: build the instrumented configuration and prove it is
+# observationally free: the property suite pairs collection-on and
+# collection-off runs and asserts bit-identical outcomes, and with the
+# counters compiled in it checks the fault plan's churn and the checkpoints
+# on the faulted, checkpointed 2 000-sensor city among its inputs.
 echo "== telemetry build + property suite (--features telemetry) =="
 cargo build --release --offline --features telemetry
 cargo test -q --offline --features telemetry --test property_telemetry
 
-echo "== telemetry smoke (fig_telemetry -> TELEMETRY json) =="
-rm -f target/TELEMETRY_smoke.json
-WSN_TELEMETRY_OUT="$PWD/target/TELEMETRY_smoke.json" \
-    cargo run --release --offline --features telemetry -p wsn-bench --bin fig_telemetry
-cargo run --release --offline -p wsn-bench --bin json_check -- target/TELEMETRY_smoke.json
+# Benchmark gate: every workload BENCHMARK.json lists, at full size, with
+# its minimum repetitions (--seconds 0), untraced and traced. The benchmark
+# exits 0 even when a check fails and reports it as "correct":false in its
+# result line, the last line of its standard output, so the step gates on
+# that line. Each run grades its outputs against the exact answer (the
+# fleets also against a sequential reference); a traced run also checks
+# that the layer budget reconciles, each parent span within 10% of its
+# children (slide = sim + collect + evaluate, among others). The builds go
+# under target/, beside the unit tests'.
+echo "== benchmark gate (every workload, --trace 0 and 1) =="
+workloads=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+[ -n "$workloads" ] || { echo "BENCHMARK.json lists no workloads"; exit 1; }
+for workload in $workloads; do
+    for trace in 0 1; do
+        started=$SECONDS
+        output=$(CARGO_TARGET_DIR=target/benchmark \
+            bash benchmark/run.sh --workload "$workload" --seconds 0 --trace "$trace") \
+            || { echo "benchmark $workload --trace $trace exited non-zero"; exit 1; }
+        printf '%s\n' "$output" | sed '$d'
+        result=$(printf '%s\n' "$output" | tail -n 1)
+        case "$result" in
+            '{"correct":true,'*)
+                echo "benchmark $workload --trace $trace: correct, $((SECONDS - started)) s" ;;
+            *)
+                echo "benchmark $workload --trace $trace failed: $result"
+                exit 1 ;;
+        esac
+    done
+done
 
 echo "CI OK"

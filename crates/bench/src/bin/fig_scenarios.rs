@@ -15,12 +15,11 @@
 //! journaled. Run with `--quick` for a reduced (12-node, 8-round) sweep.
 
 use wsn_bench::campaign::markdown_table;
-use wsn_bench::json::JsonValue;
-use wsn_bench::pool;
 use wsn_core::experiment::{AlgorithmConfig, ExperimentConfig, RankingChoice};
 use wsn_core::streaming::{StreamingExperiment, StreamingOutcome};
 use wsn_core::CoreError;
 use wsn_data::lab::{LabDeployment, PAPER_TRANSMISSION_RANGE_M};
+use wsn_json::JsonValue;
 use wsn_workload::Scenario;
 
 /// One row of the JSON report, keyed by the scenario's catalog index.
@@ -56,7 +55,7 @@ fn main() {
     // Submit the whole scenario × algorithm grid to the shared worker pool,
     // then collect in sweep order (the same discipline as the campaign's
     // plan runner).
-    let pool = pool::global();
+    let pool = wsn_pool::global();
     let mut pending = Vec::new();
     for (index, scenario) in scenarios.iter().enumerate() {
         for &algorithm in &algorithms {

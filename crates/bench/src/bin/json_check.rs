@@ -1,14 +1,14 @@
-//! CI helper: validates that a figure, benchmark or telemetry JSON file is
-//! well-formed.
+//! CI helper: validates that a figure report, persistence snapshot or
+//! sweep journal is well-formed.
 //!
 //! All the actual validation lives in `wsn_bench::check`, which dispatches
-//! on the document's shape: a `kind: "telemetry"` discriminator selects the
-//! telemetry-sidecar schema (non-empty registries, finite non-negative
-//! values, strictly increasing histogram bounds), a `rows` key the figure
-//! schema, a `results` key the benchmark schema (non-empty groups, finite
-//! positive medians). Exits non-zero on any violation, so `ci.sh` can gate
-//! on the binaries actually producing usable output rather than just
-//! exiting zero.
+//! on the document's shape: a `wsn-persist` header line selects the
+//! snapshot schema (version, length, checksum, point tables), a first line
+//! with a `cell` key the journal rule that `SweepJournal::open` loads with
+//! (a torn tail is refused, never truncated), a `rows` key the figure
+//! schema. Exits non-zero on any violation, so `ci.sh` can gate on the
+//! binaries actually producing usable output rather than just exiting
+//! zero.
 
 use std::process::ExitCode;
 

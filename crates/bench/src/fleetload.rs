@@ -1,16 +1,16 @@
-//! Shared tenant workload for the `fleet` bench group and the `fig_fleet`
-//! binary: a fleet of identical small deployments (one 3×3 grid of nine
-//! sensors per tenant, Global-NN, `n = 2`, `w = 8`) fed deterministic
-//! per-tenant reading streams. Both consumers measure the same unit — one
-//! *fleet epoch* is one batch ingested and one slide executed for every
-//! tenant, i.e. `tenants` tenant-slides — so their throughput figures are
-//! directly comparable.
+//! The fleet workload's tenant: one 3×3 grid of nine sensors, Global-NN,
+//! `n = 2`, `w = 8`, fed a deterministic per-tenant reading stream. The
+//! benchmark's `fleet1k` and `fleet1k_ckpt` workloads serve a thousand of
+//! these tenants ([`tenant_spec`] and the constants; the benchmark derives
+//! its own stream from `--seed`), and the snapshot mutation suite
+//! (`tests/snapshot_mutations.rs`) damages their checkpoints, fed by
+//! [`epoch_batch`].
 
 use wsn_core::experiment::{AlgorithmConfig, RankingChoice};
 use wsn_data::rng::SeededRng;
 use wsn_data::stream::SensorSpec;
 use wsn_data::{DataPoint, Epoch, Position, SensorId, Timestamp};
-use wsn_fleet::{DetectorFleet, TenantId, TenantSpec};
+use wsn_fleet::TenantSpec;
 
 /// Sensors per tenant (a 3×3 grid at 10 m spacing, 15 m radio range — every
 /// sensor reaches its grid neighbours, the deployment is connected).
@@ -45,13 +45,6 @@ pub fn tenant_spec() -> TenantSpec {
     }
 }
 
-/// Registers `tenants` workload tenants with ids `0..tenants`.
-pub fn populate(fleet: &mut DetectorFleet, tenants: u64) {
-    for t in 0..tenants {
-        fleet.add_tenant(TenantId(t), tenant_spec()).expect("workload tenant registers");
-    }
-}
-
 /// One epoch's readings for one tenant: nine clustered temperature samples
 /// with a deterministic, rare spike so the detectors do real protocol work.
 /// Seeded by `(tenant, epoch)` — every run of every consumer sees the same
@@ -75,29 +68,9 @@ pub fn epoch_batch(tenant: u64, epoch: u64) -> Vec<DataPoint> {
         .collect()
 }
 
-/// Ingests epoch `epoch` for every tenant and executes one fleet step,
-/// returning the number of tenant-slides it produced.
-pub fn run_epoch(fleet: &mut DetectorFleet, tenants: u64, epoch: u64) -> u64 {
-    for t in 0..tenants {
-        fleet.ingest(TenantId(t), epoch_batch(t, epoch)).expect("workload tenant is registered");
-    }
-    fleet.step().expect("fleet step succeeds").len() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn one_epoch_slides_every_tenant_exactly_once() {
-        let mut fleet = DetectorFleet::sequential();
-        populate(&mut fleet, 3);
-        assert_eq!(run_epoch(&mut fleet, 3, 0), 3);
-        assert_eq!(run_epoch(&mut fleet, 3, 1), 3);
-        for t in 0..3 {
-            assert_eq!(fleet.next_epoch(TenantId(t)).unwrap(), 2);
-        }
-    }
 
     #[test]
     fn the_stream_is_deterministic() {

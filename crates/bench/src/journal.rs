@@ -10,14 +10,20 @@
 //! covers the seed) — and only simulates the remainder. The hash does not
 //! cover the code, so a journal answers for the build that wrote it.
 //!
-//! # Crash recovery
+//! # Validity and crash recovery
 //!
-//! A kill mid-append can leave a half-written trailing line. [`SweepJournal::open`]
-//! detects it (the line does not parse as a row, or lacks its terminating
-//! newline) and truncates the file back to the last complete row; the torn
-//! cell simply re-runs. A malformed line *followed by* complete rows is not
-//! a torn tail but real corruption, and `open` refuses the file instead of
-//! silently dropping data.
+//! One rule says what a journal is, and [`ParsedJournal::parse`] applies
+//! it for both [`SweepJournal::open`] and `json_check`: every line is a
+//! complete, newline-terminated row that [`JournalRow::from_json`] reads
+//! (so its label is non-empty and its metrics are finite), and the cells
+//! strictly increase and stay below `u64::MAX`, so the next cell exists.
+//!
+//! A kill mid-append can leave a half-written trailing line. A trailing
+//! line that breaks the rule is such a torn tail: `open` truncates the file
+//! back to the last valid row, and the torn cell simply re-runs, while
+//! `json_check`, which never writes, refuses the file. A line that breaks
+//! the rule *followed by* more lines is not a torn tail but real
+//! corruption, and both refuse the file instead of silently dropping data.
 //!
 //! # Bit-identical aggregation
 //!
@@ -34,18 +40,11 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::pool;
 use crate::sweep::{aggregate, seed_configs, AveragedOutcome};
 use wsn_core::experiment::{run_experiment, ExperimentConfig, ExperimentOutcome};
 use wsn_core::persist::{bool_field, config_hash, f64_field, field, str_field, u64_field};
 use wsn_core::{CoreError, PersistError};
 use wsn_json::JsonValue;
-
-/// Rows appended to any journal this process runs.
-static OBS_JOURNAL_ROWS: wsn_obs::Counter = wsn_obs::Counter::new("persist.journal_rows");
-/// Cells skipped because their row was already journaled.
-static OBS_CELLS_SKIPPED: wsn_obs::Counter =
-    wsn_obs::Counter::new("persist.cells_skipped_on_resume");
 
 /// Provenance of the binary that produced a row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,22 +162,28 @@ impl CellMetrics {
         ])
     }
 
+    /// Reads the metrics back; a non-finite float (`1e999` parses as
+    /// infinity) would poison every average recomputed from the row.
     fn from_json(value: &JsonValue) -> Result<CellMetrics, PersistError> {
+        let finite = |key: &str| match f64_field(value, key)? {
+            x if x.is_finite() => Ok(x),
+            x => Err(PersistError::Schema(format!("field \"{key}\" is not finite ({x})"))),
+        };
         Ok(CellMetrics {
-            tx_per_node_per_round: f64_field(value, "tx_per_node_per_round")?,
-            rx_per_node_per_round: f64_field(value, "rx_per_node_per_round")?,
-            total_energy_min: f64_field(value, "total_energy_min")?,
-            total_energy_avg: f64_field(value, "total_energy_avg")?,
-            total_energy_max: f64_field(value, "total_energy_max")?,
-            accuracy: f64_field(value, "accuracy")?,
-            mean_recall: f64_field(value, "mean_recall")?,
-            label_precision: f64_field(value, "label_precision")?,
-            label_recall: f64_field(value, "label_recall")?,
+            tx_per_node_per_round: finite("tx_per_node_per_round")?,
+            rx_per_node_per_round: finite("rx_per_node_per_round")?,
+            total_energy_min: finite("total_energy_min")?,
+            total_energy_avg: finite("total_energy_avg")?,
+            total_energy_max: finite("total_energy_max")?,
+            accuracy: finite("accuracy")?,
+            mean_recall: finite("mean_recall")?,
+            label_precision: finite("label_precision")?,
+            label_recall: finite("label_recall")?,
             estimates_agree: bool_field(value, "estimates_agree")?,
             quiescent: bool_field(value, "quiescent")?,
             data_points_sent: u64_field(value, "data_points_sent")?,
             packets_sent: u64_field(value, "packets_sent")?,
-            traffic_imbalance: f64_field(value, "traffic_imbalance")?,
+            traffic_imbalance: finite("traffic_imbalance")?,
         })
     }
 }
@@ -231,16 +236,82 @@ impl JournalRow {
     ///
     /// # Errors
     ///
-    /// [`PersistError::Schema`] if a field is missing or mistyped.
+    /// [`PersistError::Schema`] if a field is missing or mistyped, the
+    /// label is empty or a metric is not finite.
     pub fn from_json(value: &JsonValue) -> Result<JournalRow, PersistError> {
+        let label = str_field(value, "label")?;
+        if label.is_empty() {
+            return Err(PersistError::Schema("field \"label\" is empty".into()));
+        }
         Ok(JournalRow {
             cell: u64_field(value, "cell")?,
             config_hash: u64_field(value, "config_hash")?,
             seed: u64_field(value, "seed")?,
-            label: str_field(value, "label")?.to_string(),
+            label: label.to_string(),
             toolchain: Toolchain::from_json(field(value, "toolchain")?)?,
             metrics: CellMetrics::from_json(field(value, "metrics")?)?,
         })
+    }
+}
+
+/// A journal's text read under the journal's one validity rule (see the
+/// [module docs](self)): the rows of its valid prefix, and why the trailing
+/// line breaks the rule, if it does.
+#[derive(Debug)]
+pub struct ParsedJournal {
+    /// The valid rows, in file order.
+    pub rows: Vec<JournalRow>,
+    /// The length in bytes of the valid prefix, which ends just past the
+    /// last valid row's newline.
+    pub valid_len: usize,
+    /// Why the trailing line is not a valid row: a torn append.
+    pub torn_tail: Option<String>,
+}
+
+impl ParsedJournal {
+    /// Reads journal text; pure, it touches no file.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Corrupt`] if a line other than the last breaks the
+    /// rule.
+    pub fn parse(text: &str) -> Result<ParsedJournal, PersistError> {
+        let mut rows: Vec<JournalRow> = Vec::new();
+        let mut valid_len = 0;
+        for line in text.split_inclusive('\n') {
+            let previous = rows.last().map(|r| r.cell);
+            match Self::row(line, previous) {
+                Ok(row) => {
+                    rows.push(row);
+                    valid_len += line.len();
+                }
+                Err(why) if valid_len + line.len() == text.len() => {
+                    return Ok(ParsedJournal { rows, valid_len, torn_tail: Some(why) });
+                }
+                Err(why) => {
+                    return Err(PersistError::Corrupt(format!(
+                        "journal line {} (byte {valid_len}) is not the trailing line and \
+                         not a valid row: {why}",
+                        rows.len() + 1
+                    )));
+                }
+            }
+        }
+        Ok(ParsedJournal { rows, valid_len, torn_tail: None })
+    }
+
+    /// One line under the rule, given the cell of the row before it.
+    fn row(line: &str, previous: Option<u64>) -> Result<JournalRow, String> {
+        let body = line.strip_suffix('\n').ok_or("it has no terminating newline")?;
+        let value = JsonValue::parse(body).map_err(|e| e.to_string())?;
+        let row = JournalRow::from_json(&value).map_err(|e| e.to_string())?;
+        if row.cell == u64::MAX {
+            return Err("its cell is u64::MAX, which leaves no next cell".into());
+        }
+        if let Some(previous) = previous.filter(|&p| row.cell <= p) {
+            return Err(format!("its cell {} does not follow cell {previous}", row.cell));
+        }
+        Ok(row)
     }
 }
 
@@ -261,9 +332,10 @@ impl SweepJournal {
     ///
     /// # Errors
     ///
-    /// [`PersistError::Io`] on filesystem failure; [`PersistError::Corrupt`]
-    /// if a *non-trailing* line is malformed (real corruption, not a torn
-    /// append — refusing beats silently dropping completed cells).
+    /// [`PersistError::Io`] on filesystem failure, or if the file is not
+    /// UTF-8; [`PersistError::Corrupt`] if a *non-trailing* line breaks the
+    /// rule (real corruption, not a torn append — refusing beats silently
+    /// dropping completed cells).
     pub fn open(path: impl Into<PathBuf>) -> Result<SweepJournal, PersistError> {
         let path = path.into();
         let text = match fs::read_to_string(&path) {
@@ -271,40 +343,21 @@ impl SweepJournal {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
             Err(e) => return Err(PersistError::Io(format!("cannot read {}: {e}", path.display()))),
         };
-        let mut rows: Vec<JournalRow> = Vec::new();
-        let mut valid_end = 0usize;
-        let mut offset = 0usize;
-        for line in text.split_inclusive('\n') {
-            let start = offset;
-            offset += line.len();
-            let complete = line.ends_with('\n');
-            let parsed = JsonValue::parse(line.trim_end_matches('\n'))
-                .ok()
-                .and_then(|v| JournalRow::from_json(&v).ok());
-            match parsed {
-                Some(row) if complete => {
-                    rows.push(row);
-                    valid_end = offset;
+        let ParsedJournal { rows, valid_len, .. } =
+            ParsedJournal::parse(&text).map_err(|e| match e {
+                PersistError::Corrupt(why) => {
+                    PersistError::Corrupt(format!("{}: {why}", path.display()))
                 }
-                // A bad or unterminated line is only recoverable as a torn
-                // append if nothing follows it.
-                _ if offset == text.len() => break,
-                _ => {
-                    return Err(PersistError::Corrupt(format!(
-                        "{}: malformed journal row at byte {start} is not the trailing line",
-                        path.display()
-                    )));
-                }
-            }
-        }
+                other => other,
+            })?;
         let file = fs::OpenOptions::new()
             .create(true)
             .read(true)
             .append(true)
             .open(&path)
             .map_err(|e| PersistError::Io(format!("cannot open {}: {e}", path.display())))?;
-        if valid_end < text.len() {
-            file.set_len(valid_end as u64).map_err(|e| {
+        if valid_len < text.len() {
+            file.set_len(valid_len as u64).map_err(|e| {
                 PersistError::Io(format!("cannot truncate torn row in {}: {e}", path.display()))
             })?;
         }
@@ -345,7 +398,6 @@ impl SweepJournal {
         self.file.write_all(line.as_bytes()).and_then(|()| self.file.sync_data()).map_err(|e| {
             PersistError::Io(format!("cannot append to {}: {e}", self.path.display()))
         })?;
-        OBS_JOURNAL_ROWS.add(1);
         self.completed.insert(row.config_hash, self.rows.len());
         self.rows.push(row);
         Ok(())
@@ -382,11 +434,10 @@ impl SweepJournal {
         let mut pending = Vec::new();
         for config in plan.iter().flat_map(|config| seed_configs(config, seeds)) {
             let hash = config_hash(&config);
-            if self.contains(hash) {
-                OBS_CELLS_SKIPPED.add(1);
-            } else if submitted.insert(hash) {
+            if !self.contains(hash) && submitted.insert(hash) {
                 let seed = config.sim_seed;
-                pending.push((hash, seed, pool::global().submit(move || run_experiment(&config))));
+                let handle = wsn_pool::global().submit(move || run_experiment(&config));
+                pending.push((hash, seed, handle));
             }
         }
         let mut first_error: Option<CoreError> = None;
@@ -437,6 +488,7 @@ impl SweepJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::check_text;
     use crate::sweep::run_averaged_sequential;
     use wsn_core::experiment::{AlgorithmConfig, RankingChoice};
 
@@ -608,6 +660,120 @@ mod tests {
         fn byte_len(&self) -> usize {
             self.to_json().to_compact_string().len() + 1
         }
+    }
+
+    /// A valid row at `cell`, every field filled.
+    fn row(cell: u64) -> JournalRow {
+        JournalRow {
+            cell,
+            config_hash: cell.wrapping_add(1_000),
+            seed: cell,
+            label: "Global-NN".into(),
+            toolchain: Toolchain::current(),
+            metrics: CellMetrics {
+                tx_per_node_per_round: 0.5,
+                rx_per_node_per_round: 0.25,
+                total_energy_min: 1.0,
+                total_energy_avg: 1.5,
+                total_energy_max: 2.0,
+                accuracy: 1.0,
+                mean_recall: 1.0,
+                label_precision: 1.0,
+                label_recall: 0.5,
+                estimates_agree: true,
+                quiescent: true,
+                data_points_sent: 10,
+                packets_sent: 20,
+                traffic_imbalance: 1.25,
+            },
+        }
+    }
+
+    fn line(cell: u64) -> String {
+        row(cell).to_json().to_compact_string() + "\n"
+    }
+
+    /// Writes `text` as a journal and opens it; returns `open`'s outcome,
+    /// the file as `open` left it, and `json_check`'s verdict on `text`.
+    fn open_and_check(
+        tag: &str,
+        text: &str,
+    ) -> (Result<SweepJournal, PersistError>, String, Result<String, String>) {
+        let path = scratch(tag);
+        fs::write(&path, text).unwrap();
+        let opened = SweepJournal::open(&path);
+        let left = fs::read_to_string(&path).unwrap();
+        fs::remove_file(&path).unwrap();
+        (opened, left, check_text("j.jsonl", text))
+    }
+
+    #[test]
+    fn a_last_cell_of_u64_max_is_a_torn_tail_and_the_next_plan_appends() {
+        let text = line(0) + &line(u64::MAX);
+        let refusal = check_text("j.jsonl", &text).unwrap_err();
+        assert!(refusal.contains("torn tail") && refusal.contains("u64::MAX"), "{refusal}");
+
+        let path = scratch("cellmax");
+        fs::write(&path, &text).unwrap();
+        let mut journal = SweepJournal::open(&path).unwrap();
+        assert_eq!((journal.rows().len(), journal.next_cell()), (1, 1));
+        journal.run_plan(&[tiny()], 1).unwrap();
+        assert_eq!(journal.rows().last().unwrap().cell, 1);
+        check_text("j.jsonl", &fs::read_to_string(&path).unwrap()).unwrap();
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_decreasing_cell_is_refused_and_never_numbers_the_next_row() {
+        let (opened, left, checked) = open_and_check("decreasing", &(line(5) + &line(3)));
+        assert!(checked.unwrap_err().contains("its cell 3 does not follow cell 5"));
+        let journal = opened.unwrap();
+        assert_eq!((journal.rows().len(), journal.next_cell()), (1, 6));
+        assert_eq!(left, line(5), "the torn tail is truncated");
+
+        let (opened, _, checked) =
+            open_and_check("decreasing-mid", &(line(5) + &line(3) + &line(7)));
+        assert!(matches!(opened, Err(PersistError::Corrupt(_))));
+        assert!(checked.unwrap_err().contains("not the trailing line"));
+    }
+
+    #[test]
+    fn a_blank_line_between_rows_is_refused_by_both() {
+        let (opened, left, checked) = open_and_check("blank", &(line(0) + "\n" + &line(1)));
+        assert!(matches!(opened, Err(PersistError::Corrupt(_))));
+        assert_eq!(left, line(0) + "\n" + &line(1), "a refused journal is not touched");
+        assert!(checked.unwrap_err().contains("journal line 2"));
+    }
+
+    #[test]
+    fn a_row_missing_its_toolchain_and_metrics_is_refused_by_both() {
+        let partial = |cell: u64| {
+            format!(
+                r#"{{"cell":{cell},"config_hash":{cell},"seed":1,"label":"Global-NN","metrics":{{"accuracy":1.0}}}}"#
+            ) + "\n"
+        };
+        let (opened, _, checked) = open_and_check("partial", &(partial(0) + &partial(1)));
+        assert!(matches!(opened, Err(PersistError::Corrupt(_))));
+        assert!(checked.unwrap_err().contains("toolchain"));
+    }
+
+    #[test]
+    fn an_infinite_metric_is_refused_by_both() {
+        let infinite = line(0).replace(r#""accuracy":1.0"#, r#""accuracy":1e999"#);
+        assert_ne!(infinite, line(0));
+        let (opened, _, checked) = open_and_check("infinite", &(infinite + &line(1)));
+        assert!(matches!(opened, Err(PersistError::Corrupt(_))));
+        assert!(checked.unwrap_err().contains("not finite"));
+    }
+
+    #[test]
+    fn an_unterminated_last_row_is_a_torn_tail_for_both() {
+        let text = line(0) + line(1).trim_end();
+        let (opened, left, checked) = open_and_check("unterminated", &text);
+        assert!(checked.unwrap_err().contains("no terminating newline"));
+        assert_eq!(opened.unwrap().rows(), &[row(0)]);
+        assert_eq!(left, line(0), "open truncates the torn tail");
+        check_text("j.jsonl", &left).unwrap();
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //!   and tables regenerate from the archive alone,
 //! * [`sweep`] — the seed-averaged outcome and its sequential test oracle.
 //!
-//! The std-only benches in `benches/` (on [`harness`]) cover the
-//! pure-algorithm costs (ranking, support sets, sufficient sets, per-event
-//! node processing), end-to-end simulation throughput and the fleet.
+//! Beside it: [`check`], the validators behind the `json_check` binary
+//! that CI gates the committed and emitted JSON artifacts on, and
+//! [`fleetload`], the tenant workload the repository benchmark
+//! (`benchmark/run.sh`) serves as its fleet workloads. Performance is
+//! measured by that benchmark alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,23 +29,10 @@
 pub mod campaign;
 pub mod check;
 pub mod fleetload;
-pub mod harness;
 pub mod journal;
-/// The JSON value model, re-exported from its own leaf crate (`wsn-json`)
-/// so the long-standing `wsn_bench::json` paths keep working. The model
-/// moved below `wsn-core` in the dependency order when the persistence
-/// layer ([`wsn_core::persist`]) started serializing snapshots with it.
-pub use wsn_json as json;
 pub mod paper;
-/// The worker pool, re-exported from its own leaf crate (`wsn-pool`) so the
-/// long-standing `wsn_bench::pool` paths keep working. The pool moved below
-/// `wsn-netsim` in the dependency order when the partitioned simulator
-/// ([`wsn_netsim::region`]) started running regions on it.
-pub use wsn_pool as pool;
 pub mod sweep;
-pub mod telemetry;
 
 pub use journal::{JournalRow, SweepJournal};
 pub use paper::PaperScenario;
-pub use pool::WorkerPool;
 pub use sweep::{run_averaged_sequential, AveragedOutcome};

@@ -9,13 +9,13 @@
 //! file for appending and truncate a torn tail.
 
 use wsn_bench::journal::{CellMetrics, JournalRow};
-use wsn_bench::json::JsonValue;
 use wsn_bench::paper::{
     centralized, global_nn, semi_global_nn, PaperScenario, PAPER_N, PAPER_SEEDS,
 };
 use wsn_bench::sweep::seed_configs;
 use wsn_core::experiment::run_experiment;
 use wsn_core::persist::config_hash;
+use wsn_json::JsonValue;
 
 fn archived_rows() -> Vec<JournalRow> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/journal.jsonl");

@@ -19,6 +19,8 @@
 //!
 //! An accepted case slides 4 more epochs and re-snapshots.
 
+mod mutate;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
@@ -95,14 +97,7 @@ fn record(tally: &mut Tally, label: String, case: impl FnOnce() -> Result<(), Pe
     match catch_unwind(AssertUnwindSafe(case)) {
         Ok(Ok(())) => tally.accepted += 1,
         Ok(Err(_)) => tally.refused += 1,
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default();
-            tally.panics.push(format!("{label}: {message}"));
-        }
+        Err(payload) => tally.panics.push(format!("{label}: {}", mutate::panic_message(&*payload))),
     }
 }
 
@@ -110,37 +105,14 @@ fn record(tally: &mut Tally, label: String, case: impl FnOnce() -> Result<(), Pe
 // Value-level mutations
 // ---------------------------------------------------------------------------
 
-/// Every value of `tree` below the root, as a path of child indices.
-fn paths(tree: &JsonValue, prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-    let children: Vec<&JsonValue> = match tree {
-        JsonValue::Array(items) => items.iter().collect(),
-        JsonValue::Object(pairs) => pairs.iter().map(|(_, v)| v).collect(),
-        _ => return,
-    };
-    for (i, child) in children.into_iter().enumerate() {
-        prefix.push(i);
-        out.push(prefix.clone());
-        paths(child, prefix, out);
-        prefix.pop();
-    }
-}
-
-fn at_mut<'v>(tree: &'v mut JsonValue, path: &[usize]) -> &'v mut JsonValue {
-    path.iter().fold(tree, |node, &i| match node {
-        JsonValue::Array(items) => &mut items[i],
-        JsonValue::Object(pairs) => &mut pairs[i].1,
-        _ => unreachable!("paths only descend into containers"),
-    })
-}
-
 /// One value-level mutation of `payload`, chosen by `rng`, and its label.
 fn mutate_value(rng: &mut SeededRng, payload: &JsonValue) -> (JsonValue, String) {
     let mut all = Vec::new();
-    paths(payload, &mut Vec::new(), &mut all);
+    mutate::paths(payload, &mut Vec::new(), &mut all);
     let mut mutated = payload.clone();
     loop {
         let path = &all[rng.gen_index(all.len())];
-        let node = at_mut(&mut mutated, path);
+        let node = mutate::at_mut(&mut mutated, path);
         let kind = rng.gen_index(10);
         let label = format!("{kind} at {path:?}");
         match (kind, &mut *node) {
@@ -206,33 +178,15 @@ fn scratch_dir(tag: &str) -> PathBuf {
 fn mutate_bytes(rng: &mut SeededRng, bytes: &[u8]) -> (Vec<u8>, String) {
     let mut out = bytes.to_vec();
     let label = match rng.gen_index(4) {
-        0 => {
-            let flips = 1 + rng.gen_index(4);
-            for _ in 0..flips {
-                let at = rng.gen_index(out.len());
-                out[at] ^= 1 << rng.gen_index(8);
-            }
-            format!("{flips} bit flips")
-        }
+        0 => mutate::flip_bits(rng, &mut out),
         1 => {
             let digits: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_ascii_digit()).collect();
             let at = digits[rng.gen_index(digits.len())];
             out[at] ^= 1;
             format!("digit flip at {at}")
         }
-        2 => {
-            let len = rng.gen_index(out.len());
-            out.truncate(len);
-            format!("truncated to {len}")
-        }
-        _ => {
-            let from = rng.gen_index(out.len());
-            let len = 1 + rng.gen_index((out.len() - from).min(64));
-            let to = rng.gen_index(out.len());
-            let piece = out[from..from + len].to_vec();
-            out.splice(to..(to + len).min(out.len()), piece);
-            format!("{len} bytes from {from} spliced over {to}")
-        }
+        2 => mutate::truncate(rng, &mut out),
+        _ => mutate::splice(rng, &mut out),
     };
     (out, label)
 }

@@ -107,8 +107,7 @@ pub fn sufficient_set_indexed<R: RankingFunction + ?Sized>(
 /// `known ∪ Z`, re-runs [`top_n_outliers`] over it (which builds a fresh
 /// throwaway index), and re-derives the support of the *whole* hypothetical
 /// estimate. The incremental engine must agree with this loop bit for bit —
-/// the equivalence tests here and in `tests/property_index.rs` assert it —
-/// and the `fixed_point` microbench group measures one against the other.
+/// the equivalence tests here and in `tests/property_index.rs` assert it.
 pub fn sufficient_set_rebuild_reference<R: RankingFunction + ?Sized>(
     ranking: &R,
     n: usize,

@@ -781,8 +781,8 @@ mod tests {
 
     #[test]
     fn index_microbench_report_shape_round_trips() {
-        // The shape `wsn_bench::harness` emits for the neighbour-index
-        // strategy comparison benches (BENCH_algo_microbench.json).
+        // Nested objects and floats through the pretty and the compact
+        // emitter: a report of timing results, each a record of floats.
         let result = |group: &str, name: &str, median: f64| {
             JsonValue::object([
                 ("group", JsonValue::from(group)),

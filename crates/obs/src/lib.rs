@@ -1,8 +1,8 @@
 //! # `wsn-obs` — zero-cost observability for the WSN workspace
 //!
 //! A std-only, dependency-free metrics registry and span tracer shared by the
-//! simulator core, the detectors, the streaming driver, and the bench
-//! harness.
+//! simulator core, the detectors, the streaming driver, the fleet, and the
+//! benchmark's layer budget.
 //!
 //! ## Feature flags
 //!

@@ -5,8 +5,7 @@
 //! for a sensor layout yields a labelled [`DeploymentTrace`] ready for the
 //! streaming experiment driver in `wsn-core` or the one-shot runner. The
 //! [`Scenario::catalog`] presets cover every injector of the taxonomy, which
-//! is what `wsn-bench`'s `fig_scenarios` binary and `scenario` bench group
-//! sweep.
+//! is what `wsn-bench`'s `fig_scenarios` binary sweeps.
 //!
 //! [`FieldStack`] opens the non-temperature axis: it synthesises several
 //! correlated environmental fields (temperature × humidity × voltage by

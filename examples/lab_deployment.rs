@@ -14,7 +14,7 @@ use in_network_outlier::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = ExperimentConfig::default();
-    config.trace.rounds = 16; // keep the example snappy; the bench harness runs 48
+    config.trace.rounds = 16; // keep the example snappy; the paper-scale figures run 48
     config.window_samples = 10;
     config.n = 4;
     config.algorithm = AlgorithmConfig::Global { ranking: RankingChoice::Nn };

@@ -30,15 +30,15 @@
 //!
 //! The workspace is **hermetic**: it depends on the standard library only
 //! (no crates.io access required), with randomness provided by the in-repo
-//! seeded generator [`data::rng`] and JSON by `wsn_bench::json`. From the
+//! seeded generator [`data::rng`] and JSON by `wsn-json`. From the
 //! repository root:
 //!
 //! ```text
 //! cargo build --release          # builds all six crates + this facade
 //! cargo test -q                  # unit, integration, property and doc tests
-//! cargo bench -p wsn-bench       # std-only benches, write BENCH_*.json
 //! cargo run --release --example quickstart
-//! ./ci.sh                        # the full offline gate: build + test + fmt + clippy
+//! ./ci.sh                        # the full offline gate: build, tests, lints, smokes, benchmark
+//! bash benchmark/run.sh --workload lab53_global_nn   # one benchmark workload's metrics
 //! ```
 //!
 //! The paper's figures and tables are reproduced by one binary in

@@ -148,15 +148,52 @@ fn steady_state_streaming_performs_zero_desync_rebuilds() {
     }
 }
 
-/// The fault-model counters: a churned, duty-cycled run must stay
-/// bit-identical between collection on and off (the zero-cost contract
+/// Runs `run` with collection off, then on from a reset registry, asserts
+/// that the two outcomes are bit-identical, and returns the instrumented
+/// outcome with its report.
+fn off_and_on<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    run: impl Fn() -> T,
+) -> (T, wsn_obs::TelemetryReport) {
+    wsn_obs::set_enabled(false);
+    let off = run();
+    wsn_obs::reset();
+    wsn_obs::set_enabled(true);
+    let on = run();
+    wsn_obs::set_enabled(false);
+    assert_eq!(off, on, "{what}: the outcome diverged between collection off and on");
+    (on, wsn_obs::report())
+}
+
+/// The deaths and joins a fault plan schedules.
+fn churn(plan: &wsn_netsim::fault::FaultPlan) -> (u64, u64) {
+    use wsn_netsim::fault::FaultAction;
+    let count = |is: fn(&FaultAction) -> bool| {
+        plan.events().iter().filter(|e| is(&e.action)).count() as u64
+    };
+    (
+        count(|a| matches!(a, FaultAction::Death(_))),
+        count(|a| matches!(a, FaultAction::Join { .. })),
+    )
+}
+
+/// The fault-model counters, on two inputs: a churned, duty-cycled run must
+/// stay bit-identical between collection on and off (the zero-cost contract
 /// extends to the fault layer), and when telemetry is compiled in, the
-/// counters must report exactly the plan's churn — every scheduled death and
-/// join counted once — plus live evidence of duty-cycle sleep drops and
-/// stale-neighbour pruning.
+/// counters must report exactly the plan's churn — every scheduled death
+/// and join counted once — plus live evidence of stale-neighbour pruning.
+///
+/// * A 12-sensor lab, Global-NN, 8 rounds: a quarter of the sensors die,
+///   half of those rejoin, and radios are awake 75% of each 2 s cycle; the
+///   sleep-drop counter must agree with the per-node statistics.
+/// * The 2 000-sensor city on 4 partitioned regions, semi-global NN ε = 1,
+///   2 slides, checkpointed every slide: 1% of the sensors die, half of
+///   those rejoin, and radios are awake 90% of each 2 s cycle. The liveness
+///   timeout of 0.7 sample intervals is short enough that a mid-run death
+///   is pruned by the last round. One snapshot is written per slide.
 #[test]
 fn fault_counters_report_the_plan_and_stay_observationally_free() {
-    use wsn_netsim::fault::FaultAction;
+    use wsn_data::lab::LabDeployment;
     use wsn_workload::FaultProfile;
 
     let _guard = lock();
@@ -166,46 +203,29 @@ fn fault_counters_report_the_plan_and_stay_observationally_free() {
         .with_algorithm(AlgorithmConfig::Global { ranking: RankingChoice::Nn });
     config.sensor_count = 12;
     config.trace.rounds = 8;
-    let deployment = wsn_data::lab::LabDeployment::with_sensor_count(
-        config.sensor_count,
-        config.deployment_seed,
-    )
-    .expect("deployment builds");
+    let deployment = LabDeployment::with_sensor_count(config.sensor_count, config.deployment_seed)
+        .expect("deployment builds");
     let plan = profile.instantiate(
         deployment.sensors(),
         config.trace.sample_interval_secs,
         config.trace.rounds,
         3,
     );
-    let deaths =
-        plan.events().iter().filter(|e| matches!(e.action, FaultAction::Death(_))).count() as u64;
-    let joins =
-        plan.events().iter().filter(|e| matches!(e.action, FaultAction::Join { .. })).count()
-            as u64;
+    let (deaths, joins) = churn(&plan);
     assert!(deaths > 0 && joins > 0, "the profile must schedule real churn");
     let timeout = 2.0 * config.trace.sample_interval_secs;
     let config = config.with_fault_plan(plan).with_liveness_timeout(timeout);
 
-    wsn_obs::set_enabled(false);
-    let off = run_experiment(&config).expect("uninstrumented faulted run succeeds");
-
-    wsn_obs::reset();
-    wsn_obs::set_enabled(true);
-    let on = run_experiment(&config).expect("instrumented faulted run succeeds");
-    wsn_obs::set_enabled(false);
-
-    assert_eq!(off.stats, on.stats, "stats diverged under faults");
-    assert_eq!(off.accuracy, on.accuracy, "accuracy diverged under faults");
-    assert_eq!(off.labels, on.labels, "labels diverged under faults");
-    assert_eq!(off.quiescent, on.quiescent, "quiescence diverged under faults");
-
+    let ((stats, ..), report) = off_and_on("12-sensor lab", || {
+        let outcome = run_experiment(&config).expect("faulted run succeeds");
+        (outcome.stats, outcome.accuracy, outcome.labels, outcome.quiescent)
+    });
     if wsn_obs::compiled() {
-        let report = wsn_obs::report();
         assert_eq!(report.counter("sim.node_deaths"), deaths, "every scheduled death counted");
         assert_eq!(report.counter("sim.node_joins"), joins, "every scheduled join counted");
         assert_eq!(
             report.counter("sim.dropped_asleep"),
-            on.stats.total_packets_dropped_asleep(),
+            stats.total_packets_dropped_asleep(),
             "the counter and the per-node statistics must agree on sleep drops"
         );
         assert!(
@@ -216,6 +236,54 @@ fn fault_counters_report_the_plan_and_stay_observationally_free() {
             report.counter("detector.stale_neighbors_pruned") > 0,
             "dead neighbours must age out through the liveness timeout; report: {:?}",
             report.counters,
+        );
+    }
+
+    let sensors = 2_000;
+    let city = LabDeployment::city(sensors, 1).expect("the city deploys");
+    let trace_config = SyntheticTraceConfig { rounds: 2, ..Default::default() };
+    let trace = city.generate_trace(&trace_config, 7).expect("the city trace generates");
+    let profile =
+        FaultProfile { death_fraction: 0.01, rejoin_fraction: 0.5, duty_cycle: Some((2.0, 0.9)) };
+    let plan = profile.instantiate(
+        city.sensors(),
+        trace_config.sample_interval_secs,
+        trace_config.rounds,
+        41,
+    );
+    let (deaths, joins) = churn(&plan);
+    assert!(deaths > 0 && joins > 0, "the city profile must schedule real churn");
+    let config =
+        ExperimentConfig { sensor_count: sensors, window_samples: 10, n: 4, ..Default::default() }
+            .with_algorithm(AlgorithmConfig::SemiGlobal {
+                ranking: RankingChoice::Nn,
+                hop_diameter: 1,
+            })
+            .with_backend(SimBackend::Partitioned { regions: 4 })
+            .with_fault_plan(plan)
+            .with_liveness_timeout(0.7 * trace_config.sample_interval_secs);
+    let dir = std::env::temp_dir().join(format!("wsn-tel-city-ckpt-{}", std::process::id()));
+    let (outcome, report) = off_and_on("2 000-sensor city", || {
+        let _ = std::fs::remove_dir_all(&dir);
+        StreamingExperiment::new(config.clone())
+            .checkpoint_every_slides(1, &dir)
+            .run_on_trace(&trace)
+            .expect("faulted city run succeeds")
+    });
+    std::fs::remove_dir_all(&dir).expect("the city run checkpointed");
+    assert_eq!(outcome.slides.len(), trace_config.rounds, "one slide per round");
+    if wsn_obs::compiled() {
+        assert_eq!(report.counter("sim.node_deaths"), deaths, "every scheduled city death counted");
+        assert_eq!(report.counter("sim.node_joins"), joins, "every scheduled city join counted");
+        assert!(
+            report.counter("detector.stale_neighbors_pruned") > 0,
+            "a mid-run city death must be pruned through the liveness timeout; report: {:?}",
+            report.counters,
+        );
+        assert_eq!(
+            report.counter("persist.snapshots_written"),
+            outcome.slides.len() as u64,
+            "one checkpoint per slide"
         );
     }
 }
