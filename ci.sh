@@ -138,7 +138,9 @@ cargo run --release --offline -p wsn-bench --bin json_check -- results/journal.j
 # observationally free: the property suite pairs collection-on and
 # collection-off runs and asserts bit-identical outcomes, and with the
 # counters compiled in it checks the fault plan's churn and the checkpoints
-# on the faulted, checkpointed 2 000-sensor city among its inputs.
+# on the faulted, checkpointed 2 000-sensor city among its inputs, and that
+# the fixed point never desync-rebuilds, on streaming runs with and without
+# window evictions and on an evicting fleet tenant.
 echo "== telemetry build + property suite (--features telemetry) =="
 cargo build --release --offline --features telemetry
 cargo test -q --offline --features telemetry --test property_telemetry

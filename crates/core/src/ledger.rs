@@ -15,6 +15,13 @@
 //! shared-knowledge set, and each of those paths bumps the revision and
 //! folds the conservative oldest-timestamp bound behind the O(1) eviction
 //! gate.
+//!
+//! Both paths also hand back the exact delta under its new revision — the
+//! points a record added ([`NeighborBook::record`]) and the points a clock
+//! advance evicted ([`NeighborBook::advance_time`]) — so the node can pass
+//! each one to its fixed-point engines as a delta note, and their cached
+//! hypothetical sets follow the bookkeeping revision chain through window
+//! slides instead of being rebuilt.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -215,14 +222,16 @@ impl NeighborBook {
     /// Moves the clock to `now`: ages out neighbours silent for longer than
     /// the liveness timeout (pruning their state in `engines` too), then
     /// evicts every shared-knowledge point older than `cutoff`, bumping the
-    /// revision of each neighbour whose set shrank. The sweep is gated in
+    /// revision of each neighbour whose set shrank. Returns, per such
+    /// neighbour, the evicted points with the new revision, for the caller
+    /// to forward to its engines as eviction notes. The sweep is gated in
     /// O(1) on the conservative oldest timestamp and recomputes it exactly.
     pub fn advance_time(
         &mut self,
         now: Timestamp,
         cutoff: Timestamp,
         engines: &mut [FixedPointEngine],
-    ) {
+    ) -> Vec<(SensorId, Vec<Arc<DataPoint>>, u64)> {
         self.last_now = now;
         if let Some(timeout) = self.liveness_timeout_secs {
             let stale: Vec<SensorId> = self
@@ -238,16 +247,20 @@ impl NeighborBook {
             }
         }
         if !self.shared_oldest.is_some_and(|o| o < cutoff) {
-            return;
+            return Vec::new();
         }
+        let mut evictions = Vec::new();
         for (&j, set) in self.shared_with.iter_mut() {
-            if set.evict_older_than(cutoff) > 0 {
+            let evicted = set.evict_older_than(cutoff);
+            if !evicted.is_empty() {
                 let revision = self.revisions.entry(j).or_insert(0);
                 *revision = revision.wrapping_add(1);
+                evictions.push((j, evicted, *revision));
             }
         }
         self.shared_oldest =
             self.shared_with.values().flat_map(|s| s.iter().map(|p| p.timestamp)).min();
+        evictions
     }
 
     /// Forgets every neighbour **not** in `live`, here and in `engines` —
@@ -392,7 +405,13 @@ mod tests {
         book.record(SensorId(1), &mut vec![pt(0, 1, 0)], Merge::FirstCopy);
         book.record(SensorId(2), &mut vec![pt(1, 50, 0)], Merge::FirstCopy);
         let before = (book.state(SensorId(1), 0), book.state(SensorId(2), 0));
-        book.advance_time(Timestamp::from_secs(60), Timestamp::from_secs(10), &mut []);
+        let evictions =
+            book.advance_time(Timestamp::from_secs(60), Timestamp::from_secs(10), &mut []);
+        assert_eq!(evictions.len(), 1, "one neighbour lost points");
+        let (j, evicted, revision) = &evictions[0];
+        assert_eq!((*j, evicted.len()), (SensorId(1), 1));
+        assert_eq!(evicted[0].key, pt(0, 1, 0).key);
+        assert_eq!(book.state(SensorId(1), 0), (0, *revision), "the note carries the new revision");
         assert_ne!(book.state(SensorId(1), 0), before.0, "evicted neighbour bumped");
         assert_eq!(book.state(SensorId(2), 0), before.1, "untouched neighbour stable");
         assert!(book.known(SensorId(1)).unwrap().is_empty());

@@ -66,6 +66,15 @@ pub enum Scope {
 /// neighbour's sufficient-set fixed point.
 type HopPrefixes = Vec<(PointSet, AnyIndex)>;
 
+/// Which way a shared-knowledge delta the book just made moved `known`.
+#[derive(Clone, Copy)]
+enum Delta {
+    /// Points recorded into it (a receipt or a send).
+    Recorded,
+    /// Points a clock advance evicted from it.
+    Evicted,
+}
+
 /// Per-sensor state of the distributed detection algorithms.
 #[derive(Clone)]
 pub struct DetectorNode<R> {
@@ -83,7 +92,7 @@ pub struct DetectorNode<R> {
     /// points of one protocol step — and of every later step at the same
     /// revision — share the seed and all support queries. The global engine
     /// also maintains its own dynamic index over the window, fed by the
-    /// window-insertion notes.
+    /// window's insertion and eviction notes.
     engines: Vec<FixedPointEngine>,
     /// The hop prefixes with their neighbour indexes (hop scope only),
     /// invalidated whenever the window slides or changes.
@@ -202,20 +211,40 @@ impl<R: RankingFunction> DetectorNode<R> {
         inserted
     }
 
-    /// Forwards a just-recorded shared-knowledge delta to the engines. In
-    /// the hop scope a point at hop `v` enters `known^{≤h}` for every
+    /// Slides the window to `now`. The global engine is told of the
+    /// evicted points too, so its index over the window follows the slide.
+    fn advance_window(&mut self, now: Timestamp) {
+        let evicted = self.window.advance_to(now);
+        if !evicted.is_empty() && self.scope == Scope::Global {
+            self.engines[0].note_window_evictions(&self.ranking, &evicted, self.window.revision());
+        }
+    }
+
+    /// Forwards a shared-knowledge delta the book just made to the engines.
+    /// In the hop scope a point at hop `v` belongs to `known^{≤h}` for every
     /// `h ≥ v`, and engines whose prefix the delta does not touch still get
     /// an (empty) note so their sync chain follows the bookkeeping revision.
-    fn note_shared(&mut self, neighbor: SensorId, points: &[Arc<DataPoint>], revision: u64) {
+    fn note_shared(
+        &mut self,
+        neighbor: SensorId,
+        points: &[Arc<DataPoint>],
+        revision: u64,
+        delta: Delta,
+    ) {
+        let ranking = &self.ranking;
+        let note = |engine: &mut FixedPointEngine, points: &[Arc<DataPoint>]| match delta {
+            Delta::Recorded => engine.note_shared_points(neighbor, points, revision),
+            Delta::Evicted => engine.note_evicted_points(ranking, neighbor, points, revision),
+        };
         if self.scope == Scope::Global {
-            self.engines[0].note_shared_points(neighbor, points, revision);
+            note(&mut self.engines[0], points);
             return;
         }
         let mut prefix: Vec<Arc<DataPoint>> = Vec::with_capacity(points.len());
         for (h, engine) in self.engines.iter_mut().enumerate() {
             prefix.clear();
             prefix.extend(points.iter().filter(|p| usize::from(p.hop) <= h).cloned());
-            engine.note_shared_points(neighbor, &prefix, revision);
+            note(engine, &prefix);
         }
     }
 
@@ -391,14 +420,16 @@ impl<R: RankingFunction> OutlierDetector for DetectorNode<R> {
         // follow the bookkeeping revision without re-scans.
         let merge = self.merge();
         if let Some(revision) = self.book.record(from, &mut points, merge) {
-            self.note_shared(from, &points, revision);
+            self.note_shared(from, &points, revision, Delta::Recorded);
         }
     }
 
     fn advance_time(&mut self, now: Timestamp) {
-        self.window.advance_to(now);
+        self.advance_window(now);
         let cutoff = self.window.config().cutoff(now);
-        self.book.advance_time(now, cutoff, &mut self.engines);
+        for (j, evicted, revision) in self.book.advance_time(now, cutoff, &mut self.engines) {
+            self.note_shared(j, &evicted, revision, Delta::Evicted);
+        }
     }
 
     fn retain_neighbors(&mut self, live: &[SensorId]) {
@@ -447,7 +478,7 @@ impl<R: RankingFunction> OutlierDetector for DetectorNode<R> {
             // are already inside the engines' hypothetical sets (they came
             // out of Z), so the note merely rolls their sync forward.
             let known_revision = self.book.record_sent(j, &mut batch, merge);
-            self.note_shared(j, &batch, known_revision);
+            self.note_shared(j, &batch, known_revision, Delta::Recorded);
             crate::telemetry::POINTS_BROADCAST.add(batch.len() as u64);
             crate::telemetry::NEIGHBOR_BATCH_POINTS.record(batch.len() as u64);
             message.add_entry_arcs(j, batch);
@@ -708,12 +739,25 @@ mod tests {
             let short = WindowConfig::from_secs(10).unwrap();
             let mut node = DetectorNode::new(SensorId(1), NnDistance, 1, scope, short);
             node.add_local_points(vec![pt(1, 0, 1.0)]);
-            let old = pt(2, 0, 2.0).with_hop(1);
-            node.receive(SensorId(2), vec![old.clone()]);
+            // A first exchange creates the engines' chains, so the receipt
+            // below reaches them as delta notes.
+            let _ = node.process(&[SensorId(2)]);
+            let old = Arc::new(pt(2, 0, 2.0).with_hop(1));
+            node.receive_arcs(SensorId(2), vec![Arc::clone(&old)]);
             assert!(node.known_common_with(SensorId(2)).contains(&old));
+            let _ = node.process(&[SensorId(2)]);
+            let chains_hold_it = node.engines.iter().any(|engine| {
+                engine.export_neighbor_states().iter().any(|chain| chain.membership.contains(&old))
+            });
+            assert!(chains_hold_it, "{scope:?}: a chain holds the received point");
             node.advance_time(Timestamp::from_secs(100));
             assert!(node.held_points().is_empty(), "{scope:?}");
             assert!(node.known_common_with(SensorId(2)).is_empty(), "{scope:?}");
+            // Nothing else keeps the evicted point alive: not the chains'
+            // indexes, rank bounds, outlier order or pending insertions,
+            // and not the engine's own-window state.
+            let _ = node.process(&[SensorId(2)]);
+            assert_eq!(Arc::strong_count(&old), 1, "{scope:?}: only the test handle remains");
         }
     }
 

@@ -31,7 +31,7 @@ static OBS_FP_CHAIN_FAST: wsn_obs::Counter = wsn_obs::Counter::new("engine.chain
 /// Telemetry: first-contact builds of a neighbour's hypothetical state.
 static OBS_FP_COLD_BUILDS: wsn_obs::Counter = wsn_obs::Counter::new("engine.cold_builds");
 /// Telemetry: desync re-scans whose reason was a bookkeeping-revision gap
-/// (a missed delta note or an eviction bumping `known`'s revision).
+/// (a missed or out-of-order delta note).
 static OBS_FP_RESCAN_REVISION_GAP: wsn_obs::Counter =
     wsn_obs::Counter::new("engine.desync_rescans_revision_gap");
 /// Telemetry: desync re-scans whose reason was unrecorded points the caller
@@ -39,7 +39,8 @@ static OBS_FP_RESCAN_REVISION_GAP: wsn_obs::Counter =
 static OBS_FP_RESCAN_UNRECORDED: wsn_obs::Counter =
     wsn_obs::Counter::new("engine.desync_rescans_unrecorded");
 /// Telemetry: full per-neighbour rebuilds (the size check caught stale
-/// identities — `known` shrank under the cached H, i.e. an eviction).
+/// identities — `known` shrank under the cached H and no eviction note
+/// followed it there).
 static OBS_FP_DESYNC_REBUILDS: wsn_obs::Counter = wsn_obs::Counter::new("engine.desync_rebuilds");
 /// Telemetry: per-revision seed computed (miss) vs handed out cached (hit).
 static OBS_SEED_BUILDS: wsn_obs::Counter = wsn_obs::Counter::new("engine.seed_builds");
@@ -151,20 +152,27 @@ pub fn sufficient_set_rebuild_reference<R: RankingFunction + ?Sized>(
 ///
 /// **Per neighbour** (surviving across calls *and* revisions): the
 /// hypothetical set `H = D_ij ∪ D_ji ∪ Z` inside one long-lived
-/// [`DynamicIndex`], together with a cached rank per point. This works
-/// because at a detector `H` effectively only grows between window slides —
-/// a non-empty `Z` is recorded into `D_ij` right after the call, so the next
-/// call's `known` already covers the previous `H` — and because ranking
-/// functions are **anti-monotone** (the axiom of §4.1 the whole protocol
-/// rests on, verified for every shipped ranking by `wsn_ranking::axioms`):
-/// a rank cached over a subset of the current `H` is a valid *upper bound*
-/// on the current rank. Each iteration's estimate `O_n(H)` is therefore
-/// selected lazily: candidates pop in upper-bound order and only the actual
-/// contenders are re-ranked against the index, so a steady-state call ranks
-/// a handful of points instead of all of `H`. If a call finds `H` out of
-/// sync with `known ∪ Z` (bookkeeping eviction shrank `known` — the one
-/// non-monotone transition), the per-neighbour state is rebuilt from
-/// scratch; a cheap size check detects this exactly.
+/// [`DynamicIndex`], together with a cached rank per point. `H` follows
+/// `known` through delta notes: a non-empty `Z` is recorded into `D_ij`
+/// right after the call, so the next call's `known` already covers the
+/// previous `H`, and every record and every eviction of `known` reaches the
+/// engine as a note on the bookkeeping revision chain
+/// ([`FixedPointEngine::note_shared_points`],
+/// [`FixedPointEngine::note_evicted_points`]). Ranking functions are
+/// **anti-monotone** (the axiom of §4.1 the whole protocol rests on,
+/// verified for every shipped ranking by `wsn_ranking::axioms`), so a rank
+/// cached over a subset of the current `H` is a valid *upper bound* on the
+/// current rank. A removal is the one transition that can raise a rank: it
+/// marks unknown every cached rank the removed point lay within the
+/// [affection radius](RankingFunction::affection_radius) of, and keeps the
+/// rest, which that contract proves unchanged. Each iteration's estimate
+/// `O_n(H)` is therefore selected lazily: candidates pop in upper-bound
+/// order and only the actual contenders are re-ranked against the index, so
+/// a steady-state call — window slides included — ranks a handful of points
+/// instead of all of `H`. If a call finds `H` out of sync with `known ∪ Z`
+/// (a missed or out-of-order note, a caller that never records its sends),
+/// it re-scans `known`, and if `known` shrank under `H` the per-neighbour
+/// state is rebuilt from scratch; a cheap size check detects this exactly.
 ///
 /// The result is bit-identical to [`sufficient_set_rebuild_reference`]: the
 /// recurrence `Z ← Z ∪ [P_i | O_n(known ∪ Z)]` is evaluated with the same
@@ -189,7 +197,8 @@ pub struct FixedPointEngine {
     /// Per-neighbour hypothetical-set state (see the type-level docs).
     neighbors: BTreeMap<SensorId, HypotheticalState>,
     /// The same lazy-rank machinery over `P_i` itself, fed by
-    /// [`FixedPointEngine::note_window_point`]: while its sync chain
+    /// [`FixedPointEngine::note_window_point`] and
+    /// [`FixedPointEngine::note_window_evictions`]: while its sync chain
     /// follows the window revision, the per-revision seed `O_n(P_i)` is
     /// re-selected lazily and its [`DynamicIndex`] answers every support
     /// query — the detector never builds a fresh window index again.
@@ -199,10 +208,12 @@ pub struct FixedPointEngine {
     scratch_processed: Vec<PointKey>,
 }
 
-/// The long-lived `H = known ∪ Z` of one neighbour: a growing
-/// [`DynamicIndex`], a rank upper bound per point, and the points ordered
-/// by those bounds — all persistent across calls, so a steady-state call
-/// does no `O(|H|)` work beyond cheap map lookups.
+/// The long-lived `H = known ∪ Z` of one neighbour (or, for the own-window
+/// state, `H = P_i`): a [`DynamicIndex`], a rank upper bound per point, and
+/// the points ordered by those bounds — all persistent across calls and
+/// updated in place by insertions and removals, so a steady-state call does
+/// no `O(|H|)` work beyond cheap map lookups, and a window slide costs one
+/// pass over `H` per eviction note.
 #[derive(Debug, Clone)]
 struct HypotheticalState {
     index: DynamicIndex,
@@ -229,7 +240,9 @@ struct HypotheticalState {
     pending_floor: u64,
     /// The neighbour bookkeeping revision `known` was last folded in at;
     /// while it is unchanged, `known` is unchanged and the sync scan is
-    /// skipped entirely. Kept in step by [`FixedPointEngine::note_shared_points`].
+    /// skipped entirely. Kept in step by [`FixedPointEngine::note_shared_points`]
+    /// and [`FixedPointEngine::note_evicted_points`] (for the own-window
+    /// state: the window revision, by the window notes).
     synced_at: Option<u64>,
     /// The window revision whose seed was last folded in; one fold per
     /// revision suffices because the seed is a pure function of `P_i`.
@@ -280,6 +293,62 @@ impl HypotheticalState {
             synced_at: None,
             seed_at: None,
             unrecorded: Vec::new(),
+        }
+    }
+
+    /// Applies a delta that moved the tracked revision to `revision` — if
+    /// the state was synced to the revision just before it. Otherwise the
+    /// state stays behind, and the next call re-scans or rebuilds.
+    fn follow(&mut self, revision: u64, apply: impl FnOnce(&mut Self)) {
+        if self.synced_at == Some(revision.wrapping_sub(1)) {
+            apply(self);
+            self.synced_at = Some(revision);
+        }
+    }
+
+    /// Removes `points` (by identity; absent ones are skipped) from the
+    /// index, `ranks`, `order`, `pending` and `unrecorded`, releasing every
+    /// handle the state held on them. A removal can only *raise* ranks
+    /// (anti-monotonicity), so cached bounds may stop being upper bounds;
+    /// one pass over the remaining entries marks unknown (`∞`, validated at
+    /// 0) every rank some removed point lies within the
+    /// [affection radius](RankingFunction::affection_radius) of. The rest
+    /// keep their bounds and validation versions, because the contract makes
+    /// each of them the identical value over the shrunken set: the radius of
+    /// a cached bound is at least the radius of the true rank (monotone), and
+    /// a point beyond it does not determine the rank. A pending insertion
+    /// that is removed simply drops out of the shortcut, as if it had never
+    /// been inserted.
+    fn remove<R: RankingFunction + ?Sized>(&mut self, ranking: &R, points: &[Arc<DataPoint>]) {
+        let mut removed: Vec<&Arc<DataPoint>> = Vec::with_capacity(points.len());
+        for p in points {
+            if self.index.remove(&p.key) {
+                let (rank, _) = self.ranks.remove(&p.key).expect("ranks mirror the index");
+                self.order.remove(&Contender { rank, point: Arc::clone(p) });
+                removed.push(p);
+            }
+        }
+        if removed.is_empty() {
+            return;
+        }
+        let gone = |key: &PointKey| removed.iter().any(|p| p.key == *key);
+        self.pending.retain(|(_, p)| !gone(&p.key));
+        self.unrecorded.retain(|k| !gone(k));
+        // Unknown ranks (∞) are already at the front and can only stay ∞.
+        let stale: Vec<Contender> = self
+            .order
+            .iter()
+            .filter(|c| c.rank != f64::INFINITY)
+            .filter(|c| {
+                let radius = ranking.affection_radius(c.rank);
+                removed.iter().any(|y| c.point.feature_distance(y) <= radius)
+            })
+            .cloned()
+            .collect();
+        for entry in stale {
+            self.order.remove(&entry);
+            self.ranks.insert(entry.point.key, (f64::INFINITY, 0));
+            self.order.insert(Contender { rank: f64::INFINITY, point: entry.point });
         }
     }
 
@@ -412,8 +481,9 @@ impl FixedPointEngine {
 
     /// Invalidates the revision-scoped caches when `revision` differs from
     /// the one they were filled at. The per-neighbour states survive: their
-    /// rank bounds stay upper bounds as `H` grows, and the size check in
-    /// [`FixedPointEngine::sufficient_set`] catches shrinkage.
+    /// rank bounds stay upper bounds as `H` grows and across noted
+    /// removals, and the size check in [`FixedPointEngine::sufficient_set`]
+    /// catches un-noted shrinkage.
     fn roll_to(&mut self, revision: u64) {
         if self.revision != Some(revision) {
             self.revision = Some(revision);
@@ -427,10 +497,10 @@ impl FixedPointEngine {
     /// `known_revision`. If the neighbour's cached hypothetical set was
     /// synced to the immediately preceding revision, the delta is folded in
     /// right here and the next [`FixedPointEngine::sufficient_set`] call
-    /// skips its `known` scan entirely; any gap in the chain (a missed
-    /// note, an eviction — which never comes with a note) simply leaves the
-    /// state behind, and the next call re-scans or rebuilds. Purely an
-    /// optimisation: correctness never depends on being notified.
+    /// skips its `known` scan entirely; any gap in the chain (a missed or
+    /// out-of-order note) simply leaves the state behind, and the next call
+    /// re-scans or rebuilds. Purely an optimisation: correctness never
+    /// depends on being notified.
     pub fn note_shared_points(
         &mut self,
         neighbor: SensorId,
@@ -438,12 +508,32 @@ impl FixedPointEngine {
         known_revision: u64,
     ) {
         if let Some(state) = self.neighbors.get_mut(&neighbor) {
-            if state.synced_at == Some(known_revision.wrapping_sub(1)) {
+            state.follow(known_revision, |state| {
                 for p in points {
                     state.insert(Arc::clone(p));
                 }
-                state.synced_at = Some(known_revision);
-            }
+            });
+        }
+    }
+
+    /// Tells the engine that `points` have just been evicted from the
+    /// shared-knowledge set of `neighbor`, whose bookkeeping revision is now
+    /// `known_revision` — the eviction counterpart of
+    /// [`FixedPointEngine::note_shared_points`], on the same chain. The
+    /// points leave the neighbour's hypothetical set in place, and only the
+    /// cached ranks they could have determined are marked unknown (see
+    /// [`RankingFunction::affection_radius`]), so a window slide keeps the
+    /// chain intact instead of forcing a rebuild. `ranking` must be the one
+    /// every [`FixedPointEngine::sufficient_set`] call passes.
+    pub fn note_evicted_points<R: RankingFunction + ?Sized>(
+        &mut self,
+        ranking: &R,
+        neighbor: SensorId,
+        points: &[Arc<DataPoint>],
+        known_revision: u64,
+    ) {
+        if let Some(state) = self.neighbors.get_mut(&neighbor) {
+            state.follow(known_revision, |state| state.remove(ranking, points));
         }
     }
 
@@ -521,16 +611,28 @@ impl FixedPointEngine {
     /// revision to `revision`. Chains exactly like
     /// [`FixedPointEngine::note_shared_points`]: if the engine's own-window
     /// state was synced to the preceding revision the point is folded in,
-    /// otherwise the state falls behind and the next call rebuilds it. A
-    /// window *eviction* also bumps the revision but never comes with a
-    /// note, so it always breaks the chain — exactly the transition under
-    /// which cached ranks would stop being upper bounds.
+    /// otherwise the state falls behind and the next call rebuilds it.
     pub fn note_window_point(&mut self, point: &Arc<DataPoint>, revision: u64) {
         if let Some(own) = self.own.as_mut() {
-            if own.synced_at == Some(revision.wrapping_sub(1)) {
-                own.insert(Arc::clone(point));
-                own.synced_at = Some(revision);
-            }
+            own.follow(revision, |own| own.insert(Arc::clone(point)));
+        }
+    }
+
+    /// Tells the engine the window just evicted `points` (all of one slide,
+    /// under one revision bump), moving its revision to `revision`. The
+    /// window counterpart of [`FixedPointEngine::note_evicted_points`]: the
+    /// points leave the own-window state in place, on the chain
+    /// [`FixedPointEngine::note_window_point`] follows. A change the window
+    /// makes without a note (an origin removal) still breaks the chain, and
+    /// the next call rebuilds the state from `P_i`.
+    pub fn note_window_evictions<R: RankingFunction + ?Sized>(
+        &mut self,
+        ranking: &R,
+        points: &[Arc<DataPoint>],
+        revision: u64,
+    ) {
+        if let Some(own) = self.own.as_mut() {
+            own.follow(revision, |own| own.remove(ranking, points));
         }
     }
 
@@ -617,14 +719,15 @@ impl FixedPointEngine {
         let mut z = seed;
         // Bring the neighbour's H to exactly known ∪ Z. In the steady state
         // the cached H was verified at an earlier call and has followed
-        // every `known` change through the delta notes (synced_at chain)
-        // and every Z change through its own inserts, so nothing needs
-        // scanning at all; only a broken chain (an eviction, a caller that
-        // never notes) walks `known` and re-verifies the size. For an
-        // identity present on both sides the already-stored copy wins,
-        // which is observationally the `known.union(&z)` of the reference —
-        // rank and `≺` comparisons never read the hop field, the only thing
-        // that can differ between copies.
+        // every `known` change — records and evictions alike — through the
+        // delta notes (synced_at chain) and every Z change through its own
+        // inserts, so nothing needs scanning at all; only a broken chain (a
+        // missed note, a caller that never notes) walks `known` and
+        // re-verifies the size. For an identity present on both sides the
+        // already-stored copy wins, which is observationally the
+        // `known.union(&z)` of the reference — rank and `≺` comparisons
+        // never read the hop field, the only thing that can differ between
+        // copies.
         let state = self
             .neighbors
             .entry(neighbor)
@@ -654,7 +757,7 @@ impl FixedPointEngine {
                 state.seed_at = Some(revisions.0);
             }
         } else {
-            // Chain broken (an eviction, a caller that never records or
+            // Chain broken (a missed note, a caller that never records or
             // notes): re-scan `known`, fold the seed, and verify the size —
             // H must hold exactly |known ∪ Z| identities, or it carries
             // identities `known` no longer covers and its ranks would be

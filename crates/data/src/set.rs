@@ -163,12 +163,19 @@ impl PointSet {
     }
 
     /// Removes every point whose timestamp is strictly older than `cutoff`
-    /// and returns how many points were evicted. This implements the sliding
-    /// window eviction of §5.3 (points are evicted regardless of origin).
-    pub fn evict_older_than(&mut self, cutoff: Timestamp) -> usize {
-        let before = self.points.len();
-        self.points.retain(|_, p| p.timestamp >= cutoff);
-        before - self.points.len()
+    /// and returns the evicted points, in key order, as the handles the set
+    /// stored. This implements the sliding window eviction of §5.3 (points
+    /// are evicted regardless of origin).
+    pub fn evict_older_than(&mut self, cutoff: Timestamp) -> Vec<Arc<DataPoint>> {
+        let mut evicted = Vec::new();
+        self.points.retain(|_, p| {
+            let keep = p.timestamp >= cutoff;
+            if !keep {
+                evicted.push(Arc::clone(p));
+            }
+            keep
+        });
+        evicted
     }
 
     /// Removes every point originating at the given sensor (used when a
@@ -389,7 +396,8 @@ mod tests {
         let mut s: PointSet =
             vec![pt(1, 1, 1.0), pt(1, 5, 2.0), pt(2, 9, 3.0)].into_iter().collect();
         let evicted = s.evict_older_than(Timestamp::from_secs(5));
-        assert_eq!(evicted, 1);
+        assert_eq!(evicted.len(), 1);
+        assert_eq!(evicted[0].key, pt(1, 1, 1.0).key);
         assert_eq!(s.len(), 2);
         assert!(!s.contains(&pt(1, 1, 1.0)));
         assert!(s.contains(&pt(1, 5, 2.0)));

@@ -70,9 +70,10 @@ impl WindowConfig {
 /// let new = DataPoint::new(SensorId(1), Epoch(1), Timestamp::from_secs(8), vec![2.0]).unwrap();
 /// w.insert(old.clone());
 /// w.insert(new.clone());
-/// // Advancing to t=12s evicts the point sampled at t=0s.
+/// // Advancing to t=12s evicts the point sampled at t=0s and hands it back.
 /// let evicted = w.advance_to(Timestamp::from_secs(12));
-/// assert_eq!(evicted, 1);
+/// assert_eq!(evicted.len(), 1);
+/// assert_eq!(evicted[0].key, old.key);
 /// assert!(!w.contents().contains(&old));
 /// assert!(w.contents().contains(&new));
 /// ```
@@ -175,20 +176,23 @@ impl SlidingWindow {
     }
 
     /// Advances the window to `now`, evicting stale points. Returns the
-    /// number of evicted points. Time never moves backwards: advancing to an
-    /// earlier time is a no-op, and so is any advance whose cutoff does not
-    /// pass the oldest held timestamp (checked in O(1), no scan).
-    pub fn advance_to(&mut self, now: Timestamp) -> usize {
+    /// evicted points (the handles the window held), so a caller that keeps
+    /// state derived from the contents can follow the eviction as a delta;
+    /// all of them leave under one revision bump. Time never moves
+    /// backwards: advancing to an earlier time is a no-op, and so is any
+    /// advance whose cutoff does not pass the oldest held timestamp (checked
+    /// in O(1), no scan).
+    pub fn advance_to(&mut self, now: Timestamp) -> Vec<Arc<DataPoint>> {
         if now <= self.now {
-            return 0;
+            return Vec::new();
         }
         self.now = now;
         let cutoff = self.config.cutoff(now);
         if !self.oldest.is_some_and(|oldest| oldest < cutoff) {
-            return 0;
+            return Vec::new();
         }
         let evicted = Arc::make_mut(&mut self.contents).evict_older_than(cutoff);
-        if evicted > 0 {
+        if !evicted.is_empty() {
             self.revision = self.revision.wrapping_add(1);
         }
         self.refresh_oldest();
@@ -299,9 +303,11 @@ mod tests {
         w.insert(pt(1, 1, 5));
         w.insert(pt(2, 0, 9));
         assert_eq!(w.len(), 3);
-        assert_eq!(w.advance_to(Timestamp::from_secs(14)), 1);
+        let evicted = w.advance_to(Timestamp::from_secs(14));
+        assert_eq!(evicted.len(), 1);
+        assert_eq!(evicted[0].key, pt(1, 0, 0).key);
         assert_eq!(w.len(), 2);
-        assert_eq!(w.advance_to(Timestamp::from_secs(18)), 1);
+        assert_eq!(w.advance_to(Timestamp::from_secs(18)).len(), 1);
         assert_eq!(w.len(), 1);
         assert!(w.contents().contains(&pt(2, 0, 9)));
     }
@@ -311,7 +317,7 @@ mod tests {
         let mut w = SlidingWindow::new(WindowConfig::from_secs(10).unwrap());
         w.advance_to(Timestamp::from_secs(30));
         assert_eq!(w.now(), Timestamp::from_secs(30));
-        assert_eq!(w.advance_to(Timestamp::from_secs(20)), 0);
+        assert!(w.advance_to(Timestamp::from_secs(20)).is_empty());
         assert_eq!(w.now(), Timestamp::from_secs(30));
     }
 
@@ -397,7 +403,7 @@ mod tests {
         assert_eq!(rebuilt, w);
         // The rederived oldest gate still drives evictions correctly.
         let mut rebuilt = rebuilt;
-        assert_eq!(rebuilt.advance_to(Timestamp::from_secs(16)), 1);
+        assert_eq!(rebuilt.advance_to(Timestamp::from_secs(16)).len(), 1);
         assert_eq!(rebuilt.len(), 1);
     }
 

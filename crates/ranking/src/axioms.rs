@@ -13,6 +13,11 @@
 //! tests, a whole-dataset sweep, and [`ThresholdCountRanking`] — a ranking
 //! that is anti-monotone but **not** smooth, used by the test-suite to
 //! exhibit the failure mode the paper warns about after Theorem 2.
+//!
+//! A third, implementation-level contract — the affection radius of
+//! [`RankingFunction::affection_radius`], which the incremental fixed-point
+//! engine relies on across insertions and removals — is checked by
+//! [`check_affection_radius`].
 
 use crate::function::{neighbors_by_distance, RankingFunction};
 use wsn_data::{DataPoint, PointSet};
@@ -38,6 +43,29 @@ pub enum AxiomViolation {
         rank_small: f64,
         /// Rank over the larger set.
         rank_large: f64,
+    },
+    /// The affection radius was too small: adding or removing a point
+    /// strictly beyond it changed the reported point's rank.
+    AffectionRadius {
+        /// The point whose rank changed.
+        point: DataPoint,
+        /// The point added or removed, farther away than the radius.
+        other: DataPoint,
+        /// Rank before the update.
+        rank_before: f64,
+        /// Rank after the update.
+        rank_after: f64,
+    },
+    /// The affection radius shrank as the rank grew.
+    RadiusNotMonotone {
+        /// The smaller of the two ranks.
+        rank_low: f64,
+        /// The larger of the two ranks.
+        rank_high: f64,
+        /// The radius at `rank_low`.
+        radius_low: f64,
+        /// The radius at `rank_high`, smaller than `radius_low`.
+        radius_high: f64,
     },
 }
 
@@ -111,6 +139,62 @@ pub fn check_axioms_on_pair<R: RankingFunction + ?Sized>(
         }
     }
     violations
+}
+
+/// Checks the contract of [`RankingFunction::affection_radius`] for `x` over
+/// `data`, by one-point updates: removing each point of `data` (other than
+/// `x`), and adding each point of `candidates` that `data` does not hold.
+/// Returns the first violation found:
+///
+/// * an update by a point strictly farther from `x` than
+///   `affection_radius(R(x, data))` that changes `R(x, data)` (compared bit
+///   for bit) — the radius was too small;
+/// * an update whose rank `r'` and the rank `r = R(x, data)` order the two
+///   radii the other way round — the radius is not monotone in the rank.
+///
+/// Updates within the radius may change the rank freely.
+pub fn check_affection_radius<R: RankingFunction + ?Sized>(
+    ranking: &R,
+    x: &DataPoint,
+    data: &PointSet,
+    candidates: &PointSet,
+) -> Option<AxiomViolation> {
+    let rank = ranking.rank(x, data);
+    let radius = ranking.affection_radius(rank);
+    let removals = data.iter().filter(|y| y.key != x.key).map(|y| {
+        let mut without = data.clone();
+        without.discard(&y.key);
+        (y, without)
+    });
+    let additions = candidates.iter().filter(|y| y.key != x.key && !data.contains(y)).map(|y| {
+        let mut with = data.clone();
+        with.insert(y.clone());
+        (y, with)
+    });
+    for (y, updated) in removals.chain(additions) {
+        let rank_after = ranking.rank(x, &updated);
+        if x.feature_distance(y) > radius && rank_after.to_bits() != rank.to_bits() {
+            return Some(AxiomViolation::AffectionRadius {
+                point: x.clone(),
+                other: y.clone(),
+                rank_before: rank,
+                rank_after,
+            });
+        }
+        let (rank_low, rank_high) =
+            if rank <= rank_after { (rank, rank_after) } else { (rank_after, rank) };
+        let (radius_low, radius_high) =
+            (ranking.affection_radius(rank_low), ranking.affection_radius(rank_high));
+        if radius_low > radius_high {
+            return Some(AxiomViolation::RadiusNotMonotone {
+                rank_low,
+                rank_high,
+                radius_low,
+                radius_high,
+            });
+        }
+    }
+    None
 }
 
 /// Checks that the support set returned by the ranking function actually
@@ -274,6 +358,77 @@ mod tests {
         let (small, large) = small_and_large();
         let violations = check_axioms_on_pair(&Broken, &small, &large);
         assert!(violations.iter().any(|v| matches!(v, AxiomViolation::AntiMonotonicity { .. })));
+    }
+
+    #[test]
+    fn shipped_affection_radii_hold_and_a_too_small_or_shrinking_one_is_caught() {
+        let (small, large) = small_and_large();
+        let rankings: Vec<Box<dyn RankingFunction>> = vec![
+            Box::new(NnDistance),
+            Box::new(KnnAverageDistance::new(2)),
+            Box::new(KthNeighborDistance::new(2)),
+            Box::new(NeighborCountInverse::new(2.0)),
+        ];
+        for r in &rankings {
+            for x in large.iter() {
+                for data in [&small, &large] {
+                    let violation = check_affection_radius(r.as_ref(), x, data, &large);
+                    assert!(violation.is_none(), "{}: {violation:?}", r.name());
+                }
+            }
+        }
+
+        /// The NN rank with half the radius it needs: removing or adding a
+        /// neighbour between `rank / 2` and `rank` away goes unnoticed.
+        #[derive(Debug)]
+        struct Broken;
+        impl RankingFunction for Broken {
+            fn name(&self) -> &'static str {
+                "broken radius"
+            }
+            fn rank(&self, x: &DataPoint, data: &PointSet) -> f64 {
+                NnDistance.rank(x, data)
+            }
+            fn support_set(&self, x: &DataPoint, data: &PointSet) -> PointSet {
+                NnDistance.support_set(x, data)
+            }
+            fn affection_radius(&self, rank: f64) -> f64 {
+                rank / 2.0
+            }
+        }
+        let x = pt(1, 0.0);
+        let violation = check_affection_radius(&Broken, &x, &large, &large);
+        assert!(matches!(violation, Some(AxiomViolation::AffectionRadius { .. })), "{violation:?}");
+
+        /// A sound but non-monotone radius: unbounded below rank 2, the NN
+        /// rank itself above it.
+        #[derive(Debug)]
+        struct Shrinking;
+        impl RankingFunction for Shrinking {
+            fn name(&self) -> &'static str {
+                "shrinking radius"
+            }
+            fn rank(&self, x: &DataPoint, data: &PointSet) -> f64 {
+                NnDistance.rank(x, data)
+            }
+            fn support_set(&self, x: &DataPoint, data: &PointSet) -> PointSet {
+                NnDistance.support_set(x, data)
+            }
+            fn affection_radius(&self, rank: f64) -> f64 {
+                if rank < 2.0 {
+                    f64::INFINITY
+                } else {
+                    rank
+                }
+            }
+        }
+        // x = 0 has its nearest neighbour at 1; removing it moves the rank
+        // to 8, whose radius (8) is smaller than rank 1's (∞).
+        let violation = check_affection_radius(&Shrinking, &x, &large, &PointSet::new());
+        assert!(
+            matches!(violation, Some(AxiomViolation::RadiusNotMonotone { .. })),
+            "{violation:?}"
+        );
     }
 
     #[test]

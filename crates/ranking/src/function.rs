@@ -66,18 +66,29 @@ pub trait RankingFunction: Send + Sync {
         }
     }
 
-    /// An upper bound on how far away a **newly added** dataset point can
-    /// still change the rank of a point whose current rank is `rank`: if
-    /// `‖x − y‖ > affection_radius(R(x, D))` then `R(x, D ∪ {y})` equals
-    /// `R(x, D)` — not just approximately, but as the identical `f64` (the
-    /// addition leaves `x`'s rank-determining neighbourhood untouched).
+    /// An upper bound on how far away a dataset point can be and still
+    /// determine the rank of a point whose rank is `rank`. The contract has
+    /// three parts:
+    ///
+    /// * **Insertions and removals alike.** If
+    ///   `‖x − y‖ > affection_radius(R(x, D))`, then adding `y` to `D` or
+    ///   removing it from `D` leaves `R(x, D)` bit-identical — not just
+    ///   approximately equal, but the identical `f64` (`y` lies outside
+    ///   `x`'s rank-determining neighbourhood either way).
+    /// * **Monotone in the rank.** `r1 ≤ r2` implies
+    ///   `affection_radius(r1) ≤ affection_radius(r2)`, so a radius computed
+    ///   from a rank *upper bound* is at least the radius of the true rank.
+    /// * **`f64::INFINITY` is always sound**, and is the default: it
+    ///   declares every cached rank stale on any update, which degrades
+    ///   performance, never correctness.
     ///
     /// Incremental evaluators (the sufficient-set fixed-point engine in
     /// `wsn-core`) use this to keep cached ranks *exact* across insertions
     /// instead of merely anti-monotone upper bounds, re-ranking only points
-    /// whose neighbourhood an insertion actually entered. The default of
-    /// `f64::INFINITY` is always sound: it declares every cached rank stale
-    /// on any insertion, which degrades performance, never correctness.
+    /// whose neighbourhood an insertion actually entered, and to keep every
+    /// cached rank an upper bound across removals, re-ranking only points a
+    /// removed point lay within the radius of.
+    /// [`crate::axioms::check_affection_radius`] checks all three parts.
     ///
     /// Implementations must be conservative: returning a radius that is too
     /// small breaks the exactness guarantee, returning one too large only

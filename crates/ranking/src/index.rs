@@ -19,12 +19,15 @@
 //! * [`GridIndex`] — a uniform grid over the bounding box of feature space,
 //!   searched in expanding cell rings; excellent for evenly spread data.
 //!
-//! For growing datasets — the sufficient-set fixed point of `wsn-core`
-//! extends its hypothetical set a handful of points per iteration — the
-//! [`DynamicIndex`] wraps a static base index with an LSM-style brute-force
-//! spill buffer: [`DynamicIndex::insert_arc`] is a set insertion, queries
-//! merge the base and spill candidate streams exactly, and the spill is
-//! folded into a rebuilt base only once it grows past a threshold.
+//! For changing datasets — the sufficient-set fixed point of `wsn-core`
+//! extends its hypothetical sets a handful of points per iteration, and
+//! window slides evict from them — the [`DynamicIndex`] wraps a static base
+//! index with an LSM-style brute-force spill buffer:
+//! [`DynamicIndex::insert_arc`] is a set insertion, [`DynamicIndex::remove`]
+//! deletes from the base in place, queries merge the base and spill
+//! candidate streams exactly, and the base is rebuilt only once the spill or
+//! the deletions grow past a threshold. While the set is small enough for
+//! brute force, the dynamic index keeps no base at all.
 //!
 //! # Exactness and tie-breaking
 //!
@@ -59,7 +62,7 @@ use crate::function::neighbors_by_distance;
 use std::cmp::Ordering;
 use std::sync::Arc;
 use wsn_data::order::total_order;
-use wsn_data::{DataPoint, PointSet};
+use wsn_data::{DataPoint, PointKey, PointSet};
 
 /// Below this many points, [`IndexStrategy::Auto`] keeps the brute path: the
 /// `O(w log w)` structure build does not pay for itself on tiny windows.
@@ -239,6 +242,9 @@ struct KdNode {
 #[derive(Debug, Clone)]
 pub struct KdTreeIndex {
     points: Vec<DataPoint>,
+    /// Per entry of `points`: deleted in place by `KdTreeIndex::delete`.
+    /// A deleted point still splits its node, but is never a candidate.
+    deleted: Vec<bool>,
     nodes: Vec<KdNode>,
     root: Option<usize>,
 }
@@ -255,7 +261,27 @@ impl KdTreeIndex {
         let mut indices: Vec<usize> = (0..points.len()).collect();
         let mut nodes = Vec::with_capacity(points.len());
         let root = Self::build_recursive(&points, &mut indices, 0, dim, &mut nodes);
-        KdTreeIndex { points, nodes, root }
+        KdTreeIndex { deleted: vec![false; points.len()], points, nodes, root }
+    }
+
+    /// Deletes `point` (by identity) in place: the descent follows the
+    /// build's `(feature[axis], ≺)` order to the node that stores it, which
+    /// keeps splitting its subtree but stops being a candidate. Returns
+    /// `true` if a live entry was deleted.
+    fn delete(&mut self, point: &DataPoint) -> bool {
+        let mut node = self.root;
+        while let Some(i) = node {
+            let n = &self.nodes[i];
+            let p = &self.points[n.point];
+            if p.key == point.key {
+                return !std::mem::replace(&mut self.deleted[n.point], true);
+            }
+            let order = point.features[n.axis]
+                .total_cmp(&p.features[n.axis])
+                .then_with(|| total_order(point, p));
+            node = if order == Ordering::Less { n.left } else { n.right };
+        }
+        false
     }
 
     fn build_recursive(
@@ -287,7 +313,7 @@ impl KdTreeIndex {
     fn search_nearest<'a>(&'a self, node: usize, x: &DataPoint, best: &mut BestK<'a>) {
         let n = &self.nodes[node];
         let p = &self.points[n.point];
-        if p.key != x.key {
+        if p.key != x.key && !self.deleted[n.point] {
             best.push(x.feature_distance(p), p);
         }
         let split = p.features[n.axis];
@@ -318,7 +344,7 @@ impl KdTreeIndex {
     ) {
         let n = &self.nodes[node];
         let p = &self.points[n.point];
-        if p.key != x.key {
+        if p.key != x.key && !self.deleted[n.point] {
             let d = x.feature_distance(p);
             if d <= radius {
                 out.push((d, p));
@@ -505,6 +531,29 @@ impl GridIndex {
             .collect()
     }
 
+    /// Deletes `point` (by identity) in place from its cell's bucket. The
+    /// grid geometry stays as built, so every live point still lies inside
+    /// its cell's box and both prunes stay exact. Returns `true` if a live
+    /// entry was deleted.
+    fn delete(&mut self, point: &DataPoint) -> bool {
+        let bucket = self.flatten(&self.cell_of(&point.features));
+        let points = &self.points;
+        let cell = &mut self.cells[bucket];
+        match cell.iter().position(|&i| points[i as usize].key == point.key) {
+            Some(at) => {
+                cell.swap_remove(at);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The points still stored in some cell bucket (all of them unless the
+    /// grid is a `DynamicIndex` base with in-place deletions).
+    fn live_points(&self) -> impl Iterator<Item = &DataPoint> {
+        self.cells.iter().flatten().map(|&i| &self.points[i as usize])
+    }
+
     fn flatten(&self, coords: &[usize]) -> usize {
         let mut idx = 0;
         for (d, &c) in coords.iter().enumerate() {
@@ -598,8 +647,7 @@ impl NeighborIndex for GridIndex {
             // Zero-dimensional points: every pair is at distance 0, so the
             // ordering is entirely decided by ≺.
             let mut all: Vec<(f64, &DataPoint)> = self
-                .points
-                .iter()
+                .live_points()
                 .filter(|p| p.key != x.key)
                 .map(|p| (x.feature_distance(p), p))
                 .collect();
@@ -639,7 +687,7 @@ impl NeighborIndex for GridIndex {
         }
         let mut out: Vec<(f64, &DataPoint)> = Vec::new();
         if self.dim == 0 {
-            for p in &self.points {
+            for p in self.live_points() {
                 if p.key != x.key {
                     let d = x.feature_distance(p);
                     if d <= radius {
@@ -729,6 +777,13 @@ impl AnyIndex {
     /// the brute index — the structured indexes assume a single metric
     /// space, exactly like [`DataPoint::feature_distance`] itself.
     pub fn build(strategy: IndexStrategy, data: &PointSet) -> AnyIndex {
+        AnyIndex::structured(strategy, data)
+            .unwrap_or_else(|| AnyIndex::Brute(BruteIndex::build(data)))
+    }
+
+    /// The grid or k-d tree [`AnyIndex::build`] would build, or `None` where
+    /// it would build the brute index (which then never copies `data`).
+    fn structured(strategy: IndexStrategy, data: &PointSet) -> Option<AnyIndex> {
         let uniform = {
             let mut dims = data.iter().map(DataPoint::dimension);
             match dims.next() {
@@ -738,11 +793,13 @@ impl AnyIndex {
         };
         let auto_small =
             matches!(strategy, IndexStrategy::Auto) && data.len() < AUTO_BRUTE_THRESHOLD;
-        let effective = if !uniform || auto_small { IndexStrategy::Brute } else { strategy };
-        match effective {
-            IndexStrategy::Brute => AnyIndex::Brute(BruteIndex::build(data)),
-            IndexStrategy::Grid => AnyIndex::Grid(GridIndex::build(data)),
-            IndexStrategy::KdTree => AnyIndex::KdTree(KdTreeIndex::build(data)),
+        if !uniform || auto_small {
+            return None;
+        }
+        match strategy {
+            IndexStrategy::Brute => None,
+            IndexStrategy::Grid => Some(AnyIndex::Grid(GridIndex::build(data))),
+            IndexStrategy::KdTree => Some(AnyIndex::KdTree(KdTreeIndex::build(data))),
             IndexStrategy::Auto => {
                 // Build-then-measure: the grid's own cell buckets are the
                 // occupancy histogram, so nothing is scanned twice. Keep the
@@ -750,11 +807,22 @@ impl AnyIndex {
                 // (which degrades gracefully on clusters) otherwise.
                 let grid = GridIndex::build(data);
                 if grid_occupancy_is_uniform(&grid) {
-                    AnyIndex::Grid(grid)
+                    Some(AnyIndex::Grid(grid))
                 } else {
-                    AnyIndex::KdTree(KdTreeIndex::build(data))
+                    Some(AnyIndex::KdTree(KdTreeIndex::build(data)))
                 }
             }
+        }
+    }
+
+    /// Deletes `point` (by identity) in place; see `GridIndex::delete` and
+    /// `KdTreeIndex::delete`. Only a `DynamicIndex` base is ever deleted
+    /// from, and the dynamic index answers `len` and `to_point_set` itself.
+    fn delete(&mut self, point: &DataPoint) -> bool {
+        match self {
+            AnyIndex::Brute(i) => i.points.discard(&point.key),
+            AnyIndex::Grid(i) => i.delete(point),
+            AnyIndex::KdTree(i) => i.delete(point),
         }
     }
 }
@@ -809,65 +877,93 @@ impl NeighborIndex for AnyIndex {
 // Dynamic (insertable) index
 // ---------------------------------------------------------------------------
 
-/// Minimum spill-buffer size the [`DynamicIndex`] tolerates before folding
-/// the spill into a rebuilt base index; for larger sets the threshold grows
-/// to [`DYNAMIC_SPILL_FRACTION`] of the indexed set so rebuild work stays an
-/// amortised constant per inserted point.
+/// Minimum spill-buffer size (and in-place deletion count) the
+/// [`DynamicIndex`] tolerates before rebuilding its base index; for larger
+/// sets the threshold grows to [`DYNAMIC_SPILL_FRACTION`] of the indexed set
+/// so rebuild work stays an amortised constant per inserted or removed
+/// point.
 pub const DYNAMIC_SPILL_MIN: usize = 32;
 
-/// Denominator of the proportional spill threshold: the spill may grow to
+/// Denominator of the proportional rebuild threshold: the spill, and
+/// separately the count of in-place deletions, may grow to
 /// `len / DYNAMIC_SPILL_FRACTION` points (but at least
 /// [`DYNAMIC_SPILL_MIN`]) before the base index is rebuilt.
 pub const DYNAMIC_SPILL_FRACTION: usize = 8;
 
-/// A [`NeighborIndex`] that supports **insertion** without per-insert
-/// rebuilds, in the style of an LSM tree: a static base index (any
-/// [`IndexStrategy`]) plus a small brute-force *spill* buffer of the points
-/// inserted since the base was last built.
+/// A [`NeighborIndex`] that supports **insertion and removal** without
+/// per-update rebuilds, in the style of an LSM tree: a static base index (a
+/// grid or k-d tree, per the [`IndexStrategy`]) plus a small brute-force
+/// *spill* buffer of the points inserted since the base was last built.
 ///
 /// # Contract
 ///
 /// * **Bit-identical ordering.** Every query returns exactly the candidate
 ///   list a freshly built index (equivalently, the brute path
-///   [`neighbors_by_distance`]) would return over the same point set:
-///   distances use the same [`DataPoint::feature_distance`] arithmetic and
-///   ties resolve by the same total order `≺`. Because the base and spill
-///   are disjoint and each side's candidates arrive sorted by
-///   `(distance, ≺)`, a two-way merge of the streams *is* the sorted order
-///   of their union — no re-sorting, no approximation.
+///   [`neighbors_by_distance`]) would return over the current point set —
+///   after any interleaving of inserts and removals: distances use the same
+///   [`DataPoint::feature_distance`] arithmetic and ties resolve by the same
+///   total order `≺`. Because the base's live entries and the spill are
+///   disjoint and each side's candidates arrive sorted by `(distance, ≺)`, a
+///   two-way merge of the streams *is* the sorted order of their union — no
+///   re-sorting, no approximation.
 /// * **Set semantics.** [`DynamicIndex::insert_arc`] follows
 ///   [`PointSet::insert_arc`]: points are keyed by observation identity and
 ///   a duplicate key is a no-op (the first stored copy wins, exactly like
 ///   [`PointSet::union`] — the operation the sufficient-set fixed point
-///   replaces with inserts).
-/// * **Spill/rebuild policy.** An insert appends to the spill buffer, whose
-///   queries cost `O(s log s)` for `s` spilled points. Once the spill
-///   exceeds `max(`[`DYNAMIC_SPILL_MIN`]`, len /`
-///   [`DYNAMIC_SPILL_FRACTION`]`)`, the base is rebuilt over the whole set
-///   (under the construction-time [`IndexStrategy`]) and the spill empties.
-///   Workloads that insert a bounded trickle of points — the fixed point
-///   adds at most a few support points per iteration — therefore never
-///   rebuild at all, and unbounded insert streams pay amortised
-///   `O(log)`-ish work per point instead of a rebuild per iteration.
+///   replaces with inserts). [`DynamicIndex::remove`] drops an identity; it
+///   may be inserted again later.
+/// * **Removal in place.** A removed spill point simply leaves the spill. A
+///   removed base point is deleted inside the base: the grid drops it from
+///   its cell bucket, the k-d tree marks its node deleted (the node keeps
+///   splitting its subtree, so every prune stays exact). Neither is ever a
+///   candidate again, so queries need no filtering and no over-fetch. The
+///   index releases every handle of a removed point at once; the base only
+///   holds copies of the points it was built over.
+/// * **Rebuild policy.** An insert appends to the spill buffer, whose
+///   queries cost `O(s log s)` for `s` spilled points. Once the spill — or,
+///   counted separately, the deletions inside the base — exceeds
+///   `max(`[`DYNAMIC_SPILL_MIN`]`, len /`[`DYNAMIC_SPILL_FRACTION`]`)`, the
+///   base is rebuilt over the whole set (under the construction-time
+///   [`IndexStrategy`]) and both counts restart at zero. Workloads that
+///   insert a bounded trickle of points — the fixed point adds at most a
+///   few support points per iteration — therefore rarely rebuild, and
+///   unbounded update streams pay amortised `O(log)`-ish work per point
+///   instead of a rebuild per iteration.
+/// * **One copy while brute-sized.** Where [`AnyIndex::build`] would pick
+///   the brute index (the [`IndexStrategy::Brute`] strategy, mixed feature
+///   dimensions, or [`IndexStrategy::Auto`] below
+///   [`AUTO_BRUTE_THRESHOLD`] points), the dynamic index keeps no base and
+///   no spill: queries read the indexed set itself, whose
+///   `(distance, ≺)`-sorted neighbour list is exactly the merged order.
+///   Under `Auto` a structured base is built once the set grows to the
+///   threshold, and dropped again at a rebuild that finds it below.
 #[derive(Debug, Clone)]
 pub struct DynamicIndex {
     strategy: IndexStrategy,
-    base: AnyIndex,
-    /// Points inserted since `base` was built; disjoint from `base` by key.
+    /// A grid or k-d tree over `all \ spill`, plus the entries deleted from
+    /// it in place, which it no longer returns; `None` while the set is
+    /// brute-sized.
+    base: Option<AnyIndex>,
+    /// Points inserted since `base` was built; disjoint from its live
+    /// entries by key, and empty while there is no base.
     spill: PointSet,
-    /// `base ∪ spill` — the indexed set, sharing every stored handle.
+    /// Entries deleted in place from `base` since it was built.
+    deleted: usize,
+    /// The indexed set — the base's live entries plus the spill — sharing
+    /// every stored handle with the caller.
     all: PointSet,
 }
 
 impl DynamicIndex {
     /// Builds the index over a snapshot of `data`, remembering `strategy`
     /// for future rebuilds (the strategy's small-set / occupancy heuristics
-    /// are re-evaluated against the grown set on every rebuild).
+    /// are re-evaluated against the current set on every rebuild).
     pub fn build(strategy: IndexStrategy, data: &PointSet) -> Self {
         DynamicIndex {
             strategy,
-            base: AnyIndex::build(strategy, data),
+            base: AnyIndex::structured(strategy, data),
             spill: PointSet::new(),
+            deleted: 0,
             all: data.clone(),
         }
     }
@@ -878,10 +974,13 @@ impl DynamicIndex {
         if !self.all.insert_arc(Arc::clone(&point)) {
             return false;
         }
-        self.spill.insert_arc(point);
-        if self.spill.len() > DYNAMIC_SPILL_MIN.max(self.all.len() / DYNAMIC_SPILL_FRACTION) {
-            self.base = AnyIndex::build(self.strategy, &self.all);
-            self.spill = PointSet::new();
+        if self.base.is_some() {
+            self.spill.insert_arc(point);
+            if self.spill.len() > self.rebuild_threshold() {
+                self.rebuild();
+            }
+        } else if self.strategy != IndexStrategy::Brute && self.all.len() >= AUTO_BRUTE_THRESHOLD {
+            self.rebuild();
         }
         true
     }
@@ -891,15 +990,49 @@ impl DynamicIndex {
         self.insert_arc(Arc::new(point))
     }
 
-    /// The indexed set (`base ∪ spill`), borrowed — callers iterating the
-    /// set they query (as `top_n_outliers_indexed` does) read it here
-    /// without any materialisation.
+    /// Removes the point with identity `key`, dropping every handle the
+    /// index held on it. Returns `true` if the identity was present.
+    pub fn remove(&mut self, key: &PointKey) -> bool {
+        let Some(point) = self.all.get_arc(key).cloned() else { return false };
+        self.all.discard(key);
+        if self.spill.discard(key) {
+            return true;
+        }
+        if let Some(base) = self.base.as_mut() {
+            let deleted = base.delete(&point);
+            debug_assert!(deleted, "a held point outside the spill is a live base entry");
+            self.deleted += 1;
+            if self.deleted > self.rebuild_threshold() {
+                self.rebuild();
+            }
+        }
+        true
+    }
+
+    /// How far the spill or the in-place deletions may grow before the base
+    /// is rebuilt.
+    fn rebuild_threshold(&self) -> usize {
+        DYNAMIC_SPILL_MIN.max(self.all.len() / DYNAMIC_SPILL_FRACTION)
+    }
+
+    /// Rebuilds the base over the whole set (or drops it, where the strategy
+    /// now keeps the set brute-sized) and empties the spill.
+    fn rebuild(&mut self) {
+        self.base = AnyIndex::structured(self.strategy, &self.all);
+        self.spill = PointSet::new();
+        self.deleted = 0;
+    }
+
+    /// The indexed set, borrowed — callers iterating the set they query (as
+    /// `top_n_outliers_indexed` does) read it here without any
+    /// materialisation.
     pub fn contents(&self) -> &PointSet {
         &self.all
     }
 
     /// Number of points currently sitting in the spill buffer (0 right
-    /// after a build or rebuild). Exposed for tests and diagnostics.
+    /// after a build or rebuild, and always 0 while the set is
+    /// brute-sized). Exposed for tests and diagnostics.
     pub fn spilled(&self) -> usize {
         self.spill.len()
     }
@@ -943,7 +1076,16 @@ impl NeighborIndex for DynamicIndex {
     }
 
     fn k_nearest(&self, x: &DataPoint, k: usize) -> Vec<(f64, &DataPoint)> {
-        let base = self.base.k_nearest(x, k);
+        let Some(base) = &self.base else {
+            // Brute-sized: keep the k best of one pass — the prefix of the
+            // sorted neighbour list, without sorting all of it.
+            let mut best = BestK::new(k);
+            for p in self.all.iter().filter(|p| p.key != x.key) {
+                best.push(x.feature_distance(p), p);
+            }
+            return best.entries;
+        };
+        let base = base.k_nearest(x, k);
         if self.spill.is_empty() {
             return base;
         }
@@ -953,7 +1095,18 @@ impl NeighborIndex for DynamicIndex {
     }
 
     fn within_radius(&self, x: &DataPoint, radius: f64) -> Vec<(f64, &DataPoint)> {
-        let base = self.base.within_radius(x, radius);
+        let Some(base) = &self.base else {
+            let mut inside: Vec<(f64, &DataPoint)> = self
+                .all
+                .iter()
+                .filter(|p| p.key != x.key)
+                .map(|p| (x.feature_distance(p), p))
+                .filter(|(d, _)| *d <= radius)
+                .collect();
+            inside.sort_by(candidate_order);
+            return inside;
+        };
+        let base = base.within_radius(x, radius);
         if self.spill.is_empty() {
             return base;
         }
@@ -1269,12 +1422,33 @@ mod tests {
 
     #[test]
     fn dynamic_insert_arc_shares_the_callers_allocation() {
-        let mut dynamic = DynamicIndex::build(IndexStrategy::Auto, &sample_set());
-        let handle = Arc::new(pt(40, 0, vec![9.0, 9.0]));
+        // Above the auto threshold, so the index has a structured base and
+        // the insert lands in the spill.
+        let spread: PointSet =
+            (0..AUTO_BRUTE_THRESHOLD as u32).map(|i| pt(i, 0, vec![i as f64, 0.5])).collect();
+        let mut dynamic = DynamicIndex::build(IndexStrategy::Auto, &spread);
+        let handle = Arc::new(pt(400, 0, vec![9.0, 9.0]));
         assert!(dynamic.insert_arc(Arc::clone(&handle)));
         assert!(Arc::ptr_eq(dynamic.contents().get_arc(&handle.key).unwrap(), &handle));
         assert!(!dynamic.insert_arc(Arc::clone(&handle)), "duplicate key is a no-op");
         assert_eq!(dynamic.spilled(), 1);
+    }
+
+    #[test]
+    fn a_brute_sized_dynamic_index_holds_one_copy_and_no_spill() {
+        let mut dynamic = DynamicIndex::build(IndexStrategy::Auto, &sample_set());
+        let handle = Arc::new(pt(40, 0, vec![9.0, 9.0]));
+        assert!(dynamic.insert_arc(Arc::clone(&handle)));
+        assert_eq!(dynamic.spilled(), 0, "a brute-sized index keeps no spill");
+        assert!(dynamic.base.is_none(), "… and no base copy of the set");
+        assert_eq!(Arc::strong_count(&handle), 2, "the caller's handle and the indexed set's");
+        assert!(dynamic.remove(&handle.key));
+        assert_eq!(Arc::strong_count(&handle), 1, "removal releases the point");
+        // Growing to the threshold builds a structured base.
+        for i in 0..AUTO_BRUTE_THRESHOLD as u32 {
+            dynamic.insert(pt(100 + i, 0, vec![i as f64, -1.0]));
+        }
+        assert!(dynamic.base.is_some());
     }
 
     #[test]

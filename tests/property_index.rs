@@ -13,10 +13,14 @@ use in_network_outlier::detection::sufficient::{
     sufficient_set, sufficient_set_indexed, sufficient_set_rebuild_reference, FixedPointEngine,
 };
 use in_network_outlier::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use wsn_data::rng::SeededRng;
+use wsn_data::{PointKey, SlidingWindow};
 use wsn_ranking::function::{support_of_set, support_of_set_indexed};
-use wsn_ranking::index::{AnyIndex, DynamicIndex, IndexStrategy, NeighborIndex};
+use wsn_ranking::index::{
+    AnyIndex, DynamicIndex, IndexStrategy, NeighborIndex, DYNAMIC_SPILL_FRACTION, DYNAMIC_SPILL_MIN,
+};
 use wsn_ranking::{top_n_outliers_indexed, KthNeighborDistance, NeighborCountInverse};
 
 /// Fixed seed for the property loops.
@@ -257,16 +261,21 @@ fn protocol_kernels_are_identical_across_index_strategies() {
     }
 }
 
-/// A [`DynamicIndex`] grown by interleaved inserts answers every query —
-/// raw lookups, top-`n` estimates, sufficient sets — exactly like an index
-/// freshly rebuilt over the same set, across 256 seeded cases. The insert
-/// stream draws from the same coarse lattice as the datasets, so
-/// duplicate-coordinate ties (resolved by `≺`) and duplicate identities
-/// (set-semantics no-ops) both occur, and the longest streams push the
-/// spill buffer over its rebuild threshold.
+/// A [`DynamicIndex`] changed by interleaved inserts and removals answers
+/// every query — raw lookups, top-`n` estimates, sufficient sets — exactly
+/// like an index freshly rebuilt over the same set, across 256 seeded
+/// cases. The insert stream draws from the same coarse lattice as the
+/// datasets, so duplicate-coordinate ties (resolved by `≺`) and duplicate
+/// identities (set-semantics no-ops) both occur, and the longest streams
+/// push the spill buffer over its rebuild threshold. Each round then
+/// removes a random share of the set — points of the initial build (base
+/// entries) and inserted ones (spill entries) alike, often enough to push
+/// the in-place deletions over the same threshold — and later rounds insert
+/// removed identities again.
 #[test]
 fn dynamic_index_matches_fresh_rebuild_under_interleaved_inserts() {
     let mut rng = SeededRng::seed_from_u64(SEED ^ 3);
+    let (mut reinserted, mut crossed) = (0usize, 0usize);
     let strategies = [
         ("auto", IndexStrategy::Auto),
         ("brute", IndexStrategy::Brute),
@@ -275,22 +284,27 @@ fn dynamic_index_matches_fresh_rebuild_under_interleaved_inserts() {
     ];
     for case in 0..CASES {
         let dim = rng.gen_range(1usize..4);
-        let initial_len = rng.gen_range(0usize..40);
+        let initial_len = rng.gen_range(0usize..80);
         let initial = gen_dataset(&mut rng, initial_len, dim);
         let (label, strategy) = strategies[case % strategies.len()];
         let mut dynamic = DynamicIndex::build(strategy, &initial);
         let mut contents = initial.clone();
         let k = rng.gen_range(1usize..6);
         let radius = rng.gen_range(0.0..12.0);
-        // Interleave: a few insert/query rounds per case; the stream of
-        // inserted points reuses dataset identities half the time so
-        // duplicate-key no-ops are exercised.
+        let mut removed: Vec<DataPoint> = Vec::new();
+        // Interleave: a few insert/remove/query rounds per case; the stream
+        // of inserted points reuses dataset identities half the time so
+        // duplicate-key no-ops are exercised, and now and then brings back
+        // a removed identity.
         let rounds = rng.gen_range(1usize..5);
         for round in 0..rounds {
             let burst = rng.gen_range(1usize..25);
             let fresh_points = gen_dataset(&mut rng, burst, dim);
             for (i, p) in fresh_points.iter().enumerate() {
-                let p = if rng.gen_bool(0.5) {
+                let p = if !removed.is_empty() && rng.gen_bool(0.2) {
+                    reinserted += 1;
+                    removed.swap_remove(rng.gen_index(removed.len()))
+                } else if rng.gen_bool(0.5) {
                     // A brand-new identity disjoint from the dataset's.
                     DataPoint::new(
                         SensorId(40 + (round % 4) as u32),
@@ -311,9 +325,35 @@ fn dynamic_index_matches_fresh_rebuild_under_interleaved_inserts() {
                 );
                 contents.insert_arc(arc);
             }
+            // Remove a random share of the set (every point, now and then),
+            // then an absent identity.
+            let spilled = dynamic.spilled();
+            let before = contents.len();
+            let mut keys: Vec<PointKey> = contents.keys().copied().collect();
+            let count =
+                if rng.gen_bool(0.3) { keys.len() } else { rng.gen_range(0usize..keys.len() + 1) };
+            for _ in 0..count {
+                let key = keys.swap_remove(rng.gen_index(keys.len()));
+                assert!(
+                    dynamic.remove(&key),
+                    "case {case} (seed {SEED:#x}) {label}: removing a held identity"
+                );
+                removed.push(contents.get(&key).expect("a held identity").clone());
+                contents.discard(&key);
+            }
+            assert!(!dynamic.remove(&point(99, 0, vec![]).key), "an absent identity");
+            // At most `spilled` removals came out of the spill; past that,
+            // more than the threshold means the base was rebuilt.
+            let threshold = DYNAMIC_SPILL_MIN.max(before / DYNAMIC_SPILL_FRACTION);
+            let structured = matches!(strategy, IndexStrategy::Grid | IndexStrategy::KdTree);
+            if structured && count > spilled + threshold {
+                crossed += 1;
+            }
             assert_eq!(dynamic.len(), contents.len());
+            assert_eq!(dynamic.to_point_set(), contents);
             let fresh = AnyIndex::build(IndexStrategy::Brute, &contents);
-            let queries = gen_queries(&mut rng, &contents, dim);
+            let mut queries = gen_queries(&mut rng, &contents, dim);
+            queries.extend(removed.iter().rev().take(3).cloned());
             for (qi, x) in queries.iter().enumerate().step_by(3) {
                 let context = format!(
                     "case {case} (seed {SEED:#x}) {label}, dim={dim}, round={round}, q#{qi}"
@@ -348,4 +388,171 @@ fn dynamic_index_matches_fresh_rebuild_under_interleaved_inserts() {
         );
         assert_eq!(dynamic.to_point_set(), contents);
     }
+    assert!(
+        reinserted > 0 && crossed > 0,
+        "{reinserted} removed identities inserted again, {crossed} rounds past the threshold"
+    );
+}
+
+/// The engine fed by delta notes — window inserts and evictions,
+/// per-neighbour records and evictions, delivered in the order and on the
+/// revision chains `DetectorNode` uses in the global scope — against the
+/// rebuild-per-iteration reference, across 256 seeded random streams. The
+/// engine is given no index, so its own-window state answers every query.
+///
+/// Each case slides a short window over a stream of local samples and
+/// neighbour deliveries (some of them stale: behind the cutoff, refused by
+/// the window but recorded by the book, evicted at the next slide, and now
+/// and then delivered again), and at every step asks the engine for every
+/// neighbour's sufficient set over the current `P_i` and `known`, then
+/// records the send as the node does. NN and KNN-avg (k = 1–4) alternate,
+/// with n = 1–4. A quarter of the cases withhold one note in ten, so the
+/// broken-chain fallback (re-scan, size check, rebuild) stays covered.
+#[test]
+fn note_driven_engine_matches_the_rebuild_reference_across_slides() {
+    let mut rng = SeededRng::seed_from_u64(SEED ^ 4);
+    let (mut calls, mut window_evictions, mut book_evictions, mut withheld) = (0, 0, 0, 0);
+    for case in 0..CASES {
+        let dim = rng.gen_range(1usize..3);
+        let n = rng.gen_range(1usize..5);
+        let k = rng.gen_range(1usize..5);
+        let ranking: Box<dyn RankingFunction> =
+            if case % 2 == 0 { Box::new(NnDistance) } else { Box::new(KnnAverageDistance::new(k)) };
+        let ranking = ranking.as_ref();
+        let window_secs = rng.gen_range(2u64..6);
+        let config = WindowConfig::from_secs(window_secs).unwrap();
+        let mut window = SlidingWindow::new(config);
+        let neighbors: Vec<SensorId> = (1..=rng.gen_range(1u32..4)).map(SensorId).collect();
+        let mut known: BTreeMap<SensorId, PointSet> = BTreeMap::new();
+        let mut revisions: BTreeMap<SensorId, u64> = BTreeMap::new();
+        let withhold = if case % 4 == 3 { 0.1 } else { 0.0 };
+        let mut delivered: Vec<Arc<DataPoint>> = Vec::new();
+        let mut engine = FixedPointEngine::new();
+        let mut epoch = 0u64;
+        let steps = rng.gen_range(6u64..14);
+        for secs in 1..=steps {
+            let now = Timestamp::from_secs(secs);
+            let mut sample = |rng: &mut SeededRng, origin: u32, at: u64| {
+                epoch += 1;
+                let features = gen_dataset(rng, 1, dim).iter().next().unwrap().features.clone();
+                Arc::new(
+                    DataPoint::new(
+                        SensorId(origin),
+                        Epoch(epoch),
+                        Timestamp::from_secs(at),
+                        features,
+                    )
+                    .unwrap(),
+                )
+            };
+            let mut deliver = |rng: &mut SeededRng| {
+                let keep = !rng.gen_bool(withhold);
+                withheld += usize::from(!keep);
+                keep
+            };
+            // The slide: the window first, then the book, each eviction
+            // noted under the revision it moved to.
+            let evicted = window.advance_to(now);
+            if !evicted.is_empty() {
+                window_evictions += 1;
+                if deliver(&mut rng) {
+                    engine.note_window_evictions(ranking, &evicted, window.revision());
+                }
+            }
+            let cutoff = config.cutoff(now);
+            for (&j, set) in known.iter_mut() {
+                let evicted = set.evict_older_than(cutoff);
+                if !evicted.is_empty() {
+                    let revision = revisions.entry(j).or_insert(0);
+                    *revision += 1;
+                    book_evictions += 1;
+                    if deliver(&mut rng) {
+                        engine.note_evicted_points(ranking, j, &evicted, *revision);
+                    }
+                }
+            }
+            // Local samples.
+            for _ in 0..rng.gen_range(0usize..4) {
+                let p = sample(&mut rng, 0, secs);
+                if window.insert_arc(Arc::clone(&p)) && deliver(&mut rng) {
+                    engine.note_window_point(&p, window.revision());
+                }
+            }
+            // Receipts: fresh or stale samples of the sender, and now and
+            // then a point delivered before (possibly evicted since).
+            for &j in &neighbors {
+                if !rng.gen_bool(0.6) {
+                    continue;
+                }
+                let mut batch: Vec<Arc<DataPoint>> = Vec::new();
+                for _ in 0..rng.gen_range(1usize..4) {
+                    if !delivered.is_empty() && rng.gen_bool(0.2) {
+                        batch.push(Arc::clone(&delivered[rng.gen_index(delivered.len())]));
+                    } else {
+                        let age = rng.gen_range(0u64..window_secs + 2);
+                        let p = sample(&mut rng, 10 + j.raw(), secs.saturating_sub(age));
+                        delivered.push(Arc::clone(&p));
+                        batch.push(p);
+                    }
+                }
+                for p in &batch {
+                    if window.insert_arc(Arc::clone(p)) && deliver(&mut rng) {
+                        engine.note_window_point(p, window.revision());
+                    }
+                }
+                let set = known.entry(j).or_default();
+                batch.retain(|p| set.insert_arc(Arc::clone(p)));
+                if !batch.is_empty() {
+                    let revision = revisions.entry(j).or_insert(0);
+                    *revision += 1;
+                    if deliver(&mut rng) {
+                        engine.note_shared_points(j, &batch, *revision);
+                    }
+                }
+            }
+            // Process: every neighbour's sufficient set against the
+            // reference, then the send recorded and noted.
+            let pi = window.contents().clone();
+            let index = AnyIndex::build(IndexStrategy::Brute, &pi);
+            for &j in &neighbors {
+                let known_j = known.get(&j).cloned().unwrap_or_default();
+                let revision = revisions.get(&j).copied().unwrap_or(0);
+                let z = engine.sufficient_set(
+                    ranking,
+                    n,
+                    &pi,
+                    None,
+                    j,
+                    &known_j,
+                    (window.revision(), revision),
+                );
+                assert_eq!(
+                    *z,
+                    sufficient_set_rebuild_reference(ranking, n, &pi, &index, &known_j),
+                    "case {case} (seed {SEED:#x}) {}, n={n}, dim={dim}, t={secs}s, \
+                     neighbour {j}: the note-driven engine diverges from the reference",
+                    ranking.name()
+                );
+                calls += 1;
+                let batch: Vec<Arc<DataPoint>> =
+                    z.difference(&known_j).iter_arcs().cloned().collect();
+                if !batch.is_empty() {
+                    let set = known.entry(j).or_default();
+                    for p in &batch {
+                        set.insert_arc(Arc::clone(p));
+                    }
+                    let revision = revisions.entry(j).or_insert(0);
+                    *revision += 1;
+                    if deliver(&mut rng) {
+                        engine.note_shared_points(j, &batch, *revision);
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        window_evictions > 0 && book_evictions > 0 && withheld > 0,
+        "the stream must evict from both sides and withhold notes: {window_evictions} window \
+         and {book_evictions} book evictions, {withheld} notes withheld over {calls} calls"
+    );
 }

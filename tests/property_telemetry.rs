@@ -107,44 +107,97 @@ fn telemetry_on_and_off_runs_are_bit_identical_across_256_cases() {
     assert_eq!(runs, 256, "the sweep is meant to cover exactly 256 runs");
 }
 
-/// A steady-state streaming run — the window is wider than the whole trace,
-/// so nothing is ever evicted — and the regression gate it feeds: the
-/// incremental fixed point must perform **zero** desync rebuilds when the
-/// sync chain never breaks by eviction. A regression that re-introduced
-/// full rebuilds on the hot path would trip this before it tripped a
-/// benchmark.
+/// The steady-state regression gate on the incremental fixed point: it must
+/// perform **zero** desync rebuilds, whether or not the windows slide —
+/// every record and every eviction reaches the engines as a delta note, so
+/// no sync chain breaks. A regression that re-introduced full rebuilds on
+/// the hot path would trip this before it tripped a benchmark. Three
+/// Global-NN inputs:
+///
+/// * a 12-sensor streaming run whose window (10 samples) is wider than its
+///   4-round trace: nothing is ever evicted;
+/// * the same deployment over 8 rounds with a 3-sample window: every slide
+///   from the fourth evicts;
+/// * one 3×3 fleet tenant (10 m grid, 15 m range, `n = 2`, `w = 8`, the
+///   shape of the benchmark's fleet tenants) served 12 epochs through
+///   [`TenantRuntime`]: its windows evict from the ninth epoch on.
 #[test]
 fn steady_state_streaming_performs_zero_desync_rebuilds() {
+    use wsn_data::rng::SeededRng;
+    use wsn_data::stream::SensorSpec;
+    use wsn_data::Position;
+
     let _guard = lock();
-    let config = ExperimentConfig {
-        sensor_count: 12,
-        trace: SyntheticTraceConfig { rounds: 4, ..Default::default() },
-        window_samples: 10, // > rounds: no sample ever leaves the window
-        n: 4,
-        transmission_range_m: 18.0,
-        ..Default::default()
-    }
-    .with_algorithm(AlgorithmConfig::Global { ranking: RankingChoice::Nn });
-
-    wsn_obs::reset();
-    wsn_obs::set_enabled(true);
-    let outcome = StreamingExperiment::new(config).run().expect("streaming run succeeds");
-    wsn_obs::set_enabled(false);
-    assert_eq!(outcome.slides.len(), 4, "all four slides must be observed");
-
-    if wsn_obs::compiled() {
-        let report = wsn_obs::report();
-        assert!(
-            report.counter("engine.calls") > 0,
-            "the gate is vacuous unless the fixed-point engine actually ran"
-        );
-        assert_eq!(
-            report.counter("engine.desync_rebuilds"),
-            0,
-            "steady-state streaming (no evictions) must never desync-rebuild; \
-             report: {:?}",
-            report.counters,
-        );
+    let global_nn = AlgorithmConfig::Global { ranking: RankingChoice::Nn };
+    let streaming = |rounds: usize, window_samples: u64| {
+        let config = ExperimentConfig {
+            sensor_count: 12,
+            trace: SyntheticTraceConfig { rounds, ..Default::default() },
+            window_samples,
+            n: 4,
+            transmission_range_m: 18.0,
+            ..Default::default()
+        }
+        .with_algorithm(global_nn);
+        move || {
+            let outcome = StreamingExperiment::new(config.clone()).run().expect("streaming run");
+            assert_eq!(outcome.slides.len(), rounds, "every slide must be observed");
+        }
+    };
+    let tenant = || {
+        let sensors = (0..9u32)
+            .map(|i| {
+                let position = Position { x: f64::from(i % 3) * 10.0, y: f64::from(i / 3) * 10.0 };
+                SensorSpec::new(SensorId(i), position)
+            })
+            .collect();
+        let spec = TenantSpec {
+            sensors,
+            transmission_range_m: 15.0,
+            algorithm: global_nn,
+            n: 2,
+            window_samples: 8,
+            sample_interval_secs: 31.0,
+        };
+        let mut runtime = TenantRuntime::new(spec).expect("a valid tenant");
+        for epoch in 0..12u64 {
+            // Clustered readings with a rare spike, so the protocol works.
+            let mut rng = SeededRng::seed_from_u64(epoch);
+            let readings = (0..9u32)
+                .map(|i| {
+                    let spike = if rng.gen_bool(0.05) { rng.gen_range(10.0..30.0) } else { 0.0 };
+                    let value = rng.gen_gaussian(20.0, 0.5) + spike;
+                    let at = Timestamp::from_secs_f64(epoch as f64 * 31.0);
+                    DataPoint::new(SensorId(i), Epoch(epoch), at, vec![value]).expect("finite")
+                })
+                .collect();
+            runtime.ingest(readings);
+        }
+        assert_eq!(runtime.run_due(true).len(), 12, "every epoch must slide");
+    };
+    let inputs: [(&str, &dyn Fn()); 3] = [
+        ("streaming, no eviction (w = 10, 4 rounds)", &streaming(4, 10)),
+        ("streaming, evicting (w = 3, 8 rounds)", &streaming(8, 3)),
+        ("fleet tenant, evicting (w = 8, 12 epochs)", &tenant),
+    ];
+    for (what, run) in inputs {
+        wsn_obs::reset();
+        wsn_obs::set_enabled(true);
+        run();
+        wsn_obs::set_enabled(false);
+        if wsn_obs::compiled() {
+            let report = wsn_obs::report();
+            assert!(
+                report.counter("engine.calls") > 0,
+                "{what}: the gate is vacuous unless the fixed-point engine actually ran"
+            );
+            assert_eq!(
+                report.counter("engine.desync_rebuilds"),
+                0,
+                "{what}: the fixed point must never desync-rebuild; report: {:?}",
+                report.counters,
+            );
+        }
     }
 }
 

@@ -12,8 +12,9 @@
 use in_network_outlier::prelude::*;
 use wsn_data::rng::SeededRng;
 use wsn_ranking::axioms::{
-    check_axioms_on_pair, support_sets_preserve_rank, ThresholdCountRanking,
+    check_affection_radius, check_axioms_on_pair, support_sets_preserve_rank, ThresholdCountRanking,
 };
+use wsn_ranking::knn::MISSING_NEIGHBOR_PENALTY;
 use wsn_ranking::{KthNeighborDistance, NeighborCountInverse};
 
 /// Fixed seed for the property loops.
@@ -66,6 +67,71 @@ fn shipped_ranking_functions_satisfy_both_axioms() {
             );
         }
     }
+}
+
+/// The affection-radius contract the incremental fixed point relies on
+/// across insertions *and* removals: for every shipped ranking, every query
+/// point and every one-point update (removing a point of the set, adding a
+/// candidate) by a point strictly beyond `affection_radius(R(x, D))`, the
+/// rank stays bit-identical; and the radius is monotone in the rank. Half
+/// the coordinates come from a coarse half-unit lattice, so duplicate
+/// coordinates and distance ties are common, and sets smaller than `k + 1`
+/// give penalty-inflated k-NN ranks; the loop counts both to show they
+/// occur.
+#[test]
+fn affection_radii_bound_insertions_and_removals() {
+    let mut rng = SeededRng::seed_from_u64(SEED ^ 3);
+    let gen = |rng: &mut SeededRng, sensor: u32, len: usize, dim: usize| -> PointSet {
+        (0..len)
+            .map(|e| {
+                let features = (0..dim)
+                    .map(|_| {
+                        if rng.gen_bool(0.5) {
+                            (rng.gen_range(-6i64..6) as f64) * 0.5
+                        } else {
+                            rng.gen_range(-10.0..10.0)
+                        }
+                    })
+                    .collect();
+                DataPoint::new(SensorId(sensor), Epoch(e as u64), Timestamp::ZERO, features)
+                    .unwrap()
+            })
+            .collect()
+    };
+    let (mut ties, mut penalized) = (0usize, 0usize);
+    for case in 0..CASES {
+        let dim = rng.gen_range(1usize..3);
+        let data_len = rng.gen_range(1usize..12);
+        let data = gen(&mut rng, 1, data_len, dim);
+        let candidate_len = rng.gen_range(1usize..6);
+        let candidates = gen(&mut rng, 2, candidate_len, dim);
+        let k = rng.gen_range(1usize..5);
+        let alpha = rng.gen_range(0.5..6.0);
+        let rankings: Vec<Box<dyn RankingFunction>> = vec![
+            Box::new(NnDistance),
+            Box::new(KnnAverageDistance::new(k)),
+            Box::new(KthNeighborDistance::new(k)),
+            Box::new(NeighborCountInverse::new(alpha)),
+        ];
+        for x in data.iter().chain(candidates.iter()) {
+            if data.iter().any(|y| y.key != x.key && y.features == x.features) {
+                ties += 1;
+            }
+            if KnnAverageDistance::new(k).rank(x, &data) >= MISSING_NEIGHBOR_PENALTY / k as f64 {
+                penalized += 1;
+            }
+            for ranking in &rankings {
+                let violation = check_affection_radius(ranking.as_ref(), x, &data, &candidates);
+                assert!(
+                    violation.is_none(),
+                    "case {case} (seed {SEED:#x}): {} broke its affection radius: \
+                     {violation:?}\nx: {x}\ndata: {data}\ncandidates: {candidates}",
+                    ranking.name(),
+                );
+            }
+        }
+    }
+    assert!(ties > 0 && penalized > 0, "ties {ties}, penalty-inflated ranks {penalized}");
 }
 
 /// The support set really is a support set: computing the rank over just
