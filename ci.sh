@@ -59,6 +59,19 @@ fi
 CARGO_TARGET_DIR=target/benchmark RUSTDOCFLAGS="-D warnings" \
     cargo doc --offline --locked --no-deps --manifest-path benchmark/Cargo.toml
 
+# Example smoke: the two examples that drive detector nodes directly.
+# `cargo test` only compiles examples, so a transport that panics or stops
+# converging would pass it; quickstart must end with the two sensors in
+# agreement, and semi_global_tracking runs the loss-free transport
+# (`wsn_core::transport::run_to_quiescence`) on a chain for three hop
+# diameters.
+echo "== example smoke (quickstart, semi_global_tracking) =="
+quickstart=$(cargo run --release --offline --example quickstart)
+printf '%s\n' "$quickstart"
+grep -q "estimates agree: true" <<<"$quickstart" \
+    || { echo "quickstart: the two sensors did not agree"; exit 1; }
+cargo run --release --offline --example semi_global_tracking
+
 # Campaign smoke: every figure and table spec of the paper's evaluation at
 # --quick scale, through the one journaled pipeline, gated on the exit
 # status and on json_check of the quick journal (which the binary recreates

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 use wsn_bench::paper::{global_nn, PaperScenario, PAPER_N};
 use wsn_core::app::{any_simulator_with_sampling, DetectorApp};
-use wsn_core::{DetectorNode, OutlierDetector};
+use wsn_core::DetectorNode;
 use wsn_data::impute::WindowMeanImputer;
 use wsn_data::lab::LabDeployment;
 use wsn_data::stream::SensorStream;

@@ -1,7 +1,7 @@
 //! Adapter that runs a distributed detector on the network simulator.
 //!
-//! [`DetectorApp`] wires an [`OutlierDetector`] (global or semi-global) to
-//! the [`wsn_netsim::sim::Application`] interface:
+//! [`DetectorApp`] wires a [`DetectorNode`] (global or semi-global) to the
+//! [`wsn_netsim::sim::Application`] interface:
 //!
 //! * a periodic timer samples the node's own data stream (the paper's
 //!   "`D_i` changes" event), slides the window, and lets the detector react,
@@ -11,12 +11,13 @@
 //! * whatever the detector decides must be sent is put on the air as a
 //!   single-hop broadcast whose size is the protocol wire size.
 
-use crate::detector::OutlierDetector;
 use crate::message::OutlierBroadcast;
+use crate::node::DetectorNode;
 use wsn_data::stream::SensorStream;
 use wsn_data::{SensorId, Timestamp};
 use wsn_netsim::region::{AnySimulator, SimBackend, SimHandle};
 use wsn_netsim::sim::{Application, BatchTimerEntry, NodeContext, Simulator, TimerId};
+use wsn_ranking::RankingFunction;
 
 /// Number of distinct stagger slots the sampling schedule spreads a round's
 /// radios over. Nodes share slots modulo this count, so the stagger span
@@ -162,8 +163,8 @@ where
 /// A simulator application running one distributed detector plus its data
 /// stream.
 #[derive(Debug, Clone)]
-pub struct DetectorApp<D> {
-    detector: D,
+pub struct DetectorApp<R> {
+    detector: DetectorNode<R>,
     stream: SensorStream,
     schedule: SamplingSchedule,
     /// `true` once [`install_sampling`] took over the sampling timers;
@@ -173,9 +174,13 @@ pub struct DetectorApp<D> {
     events_handled: u64,
 }
 
-impl<D: OutlierDetector> DetectorApp<D> {
+impl<R: RankingFunction> DetectorApp<R> {
     /// Creates the application for one node.
-    pub fn new(detector: D, stream: SensorStream, schedule: SamplingSchedule) -> Self {
+    pub fn new(
+        detector: DetectorNode<R>,
+        stream: SensorStream,
+        schedule: SamplingSchedule,
+    ) -> Self {
         DetectorApp {
             detector,
             stream,
@@ -187,13 +192,13 @@ impl<D: OutlierDetector> DetectorApp<D> {
     }
 
     /// The wrapped detector (for reading estimates and counters).
-    pub fn detector(&self) -> &D {
+    pub fn detector(&self) -> &DetectorNode<R> {
         &self.detector
     }
 
     /// Mutable access to the wrapped detector, for the persistence layer's
     /// state install on resume (see [`crate::persist`]).
-    pub fn detector_mut(&mut self) -> &mut D {
+    pub fn detector_mut(&mut self) -> &mut DetectorNode<R> {
         &mut self.detector
     }
 
@@ -213,9 +218,12 @@ impl<D: OutlierDetector> DetectorApp<D> {
         self.events_handled
     }
 
+    /// Processes the event the caller just applied and broadcasts the
+    /// result. Every caller opens the `detect` span before it touches the
+    /// detector, so the window slide and its eviction notes count as
+    /// detector time.
     fn react(&mut self, ctx: &mut NodeContext<OutlierBroadcast>) {
         self.events_handled += 1;
-        let _detect_span = wsn_obs::span("detect");
         if let Some(message) = self.detector.process(ctx.neighbors()) {
             let size = message.wire_size();
             self.packets_broadcast += 1;
@@ -227,6 +235,7 @@ impl<D: OutlierDetector> DetectorApp<D> {
     }
 
     fn sample_round(&mut self, ctx: &mut NodeContext<OutlierBroadcast>, round: usize) {
+        let _detect_span = wsn_obs::span("detect");
         self.detector.advance_time(ctx.now());
         match self.stream.point_at(round) {
             Ok(Some(point)) => self.detector.add_local_points(vec![point]),
@@ -241,13 +250,13 @@ impl<D: OutlierDetector> DetectorApp<D> {
     }
 }
 
-impl<D: OutlierDetector> ScheduleDriven for DetectorApp<D> {
+impl<R: RankingFunction> ScheduleDriven for DetectorApp<R> {
     fn sampling_installed(&mut self) {
         self.batch_sampling = true;
     }
 }
 
-impl<D: OutlierDetector> Application for DetectorApp<D> {
+impl<R: RankingFunction> Application for DetectorApp<R> {
     type Message = OutlierBroadcast;
 
     fn on_start(&mut self, ctx: &mut NodeContext<Self::Message>) {
@@ -279,6 +288,7 @@ impl<D: OutlierDetector> Application for DetectorApp<D> {
             // Not tagged for us: receipt of M is not an event (§5.2).
             return;
         }
+        let _detect_span = wsn_obs::span("detect");
         self.detector.advance_time(ctx.now());
         self.detector.receive_arcs(from, mine);
         self.react(ctx);
@@ -290,6 +300,7 @@ impl<D: OutlierDetector> Application for DetectorApp<D> {
         // dead neighbour must not pin shared-knowledge sets, quiet memos, or
         // fixed-point hypothetical state, and a *re*-joining neighbour must
         // be re-synced from scratch rather than against stale bookkeeping.
+        let _detect_span = wsn_obs::span("detect");
         self.detector.retain_neighbors(ctx.neighbors());
         self.detector.advance_time(ctx.now());
         self.react(ctx);
@@ -299,7 +310,6 @@ impl<D: OutlierDetector> Application for DetectorApp<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::DetectorNode;
     use wsn_data::stream::{SensorReading, SensorSpec};
     use wsn_data::window::WindowConfig;
     use wsn_data::{Epoch, Position};
@@ -308,7 +318,7 @@ mod tests {
     use wsn_ranking::NnDistance;
 
     /// Builds a 3-node chain where node 0's stream contains one wild value.
-    fn build_sim(rounds: usize) -> Simulator<DetectorApp<DetectorNode<NnDistance>>> {
+    fn build_sim(rounds: usize) -> Simulator<DetectorApp<NnDistance>> {
         let specs: Vec<SensorSpec> = (0..3)
             .map(|i| SensorSpec::new(SensorId(i), Position::new(i as f64 * 5.0, 0.0)))
             .collect();

@@ -6,7 +6,7 @@
 //! traffic counters. All of it lives here, in one type that also persists
 //! itself.
 //!
-//! The memo of [`crate::detector::OutlierDetector::process`] is keyed by
+//! The memo of [`crate::node::DetectorNode::process`] is keyed by
 //! `(window revision, bookkeeping revision)` — the exact inputs of the
 //! sufficient-set computation. It is safe only if **every** mutation of a
 //! neighbour's shared-knowledge set bumps that neighbour's revision; a stale
@@ -264,7 +264,7 @@ impl NeighborBook {
     }
 
     /// Forgets every neighbour **not** in `live`, here and in `engines` —
-    /// see [`crate::detector::OutlierDetector::retain_neighbors`].
+    /// see [`crate::node::DetectorNode::retain_neighbors`].
     pub fn retain(&mut self, live: &[SensorId], engines: &mut [FixedPointEngine]) {
         let tracked: BTreeSet<SensorId> = self
             .shared_with

@@ -21,9 +21,13 @@
 //! * [`centralized`] — the **centralized baseline** of the evaluation (§7.1):
 //!   every node periodically ships its sliding window to a sink over AODV,
 //!   the sink computes the outliers and sends them back.
-//! * [`detector`], [`app`] — a common node-protocol interface and the adapter
-//!   that runs any detector on the [`wsn_netsim`] simulator with periodic
-//!   sampling from a trace and sliding-window eviction (§5.3).
+//! * [`app`] — the adapter that runs a [`DetectorNode`] on the
+//!   [`wsn_netsim`] simulator with periodic sampling from a trace and
+//!   sliding-window eviction (§5.3).
+//! * [`transport`] — the loss-free synchronous transport:
+//!   [`transport::run_to_quiescence`] drives `DetectorNode`s to the fixed
+//!   point without the radio model, in one fixed delivery order (the fleet's
+//!   slides, and the tests and examples that drive nodes directly).
 //! * [`metrics`] — ground truth, convergence and accuracy metrics (§7.2).
 //! * [`streaming`] — the one experiment driver (deployment → trace →
 //!   simulation → grading), used by the examples and by the
@@ -36,7 +40,6 @@
 //! # Example: the two-sensor walk-through of §5.1
 //!
 //! ```
-//! use wsn_core::detector::OutlierDetector;
 //! use wsn_core::node::DetectorNode;
 //! use wsn_data::window::WindowConfig;
 //! use wsn_data::{DataPoint, Epoch, SensorId, Timestamp};
@@ -60,7 +63,6 @@
 pub mod app;
 pub mod cache;
 pub mod centralized;
-pub mod detector;
 pub mod error;
 pub mod experiment;
 mod ledger;
@@ -71,8 +73,8 @@ pub mod persist;
 pub mod streaming;
 pub mod sufficient;
 mod telemetry;
+pub mod transport;
 
-pub use detector::OutlierDetector;
 pub use error::CoreError;
 pub use message::OutlierBroadcast;
 pub use node::{DetectorNode, Scope};

@@ -41,7 +41,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::cache::RevisionCache;
-use crate::detector::OutlierDetector;
 use crate::ledger::{Merge, NeighborBook};
 use crate::message::OutlierBroadcast;
 use crate::persist::{self, PersistError, PointRows, PointTable};
@@ -76,6 +75,18 @@ enum Delta {
 }
 
 /// Per-sensor state of the distributed detection algorithms.
+///
+/// The host — the simulator adapter ([`crate::app`]), the loss-free
+/// transport ([`crate::transport`]) or a test — drives the paper's event
+/// loop:
+///
+/// 1. [`advance_time`](DetectorNode::advance_time) — slide the window,
+/// 2. [`add_local_points`](DetectorNode::add_local_points) or
+///    [`receive`](DetectorNode::receive) — apply the event,
+/// 3. [`process`](DetectorNode::process) — compute the per-neighbour
+///    sufficient points and obtain the broadcast packet `M` (if any),
+/// 4. [`estimate`](DetectorNode::estimate) — read the node's current
+///    outlier estimate.
 #[derive(Clone)]
 pub struct DetectorNode<R> {
     id: SensorId,
@@ -378,29 +389,37 @@ impl<R: RankingFunction> DetectorNode<R> {
         }
         Ok(())
     }
-}
 
-impl<R: RankingFunction> OutlierDetector for DetectorNode<R> {
-    fn id(&self) -> SensorId {
+    /// The sensor this node runs on.
+    pub fn id(&self) -> SensorId {
         self.id
     }
 
-    fn n(&self) -> usize {
+    /// The number of outliers `n` being computed.
+    pub fn n(&self) -> usize {
         self.n
     }
 
-    fn add_local_points(&mut self, points: Vec<DataPoint>) {
+    /// Incorporates freshly sampled local observations (the paper's
+    /// "`D_i` changes" event). Each point is reset to hop count 0.
+    pub fn add_local_points(&mut self, points: Vec<DataPoint>) {
         for mut p in points {
             p.hop = 0; // points are born at their origin
             self.insert_into_window(&Arc::new(p));
         }
     }
 
-    fn receive(&mut self, from: SensorId, points: Vec<DataPoint>) {
+    /// Incorporates points received from the single-hop neighbour `from`
+    /// (the paper's "message received" event).
+    pub fn receive(&mut self, from: SensorId, points: Vec<DataPoint>) {
         self.receive_arcs(from, points.into_iter().map(Arc::new).collect());
     }
 
-    fn receive_arcs(&mut self, from: SensorId, mut points: Vec<Arc<DataPoint>>) {
+    /// [`receive`](DetectorNode::receive) for points already behind shared
+    /// handles — the zero-copy path the transports feed broadcast payloads
+    /// through, so a delivered point shares one allocation with the
+    /// sender's window and every other receiver.
+    pub fn receive_arcs(&mut self, from: SensorId, mut points: Vec<Arc<DataPoint>>) {
         self.book.heard_from(from);
         if let Scope::Hops(d) = self.scope {
             // A copy that travelled farther than the spatial extent can
@@ -424,7 +443,9 @@ impl<R: RankingFunction> OutlierDetector for DetectorNode<R> {
         }
     }
 
-    fn advance_time(&mut self, now: Timestamp) {
+    /// Advances the sliding-window clock to `now`, evicting points that have
+    /// fallen out of the window everywhere they are tracked (§5.3).
+    pub fn advance_time(&mut self, now: Timestamp) {
         self.advance_window(now);
         let cutoff = self.window.config().cutoff(now);
         for (j, evicted, revision) in self.book.advance_time(now, cutoff, &mut self.engines) {
@@ -432,11 +453,22 @@ impl<R: RankingFunction> OutlierDetector for DetectorNode<R> {
         }
     }
 
-    fn retain_neighbors(&mut self, live: &[SensorId]) {
+    /// Forgets every neighbour **not** in `live` — the self-healing reaction
+    /// to a neighbourhood change (a neighbour died or moved out of range).
+    /// All per-neighbour protocol state for the departed — shared-knowledge
+    /// sets, revision bookkeeping, fixed-point chains — is dropped, so no
+    /// dead neighbour pins window points or suppresses convergence over the
+    /// surviving live set.
+    pub fn retain_neighbors(&mut self, live: &[SensorId]) {
         self.book.retain(live, &mut self.engines);
     }
 
-    fn process(&mut self, neighbors: &[SensorId]) -> Option<OutlierBroadcast> {
+    /// Reacts to the most recent event: computes, for every current
+    /// neighbour, the sufficient points not yet known to be shared, records
+    /// them as sent, and returns the combined broadcast packet. Returns
+    /// `None` when no neighbour needs anything (the local termination
+    /// condition of §5).
+    pub fn process(&mut self, neighbors: &[SensorId]) -> Option<OutlierBroadcast> {
         // A zero-copy snapshot of P_i: the window is read, never cloned, and
         // the hop prefixes derived from it share its stored points. The
         // global engine needs no index from here: it maintains its own
@@ -490,13 +522,15 @@ impl<R: RankingFunction> OutlierDetector for DetectorNode<R> {
         }
     }
 
-    fn estimate(&self) -> OutlierEstimate {
+    /// The node's current outlier estimate.
+    pub fn estimate(&self) -> OutlierEstimate {
         // Receipt drops copies beyond the hop diameter and local points are
         // hop 0, so the window is exactly the in-scope data.
         top_n_outliers(&self.ranking, self.n, self.window.contents())
     }
 
-    fn held_points(&self) -> &PointSet {
+    /// The points the node currently holds (`P_i`).
+    pub fn held_points(&self) -> &PointSet {
         self.window.contents()
     }
 }
@@ -510,6 +544,8 @@ impl<R> fmt::Debug for DetectorNode<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::run_to_quiescence;
+    use std::collections::BTreeMap;
     use wsn_data::Epoch;
     use wsn_ranking::{KnnAverageDistance, NnDistance};
 
@@ -544,27 +580,12 @@ mod tests {
 
     /// Runs the two-node exchange until neither node has anything to send,
     /// returning the number of data points exchanged.
-    fn run_two_nodes(pi: &mut DetectorNode<NnDistance>, pj: &mut DetectorNode<NnDistance>) -> u64 {
-        let mut exchanged = 0;
-        for _ in 0..50 {
-            let mut progress = false;
-            if let Some(m) = pi.process(&[pj.id()]) {
-                let pts = m.points_for(pj.id());
-                exchanged += pts.len() as u64;
-                pj.receive(pi.id(), pts);
-                progress = true;
-            }
-            if let Some(m) = pj.process(&[pi.id()]) {
-                let pts = m.points_for(pi.id());
-                exchanged += pts.len() as u64;
-                pi.receive(pj.id(), pts);
-                progress = true;
-            }
-            if !progress {
-                return exchanged;
-            }
-        }
-        panic!("two-node exchange did not terminate");
+    fn run_two_nodes<R: RankingFunction>(
+        pi: &mut DetectorNode<R>,
+        pj: &mut DetectorNode<R>,
+    ) -> u64 {
+        let adjacency = BTreeMap::from([(pi.id(), vec![pj.id()]), (pj.id(), vec![pi.id()])]);
+        run_to_quiescence([pi, pj], &adjacency).points
     }
 
     /// Builds a chain of `count` nodes with the given scope; node `i` holds a
@@ -582,6 +603,7 @@ mod tests {
 
     /// One synchronous round: every node processes against its chain
     /// neighbours and delivers its broadcast. Returns whether anyone sent.
+    /// It keeps its own loop because its callers stop mid-protocol.
     fn chain_round(nodes: &mut [DetectorNode<NnDistance>]) -> bool {
         let mut progress = false;
         for idx in 0..nodes.len() {
@@ -605,12 +627,14 @@ mod tests {
 
     /// Runs the chain protocol until no node has anything to send.
     fn run_chain(nodes: &mut [DetectorNode<NnDistance>]) {
-        for _ in 0..100 {
-            if !chain_round(nodes) {
-                return;
-            }
-        }
-        panic!("chain protocol did not terminate");
+        let last = nodes.len() as u32 - 1;
+        let adjacency = (0..=last)
+            .map(|i| {
+                let neighbors = [i.checked_sub(1), (i < last).then_some(i + 1)];
+                (SensorId(i), neighbors.into_iter().flatten().map(SensorId).collect())
+            })
+            .collect();
+        run_to_quiescence(nodes, &adjacency);
     }
 
     #[test]
@@ -694,23 +718,7 @@ mod tests {
         b.add_local_points((0..20).map(|e| pt(2, e, 52.0 + e as f64 * 0.1)).collect());
         b.add_local_points(vec![pt(2, 100, 200.0)]);
 
-        let mut exchanged = 0;
-        for _ in 0..50 {
-            let mut progress = false;
-            if let Some(m) = a.process(&[SensorId(2)]) {
-                exchanged += m.point_count();
-                b.receive(SensorId(1), m.points_for(SensorId(2)));
-                progress = true;
-            }
-            if let Some(m) = b.process(&[SensorId(1)]) {
-                exchanged += m.point_count();
-                a.receive(SensorId(2), m.points_for(SensorId(1)));
-                progress = true;
-            }
-            if !progress {
-                break;
-            }
-        }
+        let exchanged = run_two_nodes(&mut a, &mut b);
         // The two injected extremes are the agreed global top-2.
         let estimate = a.estimate();
         assert!(estimate.same_outliers_as(&b.estimate()));

@@ -50,11 +50,9 @@ use std::sync::Arc;
 
 use crate::app::{DetectorApp, SamplingSchedule, ScheduleDriven};
 use crate::centralized::CentralizedApp;
-use crate::detector::OutlierDetector;
 use crate::error::CoreError;
 use crate::experiment::{AlgorithmConfig, ExperimentConfig};
 use crate::metrics::{estimates_agree, paired_truths, AccuracyReport, LabelReport};
-use crate::node::DetectorNode;
 use crate::persist::{self, PersistError};
 use wsn_data::impute::WindowMeanImputer;
 use wsn_data::lab::LabDeployment;
@@ -86,7 +84,7 @@ trait StreamingProbe {
     fn persist_restore(&mut self, dump: &JsonValue) -> Result<(), PersistError>;
 }
 
-impl StreamingProbe for DetectorApp<DetectorNode<Arc<dyn RankingFunction>>> {
+impl StreamingProbe for DetectorApp<Arc<dyn RankingFunction>> {
     fn streaming_estimate(&self) -> OutlierEstimate {
         self.detector().estimate()
     }

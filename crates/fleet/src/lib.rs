@@ -12,16 +12,12 @@
 //! * [`TenantRuntime`] owns **one deployment** (one *tenant*): its sensor
 //!   roster and adjacency, one detector per sensor (a
 //!   [`DetectorNode`](wsn_core::DetectorNode) in the global or hop scope,
-//!   or the centralized sink baseline), the per-node sliding windows those
-//!   detectors hold, and a deterministic loss-free local transport. A
-//!   *slide* applies one epoch's readings and drains the protocol to
-//!   quiescence: every
-//!   [`OutlierBroadcast`](wsn_core::OutlierBroadcast) a node emits is
-//!   delivered to its adjacent nodes (in ascending id order, FIFO), each
-//!   receiver folds the points in with
-//!   [`receive_arcs`](wsn_core::detector::OutlierDetector::receive_arcs)
-//!   and processes, and the loop stops when no node has anything left to
-//!   say — the paper's fixed point, reached directly instead of simulated.
+//!   or the centralized sink baseline) and the per-node sliding windows
+//!   those detectors hold. A *slide* advances every window to the epoch's
+//!   instant, applies the epoch's readings, and drains the protocol to
+//!   quiescence with [`wsn_core::transport::run_to_quiescence`], the
+//!   deterministic loss-free transport — the paper's fixed point, reached
+//!   directly instead of simulated.
 //! * [`DetectorFleet`] multiplexes thousands of independent tenants over
 //!   the shared [`wsn_pool::WorkerPool`]: [`DetectorFleet::ingest`]
 //!   buffers batched readings per tenant, per-tenant epoch scheduling
@@ -40,9 +36,10 @@
 //! labels, traffic counters, snapshots — to the sequential reference loop
 //! ([`DetectorFleet::sequential`]); `tests/property_fleet.rs` proves this
 //! over 256 seeded cases. Within a slide the transport is a fixed
-//! serialization of the asynchronous protocol (sample in id order, then
-//! FIFO delivery); any such serialization reaches the same fixed point,
-//! and this one makes replay exact.
+//! serialization of the asynchronous protocol (every node processes in id
+//! order, then FIFO delivery to neighbours in id order); any such
+//! serialization reaches the same fixed point, and this one makes replay
+//! exact.
 //!
 //! # Checkpoints
 //!

@@ -1,15 +1,16 @@
-//! One tenant: a deployment's detectors, windows, and the deterministic
-//! loss-free local transport that replaces the radio simulator.
+//! One tenant: a deployment's detectors, windows and adjacency. A slide
+//! drains the protocol through [`wsn_core::transport::run_to_quiescence`],
+//! the deterministic loss-free transport that replaces the radio simulator.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use wsn_core::experiment::AlgorithmConfig;
-use wsn_core::message::{OutlierBroadcast, PROTOCOL_HEADER_BYTES};
+use wsn_core::message::PROTOCOL_HEADER_BYTES;
 use wsn_core::persist::{
     self, array_field, expect_kind, snapshot_window, u64_field, PersistError, PointRows, PointTable,
 };
-use wsn_core::{DetectorNode, OutlierDetector};
+use wsn_core::{transport, DetectorNode};
 use wsn_data::stream::SensorSpec;
 use wsn_data::window::{SlidingWindow, WindowConfig};
 use wsn_data::{DataPoint, SensorId, Timestamp};
@@ -20,11 +21,6 @@ use crate::service::FleetError;
 
 /// Snapshot `kind` discriminator of a per-tenant checkpoint file.
 pub(crate) const TENANT_SNAPSHOT_KIND: &str = "fleet-tenant";
-
-/// Safety valve for the fixed-point loop: the protocol terminates (quiet
-/// ledger), so hitting this bound means an algorithmic bug, not a slow
-/// tenant.
-const MAX_DELIVERIES_PER_SLIDE: u64 = 10_000_000;
 
 /// Full description of one tenant's deployment — the fleet analogue of
 /// [`wsn_core::experiment::ExperimentConfig`] minus everything that only
@@ -138,8 +134,8 @@ pub struct TenantRuntime {
     spec: TenantSpec,
     hash: u64,
     ranking: Arc<dyn RankingFunction>,
-    /// Adjacency lists in ascending id order (delivery order of the
-    /// transport).
+    /// Adjacency lists in ascending id order (the transport's delivery
+    /// order).
     neighbors: BTreeMap<SensorId, Vec<SensorId>>,
     nodes: Nodes,
     /// Buffered readings: epoch → origin → points, exactly as ingested.
@@ -306,7 +302,7 @@ impl TenantRuntime {
     }
 
     /// Applies the next epoch's readings and drains the protocol to its
-    /// fixed point over the loss-free adjacency transport.
+    /// fixed point over the loss-free transport.
     fn execute_slide(&mut self) -> TenantSlide {
         let epoch = self.next_epoch;
         let mut batch = self.buffer.remove(&epoch).unwrap_or_default();
@@ -326,41 +322,15 @@ impl TenantRuntime {
         let before = self.traffic;
         match &mut self.nodes {
             Nodes::Distributed(nodes) => {
-                let mut queue: VecDeque<(SensorId, OutlierBroadcast)> = VecDeque::new();
-                // Sampling pass: every node advances its window to the
-                // common instant, folds in its own readings and processes.
-                for (&id, det) in nodes.iter_mut() {
+                // Every node advances its window to the common instant and
+                // folds in its own readings; the transport then drains the
+                // protocol.
+                for (id, det) in nodes.iter_mut() {
                     det.advance_time(now);
-                    det.add_local_points(batch.remove(&id).unwrap_or_default());
-                    if let Some(m) = det.process(&self.neighbors[&id]) {
-                        record(&mut self.traffic, &m);
-                        queue.push_back((id, m));
-                    }
+                    det.add_local_points(batch.remove(id).unwrap_or_default());
                 }
-                // Delivery pass: FIFO over broadcasts, neighbours in
-                // ascending id order, until nobody has anything to send.
-                let mut deliveries: u64 = 0;
-                while let Some((from, msg)) = queue.pop_front() {
-                    for &dst in &self.neighbors[&from] {
-                        let points = msg.points_for_arcs(dst);
-                        if points.is_empty() {
-                            continue;
-                        }
-                        deliveries += 1;
-                        assert!(
-                            deliveries <= MAX_DELIVERIES_PER_SLIDE,
-                            "tenant slide did not quiesce after {deliveries} deliveries — \
-                             protocol termination violated"
-                        );
-                        let det = nodes.get_mut(&dst).expect("adjacency stays within roster");
-                        det.advance_time(now);
-                        det.receive_arcs(from, points);
-                        if let Some(m) = det.process(&self.neighbors[&dst]) {
-                            record(&mut self.traffic, &m);
-                            queue.push_back((dst, m));
-                        }
-                    }
-                }
+                let carried = transport::run_to_quiescence(nodes.values_mut(), &self.neighbors);
+                self.traffic.add(carried.messages, carried.points, carried.bytes);
             }
             Nodes::Centralized { hops, window } => {
                 window.advance_to(now);
@@ -514,10 +484,6 @@ impl TenantRuntime {
     }
 }
 
-fn record(traffic: &mut TenantTraffic, m: &OutlierBroadcast) {
-    traffic.add(1, m.point_count() as u64, m.wire_size() as u64);
-}
-
 /// Shortest-path hop counts from `root` over the adjacency (unreachable
 /// sensors count 0 hops — they cannot ship anything anywhere).
 fn bfs_hops(
@@ -639,6 +605,10 @@ mod tests {
             any.keys()
         );
         assert!(rt.traffic().messages > 0, "agreement required traffic");
+        // Any delivery order reaches the same estimates but moves different
+        // traffic, so these counts pin the transport's order.
+        let pinned = TenantTraffic { messages: 159, points: 608, bytes: 21_788 };
+        assert_eq!(rt.traffic(), pinned, "the transport's delivery order changed");
     }
 
     #[test]
@@ -722,5 +692,7 @@ mod tests {
         assert_eq!(resumed.estimates(), baseline.estimates());
         assert_eq!(resumed.traffic(), baseline.traffic());
         assert_eq!(resumed.next_epoch(), baseline.next_epoch());
+        let pinned = TenantTraffic { messages: 94, points: 415, bytes: 14_654 };
+        assert_eq!(baseline.traffic(), pinned, "the transport's delivery order changed");
     }
 }

@@ -45,7 +45,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Alternate the two sensors' event handlers until neither has anything
-    // left to send — the algorithm's local termination condition.
+    // left to send — the algorithm's local termination condition. The loop
+    // prints each step; `detection::transport::run_to_quiescence` runs the
+    // same exchange in one call.
     let mut exchanged = 0usize;
     for step in 1..=20 {
         let mut progress = false;

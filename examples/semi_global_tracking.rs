@@ -14,6 +14,7 @@
 //!
 //! Run with: `cargo run --example semi_global_tracking`
 
+use in_network_outlier::detection::transport::run_to_quiescence;
 use in_network_outlier::prelude::*;
 
 const SENSOR_COUNT: u32 = 8;
@@ -41,41 +42,15 @@ fn local_readings(sensor: u32) -> Vec<DataPoint> {
         .collect()
 }
 
-/// Runs the chain protocol synchronously until no sensor has anything to send.
-fn run_chain(nodes: &mut [DetectorNode<NnDistance>]) {
-    let ids: Vec<SensorId> = nodes.iter().map(|n| n.id()).collect();
-    for _ in 0..200 {
-        let mut progress = false;
-        for index in 0..nodes.len() {
-            let mut neighbors = Vec::new();
-            if index > 0 {
-                neighbors.push(ids[index - 1]);
-            }
-            if index + 1 < nodes.len() {
-                neighbors.push(ids[index + 1]);
-            }
-            if let Some(message) = nodes[index].process(&neighbors) {
-                progress = true;
-                for (peer_index, peer_id) in ids.iter().enumerate() {
-                    if neighbors.contains(peer_id) {
-                        let points = message.points_for(*peer_id);
-                        if !points.is_empty() {
-                            let from = ids[index];
-                            nodes[peer_index].receive(from, points);
-                        }
-                    }
-                }
-            }
-        }
-        if !progress {
-            return;
-        }
-    }
-    panic!("the chain protocol did not terminate");
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let window = WindowConfig::from_secs(10_000)?;
+    // Sensor `s` hears only its chain neighbours `s − 1` and `s + 1`.
+    let chain = (0..SENSOR_COUNT)
+        .map(|s| {
+            let neighbors = [s.checked_sub(1), (s + 1 < SENSOR_COUNT).then_some(s + 1)];
+            (SensorId(s), neighbors.into_iter().flatten().map(SensorId).collect())
+        })
+        .collect();
     println!(
         "{SENSOR_COUNT} sensors in a chain; sensor {FAULTY_SENSOR} reports a phantom detection (value 95.0)\n"
     );
@@ -89,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 node
             })
             .collect();
-        run_chain(&mut nodes);
+        run_to_quiescence(&mut nodes, &chain);
 
         let total_points_sent: u64 = nodes.iter().map(|n| n.points_sent()).sum();
         print!("epsilon = {epsilon}: sensors flagging the phantom:");

@@ -51,7 +51,9 @@
 //! The two-sensor walk-through of the paper's §5.1: each sensor holds a
 //! one-dimensional dataset, and after a handful of point exchanges both agree
 //! on the global outlier `0.5` — far less communication than centralizing
-//! either dataset.
+//! either dataset. The loop spells out each step of the event API;
+//! [`detection::transport::run_to_quiescence`] runs the same exchange in
+//! one call.
 //!
 //! ```
 //! use in_network_outlier::prelude::*;
@@ -112,7 +114,6 @@ pub use wsn_workload as workload;
 /// The most commonly used types, re-exported for `use
 /// in_network_outlier::prelude::*`.
 pub mod prelude {
-    pub use wsn_core::detector::OutlierDetector;
     pub use wsn_core::experiment::{
         run_experiment, AlgorithmConfig, ExperimentConfig, RankingChoice,
     };

@@ -2,29 +2,28 @@
 //! sliding window, old outliers aging out, new sensors joining mid-run, and
 //! sensors leaving while the network stays connected.
 
+use std::collections::BTreeMap;
+
+use in_network_outlier::detection::transport::run_to_quiescence;
 use in_network_outlier::prelude::*;
 
 fn point_at(sensor: u32, epoch: u64, secs: u64, value: f64) -> DataPoint {
     DataPoint::new(SensorId(sensor), Epoch(epoch), Timestamp::from_secs(secs), vec![value]).unwrap()
 }
 
+/// The adjacency of a chain of sensors `1 – 2 – … – count`.
+fn chain(count: u32) -> BTreeMap<SensorId, Vec<SensorId>> {
+    (1..=count)
+        .map(|i| {
+            let neighbors = [i - 1, i + 1].into_iter().filter(|j| (1..=count).contains(j));
+            (SensorId(i), neighbors.map(SensorId).collect())
+        })
+        .collect()
+}
+
 /// Drives two global nodes to quiescence.
 fn settle(pi: &mut DetectorNode<NnDistance>, pj: &mut DetectorNode<NnDistance>) {
-    for _ in 0..100 {
-        let mut progress = false;
-        if let Some(m) = pi.process(&[SensorId(2)]) {
-            pj.receive(SensorId(1), m.points_for(SensorId(2)));
-            progress = true;
-        }
-        if let Some(m) = pj.process(&[SensorId(1)]) {
-            pi.receive(SensorId(2), m.points_for(SensorId(1)));
-            progress = true;
-        }
-        if !progress {
-            return;
-        }
-    }
-    panic!("nodes did not settle");
+    run_to_quiescence([pi, pj], &chain(2));
 }
 
 #[test]
@@ -100,31 +99,7 @@ fn a_new_sensor_joining_is_just_another_event() {
     c.add_local_points(vec![point_at(3, 0, 5, 400.0), point_at(3, 1, 6, 22.0)]);
 
     // Run the three-node chain a - b - c to quiescence.
-    for _ in 0..100 {
-        let mut progress = false;
-        if let Some(m) = a.process(&[SensorId(2)]) {
-            b.receive(SensorId(1), m.points_for(SensorId(2)));
-            progress = true;
-        }
-        if let Some(m) = b.process(&[SensorId(1), SensorId(3)]) {
-            let for_a = m.points_for(SensorId(1));
-            let for_c = m.points_for(SensorId(3));
-            if !for_a.is_empty() {
-                a.receive(SensorId(2), for_a);
-            }
-            if !for_c.is_empty() {
-                c.receive(SensorId(2), for_c);
-            }
-            progress = true;
-        }
-        if let Some(m) = c.process(&[SensorId(2)]) {
-            b.receive(SensorId(3), m.points_for(SensorId(2)));
-            progress = true;
-        }
-        if !progress {
-            break;
-        }
-    }
+    run_to_quiescence([&mut a, &mut b, &mut c], &chain(3));
     assert_ne!(before.points()[0].features, vec![400.0]);
     for node in [&a, &b, &c] {
         assert_eq!(
@@ -152,7 +127,7 @@ fn a_departed_sensors_points_age_out_of_the_window() {
     // the departed sensor's timestamps, no trace of it remains at sensor 1.
     a.advance_time(Timestamp::from_secs(100));
     a.add_local_points(vec![point_at(1, 10, 100, 20.8), point_at(1, 11, 102, 21.2)]);
-    while a.process(&[]).is_some() {}
+    run_to_quiescence([&mut a], &chain(1));
     assert!(
         !a.held_points().iter().any(|p| p.key.origin == SensorId(2)),
         "the departed sensor's points must have aged out"

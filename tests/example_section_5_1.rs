@@ -5,6 +5,9 @@
 //! communication stays essentially flat as the bulk of the data grows, while
 //! a centralized approach's cost grows linearly.
 
+use std::collections::BTreeMap;
+
+use in_network_outlier::detection::transport;
 use in_network_outlier::prelude::*;
 
 fn one_dimensional(sensor: u32, values: &[f64]) -> Vec<DataPoint> {
@@ -33,31 +36,11 @@ fn section_5_1(a: u64, b: u64) -> (DetectorNode<NnDistance>, DetectorNode<NnDist
     (pi, pj)
 }
 
-/// Alternates the two nodes until quiescent; returns data points exchanged.
-fn run_to_quiescence(
-    pi: &mut DetectorNode<NnDistance>,
-    pj: &mut DetectorNode<NnDistance>,
-) -> usize {
-    let mut exchanged = 0;
-    for _ in 0..50 {
-        let mut progress = false;
-        if let Some(m) = pi.process(&[SensorId(2)]) {
-            let pts = m.points_for(SensorId(2));
-            exchanged += pts.len();
-            pj.receive(SensorId(1), pts);
-            progress = true;
-        }
-        if let Some(m) = pj.process(&[SensorId(1)]) {
-            let pts = m.points_for(SensorId(1));
-            exchanged += pts.len();
-            pi.receive(SensorId(2), pts);
-            progress = true;
-        }
-        if !progress {
-            return exchanged;
-        }
-    }
-    panic!("the two-node exchange did not terminate");
+/// Runs the two nodes to quiescence; returns data points exchanged.
+fn run_to_quiescence(pi: &mut DetectorNode<NnDistance>, pj: &mut DetectorNode<NnDistance>) -> u64 {
+    let adjacency =
+        BTreeMap::from([(SensorId(1), vec![SensorId(2)]), (SensorId(2), vec![SensorId(1)])]);
+    transport::run_to_quiescence([pi, pj], &adjacency).points
 }
 
 #[test]

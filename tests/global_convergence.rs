@@ -19,7 +19,7 @@ fn chain_sim(
     rounds: usize,
     loss: LossModel,
     seed: u64,
-) -> Simulator<DetectorApp<DetectorNode<NnDistance>>> {
+) -> Simulator<DetectorApp<NnDistance>> {
     let specs: Vec<SensorSpec> = (0..node_count)
         .map(|i| SensorSpec::new(SensorId(i), Position::new(f64::from(i) * 5.0, 0.0)))
         .collect();

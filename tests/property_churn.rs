@@ -215,11 +215,11 @@ fn stream_for(spec: SensorSpec) -> SensorStream {
 
 /// Walks the plan's timeline against a live simulator: the inlined
 /// equivalent of the experiment runner's fault driver.
-fn apply_plan<D: OutlierDetector + Clone>(
-    sim: &mut (impl SimHandle<DetectorApp<D>> + ?Sized),
+fn apply_plan(
+    sim: &mut (impl SimHandle<DetectorApp<NnDistance>> + ?Sized),
     plan: &FaultPlan,
     schedule: &SamplingSchedule,
-    make_app: &dyn Fn(SensorId) -> DetectorApp<D>,
+    make_app: &dyn Fn(SensorId) -> DetectorApp<NnDistance>,
 ) {
     for event in plan.events() {
         sim.run_until(event.at);
@@ -274,7 +274,7 @@ where
     let dead = dead_at_tail(&plan);
     assert!(!dead.is_empty(), "seed {seed}: at least one node stays dead");
     let mut live = 0usize;
-    sim.for_each_app(&mut |id, app: &DetectorApp<DetectorNode<NnDistance>>| {
+    sim.for_each_app(&mut |id, app: &DetectorApp<NnDistance>| {
         live += 1;
         assert!(!dead.contains(&id), "backend {backend:?} seed {seed}: {id} is dead yet present");
         for d in &dead {

@@ -72,7 +72,7 @@ fn chain_specs(rng: &mut SeededRng, nodes: u32) -> Vec<SensorSpec> {
 fn run_scenario(
     rng: &mut SeededRng,
     scenario: &Scenario,
-) -> (Simulator<DetectorApp<DetectorNode<NnDistance>>>, bool) {
+) -> (Simulator<DetectorApp<NnDistance>>, bool) {
     let specs = chain_specs(rng, scenario.nodes);
     let topology = Topology::from_specs(&specs, RADIO_RANGE_M);
     assert!(topology.is_connected(), "the generated chain must be connected");

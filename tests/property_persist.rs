@@ -16,9 +16,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
-use in_network_outlier::detection::persist::{
-    arm_crash_point, disarm_crash_points, JsonValue, CRASH_MARKER,
-};
+use in_network_outlier::detection::persist::{arm_crash_point, disarm_crash_points, CRASH_MARKER};
 use in_network_outlier::detection::PersistError;
 use in_network_outlier::prelude::*;
 use wsn_data::rng::SeededRng;
@@ -80,9 +78,10 @@ fn gen_neighbors(rng: &mut SeededRng, count: usize) -> Vec<Vec<usize>> {
 }
 
 /// Runs up to `rounds` synchronous exchange rounds of the broadcast
-/// protocol; stops early once no node has anything left to send.
-fn run_rounds<D: OutlierDetector>(
-    nodes: &mut [D],
+/// protocol; stops early once no node has anything left to send. It keeps
+/// its own loop because the properties stop the protocol mid-run on purpose.
+fn run_rounds(
+    nodes: &mut [DetectorNode<NnDistance>],
     ids: &[SensorId],
     neighbors: &[Vec<usize>],
     rounds: usize,
@@ -113,30 +112,26 @@ fn run_rounds<D: OutlierDetector>(
 /// re-serializes to the identical dump and (b) the restored network,
 /// continued to termination, stays state-for-state identical to the
 /// original network continued the same way.
-#[allow(clippy::too_many_arguments)]
-fn assert_network_round_trips<D, F, S, R>(
-    mut nodes: Vec<D>,
+fn assert_network_round_trips(
+    mut nodes: Vec<DetectorNode<NnDistance>>,
     ids: Vec<SensorId>,
     neighbors: Vec<Vec<usize>>,
     partial_rounds: usize,
-    fresh: F,
-    snapshot: S,
-    restore: R,
+    fresh: impl Fn(SensorId) -> DetectorNode<NnDistance>,
     context: &str,
-) where
-    D: OutlierDetector,
-    F: Fn(SensorId) -> D,
-    S: Fn(&D) -> JsonValue,
-    R: Fn(&mut D, &JsonValue) -> Result<(), PersistError>,
-{
+) {
     run_rounds(&mut nodes, &ids, &neighbors, partial_rounds);
 
-    let mut restored: Vec<D> = Vec::with_capacity(nodes.len());
+    let mut restored = Vec::with_capacity(nodes.len());
     for (index, node) in nodes.iter().enumerate() {
-        let dump = snapshot(node);
+        let dump = node.persist_snapshot();
         let mut twin = fresh(ids[index]);
-        restore(&mut twin, &dump).unwrap_or_else(|e| panic!("restore failed: {e}\n{context}"));
-        assert_eq!(snapshot(&twin), dump, "restored node re-serializes differently\n{context}");
+        twin.persist_restore(&dump).unwrap_or_else(|e| panic!("restore failed: {e}\n{context}"));
+        assert_eq!(
+            twin.persist_snapshot(),
+            dump,
+            "restored node re-serializes differently\n{context}"
+        );
         restored.push(twin);
     }
 
@@ -146,8 +141,8 @@ fn assert_network_round_trips<D, F, S, R>(
     run_rounds(&mut restored, &ids, &neighbors, 500);
     for (original, twin) in nodes.iter().zip(&restored) {
         assert_eq!(
-            snapshot(original),
-            snapshot(twin),
+            original.persist_snapshot(),
+            twin.persist_snapshot(),
             "continuations diverged after restore\n{context}"
         );
         assert!(
@@ -194,8 +189,6 @@ fn global_node_snapshots_round_trip_mid_protocol() {
             neighbors,
             partial,
             |id| DetectorNode::new(id, NnDistance, n, None, window),
-            |node| node.persist_snapshot(),
-            |node, dump| node.persist_restore(dump),
             &context,
         );
     }
@@ -238,8 +231,6 @@ fn semiglobal_node_snapshots_round_trip_mid_protocol() {
             neighbors,
             partial,
             |id| DetectorNode::new(id, NnDistance, n, Some(d), window),
-            |node| node.persist_snapshot(),
-            |node, dump| node.persist_restore(dump),
             &context,
         );
     }

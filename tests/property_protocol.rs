@@ -8,9 +8,9 @@
 
 use std::collections::BTreeMap;
 
-use in_network_outlier::detection::detector::OutlierDetector;
 use in_network_outlier::detection::metrics::{estimates_agree, GroundTruth};
 use in_network_outlier::detection::sufficient::sufficient_set;
+use in_network_outlier::detection::transport::run_to_quiescence;
 use in_network_outlier::prelude::*;
 use wsn_data::rng::SeededRng;
 
@@ -65,32 +65,19 @@ fn gen_topology(rng: &mut SeededRng, n: usize) -> Vec<(usize, usize)> {
     edges
 }
 
-/// Runs the global algorithm synchronously on the given topology until no
-/// node has anything to send, with a generous round bound.
-fn run_network(nodes: &mut [DetectorNode<NnDistance>], neighbors: &[Vec<usize>]) -> usize {
-    let ids: Vec<SensorId> = nodes.iter().map(|n| n.id()).collect();
-    let mut exchanged = 0;
-    for _ in 0..500 {
-        let mut progress = false;
-        for index in 0..nodes.len() {
-            let neighbor_ids: Vec<SensorId> = neighbors[index].iter().map(|&j| ids[j]).collect();
-            if let Some(message) = nodes[index].process(&neighbor_ids) {
-                progress = true;
-                for &peer in &neighbors[index] {
-                    let points = message.points_for(ids[peer]);
-                    if !points.is_empty() {
-                        exchanged += points.len();
-                        let from = ids[index];
-                        nodes[peer].receive(from, points);
-                    }
-                }
-            }
-        }
-        if !progress {
-            return exchanged;
-        }
-    }
-    panic!("protocol did not terminate within the round bound");
+/// Runs the global algorithm on the given topology (node `i` is sensor `i`)
+/// until no node has anything to send.
+fn run_network(nodes: &mut [DetectorNode<NnDistance>], neighbors: &[Vec<usize>]) {
+    let adjacency = neighbors
+        .iter()
+        .enumerate()
+        .map(|(i, peers)| {
+            let mut ids: Vec<SensorId> = peers.iter().map(|&j| SensorId(j as u32)).collect();
+            ids.sort_unstable();
+            (SensorId(i as u32), ids)
+        })
+        .collect();
+    run_to_quiescence(nodes, &adjacency);
 }
 
 /// Theorems 1 and 2 on random data and random connected topologies: at
@@ -178,34 +165,13 @@ fn two_node_communication_is_bounded_by_the_data() {
         pi.add_local_points(di.iter().enumerate().map(|(e, v)| point(1, e as u64, *v)).collect());
         pj.add_local_points(dj.iter().enumerate().map(|(e, v)| point(2, e as u64, *v)).collect());
 
-        let mut nodes = [pi, pj];
-        let (left, right) = nodes.split_at_mut(1);
-        let exchanged = {
-            let mut exchanged = 0;
-            for _ in 0..200 {
-                let mut progress = false;
-                if let Some(m) = left[0].process(&[SensorId(2)]) {
-                    let pts = m.points_for(SensorId(2));
-                    exchanged += pts.len();
-                    right[0].receive(SensorId(1), pts);
-                    progress = true;
-                }
-                if let Some(m) = right[0].process(&[SensorId(1)]) {
-                    let pts = m.points_for(SensorId(1));
-                    exchanged += pts.len();
-                    left[0].receive(SensorId(2), pts);
-                    progress = true;
-                }
-                if !progress {
-                    break;
-                }
-            }
-            exchanged
-        };
+        let adjacency =
+            BTreeMap::from([(SensorId(1), vec![SensorId(2)]), (SensorId(2), vec![SensorId(1)])]);
+        let exchanged = run_to_quiescence([&mut pi, &mut pj], &adjacency).points as usize;
         assert!(exchanged <= di.len() + dj.len(), "exchanged more than everything\n{}", context());
         // Both estimates agree at termination (Theorem 1).
         assert!(
-            left[0].estimate().same_outliers_as(&right[0].estimate()),
+            pi.estimate().same_outliers_as(&pj.estimate()),
             "estimates disagree\n{}",
             context()
         );

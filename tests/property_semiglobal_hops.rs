@@ -22,7 +22,6 @@
 
 use std::collections::VecDeque;
 
-use in_network_outlier::detection::detector::OutlierDetector;
 use in_network_outlier::prelude::*;
 use wsn_data::rng::SeededRng;
 use wsn_data::HopCount;
@@ -105,7 +104,8 @@ fn assert_window_invariants(
 }
 
 /// Runs the semi-global protocol with per-delivery Bernoulli loss, checking
-/// the hop invariants after every round.
+/// the hop invariants after every round. It keeps its own loop because it
+/// drops deliveries and asserts between rounds.
 fn run_case(rng: &mut SeededRng, case: usize, loss: f64) {
     let n = rng.gen_range(3usize..7);
     let d = rng.gen_range(1u64..4) as HopCount;

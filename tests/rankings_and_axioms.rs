@@ -160,7 +160,12 @@ fn support_sets_preserve_the_rank() {
 }
 
 /// Runs the two-node global protocol to termination and returns the two
-/// nodes, under an arbitrary ranking function.
+/// nodes, under an arbitrary ranking function. It keeps its own alternating
+/// order (`p_i` sends, `p_j` receives and sends, and so on) because Theorem
+/// 2's caveat depends on the order of delivery: under the loss-free
+/// transport's order, both scenarios of
+/// `non_smooth_ranking_can_terminate_on_a_wrong_answer` converge on the
+/// true answer.
 fn run_pair<R: RankingFunction + Clone>(
     ranking: R,
     di: &[f64],

@@ -5,6 +5,7 @@
 use in_network_outlier::detection::experiment::{
     run_experiment, AlgorithmConfig, ExperimentConfig, RankingChoice,
 };
+use in_network_outlier::detection::transport::run_to_quiescence;
 use in_network_outlier::prelude::*;
 
 fn base_config() -> ExperimentConfig {
@@ -68,32 +69,13 @@ fn data_never_travels_farther_than_epsilon_hops() {
         .collect();
     nodes[0].add_local_points(vec![mk(0, 99, -400.0)]);
 
-    let ids: Vec<SensorId> = nodes.iter().map(|n| n.id()).collect();
-    for _ in 0..50 {
-        let mut progress = false;
-        for index in 0..nodes.len() {
-            let mut neighbors = Vec::new();
-            if index > 0 {
-                neighbors.push(ids[index - 1]);
-            }
-            if index + 1 < nodes.len() {
-                neighbors.push(ids[index + 1]);
-            }
-            if let Some(message) = nodes[index].process(&neighbors) {
-                progress = true;
-                for (peer, peer_id) in ids.iter().enumerate() {
-                    let points = message.points_for(*peer_id);
-                    if neighbors.contains(peer_id) && !points.is_empty() {
-                        let from = ids[index];
-                        nodes[peer].receive(from, points);
-                    }
-                }
-            }
-        }
-        if !progress {
-            break;
-        }
-    }
+    let chain = (0..4u32)
+        .map(|i| {
+            let neighbors = [i.checked_sub(1), (i < 3).then_some(i + 1)];
+            (SensorId(i), neighbors.into_iter().flatten().map(SensorId).collect())
+        })
+        .collect();
+    run_to_quiescence(&mut nodes, &chain);
     // Node 1 (one hop away) holds the extreme reading; nodes 2 and 3 never do.
     assert!(nodes[1].held_points().iter().any(|p| p.features[0] == -400.0));
     assert!(!nodes[2].held_points().iter().any(|p| p.features[0] == -400.0));
