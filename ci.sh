@@ -113,7 +113,11 @@ done
 # partitioned streaming run killed by an injected crash at a checkpoint
 # boundary leaves a checkpoint that must pass json_check's snapshot schema
 # (the binary calls the same validator) and must resume from disk to the
-# exact never-stopped outcome, and a
+# exact never-stopped outcome; a two-shard fleet killed inside a shard
+# write of its third checkpoint round (before the rename) leaves shard
+# files that must each pass the same schema, and, resumed and re-fed the
+# whole stream, must equal the never-stopped fleet in estimates, traffic
+# and cursors; and a
 # journaled seed sweep re-run against its own journal must skip every
 # completed cell while reproducing the live sweep's aggregate bit for bit.
 # The journal artifact is gated through json_check, which reads it under

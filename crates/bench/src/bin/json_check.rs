@@ -3,7 +3,8 @@
 //!
 //! All the actual validation lives in `wsn_bench::check`, which dispatches
 //! on the document's shape: a `wsn-persist` header line selects the
-//! snapshot schema (version, length, checksum, point tables), a first line
+//! snapshot schema (version, length, checksum, point tables; a fleet shard
+//! file's every record), a first line
 //! with a `cell` key the journal rule that `SweepJournal::open` loads with
 //! (a torn tail is refused, never truncated), a `rows` key the figure
 //! schema. Exits non-zero on any violation, so `ci.sh` can gate on the

@@ -1,7 +1,7 @@
 //! Shared validators for the JSON artifacts this repository commits or
-//! emits in CI: figure reports (`rows`), persistence snapshots
-//! (wsn-persist header line, see [`wsn_core::persist`]) and sweep journals
-//! (JSONL rows, read under the journal's own rule,
+//! emits in CI: figure reports (`rows`), persistence snapshots and fleet
+//! shard files (wsn-persist header line, see [`wsn_core::persist`]) and
+//! sweep journals (JSONL rows, read under the journal's own rule,
 //! [`ParsedJournal::parse`]).
 //!
 //! The `json_check` binary is a thin dispatcher over [`check_file`]; the
@@ -21,7 +21,9 @@ pub fn check_file(path: &str) -> Result<String, String> {
 }
 
 /// Validates JSON text against whichever schema its shape declares:
-/// a `wsn-persist` header line → persistence snapshot, a first line with a
+/// a `wsn-persist` header line → persistence snapshot (or, with a
+/// `records` count, a multi-record file such as a fleet shard), a first
+/// line with a
 /// `cell` key → sweep journal (JSONL), a `rows` key → figure report.
 /// `path` only labels error messages.
 pub fn check_text(path: &str, text: &str) -> Result<String, String> {
@@ -31,7 +33,7 @@ pub fn check_text(path: &str, text: &str) -> Result<String, String> {
     let first_line = text.split('\n').next().unwrap_or("");
     if let Ok(header) = JsonValue::parse(first_line) {
         if header.get("format").and_then(|f| f.as_str()) == Some("wsn-persist") {
-            return check_snapshot(path, text);
+            return check_snapshot(path, text, header.get("records").is_some());
         }
         if matches!(header, JsonValue::Object(_)) && header.get("cell").is_some() {
             return check_journal(path, text);
@@ -49,57 +51,49 @@ pub fn check_text(path: &str, text: &str) -> Result<String, String> {
     Ok(format!("{path}: valid JSON, {} entries, {} bytes", entries.len(), text.len()))
 }
 
-/// Persistence snapshots are validated exactly as a loader would before
-/// trusting a byte of payload: header format and version tag, declared
-/// length (a shorter payload is a torn write), FNV-1a checksum, the payload
-/// parsing at all, and every point table in it decoding
-/// ([`persist::PointRows`]).
-fn check_snapshot(path: &str, text: &str) -> Result<String, String> {
-    let (header_line, body) =
-        text.split_once('\n').ok_or_else(|| format!("{path}: missing snapshot header line"))?;
-    let header = JsonValue::parse(header_line)
-        .map_err(|e| format!("{path}: unreadable snapshot header: {e}"))?;
-    let version = header
-        .get("version")
-        .and_then(|v| v.as_u64())
-        .ok_or_else(|| format!("{path}: snapshot header has no version tag"))?;
-    if version != persist::PERSIST_VERSION {
-        return Err(format!(
-            "{path}: snapshot format version is {version}, this binary reads {}",
-            persist::PERSIST_VERSION
+/// Persistence files are validated exactly as a loader would before
+/// trusting a byte of payload, under the one rule
+/// [`persist::verify_payload`] every loader runs: version, kind, declared
+/// length (a shorter payload is a torn write) and FNV-1a checksum; then
+/// the payload must parse and every point table in it decode
+/// ([`persist::PointRows`]). A multi-record file (a fleet shard) is read as
+/// [`persist::read_records`] reads it, and every record must pass.
+fn check_snapshot(path: &str, text: &str, records: bool) -> Result<String, String> {
+    let file = text.as_bytes();
+    if !records {
+        let (kind, payload) = persist::verify_file(file).map_err(|e| format!("{path}: {e}"))?;
+        check_payload(payload).map_err(|e| format!("{path}: {e}"))?;
+        return Ok(format!(
+            "{path}: valid wsn-persist {kind} snapshot v{}, {} payload bytes",
+            persist::PERSIST_VERSION,
+            payload.len()
         ));
     }
-    let kind = header.get("kind").and_then(|k| k.as_str()).unwrap_or("");
-    if kind.is_empty() {
-        return Err(format!("{path}: snapshot header has an empty or missing kind"));
+    let read = persist::read_records(file).map_err(|e| format!("{path}: {e}"))?;
+    if let Some(damage) = read.damage {
+        return Err(format!("{path}: {damage}"));
     }
-    let len = header
-        .get("len")
-        .and_then(|l| l.as_u64())
-        .ok_or_else(|| format!("{path}: snapshot header has no len field"))? as usize;
-    let bytes = body.as_bytes();
-    if bytes.len() < len {
-        return Err(format!(
-            "{path}: torn snapshot: payload holds {} of {len} declared bytes",
-            bytes.len()
-        ));
+    for (id, record) in &read.records {
+        record
+            .as_ref()
+            .map_err(Clone::clone)
+            .and_then(|(_, payload)| check_payload(payload))
+            .map_err(|e| format!("{path}: record {id}: {e}"))?;
     }
-    let declared = header
-        .get("checksum")
-        .and_then(|c| c.as_u64())
-        .ok_or_else(|| format!("{path}: snapshot header has no checksum field"))?;
-    let actual = persist::fnv1a64(&bytes[..len]);
-    if actual != declared {
-        return Err(format!(
-            "{path}: snapshot checksum mismatch: header declares {declared}, payload hashes to {actual}"
-        ));
-    }
-    let payload = std::str::from_utf8(&bytes[..len])
-        .map_err(|e| format!("{path}: snapshot payload is not UTF-8: {e}"))?;
-    let payload = JsonValue::parse(payload)
-        .map_err(|e| format!("{path}: unparsable snapshot payload: {e}"))?;
-    check_point_tables(&payload).map_err(|e| format!("{path}: bad point table: {e}"))?;
-    Ok(format!("{path}: valid wsn-persist {kind} snapshot v{version}, {len} payload bytes"))
+    let kind = persist::str_field(&read.header, "kind").unwrap_or("");
+    Ok(format!(
+        "{path}: valid wsn-persist {kind} file v{}, {} records, {} bytes",
+        persist::PERSIST_VERSION,
+        read.records.len(),
+        file.len()
+    ))
+}
+
+/// A verified payload must parse, and every point table in it decode.
+fn check_payload(payload: &[u8]) -> Result<(), persist::PersistError> {
+    let payload = persist::parse_payload(payload)?;
+    check_point_tables(&payload)
+        .map_err(|e| persist::PersistError::Schema(format!("bad point table: {e}")))
 }
 
 /// Every object of a snapshot payload that carries a point table (each
@@ -188,9 +182,42 @@ mod tests {
         );
         assert!(check_text("s.json", &future).unwrap_err().contains("version"));
         let untagged = doc.replace(&format!("\"version\":{},", persist::PERSIST_VERSION), "");
-        assert!(check_text("s.json", &untagged).unwrap_err().contains("version tag"));
+        assert!(check_text("s.json", &untagged).unwrap_err().contains("missing field \"version\""));
         let mixed = snapshot_with(r#"{"nodes":[[0,{"table":[[0,1,2,1.5],[1,1,2,2.5,0.5]]}]]}"#);
         assert!(check_text("s.json", &mixed).unwrap_err().contains("point table"));
+    }
+
+    /// A fleet shard file holding one record per payload, ids 0, 1, ….
+    fn shard_doc(payloads: &[&str]) -> String {
+        let mut doc = format!(
+            "{{\"format\":\"wsn-persist\",\"kind\":\"fleet-shard\",\"version\":{},\"shard\":0,\"shards\":2,\"records\":{}}}\n",
+            persist::PERSIST_VERSION,
+            payloads.len()
+        );
+        for (id, payload) in (0u64..).zip(payloads) {
+            let record = persist::frame_record("fleet-tenant", id, payload.as_bytes());
+            doc.push_str(std::str::from_utf8(&record).unwrap());
+        }
+        doc
+    }
+
+    #[test]
+    fn shard_files_are_checked_record_by_record() {
+        let table = r#"{"nodes":[[0,{"table":[[0,1,2,1.5],[1,1,2,2.5]]}]]}"#;
+        let doc = shard_doc(&[table, r#"{"x":1}"#]);
+        let summary = check_text("shard-0.json", &doc).unwrap();
+        assert!(summary.contains("fleet-shard file v3, 2 records"), "summary was {summary:?}");
+
+        let rotted = doc.replace(r#""x":1"#, r#""x":2"#);
+        let error = check_text("shard-0.json", &rotted).unwrap_err();
+        assert!(error.contains("record 1") && error.contains("checksum"), "{error}");
+        let torn = &doc[..doc.len() - 3];
+        assert!(check_text("shard-0.json", torn).unwrap_err().contains("torn"));
+        let recounted = doc.replace(r#""records":2"#, r#""records":3"#);
+        assert!(check_text("shard-0.json", &recounted).unwrap_err().contains("declares 3"));
+        let mixed = shard_doc(&[r#"{"nodes":[[0,{"table":[[0,1,2,1.5],[1,1,2,2.5,0.5]]}]]}"#]);
+        let error = check_text("shard-0.json", &mixed).unwrap_err();
+        assert!(error.contains("record 0") && error.contains("point table"), "{error}");
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   integer is shifted by +1 or scaled ×10⁶; or an array element is
 //!   dropped or duplicated. The mutated payload goes to
 //!   [`TenantRuntime::restore`].
-//! * **Bytes** (96 cases per input): the checkpoint file gets bit flips, a
-//!   truncation or a splice. Half the cases recompute the header's length
+//! * **Bytes** (96 cases per input): the shard checkpoint file holding the
+//!   tenant's record gets bit flips, a truncation or a splice. Half the
+//!   cases mutate the payload only and recompute the record header's length
 //!   and checksum, so the payload decoder is reached and not only the
 //!   checksum; the file goes to [`DetectorFleet::resume_from`].
 //!
@@ -191,26 +192,8 @@ fn mutate_bytes(rng: &mut SeededRng, bytes: &[u8]) -> (Vec<u8>, String) {
     (out, label)
 }
 
-/// A checkpoint file around `payload`, with a header declaring its true
-/// length and checksum, as [`persist::write_atomic`] writes it.
-fn file_with_valid_header(kind: &str, payload: &[u8]) -> Vec<u8> {
-    let header = JsonValue::Object(vec![
-        ("format".into(), JsonValue::from(persist::PERSIST_FORMAT)),
-        ("kind".into(), JsonValue::from(kind)),
-        ("version".into(), JsonValue::from(persist::PERSIST_VERSION)),
-        ("len".into(), JsonValue::from(payload.len() as u64)),
-        ("checksum".into(), JsonValue::from(persist::fnv1a64(payload))),
-    ]);
-    let mut file = header.to_compact_string().into_bytes();
-    file.push(b'\n');
-    file.extend_from_slice(payload);
-    file.push(b'\n');
-    file
-}
-
 fn byte_mutations(spec: &TenantSpec, seed: u64, tag: &str) -> Tally {
     let (dir, resnapshots) = (scratch_dir(tag), scratch_dir(&format!("{tag}-again")));
-    let path = DetectorFleet::tenant_path(&dir, TenantId(0));
     let mut live = DetectorFleet::sequential();
     live.add_tenant(TenantId(0), spec.clone()).unwrap();
     live.checkpoint_every_epochs(1, &dir);
@@ -218,15 +201,17 @@ fn byte_mutations(spec: &TenantSpec, seed: u64, tag: &str) -> Tally {
         live.ingest(TenantId(0), epoch_batch(7, epoch)).unwrap();
         live.step().unwrap();
     }
+    let path = live.checkpoint_path(&dir, TenantId(0));
     let original = std::fs::read(&path).unwrap();
-    let (header, rest) = original.split_at(original.iter().position(|&b| b == b'\n').unwrap());
+    // The shard header line, the record header line and the payload line.
+    let lines: Vec<&[u8]> = original.split(|&b| b == b'\n').collect();
+    let (shard_header, record_header, payload) = (lines[0], lines[1], lines[2]);
     let kind = persist::str_field(
-        &JsonValue::parse(std::str::from_utf8(header).unwrap()).unwrap(),
+        &JsonValue::parse(std::str::from_utf8(record_header).unwrap()).unwrap(),
         "kind",
     )
     .unwrap()
     .to_string();
-    let payload = &rest[1..rest.len() - 1];
 
     let mut rng = SeededRng::seed_from_u64(seed);
     let mut tally = Tally::default();
@@ -234,7 +219,10 @@ fn byte_mutations(spec: &TenantSpec, seed: u64, tag: &str) -> Tally {
         let recompute = case % 2 == 0;
         let (file, label) = if recompute {
             let (payload, label) = mutate_bytes(&mut rng, payload);
-            (file_with_valid_header(&kind, &payload), format!("payload {label}, header fixed"))
+            let mut file = shard_header.to_vec();
+            file.push(b'\n');
+            file.extend(persist::frame_record(&kind, 0, &payload));
+            (file, format!("payload {label}, header fixed"))
         } else {
             mutate_bytes(&mut rng, &original)
         };

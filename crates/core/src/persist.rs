@@ -25,6 +25,24 @@
 //! [`read_verified`] with a typed [`PersistError`] instead of silently
 //! loading garbage.
 //!
+//! A multi-record file ([`write_records`], [`read_records`]) holds many
+//! payloads under one header line, so that many snapshots cost one file:
+//!
+//! ```text
+//! {"format":"wsn-persist","kind":"fleet-shard","version":3,"shard":0,"shards":8,"records":2}
+//! {"id":4,"kind":"fleet-tenant","version":3,"len":N4,"checksum":C4}
+//! { ... tenant 4's payload ... }
+//! {"id":9,"kind":"fleet-tenant","version":3,"len":N9,"checksum":C9}
+//! { ... tenant 9's payload ... }
+//! ```
+//!
+//! Each record is two lines, framed by the newline that compact JSON never
+//! holds. Every payload, alone in its file or a record among many, passes
+//! one check before a byte of it is interpreted, [`verify_payload`]:
+//! version, kind, declared length and checksum. Damage inside one record
+//! refuses that record only; damage that loses a record's id refuses the
+//! records that cannot be read, never the others.
+//!
 //! # Point tables
 //!
 //! A node holds one observation in many sets at once: its window, the
@@ -61,7 +79,11 @@
 //! the bytes go to a `*.tmp` sibling, the file is fsynced, then renamed over
 //! the target, then the directory is fsynced. A crash before the rename
 //! leaves the previous snapshot intact; a crash after it leaves the new one.
-//! There is no third state.
+//! There is no third state. [`write_records`] runs the same sequence but
+//! leaves the directory fsync to its caller, so a round that replaces
+//! several files pays one [`sync_dir`]; each file still holds either its
+//! previous or its new contents. A leftover `*.tmp` is never read, and the
+//! next write of its file overwrites it.
 //!
 //! # Versioning contract — how to add a field
 //!
@@ -212,8 +234,10 @@ pub fn disarm_crash_points() {
 /// simulating a kill catch the unwind or let the process abort).
 ///
 /// Compiled-in sites: `persist.before_write`, `persist.before_rename`,
-/// `persist.after_rename` (inside [`write_atomic`]) and
-/// `persist.after_checkpoint` (after a streaming checkpoint completes).
+/// `persist.after_rename` (inside [`write_atomic`] and [`write_records`],
+/// around the rename) and `persist.after_checkpoint` (after a streaming
+/// checkpoint completes, and after each shard file of a fleet's checkpoint
+/// round).
 pub fn crash_point(name: &str) {
     let fire = ARMED_CRASH.with(|cell| {
         let mut slot = cell.borrow_mut();
@@ -243,6 +267,51 @@ fn io_err(what: &str, path: &Path, e: &std::io::Error) -> PersistError {
     PersistError::Io(format!("{what} {}: {e}", path.display()))
 }
 
+/// The header line that frames one payload: `lead` (a file's format tag,
+/// or a record's id), then the payload's kind, the format version, and the
+/// payload's length and checksum.
+fn payload_header(lead: (&str, JsonValue), kind: &str, payload: &[u8]) -> String {
+    JsonValue::Object(vec![
+        (lead.0.into(), lead.1),
+        ("kind".into(), JsonValue::from(kind)),
+        ("version".into(), JsonValue::from(PERSIST_VERSION)),
+        ("len".into(), JsonValue::from(payload.len() as u64)),
+        ("checksum".into(), JsonValue::from(fnv1a64(payload))),
+    ])
+    .to_compact_string()
+}
+
+/// The atomic replace both writers share: `parts` go, in order, to a
+/// `*.tmp` sibling of `path`, which is fsynced and then renamed over
+/// `path`. The rename is durable once the directory is fsynced
+/// ([`sync_dir`]), which is left to the caller. Returns the bytes written.
+fn replace_file(path: &Path, parts: &[&[u8]]) -> Result<u64, PersistError> {
+    crash_point("persist.before_write");
+    let file_name = path
+        .file_name()
+        .ok_or_else(|| PersistError::Io(format!("{} has no file name", path.display())))?;
+    let tmp = path.with_file_name(format!("{}.tmp", file_name.to_string_lossy()));
+    {
+        let mut file = fs::File::create(&tmp).map_err(|e| io_err("cannot create", &tmp, &e))?;
+        for part in parts {
+            file.write_all(part).map_err(|e| io_err("cannot write", &tmp, &e))?;
+        }
+        file.sync_all().map_err(|e| io_err("cannot fsync", &tmp, &e))?;
+    }
+    crash_point("persist.before_rename");
+    fs::rename(&tmp, path).map_err(|e| io_err("cannot rename into", path, &e))?;
+    crash_point("persist.after_rename");
+    Ok(parts.iter().map(|part| part.len() as u64).sum())
+}
+
+/// Makes the renames into `dir` durable. Best-effort: some filesystems
+/// refuse to open a directory for syncing.
+pub fn sync_dir(dir: &Path) {
+    if let Ok(d) = fs::File::open(dir) {
+        let _ = d.sync_all();
+    }
+}
+
 /// Writes `payload` under `path` atomically: tmp-file sibling → fsync →
 /// rename → directory fsync. Returns the number of bytes written. `kind`
 /// names the payload schema in the header (`"checkpoint"`, …) and is
@@ -253,40 +322,156 @@ fn io_err(what: &str, path: &Path, e: &std::io::Error) -> PersistError {
 /// Returns [`PersistError::Io`] if any filesystem step fails; on error the
 /// target file is either absent or still the previous complete version.
 pub fn write_atomic(path: &Path, kind: &str, payload: &JsonValue) -> Result<u64, PersistError> {
-    crash_point("persist.before_write");
-    let payload_text = payload.to_compact_string();
-    let header = JsonValue::Object(vec![
-        ("format".into(), JsonValue::from(PERSIST_FORMAT)),
-        ("kind".into(), JsonValue::from(kind)),
-        ("version".into(), JsonValue::from(PERSIST_VERSION)),
-        ("len".into(), JsonValue::from(payload_text.len() as u64)),
-        ("checksum".into(), JsonValue::from(fnv1a64(payload_text.as_bytes()))),
-    ])
-    .to_compact_string();
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| PersistError::Io(format!("{} has no file name", path.display())))?;
-    let tmp = path.with_file_name(format!("{}.tmp", file_name.to_string_lossy()));
-    {
-        let mut file = fs::File::create(&tmp).map_err(|e| io_err("cannot create", &tmp, &e))?;
-        file.write_all(header.as_bytes())
-            .and_then(|()| file.write_all(b"\n"))
-            .and_then(|()| file.write_all(payload_text.as_bytes()))
-            .and_then(|()| file.write_all(b"\n"))
-            .map_err(|e| io_err("cannot write", &tmp, &e))?;
-        file.sync_all().map_err(|e| io_err("cannot fsync", &tmp, &e))?;
-    }
-    crash_point("persist.before_rename");
-    fs::rename(&tmp, path).map_err(|e| io_err("cannot rename into", path, &e))?;
+    let payload = payload.to_compact_string();
+    let header =
+        payload_header(("format", JsonValue::from(PERSIST_FORMAT)), kind, payload.as_bytes());
+    let bytes = replace_file(path, &[header.as_bytes(), b"\n", payload.as_bytes(), b"\n"])?;
     if let Some(dir) = path.parent() {
-        // Make the rename itself durable. Directory fsync is best-effort:
-        // some filesystems refuse to open directories for writing.
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
+        sync_dir(dir);
     }
-    crash_point("persist.after_rename");
-    Ok((header.len() + payload_text.len() + 2) as u64)
+    Ok(bytes)
+}
+
+/// Frames one record of a multi-record file (see the module docs): a
+/// header line carrying `id`, `kind`, the format version and the payload's
+/// length and checksum, then the payload line. `payload` must hold no
+/// newline byte (compact JSON never does): the reader frames by lines.
+pub fn frame_record(kind: &str, id: u64, payload: &[u8]) -> Vec<u8> {
+    let header = payload_header(("id", JsonValue::from(id)), kind, payload);
+    let mut record = Vec::with_capacity(header.len() + payload.len() + 2);
+    record.extend_from_slice(header.as_bytes());
+    record.push(b'\n');
+    record.extend_from_slice(payload);
+    record.push(b'\n');
+    record
+}
+
+/// Writes a multi-record file under `path` atomically, through the same
+/// tmp-file → fsync → rename sequence as [`write_atomic`]: a header line
+/// (`format`, `kind`, version, the caller's `fields`, then the record
+/// count), then `records` as [`frame_record`] framed them. The directory
+/// is **not** fsynced: a round that writes several files pays one
+/// [`sync_dir`] after the last. Returns the number of bytes written.
+///
+/// # Errors
+///
+/// As [`write_atomic`].
+pub fn write_records(
+    path: &Path,
+    kind: &str,
+    fields: &[(&str, u64)],
+    records: &[Vec<u8>],
+) -> Result<u64, PersistError> {
+    let mut header = vec![
+        ("format".to_string(), JsonValue::from(PERSIST_FORMAT)),
+        ("kind".to_string(), JsonValue::from(kind)),
+        ("version".to_string(), JsonValue::from(PERSIST_VERSION)),
+    ];
+    header.extend(fields.iter().map(|&(key, value)| (key.to_string(), JsonValue::from(value))));
+    header.push(("records".to_string(), JsonValue::from(records.len() as u64)));
+    let mut header = JsonValue::Object(header).to_compact_string();
+    header.push('\n');
+    let parts: Vec<&[u8]> =
+        std::iter::once(header.as_bytes()).chain(records.iter().map(Vec::as_slice)).collect();
+    replace_file(path, &parts)
+}
+
+/// Splits a persisted file into its parsed header line and the bytes after
+/// it, refusing a file that is not `wsn-persist`.
+fn file_header(file: &[u8]) -> Result<(JsonValue, &[u8]), PersistError> {
+    let newline = file
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or_else(|| PersistError::Corrupt("missing header line".into()))?;
+    let header = parse_header(&file[..newline])?;
+    let format = str_field(&header, "format").map_err(bad_header)?;
+    if format != PERSIST_FORMAT {
+        return Err(PersistError::Corrupt("not a wsn-persist file".into()));
+    }
+    Ok((header, &file[newline + 1..]))
+}
+
+fn parse_header(line: &[u8]) -> Result<JsonValue, PersistError> {
+    std::str::from_utf8(line)
+        .map_err(|e| PersistError::Corrupt(format!("header is not UTF-8: {e}")))
+        .and_then(|line| {
+            JsonValue::parse(line)
+                .map_err(|e| PersistError::Corrupt(format!("unreadable header: {e}")))
+        })
+}
+
+fn bad_header(e: PersistError) -> PersistError {
+    PersistError::Corrupt(format!("bad header: {e}"))
+}
+
+/// Refuses a header of another format version.
+fn check_version(header: &JsonValue) -> Result<(), PersistError> {
+    let version = u64_field(header, "version").map_err(bad_header)?;
+    if version != PERSIST_VERSION {
+        return Err(PersistError::Version { found: version, expected: PERSIST_VERSION });
+    }
+    Ok(())
+}
+
+/// The one check a framed payload passes before a byte of it is
+/// interpreted, for a single-snapshot file and for each record of a
+/// multi-record file alike: `header` declares this build's version, a
+/// non-empty `kind`, and a `len` and `checksum` that the first `len` bytes
+/// of `body` match. Returns the kind and those bytes.
+///
+/// # Errors
+///
+/// [`PersistError::Version`] for another version, and
+/// [`PersistError::Corrupt`] for a missing or mistyped header field, a
+/// body shorter than `len` (a torn write) or a checksum mismatch.
+pub fn verify_payload<'b>(
+    header: &JsonValue,
+    body: &'b [u8],
+) -> Result<(String, &'b [u8]), PersistError> {
+    check_version(header)?;
+    let kind = str_field(header, "kind").map_err(bad_header)?;
+    if kind.is_empty() {
+        return Err(PersistError::Corrupt("bad header: empty kind".into()));
+    }
+    let len = usize_field(header, "len").map_err(bad_header)?;
+    if body.len() < len {
+        return Err(PersistError::Corrupt(format!(
+            "torn write: payload holds {} of {len} declared bytes",
+            body.len()
+        )));
+    }
+    let payload = &body[..len];
+    let expected = u64_field(header, "checksum").map_err(bad_header)?;
+    let actual = fnv1a64(payload);
+    if actual != expected {
+        return Err(PersistError::Corrupt(format!(
+            "checksum mismatch: header declares {expected}, payload hashes to {actual}"
+        )));
+    }
+    Ok((kind.to_string(), payload))
+}
+
+/// Verifies a single-snapshot file as written by [`write_atomic`]: the
+/// format tag, then [`verify_payload`]. Returns the kind and payload bytes.
+///
+/// # Errors
+///
+/// As [`verify_payload`], and [`PersistError::Corrupt`] for a file that is
+/// not `wsn-persist`.
+pub fn verify_file(file: &[u8]) -> Result<(String, &[u8]), PersistError> {
+    let (header, body) = file_header(file)?;
+    verify_payload(&header, body)
+}
+
+/// Parses verified payload bytes.
+///
+/// # Errors
+///
+/// [`PersistError::Corrupt`] for bytes that are not UTF-8 or not JSON.
+pub fn parse_payload(payload: &[u8]) -> Result<JsonValue, PersistError> {
+    let text = std::str::from_utf8(payload)
+        .map_err(|e| PersistError::Corrupt(format!("payload is not UTF-8: {e}")))?;
+    JsonValue::parse(text).map_err(|e| PersistError::Corrupt(format!("unparsable payload: {e}")))
 }
 
 /// Reads a file written by [`write_atomic`], verifying the header before a
@@ -300,46 +485,98 @@ pub fn write_atomic(path: &Path, kind: &str, payload: &JsonValue) -> Result<u64,
 /// [`PersistError::Version`] for an incompatible format version.
 pub fn read_verified(path: &Path) -> Result<(String, JsonValue), PersistError> {
     let file = fs::read(path).map_err(|e| io_err("cannot read", path, &e))?;
-    let newline = file
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| PersistError::Corrupt("missing header line".into()))?;
-    let (header_line, bytes) = (&file[..newline], &file[newline + 1..]);
-    let header = std::str::from_utf8(header_line)
-        .map_err(|e| PersistError::Corrupt(format!("header is not UTF-8: {e}")))
-        .and_then(|line| {
-            JsonValue::parse(line)
-                .map_err(|e| PersistError::Corrupt(format!("unreadable header: {e}")))
-        })?;
-    let corrupt = |e: PersistError| PersistError::Corrupt(format!("bad header: {e}"));
-    if str_field(&header, "format").map_err(corrupt)? != PERSIST_FORMAT {
-        return Err(PersistError::Corrupt("not a wsn-persist file".into()));
+    let (kind, payload) = verify_file(&file)?;
+    Ok((kind, parse_payload(payload)?))
+}
+
+/// A payload's kind and bytes once [`verify_payload`] passed them, or the
+/// typed reason it refused them.
+pub type VerifiedPayload<'f> = Result<(String, &'f [u8]), PersistError>;
+
+/// A multi-record file as [`read_records`] found it.
+#[derive(Debug)]
+pub struct Records<'f> {
+    /// The file's header line, its format, version and record count
+    /// checked; the writer's own fields are the caller's to check.
+    pub header: JsonValue,
+    /// Every record whose header names its id: its kind and payload bytes,
+    /// verified by [`verify_payload`], or the typed reason it was refused.
+    /// An id that appears twice is refused as [`PersistError::Corrupt`].
+    pub records: BTreeMap<u64, VerifiedPayload<'f>>,
+    /// Why some record could not be attributed to an id, if one could not:
+    /// an unreadable record header, one without an id, a missing payload
+    /// line, or a record count other than the header declares.
+    pub damage: Option<PersistError>,
+}
+
+/// Reads a multi-record file written by [`write_records`]. The header line
+/// is checked first (format, version, record count); a failure there
+/// refuses the whole file. Then the records are framed by lines, two per
+/// record, and each is verified on its own, so damage inside one record
+/// refuses only that record.
+///
+/// # Errors
+///
+/// [`PersistError::Corrupt`] or [`PersistError::Version`] for a file whose
+/// header line cannot be trusted.
+pub fn read_records(file: &[u8]) -> Result<Records<'_>, PersistError> {
+    let (header, body) = file_header(file)?;
+    check_version(&header)?;
+    let declared = usize_field(&header, "records").map_err(bad_header)?;
+    let mut damage = None;
+    let mut lines: Vec<&[u8]> = body.split(|&b| b == b'\n').collect();
+    if lines.last().is_some_and(|last| last.is_empty()) {
+        lines.pop();
+    } else {
+        damage = Some(PersistError::Corrupt("torn write: the last line is unterminated".into()));
     }
-    let version = u64_field(&header, "version").map_err(corrupt)?;
-    if version != PERSIST_VERSION {
-        return Err(PersistError::Version { found: version, expected: PERSIST_VERSION });
+    let mut records = BTreeMap::new();
+    for (index, pair) in lines.chunks(2).enumerate() {
+        let record = match pair {
+            [header, payload] => read_record(header, payload),
+            _ => Err(PersistError::Corrupt(format!("record {index} has no payload line"))),
+        };
+        match record {
+            Ok((id, verified)) => {
+                if records.insert(id, verified).is_some() {
+                    let twice = PersistError::Corrupt(format!("record {id} appears twice"));
+                    records.insert(id, Err(twice));
+                }
+            }
+            Err(e) => {
+                damage.get_or_insert(e);
+            }
+        }
     }
-    let kind = str_field(&header, "kind").map_err(corrupt)?.to_string();
-    let len = u64_field(&header, "len").map_err(corrupt)? as usize;
-    if bytes.len() < len {
-        return Err(PersistError::Corrupt(format!(
-            "torn write: payload holds {} of {len} declared bytes",
-            bytes.len()
+    let found = lines.len().div_ceil(2);
+    if found != declared {
+        damage.get_or_insert(PersistError::Corrupt(format!(
+            "header declares {declared} records, the file holds {found}"
         )));
     }
-    let payload_bytes = &bytes[..len];
-    let expected = u64_field(&header, "checksum").map_err(corrupt)?;
-    let actual = fnv1a64(payload_bytes);
-    if actual != expected {
-        return Err(PersistError::Corrupt(format!(
-            "checksum mismatch: header declares {expected}, payload hashes to {actual}"
-        )));
-    }
-    let payload_text = std::str::from_utf8(payload_bytes)
-        .map_err(|e| PersistError::Corrupt(format!("payload is not UTF-8: {e}")))?;
-    let payload = JsonValue::parse(payload_text)
-        .map_err(|e| PersistError::Corrupt(format!("unparsable payload: {e}")))?;
-    Ok((kind, payload))
+    Ok(Records { header, records, damage })
+}
+
+/// One record's id, and its verified kind and payload or why not. Fails
+/// only when the record cannot be attributed to an id.
+fn read_record<'f>(
+    header: &[u8],
+    payload: &'f [u8],
+) -> Result<(u64, VerifiedPayload<'f>), PersistError> {
+    let header = parse_header(header)?;
+    let id = u64_field(&header, "id").map_err(bad_header)?;
+    let verified = verify_payload(&header, payload).and_then(|(kind, bytes)| {
+        if bytes.len() == payload.len() {
+            Ok((kind, bytes))
+        } else {
+            Err(PersistError::Corrupt(format!(
+                "record payload line holds {} bytes, its header declares {}",
+                payload.len(),
+                bytes.len()
+            )))
+        }
+    });
+    Ok((id, verified))
 }
 
 // ---------------------------------------------------------------------------
@@ -1027,6 +1264,66 @@ mod tests {
         // Not a persist file at all.
         fs::write(&path, "{\"rows\": []}\n").unwrap();
         assert!(matches!(read_verified(&path), Err(PersistError::Corrupt(_))));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn damage_inside_a_record_refuses_that_record_only() {
+        let dir = std::env::temp_dir().join(format!("wsn-persist-records-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shard.json");
+        let records: Vec<Vec<u8>> = (0..3u64)
+            .map(|id| frame_record("demo", id, format!("{{\"x\":{id}2}}").as_bytes()))
+            .collect();
+        let bytes = write_records(&path, "demo-file", &[("shard", 1)], &records).unwrap();
+        let full = fs::read_to_string(&path).unwrap();
+        assert_eq!(bytes, full.len() as u64);
+        let read = read_records(full.as_bytes()).unwrap();
+        assert_eq!(u64_field(&read.header, "shard").unwrap(), 1);
+        assert!(read.damage.is_none());
+        let payloads: Vec<&[u8]> = read.records.values().map(|r| r.as_ref().unwrap().1).collect();
+        assert_eq!(payloads, vec![&b"{\"x\":02}"[..], b"{\"x\":12}", b"{\"x\":22}"]);
+
+        // `edit` rewrites line `at` of the file; `check` sees what is read.
+        let with_line = |at: usize, edit: &dyn Fn(&str) -> String| {
+            let mut lines: Vec<String> = full.lines().map(str::to_string).collect();
+            lines[at] = edit(&lines[at]);
+            lines.join("\n") + "\n"
+        };
+        let flipped = with_line(4, &|line| line.replace("12", "13"));
+        let read = read_records(flipped.as_bytes()).unwrap();
+        assert!(matches!(read.records[&1], Err(PersistError::Corrupt(_))));
+        assert!(read.records[&0].is_ok() && read.records[&2].is_ok() && read.damage.is_none());
+
+        let longer = with_line(4, &|line| format!("{line} "));
+        let read = read_records(longer.as_bytes()).unwrap();
+        assert!(matches!(read.records[&1], Err(PersistError::Corrupt(_))), "a longer line");
+
+        let stale = with_line(5, &|line| line.replace("\"version\":3", "\"version\":2"));
+        let read = read_records(stale.as_bytes()).unwrap();
+        assert_eq!(read.records[&2], Err(PersistError::Version { found: 2, expected: 3 }));
+
+        let lost_id = with_line(3, &|_| "[[[".to_string());
+        let read = read_records(lost_id.as_bytes()).unwrap();
+        assert!(matches!(read.damage, Some(PersistError::Corrupt(_))));
+        assert_eq!(read.records.keys().copied().collect::<Vec<_>>(), vec![0, 2]);
+
+        let twice = with_line(5, &|line| line.replace("\"id\":2", "\"id\":0"));
+        let read = read_records(twice.as_bytes()).unwrap();
+        assert!(matches!(read.records[&0], Err(PersistError::Corrupt(_))), "{read:?}");
+
+        let torn = &full.as_bytes()[..full.len() - 5];
+        let read = read_records(torn).unwrap();
+        assert!(matches!(read.damage, Some(PersistError::Corrupt(_))));
+        assert!(read.records[&0].is_ok() && read.records[&1].is_ok());
+        assert!(read.records[&2].is_err(), "the torn record is refused");
+
+        let recount = with_line(0, &|line| line.replace("\"records\":3", "\"records\":4"));
+        assert!(read_records(recount.as_bytes()).unwrap().damage.is_some());
+        let old_file = with_line(0, &|line| line.replace("\"version\":3", "\"version\":2"));
+        assert!(matches!(read_records(old_file.as_bytes()), Err(PersistError::Version { .. })));
+        let foreign = with_line(0, &|line| line.replace("wsn-persist", "other"));
+        assert!(matches!(read_records(foreign.as_bytes()), Err(PersistError::Corrupt(_))));
         fs::remove_dir_all(&dir).unwrap();
     }
 

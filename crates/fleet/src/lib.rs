@@ -24,14 +24,15 @@
 //!   decides which tenants are *slide-due*, and [`DetectorFleet::step`]
 //!   dispatches each due tenant as one pool job, tenants hashed to
 //!   shards. Ingest drops, and counts in its [`IngestReceipt`], a reading
-//!   whose feature count differs from the tenant's, so one tenant's
-//!   malformed input cannot panic a step that serves every tenant.
+//!   with a non-finite feature or a feature count other than the tenant's,
+//!   so one tenant's malformed input cannot panic a step that serves every
+//!   tenant.
 //!
 //! # Determinism contract
 //!
 //! A tenant's slide is a pure function of its own state and the epoch's
-//! batch; tenants share nothing. The fleet submits due tenants grouped by
-//! shard but **collects results in ascending tenant order**, so a
+//! batch; tenants share nothing. The fleet submits and joins due tenants
+//! shard by shard but **reports results in ascending tenant order**, so a
 //! parallel [`DetectorFleet::step`] is bit-for-bit identical — estimates,
 //! labels, traffic counters, snapshots — to the sequential reference loop
 //! ([`DetectorFleet::sequential`]); `tests/property_fleet.rs` proves this
@@ -43,33 +44,67 @@
 //!
 //! # Checkpoints
 //!
-//! Crash safety composes with [`wsn_core::persist`]: after
-//! [`DetectorFleet::checkpoint_every_epochs`], the fleet writes one
-//! `tenant-<id>.json` snapshot (atomic two-line `wsn-persist` file,
-//! checksummed, crash-point instrumented) per tenant every `k` executed
-//! slides, wrapping each detector's own
-//! [`persist_snapshot`](wsn_core::DetectorNode::persist_snapshot)
-//! dump together with the tenant's epoch cursor, traffic counters and a
+//! Crash safety composes with [`wsn_core::persist`]. After
+//! [`DetectorFleet::checkpoint_every_epochs`], a tenant is *checkpoint-due*
+//! once it has executed `k` slides since its last checkpoint. The fleet
+//! group-commits its checkpoints, one file per shard:
+//!
+//! ```text
+//! dir/shard-0.json   {"format":"wsn-persist","kind":"fleet-shard","version":3,"shard":0,"shards":8,"records":R}
+//!                    {"id":4,"kind":"fleet-tenant","version":3,"len":N,"checksum":C}
+//!                    { ... tenant 4's payload ... }
+//!                    … one two-line record per tenant of the shard, ascending id
+//! dir/shard-1.json   …
+//! ```
+//!
+//! A step rewrites every shard holding at least one checkpoint-due tenant,
+//! with a fresh record for every tenant of the shard, so no tenant is ever
+//! snapshotted less often than every `k` slides. Each shard file goes
+//! through [`persist::write_records`](wsn_core::persist::write_records): a
+//! `*.tmp` sibling, one fsync, one rename; the step ends with one directory
+//! fsync. A kill leaves each shard file holding either its previous round
+//! or its new one, never a mix; a leftover `*.tmp` is ignored on resume and
+//! overwritten by the shard's next round.
+//!
+//! A record's payload wraps each detector's own
+//! [`persist_snapshot`](wsn_core::DetectorNode::persist_snapshot) dump
+//! together with the tenant's epoch cursor, traffic counters and a
 //! per-tenant `config_hash`. Each node dump carries its own point table
 //! ([`wsn_core::persist::PointTable`]): an observation the node holds in
 //! its window, in several neighbours' shared-knowledge sets and in several
 //! fixed-point chains is written once, and every set refers to it by
 //! `(row, hop)`. The centralized baseline's sink window is encoded the same
 //! way. On restore, each `(row, hop)` becomes one shared point, as in the
-//! live node. [`DetectorFleet::resume_from`] restores each
-//! registered tenant from its file in isolation — a corrupt, stale-version
-//! (1 or 2) or hash-mismatched snapshot, one whose header nests too deep,
-//! or one whose nodes hold points of different feature counts is refused
-//! with a typed [`PersistError`](wsn_core::PersistError) for that tenant
-//! only, the rest of the fleet resumes untouched. Ingestion is
-//! at-least-once: buffered-but-unexecuted readings are not part of a
-//! snapshot, and after a resume the caller re-ingests its stream — batches
-//! for epochs the restored cursor already passed are dropped as stale.
+//! live node.
 //!
-//! Checkpoints are written serially on the calling thread after each
-//! step. A steady-state tenant of the benchmark's fleet (nine sensors,
-//! `w = 8`) snapshots to about 26 kB; the file's fsync, rename and
-//! directory fsync are most of what remains of its cost.
+//! [`DetectorFleet::resume_from`] reads each shard file once and restores
+//! each tenant from its own record. Refusals are as narrow as the damage:
+//!
+//! * a record that is corrupt, stale-version (1 or 2), of the wrong kind or
+//!   of a different `config_hash`, whose header nests too deep, or whose
+//!   nodes hold points of different feature counts refuses its tenant only,
+//!   with a typed [`PersistError`](wsn_core::PersistError);
+//! * damage to a shard header, or to a record's framing, refuses the
+//!   tenants of that shard whose records cannot be read, never another
+//!   shard's;
+//! * a missing shard file leaves its tenants fresh — unless the directory
+//!   holds shard files written under another shard count, or a per-tenant
+//!   `tenant-<id>.json` from before shard files, which are refused with
+//!   [`PersistError::Mismatch`](wsn_core::PersistError::Mismatch).
+//!
+//! Ingestion is at-least-once: buffered-but-unexecuted readings are not part
+//! of a snapshot, and after a resume the caller re-ingests its stream —
+//! batches for epochs the restored cursor already passed are dropped as
+//! stale.
+//!
+//! Each tenant's payload is built and serialized inside its own slide job,
+//! right after its slides, beside other tenants' slides on the pool. The
+//! calling thread joins the jobs shard by shard and writes each shard's
+//! file as soon as its jobs are back, so it holds at most one shard's
+//! payloads at a time; every file operation and crash point stays on the
+//! calling thread. A tenant that is not yet due but shares a rewritten
+//! shard has its payload built there. A steady-state tenant of the
+//! benchmark's fleet (nine sensors, `w = 8`) snapshots to about 26 kB.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

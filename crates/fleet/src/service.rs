@@ -1,14 +1,15 @@
 //! The multi-tenant service: batched ingestion, sharded slide dispatch
-//! over the worker pool, and per-tenant checkpoint/resume.
+//! over the worker pool, and group-committed checkpoints, one file per
+//! shard.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use wsn_core::persist::{self, PersistError};
 use wsn_data::{DataPoint, SensorId};
-use wsn_pool::WorkerPool;
+use wsn_pool::{JobHandle, WorkerPool};
 use wsn_ranking::OutlierEstimate;
 
 use crate::tenant::{TenantRuntime, TenantSlide, TenantSpec, TenantTraffic, TENANT_SNAPSHOT_KIND};
@@ -62,8 +63,8 @@ pub struct IngestReceipt {
     /// Points buffered for future slides.
     pub buffered: usize,
     /// Points dropped as stale (epoch already executed), foreign (unknown
-    /// sensor) or malformed (a feature count other than the tenant's, see
-    /// [`TenantRuntime::ingest`]).
+    /// sensor) or malformed (a non-finite feature, or a feature count other
+    /// than the tenant's, see [`TenantRuntime::ingest`]).
     pub dropped: usize,
 }
 
@@ -83,20 +84,106 @@ pub struct CheckpointPolicy {
     /// Snapshot a tenant whenever it has executed this many slides since
     /// its last checkpoint.
     pub every: u64,
-    /// Directory holding one `tenant-<id>.json` per tenant.
+    /// Directory holding one `shard-<i>.json` per shard, each with one
+    /// record per tenant of the shard.
     pub dir: PathBuf,
 }
 
-/// The outcome of [`DetectorFleet::resume_from`], per tenant.
+/// The outcome of [`DetectorFleet::resume_from`], per tenant; each list is
+/// in ascending tenant order.
 #[derive(Debug, Default)]
 pub struct ResumeReport {
-    /// Tenants restored from their snapshot file.
+    /// Tenants restored from their record.
     pub restored: Vec<TenantId>,
-    /// Tenants with no snapshot file (left fresh).
+    /// Tenants with no record and nothing else in the directory that could
+    /// hold their state (left fresh).
     pub fresh: Vec<TenantId>,
-    /// Tenants whose snapshot was refused, with the typed reason; the
-    /// tenant stays fresh, the rest of the fleet is unaffected.
+    /// Tenants whose record was refused, or could not be read, with the
+    /// typed reason; the tenant stays fresh, and tenants whose records read
+    /// cleanly are unaffected.
     pub failed: Vec<(TenantId, PersistError)>,
+}
+
+/// Snapshot `kind` of a shard file's header line.
+const SHARD_KIND: &str = "fleet-shard";
+
+/// A tenant's slide job comes back with its runtime, its slides and, if
+/// those made it checkpoint-due, its framed checkpoint record.
+type JobOutput = (TenantRuntime, Vec<TenantSlide>, Option<Vec<u8>>);
+
+/// A dispatched slide job: pending on a pool, or already run inline (the
+/// sequential reference).
+enum Job {
+    Pooled(JobHandle<JobOutput>),
+    Inline(Box<JobOutput>),
+}
+
+impl Job {
+    fn join(self) -> JobOutput {
+        match self {
+            Job::Pooled(handle) => handle.join(),
+            Job::Inline(output) => *output,
+        }
+    }
+}
+
+/// One tenant's work: its due slides, then its checkpoint record if
+/// `checkpoint` (`(every, slides at its last checkpoint)`) says it is due.
+fn slide_job(
+    id: TenantId,
+    mut runtime: TenantRuntime,
+    force: bool,
+    checkpoint: Option<(u64, u64)>,
+) -> JobOutput {
+    let slides = runtime.run_due(force);
+    let record = checkpoint
+        .filter(|&(every, at)| checkpoint_due(runtime.slides(), at, every))
+        .map(|_| tenant_record(id, &runtime));
+    (runtime, slides, record)
+}
+
+/// Whether a tenant at `slides`, last checkpointed at `at`, is due.
+fn checkpoint_due(slides: u64, at: u64, every: u64) -> bool {
+    slides.saturating_sub(at) >= every
+}
+
+/// A tenant's framed checkpoint record: its
+/// [`TenantRuntime::snapshot_payload`] as compact JSON.
+fn tenant_record(id: TenantId, runtime: &TenantRuntime) -> Vec<u8> {
+    let payload = runtime.snapshot_payload().to_compact_string();
+    persist::frame_record(TENANT_SNAPSHOT_KIND, id.0, payload.as_bytes())
+}
+
+/// Refuses a shard file of another kind, shard or shard count.
+fn check_shard_header(
+    header: &persist::JsonValue,
+    shard: usize,
+    shards: usize,
+) -> Result<(), PersistError> {
+    let bad = |e: PersistError| PersistError::Corrupt(format!("bad shard header: {e}"));
+    let kind = persist::str_field(header, "kind").map_err(bad)?;
+    if kind != SHARD_KIND {
+        return Err(PersistError::Mismatch(format!(
+            "expected a \"{SHARD_KIND}\" file, found \"{kind}\""
+        )));
+    }
+    let index = persist::u64_field(header, "shard").map_err(bad)?;
+    let count = persist::u64_field(header, "shards").map_err(bad)?;
+    if (index, count) != (shard as u64, shards as u64) {
+        return Err(PersistError::Mismatch(format!(
+            "shard-{shard}.json holds shard {index} of {count}, this fleet's is shard {shard} of {shards}"
+        )));
+    }
+    Ok(())
+}
+
+fn shard_file_name(shard: usize) -> String {
+    format!("shard-{shard}.json")
+}
+
+/// The shard index of a `shard-<i>.json` file name.
+fn shard_index(name: &str) -> Option<usize> {
+    name.strip_prefix("shard-")?.strip_suffix(".json")?.parse().ok()
 }
 
 /// How slide jobs run: on the shared pool, an owned pool, or inline on the
@@ -167,8 +254,11 @@ impl DetectorFleet {
         self.tenants.keys().copied().collect()
     }
 
-    /// Enables periodic checkpoints: every `k` executed slides per tenant,
-    /// a `tenant-<id>.json` snapshot is written atomically under `dir`.
+    /// Enables periodic checkpoints: whenever a tenant has executed `k`
+    /// slides since its last checkpoint, its shard's file under `dir`,
+    /// `shard-<i>.json`, is rewritten atomically with a fresh record for
+    /// every tenant of the shard. A step pays one fsync per shard file it
+    /// rewrites and one directory fsync.
     pub fn checkpoint_every_epochs(&mut self, k: u64, dir: impl Into<PathBuf>) {
         self.checkpoint = Some(CheckpointPolicy { every: k.max(1), dir: dir.into() });
     }
@@ -206,148 +296,265 @@ impl DetectorFleet {
         self.run(work, true)
     }
 
-    /// Dispatches `ids` (one pool job per tenant, grouped by shard),
-    /// collects in ascending tenant order, then checkpoints on the calling
-    /// thread.
+    /// Dispatches `ids`, one job per tenant, submitted shard by shard. The
+    /// calling thread joins the jobs shard by shard and writes each shard's
+    /// checkpoint file as soon as the shard's jobs are back, then fsyncs the
+    /// directory once. Outcomes are reported in ascending tenant
+    /// order, which (tenants being independent) makes a pooled step
+    /// identical to the sequential loop.
     fn run(&mut self, ids: Vec<TenantId>, force: bool) -> Result<Vec<FleetSlide>, FleetError> {
         if ids.is_empty() {
             return Ok(Vec::new());
         }
         let _span = wsn_obs::span("fleet.step");
-        let outcomes: BTreeMap<TenantId, Vec<TenantSlide>> = match &self.dispatch {
-            Dispatch::Sequential => {
-                let mut out = BTreeMap::new();
-                for id in &ids {
-                    let rt = self.tenants.get_mut(id).expect("due ids are registered");
-                    out.insert(*id, rt.run_due(force));
-                }
-                out
-            }
-            Dispatch::Global => self.run_pooled(&ids, force, wsn_pool::global()),
+        let mut by_shard: Vec<Vec<TenantId>> = vec![Vec::new(); self.shards];
+        for id in ids {
+            by_shard[self.shard_of(id)].push(id);
+        }
+        let loads = by_shard.iter().map(Vec::len);
+        let imbalance = loads.clone().max().unwrap_or(0) - loads.min().unwrap_or(0);
+        crate::OBS_SHARD_IMBALANCE.set(imbalance as f64);
+
+        let owned;
+        let pool = match &self.dispatch {
+            Dispatch::Global => Some(wsn_pool::global()),
             Dispatch::Owned(pool) => {
-                let pool = Arc::clone(pool);
-                self.run_pooled(&ids, force, &pool)
+                owned = Arc::clone(pool);
+                Some(owned.as_ref())
             }
+            Dispatch::Sequential => None,
         };
-        let mut slides = Vec::new();
-        for (tenant, batch) in &outcomes {
-            crate::OBS_SLIDES_EXECUTED.add(batch.len() as u64);
-            for &slide in batch {
-                slides.push(FleetSlide { tenant: *tenant, slide });
+        let every = self.checkpoint.as_ref().map(|policy| policy.every);
+        let members = if every.is_some() { self.shard_members() } else { Vec::new() };
+        let mut jobs: Vec<Vec<(TenantId, Job)>> = Vec::with_capacity(self.shards);
+        for shard in &by_shard {
+            let mut shard_jobs = Vec::with_capacity(shard.len());
+            for &id in shard {
+                let runtime = self.tenants.remove(&id).expect("due ids are registered");
+                let checkpoint = every.map(|every| (every, self.checkpointed_at(id)));
+                let job = match pool {
+                    Some(pool) => {
+                        Job::Pooled(pool.submit(move || slide_job(id, runtime, force, checkpoint)))
+                    }
+                    None => Job::Inline(Box::new(slide_job(id, runtime, force, checkpoint))),
+                };
+                shard_jobs.push((id, job));
+            }
+            jobs.push(shard_jobs);
+        }
+
+        let mut outcomes = BTreeMap::new();
+        let mut failure = None;
+        let mut wrote = false;
+        for (shard, shard_jobs) in jobs.into_iter().enumerate() {
+            let mut records = BTreeMap::new();
+            // The pool runs jobs in submission order, so a shard's last job
+            // is about the last to finish: joined first, it puts the calling
+            // thread to sleep once per shard, not once per tenant.
+            for (id, job) in shard_jobs.into_iter().rev() {
+                let (runtime, slides, record) = job.join();
+                self.tenants.insert(id, runtime);
+                crate::OBS_SLIDES_EXECUTED.add(slides.len() as u64);
+                outcomes.insert(id, slides);
+                records.extend(record.map(|record| (id, record)));
+            }
+            // After a failed write, the remaining jobs are still joined so
+            // that every runtime is back before the error returns.
+            if let (None, Some(members)) = (&failure, members.get(shard)) {
+                match self.checkpoint_shard(shard, members, records) {
+                    Ok(written) => wrote |= written,
+                    Err(e) => failure = Some(e),
+                }
             }
         }
-        self.write_due_checkpoints()?;
-        Ok(slides)
-    }
-
-    /// One pool job per tenant: the runtime moves into the job, slides, and
-    /// comes back with its outcomes. Submission is grouped by shard;
-    /// collection is in ascending tenant order, which (tenants being
-    /// independent) makes the result identical to the sequential loop.
-    fn run_pooled(
-        &mut self,
-        ids: &[TenantId],
-        force: bool,
-        pool: &WorkerPool,
-    ) -> BTreeMap<TenantId, Vec<TenantSlide>> {
-        let mut by_shard: Vec<(usize, TenantId)> =
-            ids.iter().map(|&id| (self.shard_of(id), id)).collect();
-        let mut shard_load = vec![0u64; self.shards];
-        for &(shard, _) in &by_shard {
-            shard_load[shard] += 1;
+        if let (true, Some(policy)) = (wrote, &self.checkpoint) {
+            persist::sync_dir(&policy.dir);
         }
-        let max = shard_load.iter().copied().max().unwrap_or(0);
-        let min = shard_load.iter().copied().min().unwrap_or(0);
-        crate::OBS_SHARD_IMBALANCE.set((max - min) as f64);
-        by_shard.sort_by_key(|&(shard, id)| (shard, id));
-
-        let mut handles = BTreeMap::new();
-        for (_, id) in by_shard {
-            let mut runtime = self.tenants.remove(&id).expect("due ids are registered");
-            let handle = pool.submit(move || {
-                let slides = runtime.run_due(force);
-                (runtime, slides)
-            });
-            handles.insert(id, handle);
+        if let Some(e) = failure {
+            return Err(e);
         }
-        let mut outcomes = BTreeMap::new();
-        for (id, handle) in handles {
-            let (runtime, slides) = handle.join();
-            self.tenants.insert(id, runtime);
-            outcomes.insert(id, slides);
-        }
-        outcomes
+        Ok(outcomes
+            .into_iter()
+            .flat_map(|(tenant, slides)| {
+                slides.into_iter().map(move |slide| FleetSlide { tenant, slide })
+            })
+            .collect())
     }
 
     fn shard_of(&self, id: TenantId) -> usize {
         (persist::fnv1a64(&id.0.to_le_bytes()) % self.shards as u64) as usize
     }
 
-    /// Writes a snapshot for every tenant that crossed its checkpoint
-    /// interval since the last one. Runs on the calling thread so the
-    /// crash-injection harness ([`wsn_core::persist::arm_crash_point`])
-    /// observes the same thread-local sites as the streaming layer.
-    fn write_due_checkpoints(&mut self) -> Result<(), FleetError> {
-        let Some(policy) = self.checkpoint.clone() else {
-            return Ok(());
-        };
-        std::fs::create_dir_all(&policy.dir)
-            .map_err(|e| FleetError::Persist(PersistError::Io(e.to_string())))?;
-        for (&id, runtime) in &self.tenants {
-            let since = runtime.slides() - self.checkpointed_at.get(&id).copied().unwrap_or(0);
-            if since < policy.every {
-                continue;
-            }
-            let payload = runtime.snapshot_payload();
-            let bytes = persist::write_atomic(
-                &Self::tenant_path(&policy.dir, id),
-                TENANT_SNAPSHOT_KIND,
-                &payload,
-            )?;
-            crate::OBS_SNAPSHOTS_WRITTEN.add(1);
-            crate::OBS_SNAPSHOT_BYTES.add(bytes);
-            self.checkpointed_at.insert(id, runtime.slides());
-            persist::crash_point("persist.after_checkpoint");
+    /// The registered tenants of each shard, ascending.
+    fn shard_members(&self) -> Vec<Vec<TenantId>> {
+        let mut members = vec![Vec::new(); self.shards];
+        for &id in self.tenants.keys() {
+            members[self.shard_of(id)].push(id);
         }
-        Ok(())
+        members
     }
 
-    /// The snapshot file of one tenant under `dir`.
-    pub fn tenant_path(dir: &Path, id: TenantId) -> PathBuf {
-        dir.join(format!("{id}.json"))
+    fn checkpointed_at(&self, id: TenantId) -> u64 {
+        self.checkpointed_at.get(&id).copied().unwrap_or(0)
     }
 
-    /// Restores every registered tenant from its snapshot under `dir`,
-    /// each in isolation: tenants without a file stay fresh, tenants whose
-    /// snapshot is corrupt, torn, of the wrong kind or of a different
-    /// `config_hash` are refused with a typed error **without** affecting
-    /// any other tenant. After resuming, re-ingest the input stream —
-    /// epochs the restored cursors already executed are dropped as stale.
+    /// Rewrites `shard`'s checkpoint file if any of its `members` is
+    /// checkpoint-due, with a fresh record for every member: `records` are
+    /// those the slide jobs built, the rest are built here. Every file
+    /// operation and crash point runs on the calling thread, so the
+    /// crash-injection harness ([`wsn_core::persist::arm_crash_point`])
+    /// observes the same thread-local sites as the streaming layer. Returns
+    /// whether the file was written; the caller fsyncs the directory.
+    fn checkpoint_shard(
+        &mut self,
+        shard: usize,
+        members: &[TenantId],
+        mut records: BTreeMap<TenantId, Vec<u8>>,
+    ) -> Result<bool, FleetError> {
+        let Some(policy) = &self.checkpoint else {
+            return Ok(false);
+        };
+        let due = |id: &TenantId| {
+            checkpoint_due(self.tenants[id].slides(), self.checkpointed_at(*id), policy.every)
+        };
+        if records.is_empty() && !members.iter().any(due) {
+            return Ok(false);
+        }
+        let _span = wsn_obs::span("fleet.checkpoint");
+        let framed: Vec<Vec<u8>> = members
+            .iter()
+            .map(|&id| records.remove(&id).unwrap_or_else(|| tenant_record(id, &self.tenants[&id])))
+            .collect();
+        std::fs::create_dir_all(&policy.dir)
+            .map_err(|e| PersistError::Io(format!("{}: {e}", policy.dir.display())))?;
+        let bytes = persist::write_records(
+            &policy.dir.join(shard_file_name(shard)),
+            SHARD_KIND,
+            &[("shard", shard as u64), ("shards", self.shards as u64)],
+            &framed,
+        )?;
+        crate::OBS_SNAPSHOTS_WRITTEN.add(members.len() as u64);
+        crate::OBS_SNAPSHOT_BYTES.add(bytes);
+        for &id in members {
+            let slides = self.tenants[&id].slides();
+            self.checkpointed_at.insert(id, slides);
+        }
+        persist::crash_point("persist.after_checkpoint");
+        Ok(true)
+    }
+
+    /// The checkpoint file under `dir` that holds `tenant`'s record: its
+    /// shard's file.
+    pub fn checkpoint_path(&self, dir: &Path, tenant: TenantId) -> PathBuf {
+        dir.join(shard_file_name(self.shard_of(tenant)))
+    }
+
+    /// Restores every registered tenant from its record under `dir`. Each
+    /// shard file is read once, and each record is verified and restored on
+    /// its own: a record that is corrupt, torn, of a stale version, of the
+    /// wrong kind or of a different `config_hash` is refused with a typed
+    /// error for its tenant only. Damage that hides which tenant a record
+    /// belongs to (a shard header or a record header that cannot be read)
+    /// refuses the shard's tenants whose records cannot be read, never
+    /// another shard's. A tenant with no record stays fresh, unless the
+    /// directory holds a shard file written under another shard count or a
+    /// `tenant-<id>.json` of the per-tenant layout for it: both are refused
+    /// with [`PersistError::Mismatch`]. A leftover `*.tmp` is ignored. After
+    /// resuming, re-ingest the input stream — epochs the restored cursors
+    /// already executed are dropped as stale.
     pub fn resume_from(&mut self, dir: impl AsRef<Path>) -> ResumeReport {
         let dir = dir.as_ref();
         let mut report = ResumeReport::default();
-        for (&id, runtime) in &mut self.tenants {
-            let path = Self::tenant_path(dir, id);
-            if !path.exists() {
-                report.fresh.push(id);
+        let listing: BTreeSet<String> = match std::fs::read_dir(dir) {
+            Ok(entries) => {
+                entries.filter_map(|entry| entry.ok()?.file_name().into_string().ok()).collect()
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => BTreeSet::new(),
+            Err(e) => {
+                let error = PersistError::Io(format!("cannot list {}: {e}", dir.display()));
+                report.failed = self.tenants.keys().map(|&id| (id, error.clone())).collect();
+                return report;
+            }
+        };
+        let shards = self.shards;
+        let mut foreign =
+            listing.iter().filter_map(|name| shard_index(name)).find(|&i| i >= shards).map(|i| {
+                PersistError::Mismatch(format!(
+                    "{} holds shard-{i}.json, but this fleet has {shards} shards",
+                    dir.display()
+                ))
+            });
+        let mut unread = Vec::new();
+        for (shard, members) in self.shard_members().into_iter().enumerate() {
+            let name = shard_file_name(shard);
+            if !listing.contains(&name) {
+                unread.extend(members);
                 continue;
             }
-            let outcome = persist::read_verified(&path).and_then(|(kind, payload)| {
-                if kind != TENANT_SNAPSHOT_KIND {
-                    return Err(PersistError::Mismatch(format!(
-                        "expected a \"{TENANT_SNAPSHOT_KIND}\" snapshot, found \"{kind}\""
-                    )));
-                }
-                runtime.restore(&payload)
+            let path = dir.join(&name);
+            let file = std::fs::read(&path)
+                .map_err(|e| PersistError::Io(format!("cannot read {}: {e}", path.display())));
+            let records = file.as_deref().map_err(Clone::clone).and_then(|file| {
+                let records = persist::read_records(file)?;
+                check_shard_header(&records.header, shard, shards)?;
+                Ok(records)
             });
-            match outcome {
-                Ok(()) => {
-                    self.checkpointed_at.insert(id, runtime.slides());
-                    report.restored.push(id);
+            let mut records = match records {
+                Ok(records) => records,
+                Err(e) => {
+                    if matches!(e, PersistError::Mismatch(_)) {
+                        foreign.get_or_insert_with(|| e.clone());
+                    }
+                    report.failed.extend(members.into_iter().map(|id| (id, e.clone())));
+                    continue;
                 }
-                Err(e) => report.failed.push((id, e)),
+            };
+            for id in members {
+                let Some(verified) = records.records.remove(&id.0) else {
+                    match &records.damage {
+                        Some(damage) => report.failed.push((id, damage.clone())),
+                        None => unread.push(id),
+                    }
+                    continue;
+                };
+                let runtime = self.tenants.get_mut(&id).expect("members are registered");
+                let restored = verified.and_then(|(kind, payload)| {
+                    if kind != TENANT_SNAPSHOT_KIND {
+                        return Err(PersistError::Mismatch(format!(
+                            "expected a \"{TENANT_SNAPSHOT_KIND}\" record, found \"{kind}\""
+                        )));
+                    }
+                    runtime.restore(&persist::parse_payload(payload)?)
+                });
+                match restored {
+                    Ok(()) => {
+                        self.checkpointed_at.insert(id, runtime.slides());
+                        report.restored.push(id);
+                    }
+                    Err(e) => report.failed.push((id, e)),
+                }
             }
         }
+        // A tenant without a record is fresh only if nothing in the
+        // directory could hold its state.
+        for id in unread {
+            let legacy = format!("tenant-{}.json", id.0);
+            if listing.contains(&legacy) {
+                report.failed.push((
+                    id,
+                    PersistError::Mismatch(format!(
+                        "{legacy} is a per-tenant checkpoint; this fleet reads shard files"
+                    )),
+                ));
+            } else if let Some(e) = &foreign {
+                report.failed.push((id, e.clone()));
+            } else {
+                report.fresh.push(id);
+            }
+        }
+        report.restored.sort_unstable();
+        report.fresh.sort_unstable();
+        report.failed.sort_by_key(|&(id, _)| id);
         report
     }
 
@@ -419,6 +626,29 @@ mod tests {
             .collect()
     }
 
+    /// Rewrites `tenant`'s record in its shard file under `dir`: `edit`
+    /// maps the record's header and payload lines to new ones.
+    fn edit_record(
+        fleet: &DetectorFleet,
+        dir: &Path,
+        tenant: TenantId,
+        edit: impl FnOnce(&str, &str) -> (String, String),
+    ) {
+        let path = fleet.checkpoint_path(dir, tenant);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let at = (1..lines.len())
+            .step_by(2)
+            .find(|&i| {
+                let header = wsn_json::JsonValue::parse(&lines[i]).unwrap();
+                header.get("id").and_then(wsn_json::JsonValue::as_u64) == Some(tenant.0)
+            })
+            .expect("the shard file holds the tenant's record");
+        let (header, payload) = edit(&lines[at], &lines[at + 1]);
+        (lines[at], lines[at + 1]) = (header, payload);
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+    }
+
     #[test]
     fn unknown_and_duplicate_tenants_are_typed_errors() {
         let mut fleet = DetectorFleet::sequential();
@@ -464,10 +694,10 @@ mod tests {
             }
             fleet.step().unwrap();
         }
-        // Corrupt tenant 1's snapshot payload.
-        let path = DetectorFleet::tenant_path(&dir, TenantId(1));
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replace('2', "3")).unwrap();
+        // Corrupt tenant 1's payload inside the shard file all three share.
+        edit_record(&fleet, &dir, TenantId(1), |header, payload| {
+            (header.to_string(), payload.replacen('2', "3", 1))
+        });
 
         let mut resumed = DetectorFleet::sequential();
         for t in 0..3u64 {
@@ -495,12 +725,11 @@ mod tests {
             fleet.ingest(TenantId(t), epoch_batch(t, 0)).unwrap();
         }
         fleet.step().unwrap();
-        // Tenant 1's header line becomes 100 000 nested arrays: parsing it by
-        // unbounded recursion would overflow the stack and abort everyone.
-        let path = DetectorFleet::tenant_path(&dir, TenantId(1));
-        let text = std::fs::read_to_string(&path).unwrap();
-        let (_, payload) = text.split_once('\n').unwrap();
-        std::fs::write(&path, format!("{}\n{payload}", "[".repeat(100_000))).unwrap();
+        // Tenant 1's record header becomes 100 000 nested arrays: parsing it
+        // by unbounded recursion would overflow the stack and abort everyone.
+        edit_record(&fleet, &dir, TenantId(1), |_, payload| {
+            ("[".repeat(100_000), payload.to_string())
+        });
 
         let mut resumed = DetectorFleet::sequential();
         for t in 0..3u64 {
@@ -551,6 +780,146 @@ mod tests {
             }
             assert_eq!(fleet.next_epoch(TenantId(1)).unwrap(), 4, "tenant 1 still slides");
         }
+    }
+
+    #[test]
+    fn a_non_finite_reading_is_dropped_and_the_tenant_still_checkpoints() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let dir = std::env::temp_dir()
+                .join(format!("wsn-fleet-nonfinite-{}-{bad}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let (mut fleet, mut clean) = (DetectorFleet::new(2), DetectorFleet::new(2));
+            for t in 0..3u64 {
+                fleet.add_tenant(TenantId(t), spec()).unwrap();
+                clean.add_tenant(TenantId(t), spec()).unwrap();
+            }
+            fleet.checkpoint_every_epochs(1, &dir);
+            for epoch in 0..6u64 {
+                for t in 0..3u64 {
+                    let mut batch = epoch_batch(t, epoch);
+                    if t == 1 && epoch == 3 {
+                        // The clean fleet never sees the reading at all.
+                        let mut reading = batch.pop().unwrap();
+                        clean.ingest(TenantId(t), batch.clone()).unwrap();
+                        reading.features[0] = bad;
+                        batch.push(reading);
+                        let receipt = fleet.ingest(TenantId(t), batch).unwrap();
+                        assert_eq!(receipt, IngestReceipt { buffered: 3, dropped: 1 }, "{bad}");
+                    } else {
+                        clean.ingest(TenantId(t), batch.clone()).unwrap();
+                        fleet.ingest(TenantId(t), batch).unwrap();
+                    }
+                }
+                assert_eq!(fleet.step().unwrap(), clean.step().unwrap(), "{bad}");
+            }
+            assert_eq!(fleet.flush().unwrap(), clean.flush().unwrap(), "{bad}");
+
+            let mut resumed = DetectorFleet::new(2);
+            for t in 0..3u64 {
+                resumed.add_tenant(TenantId(t), spec()).unwrap();
+            }
+            let report = resumed.resume_from(&dir);
+            assert!(report.failed.is_empty(), "{bad}: {:?}", report.failed);
+            assert_eq!(report.restored.len(), 3);
+            for t in 0..3u64 {
+                let id = TenantId(t);
+                assert_eq!(fleet.estimates(id).unwrap(), clean.estimates(id).unwrap());
+                assert_eq!(resumed.estimates(id).unwrap(), clean.estimates(id).unwrap());
+                assert_eq!(resumed.traffic(id).unwrap(), clean.traffic(id).unwrap());
+                assert_eq!(resumed.next_epoch(id).unwrap(), 6);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_round_rewrites_each_dirty_shard_with_a_record_for_every_tenant() {
+        let dir = std::env::temp_dir().join(format!("wsn-fleet-dirty-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut fleet = DetectorFleet::new(2);
+        for t in 0..6u64 {
+            fleet.add_tenant(TenantId(t), spec()).unwrap();
+        }
+        fleet.checkpoint_every_epochs(2, &dir);
+        let members = fleet.shard_members();
+        assert!(members.iter().all(|m| !m.is_empty()), "both shards hold tenants: {members:?}");
+        for t in 0..6u64 {
+            fleet.ingest(TenantId(t), epoch_batch(t, 0)).unwrap();
+        }
+        fleet.step().unwrap();
+        assert!(!dir.exists(), "no tenant is due after one slide");
+
+        // Only the first tenant of shard 0 slides again, and becomes due.
+        let due = members[0][0];
+        fleet.ingest(due, epoch_batch(due.0, 1)).unwrap();
+        fleet.step().unwrap();
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, vec!["shard-0.json".to_string()], "one file per dirty shard");
+        let text = std::fs::read_to_string(dir.join("shard-0.json")).unwrap();
+        let ids: Vec<u64> = text
+            .lines()
+            .skip(1)
+            .step_by(2)
+            .map(|line| {
+                wsn_json::JsonValue::parse(line).unwrap().get("id").unwrap().as_u64().unwrap()
+            })
+            .collect();
+        let expected: Vec<u64> = members[0].iter().map(|id| id.0).collect();
+        assert_eq!(ids, expected, "a record for every tenant of the shard, ascending");
+
+        let mut resumed = DetectorFleet::new(2);
+        for t in 0..6u64 {
+            resumed.add_tenant(TenantId(t), spec()).unwrap();
+        }
+        let report = resumed.resume_from(&dir);
+        assert_eq!(report.restored, members[0]);
+        assert_eq!(report.fresh, members[1]);
+        for &id in &members[0] {
+            let cursor = if id == due { 2 } else { 1 };
+            assert_eq!(resumed.next_epoch(id).unwrap(), cursor, "{id}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_checkpoint_write_returns_an_error_and_keeps_every_tenant() {
+        let root =
+            std::env::temp_dir().join(format!("wsn-fleet-unwritable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).unwrap();
+        let blocker = root.join("a-file");
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let mut fleet = DetectorFleet::new(2);
+        for t in 0..6u64 {
+            fleet.add_tenant(TenantId(t), spec()).unwrap();
+        }
+        fleet.checkpoint_every_epochs(1, blocker.join("checkpoints"));
+        for t in 0..6u64 {
+            fleet.ingest(TenantId(t), epoch_batch(t, 0)).unwrap();
+        }
+        assert!(matches!(fleet.step(), Err(FleetError::Persist(PersistError::Io(_)))));
+        assert_eq!(fleet.tenant_ids(), (0..6).map(TenantId).collect::<Vec<_>>());
+        for t in 0..6u64 {
+            assert_eq!(fleet.next_epoch(TenantId(t)).unwrap(), 1, "every tenant slid");
+        }
+
+        // The tenants stay due, so the next round writes them all.
+        let dir = root.join("checkpoints");
+        fleet.checkpoint_every_epochs(1, &dir);
+        for t in 0..6u64 {
+            fleet.ingest(TenantId(t), epoch_batch(t, 1)).unwrap();
+        }
+        fleet.step().unwrap();
+        let mut resumed = DetectorFleet::new(2);
+        for t in 0..6u64 {
+            resumed.add_tenant(TenantId(t), spec()).unwrap();
+        }
+        assert_eq!(resumed.resume_from(&dir).restored.len(), 6);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use wsn_ranking::{top_n_outliers, OutlierEstimate, RankingFunction};
 
 use crate::service::FleetError;
 
-/// Snapshot `kind` discriminator of a per-tenant checkpoint file.
+/// Snapshot `kind` discriminator of a tenant's checkpoint record.
 pub(crate) const TENANT_SNAPSHOT_KIND: &str = "fleet-tenant";
 
 /// Full description of one tenant's deployment — the fleet analogue of
@@ -228,10 +228,12 @@ impl TenantRuntime {
     /// Buffers a batch of readings. Points for epochs the cursor already
     /// passed, or from sensors outside the roster, are dropped and counted
     /// (the at-least-once re-ingestion contract after a resume). So is a
-    /// point whose feature count differs from the points the tenant holds or
-    /// buffers (the first reading of an empty tenant sets it): the ranking
-    /// functions measure distances between feature vectors, and a mismatch
-    /// would panic the next slide. Returns `(buffered, dropped)`.
+    /// point with a non-finite feature, which would break the ranking's
+    /// order and could not be checkpointed, and a point whose feature count
+    /// differs from the points the tenant holds or buffers (the first
+    /// reading of an empty tenant sets it): the ranking functions measure
+    /// distances between feature vectors, and a mismatch would panic the
+    /// next slide. Returns `(buffered, dropped)`.
     pub fn ingest(&mut self, batch: Vec<DataPoint>) -> (usize, usize) {
         let mut buffered = 0;
         let mut dropped = 0;
@@ -240,6 +242,7 @@ impl TenantRuntime {
             let origin = p.key.origin;
             if p.key.epoch.0 < self.next_epoch
                 || !self.neighbors.contains_key(&origin)
+                || !p.features.iter().all(|f| f.is_finite())
                 || *dimension.get_or_insert(p.dimension()) != p.dimension()
             {
                 dropped += 1;

@@ -9,11 +9,15 @@
 //!    randomized specs (algorithm, ranking, grid size, `n`, `w`), batch
 //!    splits and step interleavings.
 //! 2. **Kill at a checkpoint ≡ never stopped** (64 cases): a checkpointed
-//!    fleet killed by a crash injected through the
-//!    `persist.after_checkpoint` site, resumed from its snapshot directory
-//!    and replayed over the same input stream (at-least-once re-ingestion:
+//!    fleet killed by a crash injected at one of three sites of a shard
+//!    file's write, chosen by case index — `persist.before_rename` (the
+//!    shard's new file is written to its `*.tmp` but not installed),
+//!    `persist.after_rename` (installed) or `persist.after_checkpoint` (the
+//!    shard's round is complete) — resumed from its snapshot directory and
+//!    replayed over the same input stream (at-least-once re-ingestion:
 //!    stale epochs are dropped) finishes with exactly the estimates,
-//!    traffic counters and cursors of a fleet that was never killed.
+//!    traffic counters and cursors of a fleet that was never killed, and a
+//!    leftover `*.tmp` is overwritten by the next round of its shard.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -32,6 +36,9 @@ const SEED: u64 = 0x5EED_000A;
 /// 3 tenant counts × 4 shard counts × 16 seeds, plus the kill/resume grid.
 const EQUIVALENCE_SEEDS: u64 = 16;
 const RESUME_CASES: u64 = 64;
+/// The kill sites of the resume grid, taken in turn by case index.
+const KILL_SITES: [&str; 3] =
+    ["persist.after_checkpoint", "persist.before_rename", "persist.after_rename"];
 
 /// One recorded action of a case's input schedule. Both fleets of a case
 /// replay the identical schedule.
@@ -175,6 +182,18 @@ fn final_state(fleet: &DetectorFleet) -> Vec<TenantFinal> {
         .collect()
 }
 
+/// The `*.tmp` files under `dir`: shard files written but not installed.
+fn leftover_tmp_files(dir: &std::path::Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+                .filter(|name| name.ends_with(".tmp"))
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
 #[test]
 fn fleet_over_the_pool_is_bit_for_bit_the_sequential_reference() {
     let mut cases = 0u64;
@@ -214,6 +233,7 @@ fn a_fleet_killed_at_a_checkpoint_and_resumed_matches_the_run_that_never_stopped
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
 
+    let mut resumed_mid_stream = 0;
     for case in 0..RESUME_CASES {
         let mut rng = SeededRng::seed_from_u64(SEED.wrapping_add(0x1000 + case));
         let tenants = 2 + rng.gen_index(3);
@@ -243,12 +263,16 @@ fn a_fleet_killed_at_a_checkpoint_and_resumed_matches_the_run_that_never_stopped
         // The checkpointed run, killed by the injected crash. With a late
         // `kill_at` the armed site may never fire — then the run simply
         // completes, which is a valid (trivial) resume case.
-        arm_crash_point("persist.after_checkpoint", kill_at);
+        let site = KILL_SITES[case as usize % KILL_SITES.len()];
+        arm_crash_point(site, kill_at);
         let killed = catch_unwind(AssertUnwindSafe(|| replay(build(Some(&dir)), &ops)));
         disarm_crash_points();
         if let Err(payload) = killed {
             let message = payload.downcast::<String>().expect("crash panics carry a String");
             assert!(message.contains(CRASH_MARKER), "unexpected panic: {message:?}");
+            let torn = leftover_tmp_files(&dir);
+            let expected = usize::from(site == "persist.before_rename");
+            assert_eq!(torn.len(), expected, "case {case}, {site}: leftover {torn:?}");
         }
 
         // Resume from whatever snapshots survived and replay the whole
@@ -260,6 +284,10 @@ fn a_fleet_killed_at_a_checkpoint_and_resumed_matches_the_run_that_never_stopped
             "checkpoints written before the kill must restore cleanly: {:?}",
             report.failed
         );
+        // Replaying the whole stream into fresh tenants would also end equal
+        // to the baseline, so count the tenants that resumed mid-stream.
+        resumed_mid_stream +=
+            report.restored.iter().filter(|&&id| resumed.slides(id).unwrap() > 0).count();
         for op in &ops {
             match op {
                 Op::Ingest(tenant, batch) => {
@@ -275,10 +303,14 @@ fn a_fleet_killed_at_a_checkpoint_and_resumed_matches_the_run_that_never_stopped
             final_state(&resumed),
             baseline.finals,
             "resumed fleet diverged from the never-stopped run \
-             (case={case}, tenants={tenants}, every={every}, kill_at={kill_at})"
+             (case={case}, tenants={tenants}, every={every}, {site} hit {kill_at})"
         );
+        // The resumed fleet slid its shards past the killed round, so it
+        // rewrote the torn shard and the `*.tmp` went with the rename.
+        assert!(leftover_tmp_files(&dir).is_empty(), "case {case}: a `*.tmp` outlived its shard");
         let _ = std::fs::remove_dir_all(&dir);
     }
+    assert!(resumed_mid_stream > RESUME_CASES as usize, "only {resumed_mid_stream} restores");
 
     std::panic::set_hook(default_hook);
 }
