@@ -70,15 +70,15 @@ fn check_snapshot(path: &str, text: &str, records: bool) -> Result<String, Strin
         ));
     }
     let read = persist::read_records(file).map_err(|e| format!("{path}: {e}"))?;
-    if let Some(damage) = read.damage {
-        return Err(format!("{path}: {damage}"));
-    }
     for (id, record) in &read.records {
         record
             .as_ref()
             .map_err(Clone::clone)
             .and_then(|(_, payload)| check_payload(payload))
             .map_err(|e| format!("{path}: record {id}: {e}"))?;
+    }
+    if let Some(damage) = read.damage {
+        return Err(format!("{path}: {damage}"));
     }
     let kind = persist::str_field(&read.header, "kind").unwrap_or("");
     Ok(format!(

@@ -39,9 +39,11 @@
 //! Each record is two lines, framed by the newline that compact JSON never
 //! holds. Every payload, alone in its file or a record among many, passes
 //! one check before a byte of it is interpreted, [`verify_payload`]:
-//! version, kind, declared length and checksum. Damage inside one record
-//! refuses that record only; damage that loses a record's id refuses the
-//! records that cannot be read, never the others.
+//! version, kind, declared length and checksum. A record's checksum covers
+//! its id as well as its payload, so a damaged id is refused, never read as
+//! another record's. Damage inside one record refuses that record only;
+//! damage that loses a record's id refuses the records that cannot be read,
+//! never the others.
 //!
 //! # Point tables
 //!
@@ -183,7 +185,12 @@ impl Error for PersistError {}
 /// payload and journal row. Not cryptographic — it detects torn writes and
 /// bit rot, which is all the crash model needs.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a 64 `hash` over `bytes`: `fnv1a64_extend(fnv1a64(a),
+/// b)` is the hash of `a` followed by `b`.
+fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &byte in bytes {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -267,16 +274,32 @@ fn io_err(what: &str, path: &Path, e: &std::io::Error) -> PersistError {
     PersistError::Io(format!("{what} {}: {e}", path.display()))
 }
 
-/// The header line that frames one payload: `lead` (a file's format tag,
-/// or a record's id), then the payload's kind, the format version, and the
-/// payload's length and checksum.
-fn payload_header(lead: (&str, JsonValue), kind: &str, payload: &[u8]) -> String {
+/// The checksum a header declares for `payload`: FNV-1a over a record's
+/// `id` (its eight little-endian bytes), if the payload is a record of a
+/// multi-record file, then over the payload. Damage to a record's id thus
+/// fails the check exactly as damage to its payload does.
+fn checksum(id: Option<u64>, payload: &[u8]) -> u64 {
+    let seed = match id {
+        Some(id) => fnv1a64(&id.to_le_bytes()),
+        None => fnv1a64(&[]),
+    };
+    fnv1a64_extend(seed, payload)
+}
+
+/// The header line that frames one payload: a record's `id`, or for a file
+/// of one payload its format tag, then the payload's kind, the format
+/// version, and the payload's length and [`checksum`].
+fn payload_header(id: Option<u64>, kind: &str, payload: &[u8]) -> String {
+    let lead = match id {
+        Some(id) => ("id".into(), JsonValue::from(id)),
+        None => ("format".into(), JsonValue::from(PERSIST_FORMAT)),
+    };
     JsonValue::Object(vec![
-        (lead.0.into(), lead.1),
+        lead,
         ("kind".into(), JsonValue::from(kind)),
         ("version".into(), JsonValue::from(PERSIST_VERSION)),
         ("len".into(), JsonValue::from(payload.len() as u64)),
-        ("checksum".into(), JsonValue::from(fnv1a64(payload))),
+        ("checksum".into(), JsonValue::from(checksum(id, payload))),
     ])
     .to_compact_string()
 }
@@ -323,8 +346,7 @@ pub fn sync_dir(dir: &Path) {
 /// target file is either absent or still the previous complete version.
 pub fn write_atomic(path: &Path, kind: &str, payload: &JsonValue) -> Result<u64, PersistError> {
     let payload = payload.to_compact_string();
-    let header =
-        payload_header(("format", JsonValue::from(PERSIST_FORMAT)), kind, payload.as_bytes());
+    let header = payload_header(None, kind, payload.as_bytes());
     let bytes = replace_file(path, &[header.as_bytes(), b"\n", payload.as_bytes(), b"\n"])?;
     if let Some(dir) = path.parent() {
         sync_dir(dir);
@@ -333,11 +355,12 @@ pub fn write_atomic(path: &Path, kind: &str, payload: &JsonValue) -> Result<u64,
 }
 
 /// Frames one record of a multi-record file (see the module docs): a
-/// header line carrying `id`, `kind`, the format version and the payload's
-/// length and checksum, then the payload line. `payload` must hold no
-/// newline byte (compact JSON never does): the reader frames by lines.
+/// header line carrying `id`, `kind`, the format version, the payload's
+/// length and a checksum over the id and the payload, then the payload
+/// line. `payload` must hold no newline byte (compact JSON never does): the
+/// reader frames by lines.
 pub fn frame_record(kind: &str, id: u64, payload: &[u8]) -> Vec<u8> {
-    let header = payload_header(("id", JsonValue::from(id)), kind, payload);
+    let header = payload_header(Some(id), kind, payload);
     let mut record = Vec::with_capacity(header.len() + payload.len() + 2);
     record.extend_from_slice(header.as_bytes());
     record.push(b'\n');
@@ -417,7 +440,9 @@ fn check_version(header: &JsonValue) -> Result<(), PersistError> {
 /// interpreted, for a single-snapshot file and for each record of a
 /// multi-record file alike: `header` declares this build's version, a
 /// non-empty `kind`, and a `len` and `checksum` that the first `len` bytes
-/// of `body` match. Returns the kind and those bytes.
+/// of `body` match. `id` is the record's id for a record, whose checksum
+/// covers it too, and `None` for a file of one payload. Returns the kind
+/// and those bytes.
 ///
 /// # Errors
 ///
@@ -427,6 +452,7 @@ fn check_version(header: &JsonValue) -> Result<(), PersistError> {
 pub fn verify_payload<'b>(
     header: &JsonValue,
     body: &'b [u8],
+    id: Option<u64>,
 ) -> Result<(String, &'b [u8]), PersistError> {
     check_version(header)?;
     let kind = str_field(header, "kind").map_err(bad_header)?;
@@ -442,7 +468,7 @@ pub fn verify_payload<'b>(
     }
     let payload = &body[..len];
     let expected = u64_field(header, "checksum").map_err(bad_header)?;
-    let actual = fnv1a64(payload);
+    let actual = checksum(id, payload);
     if actual != expected {
         return Err(PersistError::Corrupt(format!(
             "checksum mismatch: header declares {expected}, payload hashes to {actual}"
@@ -460,7 +486,7 @@ pub fn verify_payload<'b>(
 /// not `wsn-persist`.
 pub fn verify_file(file: &[u8]) -> Result<(String, &[u8]), PersistError> {
     let (header, body) = file_header(file)?;
-    verify_payload(&header, body)
+    verify_payload(&header, body, None)
 }
 
 /// Parses verified payload bytes.
@@ -499,13 +525,16 @@ pub struct Records<'f> {
     /// The file's header line, its format, version and record count
     /// checked; the writer's own fields are the caller's to check.
     pub header: JsonValue,
-    /// Every record whose header names its id: its kind and payload bytes,
+    /// Every record whose header names an id: its kind and payload bytes,
     /// verified by [`verify_payload`], or the typed reason it was refused.
     /// An id that appears twice is refused as [`PersistError::Corrupt`].
     pub records: BTreeMap<u64, VerifiedPayload<'f>>,
-    /// Why some record could not be attributed to an id, if one could not:
-    /// an unreadable record header, one without an id, a missing payload
-    /// line, or a record count other than the header declares.
+    /// Why some record could not be attributed to a verified id, if one
+    /// could not: an unreadable record header, one without an id, a record
+    /// that failed verification (its id, which the checksum covers, is then
+    /// unverified too), a missing payload line, or a record count other
+    /// than the header declares. While this is set, an id missing from
+    /// `records` may be the owner of a damaged record.
     pub damage: Option<PersistError>,
 }
 
@@ -538,6 +567,13 @@ pub fn read_records(file: &[u8]) -> Result<Records<'_>, PersistError> {
         };
         match record {
             Ok((id, verified)) => {
+                if let Err(e) = &verified {
+                    damage.get_or_insert_with(|| {
+                        PersistError::Corrupt(format!(
+                            "record {index} (id {id}) is unverified: {e}"
+                        ))
+                    });
+                }
                 if records.insert(id, verified).is_some() {
                     let twice = PersistError::Corrupt(format!("record {id} appears twice"));
                     records.insert(id, Err(twice));
@@ -565,7 +601,7 @@ fn read_record<'f>(
 ) -> Result<(u64, VerifiedPayload<'f>), PersistError> {
     let header = parse_header(header)?;
     let id = u64_field(&header, "id").map_err(bad_header)?;
-    let verified = verify_payload(&header, payload).and_then(|(kind, bytes)| {
+    let verified = verify_payload(&header, payload, Some(id)).and_then(|(kind, bytes)| {
         if bytes.len() == payload.len() {
             Ok((kind, bytes))
         } else {
@@ -1293,7 +1329,17 @@ mod tests {
         let flipped = with_line(4, &|line| line.replace("12", "13"));
         let read = read_records(flipped.as_bytes()).unwrap();
         assert!(matches!(read.records[&1], Err(PersistError::Corrupt(_))));
-        assert!(read.records[&0].is_ok() && read.records[&2].is_ok() && read.damage.is_none());
+        assert!(read.records[&0].is_ok() && read.records[&2].is_ok());
+        assert!(read.damage.is_some(), "an unverified record vouches for no id");
+
+        // A digit of an id flips: the record must not pass for tenant 7's,
+        // and tenant 1, now without a record, must not pass for fresh.
+        let renamed = with_line(3, &|line| line.replace("\"id\":1", "\"id\":7"));
+        let read = read_records(renamed.as_bytes()).unwrap();
+        assert!(matches!(read.records[&7], Err(PersistError::Corrupt(_))), "{read:?}");
+        assert!(!read.records.contains_key(&1));
+        assert!(matches!(read.damage, Some(PersistError::Corrupt(_))));
+        assert!(read.records[&0].is_ok() && read.records[&2].is_ok());
 
         let longer = with_line(4, &|line| format!("{line} "));
         let read = read_records(longer.as_bytes()).unwrap();

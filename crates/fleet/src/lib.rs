@@ -58,8 +58,14 @@
 //! ```
 //!
 //! A step rewrites every shard holding at least one checkpoint-due tenant,
-//! with a fresh record for every tenant of the shard, so no tenant is ever
-//! snapshotted less often than every `k` slides. Each shard file goes
+//! with a record for every tenant of the shard: a fresh one for each due
+//! tenant, and for each other tenant the record its last checkpoint wrote,
+//! copied byte for byte from the shard's current file. A step thus
+//! snapshots only its due tenants, however their epochs interleave, and no
+//! tenant is snapshotted less often than every `k` slides. Only a tenant
+//! that has no record of this fleet's there yet (before its first
+//! checkpoint, or after a resume from another directory) is snapshotted
+//! with its shard, once. Each shard file goes
 //! through [`persist::write_records`](wsn_core::persist::write_records): a
 //! `*.tmp` sibling, one fsync, one rename; the step ends with one directory
 //! fsync. A kill leaves each shard file holding either its previous round
@@ -86,7 +92,9 @@
 //!   with a typed [`PersistError`](wsn_core::PersistError);
 //! * damage to a shard header, or to a record's framing, refuses the
 //!   tenants of that shard whose records cannot be read, never another
-//!   shard's;
+//!   shard's. A record's checksum covers its id, so a record whose id is
+//!   damaged fails it and cannot pass for another tenant's; the tenant it
+//!   belonged to is refused, not reported fresh;
 //! * a missing shard file leaves its tenants fresh — unless the directory
 //!   holds shard files written under another shard count, or a per-tenant
 //!   `tenant-<id>.json` from before shard files, which are refused with
@@ -97,13 +105,13 @@
 //! batches for epochs the restored cursor already passed are dropped as
 //! stale.
 //!
-//! Each tenant's payload is built and serialized inside its own slide job,
-//! right after its slides, beside other tenants' slides on the pool. The
-//! calling thread joins the jobs shard by shard and writes each shard's
-//! file as soon as its jobs are back, so it holds at most one shard's
-//! payloads at a time; every file operation and crash point stays on the
-//! calling thread. A tenant that is not yet due but shares a rewritten
-//! shard has its payload built there. A steady-state tenant of the
+//! Each due tenant's payload is built and serialized inside its own slide
+//! job, right after its slides, beside other tenants' slides on the pool.
+//! The calling thread joins the jobs shard by shard and writes each
+//! shard's file as soon as its jobs are back; it submits only one shard
+//! ahead of the shard it joins, so at most two shards' payloads are alive
+//! at a time, however fast the pool runs. Every file operation and crash
+//! point stays on the calling thread. A steady-state tenant of the
 //! benchmark's fleet (nine sensors, `w = 8`) snapshots to about 26 kB.
 
 #![forbid(unsafe_code)]

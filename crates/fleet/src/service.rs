@@ -2,7 +2,7 @@
 //! over the worker pool, and group-committed checkpoints, one file per
 //! shard.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -204,6 +204,11 @@ pub struct DetectorFleet {
     checkpoint: Option<CheckpointPolicy>,
     /// Slide count at each tenant's last checkpoint.
     checkpointed_at: BTreeMap<TenantId, u64>,
+    /// Tenants whose record in the checkpoint directory is the one their
+    /// last checkpoint wrote, or their resume from that directory read. A
+    /// rewrite of their shard copies that record forward while they are not
+    /// due, rather than snapshotting them again.
+    on_disk: BTreeSet<TenantId>,
 }
 
 impl DetectorFleet {
@@ -216,6 +221,7 @@ impl DetectorFleet {
             dispatch: Dispatch::Global,
             checkpoint: None,
             checkpointed_at: BTreeMap::new(),
+            on_disk: BTreeSet::new(),
         }
     }
 
@@ -257,10 +263,12 @@ impl DetectorFleet {
     /// Enables periodic checkpoints: whenever a tenant has executed `k`
     /// slides since its last checkpoint, its shard's file under `dir`,
     /// `shard-<i>.json`, is rewritten atomically with a fresh record for
-    /// every tenant of the shard. A step pays one fsync per shard file it
-    /// rewrites and one directory fsync.
+    /// that tenant and the last record of every other tenant of the shard.
+    /// A step pays one fsync per shard file it rewrites and one directory
+    /// fsync.
     pub fn checkpoint_every_epochs(&mut self, k: u64, dir: impl Into<PathBuf>) {
         self.checkpoint = Some(CheckpointPolicy { every: k.max(1), dir: dir.into() });
+        self.on_disk.clear();
     }
 
     /// Buffers a batch of readings for `tenant`. Points are routed by their
@@ -299,9 +307,12 @@ impl DetectorFleet {
     /// Dispatches `ids`, one job per tenant, submitted shard by shard. The
     /// calling thread joins the jobs shard by shard and writes each shard's
     /// checkpoint file as soon as the shard's jobs are back, then fsyncs the
-    /// directory once. Outcomes are reported in ascending tenant
-    /// order, which (tenants being independent) makes a pooled step
-    /// identical to the sequential loop.
+    /// directory once. With checkpoints on, it submits only one shard ahead
+    /// of the one it joins: a finished job holds its tenant's payload text
+    /// until its shard is written, so at most two shards' payloads are
+    /// alive, however fast the pool runs. Outcomes are reported in
+    /// ascending tenant order, which (tenants being independent) makes a
+    /// pooled step identical to the sequential loop.
     fn run(&mut self, ids: Vec<TenantId>, force: bool) -> Result<Vec<FleetSlide>, FleetError> {
         if ids.is_empty() {
             return Ok(Vec::new());
@@ -326,27 +337,17 @@ impl DetectorFleet {
         };
         let every = self.checkpoint.as_ref().map(|policy| policy.every);
         let members = if every.is_some() { self.shard_members() } else { Vec::new() };
-        let mut jobs: Vec<Vec<(TenantId, Job)>> = Vec::with_capacity(self.shards);
-        for shard in &by_shard {
-            let mut shard_jobs = Vec::with_capacity(shard.len());
-            for &id in shard {
-                let runtime = self.tenants.remove(&id).expect("due ids are registered");
-                let checkpoint = every.map(|every| (every, self.checkpointed_at(id)));
-                let job = match pool {
-                    Some(pool) => {
-                        Job::Pooled(pool.submit(move || slide_job(id, runtime, force, checkpoint)))
-                    }
-                    None => Job::Inline(Box::new(slide_job(id, runtime, force, checkpoint))),
-                };
-                shard_jobs.push((id, job));
-            }
-            jobs.push(shard_jobs);
-        }
-
+        let window = if every.is_some() { 2 } else { self.shards };
+        let mut unsubmitted = by_shard.into_iter();
+        let mut in_flight = VecDeque::with_capacity(window);
         let mut outcomes = BTreeMap::new();
         let mut failure = None;
         let mut wrote = false;
-        for (shard, shard_jobs) in jobs.into_iter().enumerate() {
+        for shard in 0..self.shards {
+            for ids in unsubmitted.by_ref().take(window - in_flight.len()) {
+                in_flight.push_back(self.submit(pool, ids, force, every));
+            }
+            let shard_jobs = in_flight.pop_front().expect("every shard is submitted in turn");
             let mut records = BTreeMap::new();
             // The pool runs jobs in submission order, so a shard's last job
             // is about the last to finish: joined first, it puts the calling
@@ -381,6 +382,30 @@ impl DetectorFleet {
             .collect())
     }
 
+    /// Submits one shard's slide jobs in ascending tenant order; each
+    /// tenant's runtime leaves the fleet until its job is joined.
+    fn submit(
+        &mut self,
+        pool: Option<&WorkerPool>,
+        ids: Vec<TenantId>,
+        force: bool,
+        every: Option<u64>,
+    ) -> Vec<(TenantId, Job)> {
+        ids.into_iter()
+            .map(|id| {
+                let runtime = self.tenants.remove(&id).expect("due ids are registered");
+                let checkpoint = every.map(|every| (every, self.checkpointed_at(id)));
+                let job = match pool {
+                    Some(pool) => {
+                        Job::Pooled(pool.submit(move || slide_job(id, runtime, force, checkpoint)))
+                    }
+                    None => Job::Inline(Box::new(slide_job(id, runtime, force, checkpoint))),
+                };
+                (id, job)
+            })
+            .collect()
+    }
+
     fn shard_of(&self, id: TenantId) -> usize {
         (persist::fnv1a64(&id.0.to_le_bytes()) % self.shards as u64) as usize
     }
@@ -399,12 +424,15 @@ impl DetectorFleet {
     }
 
     /// Rewrites `shard`'s checkpoint file if any of its `members` is
-    /// checkpoint-due, with a fresh record for every member: `records` are
-    /// those the slide jobs built, the rest are built here. Every file
-    /// operation and crash point runs on the calling thread, so the
-    /// crash-injection harness ([`wsn_core::persist::arm_crash_point`])
-    /// observes the same thread-local sites as the streaming layer. Returns
-    /// whether the file was written; the caller fsyncs the directory.
+    /// checkpoint-due, with a record for every member. `records` are the
+    /// fresh ones the slide jobs built. A member that is not due keeps its
+    /// last record, copied from the shard's current file; one that is due
+    /// anyway, or has no readable record there yet, is snapshotted here.
+    /// Every file operation and crash point runs on the calling thread, so
+    /// the crash-injection harness
+    /// ([`wsn_core::persist::arm_crash_point`]) observes the same
+    /// thread-local sites as the streaming layer. Returns whether the file
+    /// was written; the caller fsyncs the directory.
     fn checkpoint_shard(
         &mut self,
         shard: usize,
@@ -421,24 +449,46 @@ impl DetectorFleet {
             return Ok(false);
         }
         let _span = wsn_obs::span("fleet.checkpoint");
-        let framed: Vec<Vec<u8>> = members
-            .iter()
-            .map(|&id| records.remove(&id).unwrap_or_else(|| tenant_record(id, &self.tenants[&id])))
-            .collect();
+        let path = policy.dir.join(shard_file_name(shard));
+        // A slide job builds a record only for a due tenant, so `records`
+        // holds none of these.
+        let keeps = |id: &TenantId| !due(id) && self.on_disk.contains(id);
+        let file = members.iter().any(keeps).then(|| std::fs::read(&path).ok()).flatten();
+        let current = file
+            .as_deref()
+            .and_then(|file| persist::read_records(file).ok())
+            .filter(|read| check_shard_header(&read.header, shard, self.shards).is_ok());
+        let mut snapshotted = Vec::new();
+        let mut framed = Vec::with_capacity(members.len());
+        for id in members {
+            let kept = current
+                .as_ref()
+                .filter(|_| keeps(id))
+                .and_then(|read| read.records.get(&id.0)?.as_ref().ok())
+                .filter(|(kind, _)| kind == TENANT_SNAPSHOT_KIND);
+            framed.push(match kept {
+                Some((kind, payload)) => persist::frame_record(kind, id.0, payload),
+                None => {
+                    snapshotted.push(*id);
+                    records.remove(id).unwrap_or_else(|| tenant_record(*id, &self.tenants[id]))
+                }
+            });
+        }
         std::fs::create_dir_all(&policy.dir)
             .map_err(|e| PersistError::Io(format!("{}: {e}", policy.dir.display())))?;
         let bytes = persist::write_records(
-            &policy.dir.join(shard_file_name(shard)),
+            &path,
             SHARD_KIND,
             &[("shard", shard as u64), ("shards", self.shards as u64)],
             &framed,
         )?;
-        crate::OBS_SNAPSHOTS_WRITTEN.add(members.len() as u64);
+        crate::OBS_SNAPSHOTS_WRITTEN.add(snapshotted.len() as u64);
         crate::OBS_SNAPSHOT_BYTES.add(bytes);
-        for &id in members {
+        for id in snapshotted {
             let slides = self.tenants[&id].slides();
             self.checkpointed_at.insert(id, slides);
         }
+        self.on_disk.extend(members);
         persist::crash_point("persist.after_checkpoint");
         Ok(true)
     }
@@ -454,9 +504,10 @@ impl DetectorFleet {
     /// its own: a record that is corrupt, torn, of a stale version, of the
     /// wrong kind or of a different `config_hash` is refused with a typed
     /// error for its tenant only. Damage that hides which tenant a record
-    /// belongs to (a shard header or a record header that cannot be read)
-    /// refuses the shard's tenants whose records cannot be read, never
-    /// another shard's. A tenant with no record stays fresh, unless the
+    /// belongs to (a shard header or a record header that cannot be read,
+    /// or a record failing its checksum, which covers its id) refuses the
+    /// shard's tenants whose records cannot be read, never another
+    /// shard's. A tenant with no record stays fresh, unless the
     /// directory holds a shard file written under another shard count or a
     /// `tenant-<id>.json` of the per-tenant layout for it: both are refused
     /// with [`PersistError::Mismatch`]. A leftover `*.tmp` is ignored. After
@@ -465,6 +516,8 @@ impl DetectorFleet {
     pub fn resume_from(&mut self, dir: impl AsRef<Path>) -> ResumeReport {
         let dir = dir.as_ref();
         let mut report = ResumeReport::default();
+        self.on_disk.clear();
+        let writes_here = self.checkpoint.as_ref().is_some_and(|policy| policy.dir == dir);
         let listing: BTreeSet<String> = match std::fs::read_dir(dir) {
             Ok(entries) => {
                 entries.filter_map(|entry| entry.ok()?.file_name().into_string().ok()).collect()
@@ -529,6 +582,9 @@ impl DetectorFleet {
                 match restored {
                     Ok(()) => {
                         self.checkpointed_at.insert(id, runtime.slides());
+                        if writes_here {
+                            self.on_disk.insert(id);
+                        }
                         report.restored.push(id);
                     }
                     Err(e) => report.failed.push((id, e)),
@@ -871,16 +927,130 @@ mod tests {
         let expected: Vec<u64> = members[0].iter().map(|id| id.0).collect();
         assert_eq!(ids, expected, "a record for every tenant of the shard, ascending");
 
-        let mut resumed = DetectorFleet::new(2);
-        for t in 0..6u64 {
-            resumed.add_tenant(TenantId(t), spec()).unwrap();
+        let resume = |cursors: &dyn Fn(TenantId) -> u64| {
+            let mut resumed = DetectorFleet::new(2);
+            for t in 0..6u64 {
+                resumed.add_tenant(TenantId(t), spec()).unwrap();
+            }
+            let report = resumed.resume_from(&dir);
+            assert_eq!(report.restored, members[0]);
+            assert_eq!(report.fresh, members[1]);
+            for &id in &members[0] {
+                assert_eq!(resumed.next_epoch(id).unwrap(), cursors(id), "{id}");
+            }
+        };
+        resume(&|id| if id == due { 2 } else { 1 });
+
+        // The due tenant slides twice more and is due again; the rest of its
+        // shard slide once and are not. Their records are copied forward
+        // byte for byte, not snapshotted again.
+        let lines = |text: &str| -> Vec<String> { text.lines().map(str::to_string).collect() };
+        let before = lines(&text);
+        fleet.ingest(due, epoch_batch(due.0, 2)).unwrap();
+        fleet.ingest(due, epoch_batch(due.0, 3)).unwrap();
+        for &id in &members[0][1..] {
+            fleet.ingest(id, epoch_batch(id.0, 1)).unwrap();
         }
-        let report = resumed.resume_from(&dir);
-        assert_eq!(report.restored, members[0]);
-        assert_eq!(report.fresh, members[1]);
-        for &id in &members[0] {
-            let cursor = if id == due { 2 } else { 1 };
-            assert_eq!(resumed.next_epoch(id).unwrap(), cursor, "{id}");
+        fleet.step().unwrap();
+        let after = lines(&std::fs::read_to_string(dir.join("shard-0.json")).unwrap());
+        assert_eq!(after.len(), before.len());
+        assert_ne!(after[1..3], before[1..3], "the due tenant's record is fresh");
+        assert_eq!(after[3..], before[3..], "the others' records are copied");
+        resume(&|id| if id == due { 4 } else { 1 });
+
+        // A copied record does not count as a checkpoint: one slide later
+        // the others are two past theirs, due, and snapshotted afresh.
+        for &id in &members[0][1..] {
+            fleet.ingest(id, epoch_batch(id.0, 2)).unwrap();
+        }
+        fleet.step().unwrap();
+        resume(&|id| if id == due { 4 } else { 3 });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_rewrite_copies_forward_only_records_this_fleet_wrote_or_resumed_there() {
+        let root = std::env::temp_dir().join(format!("wsn-fleet-foreign-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (dir_a, dir_b) = (root.join("a"), root.join("b"));
+        let fleet_over = |dir: &Path| {
+            let mut fleet = DetectorFleet::sequential();
+            for t in 0..3u64 {
+                fleet.add_tenant(TenantId(t), spec()).unwrap();
+            }
+            fleet.checkpoint_every_epochs(2, dir);
+            fleet
+        };
+        // Readings salted by `salt`: tenant 0 slides twice and is due,
+        // tenants 1 and 2 slide once, are not, and were never snapshotted.
+        let run = |salt: u64, dir: &Path| {
+            let mut fleet = fleet_over(dir);
+            for t in 0..3u64 {
+                fleet.ingest(TenantId(t), epoch_batch(t + salt, 0)).unwrap();
+            }
+            fleet.step().unwrap();
+            fleet.ingest(TenantId(0), epoch_batch(salt, 1)).unwrap();
+            fleet.step().unwrap();
+            fleet
+        };
+        let estimates = |fleet: &DetectorFleet| -> Vec<_> {
+            (0..3u64).map(|t| fleet.estimates(TenantId(t)).unwrap()).collect()
+        };
+        let restored = |dir: &Path| {
+            let mut fleet = fleet_over(dir);
+            assert_eq!(fleet.resume_from(dir).restored.len(), 3);
+            estimates(&fleet)
+        };
+
+        // A fresh fleet over another fleet's records never wrote them: it
+        // snapshots its own tenants 1 and 2 instead of copying those.
+        run(0, &dir_a);
+        let second = run(100, &dir_a);
+        assert_eq!(restored(&dir_a), estimates(&second));
+
+        // Nor does a fleet that resumed from elsewhere copy what its own
+        // checkpoint directory holds.
+        run(0, &dir_b);
+        let mut third = fleet_over(&dir_b);
+        assert_eq!(third.resume_from(&dir_a).restored.len(), 3);
+        third.ingest(TenantId(0), epoch_batch(100, 2)).unwrap();
+        third.ingest(TenantId(0), epoch_batch(100, 3)).unwrap();
+        third.step().unwrap();
+        assert_eq!(restored(&dir_b), estimates(&third));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_record_whose_id_is_damaged_is_refused_not_taken_for_another() {
+        let dir = std::env::temp_dir().join(format!("wsn-fleet-renamed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut fleet = DetectorFleet::sequential();
+        for t in 0..4u64 {
+            fleet.add_tenant(TenantId(t), spec()).unwrap();
+        }
+        fleet.checkpoint_every_epochs(1, &dir);
+        for t in 0..4u64 {
+            fleet.ingest(TenantId(t), epoch_batch(t, 0)).unwrap();
+        }
+        fleet.step().unwrap();
+        let path = fleet.checkpoint_path(&dir, TenantId(1));
+        let intact = std::fs::read(&path).unwrap();
+        // Tenant 1's id becomes another registered tenant's, or an unknown
+        // one. Either way tenant 1 is refused, never reported fresh.
+        for (to, refused) in [(3, vec![1, 3]), (9, vec![1])] {
+            std::fs::write(&path, &intact).unwrap();
+            edit_record(&fleet, &dir, TenantId(1), |header, payload| {
+                (header.replace("\"id\":1,", &format!("\"id\":{to},")), payload.to_string())
+            });
+            let mut resumed = DetectorFleet::sequential();
+            for t in 0..4u64 {
+                resumed.add_tenant(TenantId(t), spec()).unwrap();
+            }
+            let report = resumed.resume_from(&dir);
+            let failed: Vec<u64> = report.failed.iter().map(|(id, _)| id.0).collect();
+            assert_eq!(failed, refused, "id 1 -> {to}: {report:?}");
+            assert!(report.fresh.is_empty(), "id 1 -> {to}: {report:?}");
+            assert_eq!(report.restored.len(), 4 - refused.len());
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -17,7 +17,10 @@
 //!    replayed over the same input stream (at-least-once re-ingestion:
 //!    stale epochs are dropped) finishes with exactly the estimates,
 //!    traffic counters and cursors of a fleet that was never killed, and a
-//!    leftover `*.tmp` is overwritten by the next round of its shard.
+//!    leftover `*.tmp` is overwritten by the next round of its shard. The
+//!    directory the resumed fleet leaves, where a tenant that was not due
+//!    when its shard was rewritten keeps a record copied from the shard's
+//!    previous file, resumes a third fleet just as exactly.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -308,6 +311,17 @@ fn a_fleet_killed_at_a_checkpoint_and_resumed_matches_the_run_that_never_stopped
         // The resumed fleet slid its shards past the killed round, so it
         // rewrote the torn shard and the `*.tmp` went with the rename.
         assert!(leftover_tmp_files(&dir).is_empty(), "case {case}: a `*.tmp` outlived its shard");
+
+        // The resumed fleet copied forward the records of tenants that were
+        // not due when their shard was rewritten: those restore as exactly.
+        let mut again = build(Some(&dir));
+        let report = again.resume_from(&dir);
+        assert!(report.failed.is_empty(), "case {case}: {:?}", report.failed);
+        assert_eq!(
+            replay(again, &ops).finals,
+            baseline.finals,
+            "a second resume diverged (case={case}, tenants={tenants}, every={every})"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
     assert!(resumed_mid_stream > RESUME_CASES as usize, "only {resumed_mid_stream} restores");
