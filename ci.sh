@@ -59,18 +59,26 @@ fi
 CARGO_TARGET_DIR=target/benchmark RUSTDOCFLAGS="-D warnings" \
     cargo doc --offline --locked --no-deps --manifest-path benchmark/Cargo.toml
 
-# Example smoke: the two examples that drive detector nodes directly.
+# Example smoke: the examples that drive detector nodes end to end.
 # `cargo test` only compiles examples, so a transport that panics or stops
 # converging would pass it; quickstart must end with the two sensors in
 # agreement, and semi_global_tracking runs the loss-free transport
 # (`wsn_core::transport::run_to_quiescence`) on a chain for three hop
-# diameters.
-echo "== example smoke (quickstart, semi_global_tracking) =="
+# diameters. lab_deployment simulates the paper's 53-sensor lab with
+# Global-NN, whose estimates the fixed-point engine serves: every node must
+# agree and hold the exact O_n.
+echo "== example smoke (quickstart, semi_global_tracking, lab_deployment) =="
 quickstart=$(cargo run --release --offline --example quickstart)
 printf '%s\n' "$quickstart"
 grep -q "estimates agree: true" <<<"$quickstart" \
     || { echo "quickstart: the two sensors did not agree"; exit 1; }
 cargo run --release --offline --example semi_global_tracking
+lab=$(cargo run --release --offline --example lab_deployment)
+printf '%s\n' "$lab"
+grep -q "all estimates agree (Theorem 1):   true" <<<"$lab" \
+    || { echo "lab_deployment: the estimates did not agree"; exit 1; }
+grep -q "53/53" <<<"$lab" \
+    || { echo "lab_deployment: not every node holds the exact O_n"; exit 1; }
 
 # Campaign smoke: every figure and table spec of the paper's evaluation at
 # --quick scale, through the one journaled pipeline, gated on the exit

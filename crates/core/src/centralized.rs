@@ -20,7 +20,7 @@ use wsn_data::{DataPoint, PointSet, SensorId, SlidingWindow};
 use wsn_json::JsonValue;
 use wsn_netsim::routing::{AodvMessage, AodvRouter};
 use wsn_netsim::sim::{Application, NodeContext, TimerId};
-use wsn_ranking::index::{AnyIndex, IndexStrategy};
+use wsn_ranking::index::AnyIndex;
 use wsn_ranking::{top_n_outliers, top_n_outliers_indexed, OutlierEstimate, RankingFunction};
 
 /// Fixed header bytes of a centralized-protocol payload (type tag, source id,
@@ -363,9 +363,7 @@ impl<R: RankingFunction> CentralizedApp<R> {
             return;
         }
         let union = &self.union;
-        let index = self
-            .index_cache
-            .get_or_build(self.state_revision, || AnyIndex::build(IndexStrategy::Auto, union));
+        let index = self.index_cache.get_or_build(self.state_revision, || AnyIndex::build(union));
         let answer = top_n_outliers_indexed(&self.ranking, self.n, &self.union, index.as_ref());
         let points = answer.to_point_set().to_vec();
         let reporters: Vec<SensorId> = self.collected.keys().copied().collect();

@@ -48,7 +48,7 @@ use crate::sufficient::FixedPointEngine;
 use wsn_data::window::WindowConfig;
 use wsn_data::{DataPoint, HopCount, PointSet, SensorId, SlidingWindow, Timestamp};
 use wsn_json::JsonValue;
-use wsn_ranking::index::{AnyIndex, IndexStrategy};
+use wsn_ranking::index::AnyIndex;
 use wsn_ranking::{top_n_outliers, OutlierEstimate, RankingFunction};
 
 /// The spatial extent of detection.
@@ -103,7 +103,8 @@ pub struct DetectorNode<R> {
     /// points of one protocol step — and of every later step at the same
     /// revision — share the seed and all support queries. The global engine
     /// also maintains its own dynamic index over the window, fed by the
-    /// window's insertion and eviction notes.
+    /// window's insertion and eviction notes, and its seed's selection
+    /// `O_n(P_i)` serves [`DetectorNode::estimate`].
     engines: Vec<FixedPointEngine>,
     /// The hop prefixes with their neighbour indexes (hop scope only),
     /// invalidated whenever the window slides or changes.
@@ -481,7 +482,7 @@ impl<R: RankingFunction> DetectorNode<R> {
                 (0..d)
                     .map(|h| {
                         let pi_h = pi.filter_max_hop(h);
-                        let index = AnyIndex::build(IndexStrategy::Auto, &pi_h);
+                        let index = AnyIndex::build(&pi_h);
                         (pi_h, index)
                     })
                     .collect()
@@ -522,8 +523,24 @@ impl<R: RankingFunction> DetectorNode<R> {
         }
     }
 
-    /// The node's current outlier estimate.
+    /// The node's current outlier estimate, `O_n(P_i)`.
+    ///
+    /// In the global scope the answer is read from the fixed-point engine,
+    /// which already selected `O_n(P_i)` for the seed of the last
+    /// [`process`](DetectorNode::process) call and keeps its ranks current
+    /// ([`FixedPointEngine::own_outliers`]) — whenever that selection was
+    /// made at the window's current revision. Otherwise (a window changed
+    /// since the last `process`, a node restored or never processed, and
+    /// every hop-scope node, whose engines cover only the prefixes
+    /// `P_i^{≤h}` with `h < d`) it is computed from the window with
+    /// [`top_n_outliers`]. The two paths return identical estimates.
     pub fn estimate(&self) -> OutlierEstimate {
+        if self.scope == Scope::Global {
+            if let Some(served) = self.engines[0].own_outliers(self.window.revision()) {
+                return served;
+            }
+        }
+        crate::telemetry::ESTIMATE_FALLBACKS.add(1);
         // Receipt drops copies beyond the hop diameter and local points are
         // hop 0, so the window is exactly the in-scope data.
         top_n_outliers(&self.ranking, self.n, self.window.contents())

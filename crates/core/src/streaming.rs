@@ -570,8 +570,9 @@ impl StreamingExperiment {
             seed: config.sim_seed,
             ..Default::default()
         };
+        let streams = imputed.streams_by_id();
         let stream_for = |id: SensorId| -> SensorStream {
-            imputed.stream(id).ok().cloned().unwrap_or_else(|| SensorStream::new(specs[0]))
+            streams.get(&id).map_or_else(|| SensorStream::new(specs[0]), |s| (*s).clone())
         };
         let label = config.algorithm.label();
         let persist_ctx = persist_ctx.as_ref();

@@ -18,11 +18,11 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use wsn_data::order::total_order;
+use wsn_data::order::{sort_by_outlier_order, total_order, RankedPoint};
 use wsn_data::{DataPoint, PointKey, PointSet, SensorId};
 use wsn_ranking::function::support_of_set_indexed;
-use wsn_ranking::index::{AnyIndex, DynamicIndex, IndexStrategy, NeighborIndex};
-use wsn_ranking::{top_n_outliers, top_n_outliers_indexed, RankingFunction};
+use wsn_ranking::index::{AnyIndex, DynamicIndex, NeighborIndex};
+use wsn_ranking::{top_n_outliers, top_n_outliers_indexed, OutlierEstimate, RankingFunction};
 
 /// Telemetry ([`wsn_obs`]): engine calls.
 static OBS_FP_CALLS: wsn_obs::Counter = wsn_obs::Counter::new("engine.calls");
@@ -72,7 +72,7 @@ pub fn sufficient_set<R: RankingFunction + ?Sized>(
     pi: &PointSet,
     known_common: &PointSet,
 ) -> PointSet {
-    let index = AnyIndex::build(IndexStrategy::Auto, pi);
+    let index = AnyIndex::build(pi);
     sufficient_set_indexed(ranking, n, pi, &index, known_common)
 }
 
@@ -281,7 +281,7 @@ impl HypotheticalState {
     /// Builds the state over `contents`, all ranks unknown (`+∞` bounds).
     fn build(contents: &PointSet) -> Self {
         HypotheticalState {
-            index: DynamicIndex::build(IndexStrategy::Auto, contents),
+            index: DynamicIndex::build(contents),
             version: 1,
             ranks: contents.keys().map(|k| (*k, (f64::INFINITY, 0))).collect(),
             order: contents
@@ -605,6 +605,34 @@ impl FixedPointEngine {
                 (dump.neighbor, state)
             })
             .collect();
+    }
+
+    /// `O_n(P_i)` at window revision `revision`, read from the selection
+    /// the own-window state made for this revision's seed: the points in
+    /// outlier order, each with its exact rank. `None` unless that
+    /// selection is provably current: the seed was computed at `revision`,
+    /// the own-window state is synced at `revision` (it has followed every
+    /// window change up to it), and every selected point's rank was
+    /// validated at the state's current version. The answer is then
+    /// bit-identical to [`top_n_outliers`] over `P_i`: the same lazy
+    /// selection the seed rests on, with the ranks it confirmed.
+    pub fn own_outliers(&self, revision: u64) -> Option<OutlierEstimate> {
+        if self.revision != Some(revision) {
+            return None;
+        }
+        let (seed, keys) = self.own_seed.as_ref()?;
+        let own = self.own.as_ref().filter(|own| own.synced_at == Some(revision))?;
+        let mut ranked = Vec::with_capacity(keys.len());
+        for key in keys.iter() {
+            let &(rank, validated_at) = own.ranks.get(key)?;
+            if validated_at != own.version {
+                return None;
+            }
+            ranked.push(RankedPoint::new(rank, Arc::clone(seed.get_arc(key)?)));
+        }
+        // The seed keeps its keys in key order.
+        sort_by_outlier_order(&mut ranked);
+        Some(OutlierEstimate::from_ranked(ranked))
     }
 
     /// Tells the engine the window just accepted `point`, moving its
@@ -979,7 +1007,7 @@ mod tests {
         for ranking in
             [&NnDistance as &dyn wsn_ranking::RankingFunction, &KnnAverageDistance::new(2)]
         {
-            let index = AnyIndex::build(IndexStrategy::Auto, &pi);
+            let index = AnyIndex::build(&pi);
             for n in 1..4 {
                 // One engine per (ranking, n); known varies across calls on
                 // one engine exactly as the per-neighbour loop does, so the
@@ -1018,6 +1046,37 @@ mod tests {
         }
     }
 
+    /// `own_outliers` serves the own-window selection only while it is
+    /// provably current. A note that arrives after its revision's seed was
+    /// computed from a caller's index leaves the revision, the sync and the
+    /// seed in step, but the selected rank was validated before the noted
+    /// point arrived, so the engine must refuse to serve it.
+    #[test]
+    fn own_outliers_serves_only_a_current_validated_selection() {
+        let mut window: PointSet = [0.0, 10.0, 11.0, 12.0, 13.0]
+            .iter()
+            .enumerate()
+            .map(|(e, v)| pt(1, e as u64, *v))
+            .collect();
+        let mut engine = FixedPointEngine::new();
+        let none = PointSet::new();
+        assert_eq!(engine.own_outliers(1), None, "nothing selected yet");
+        engine.sufficient_set(&NnDistance, 1, &window, None, SensorId(2), &none, (1, 0));
+        let served = engine.own_outliers(1).expect("the own-window state selected at revision 1");
+        assert_eq!(served, top_n_outliers(&NnDistance, 1, &window));
+        assert_eq!(served.ranked()[0].rank, 10.0);
+        // Revision 2 adds 7.0, which lowers 0.0's rank to 7. Until a call at
+        // revision 2, the engine holds revision 1's selection.
+        let late = Arc::new(pt(1, 9, 7.0));
+        window.insert_arc(Arc::clone(&late));
+        assert_eq!(engine.own_outliers(2), None, "the selection lags the window");
+        let index = AnyIndex::build(&window);
+        engine.sufficient_set(&NnDistance, 1, &window, Some(&index), SensorId(2), &none, (2, 0));
+        engine.note_window_point(&late, 2);
+        assert_eq!(engine.own_outliers(1), None, "revision 1 has passed");
+        assert_eq!(engine.own_outliers(2), None, "0.0's rank 10 was validated before 7.0 arrived");
+    }
+
     /// A revision move must invalidate the engine's seed and support caches:
     /// replaying an old revision number against changed contents would
     /// otherwise serve stale sets.
@@ -1026,7 +1085,7 @@ mod tests {
         let mut engine = FixedPointEngine::new();
         let j = SensorId(2);
         let pi_a = section_5_1_pi();
-        let index_a = AnyIndex::build(IndexStrategy::Auto, &pi_a);
+        let index_a = AnyIndex::build(&pi_a);
         let from_engine = engine.sufficient_set(
             &NnDistance,
             1,
@@ -1041,7 +1100,7 @@ mod tests {
         let mut pi_b = pi_a.clone();
         pi_b.discard(&pt(1, 0, 0.5).key);
         pi_b.insert(pt(1, 99, -20.0));
-        let index_b = AnyIndex::build(IndexStrategy::Auto, &pi_b);
+        let index_b = AnyIndex::build(&pi_b);
         let from_engine = engine.sufficient_set(
             &NnDistance,
             1,

@@ -23,6 +23,12 @@ pub(crate) static POINTS_BROADCAST: wsn_obs::Counter =
 /// Batch size per neighbour entry of a broadcast (the `Z_j \ known` sets).
 pub(crate) static NEIGHBOR_BATCH_POINTS: wsn_obs::Histogram =
     wsn_obs::Histogram::new("detector.points_per_neighbor");
+/// Estimates [`crate::node::DetectorNode::estimate`] computed with
+/// `top_n_outliers` instead of reading them from the global engine: every
+/// hop-scope estimate, and a global-scope one whose engine has not
+/// processed the window's current revision.
+pub(crate) static ESTIMATE_FALLBACKS: wsn_obs::Counter =
+    wsn_obs::Counter::new("detector.estimate_fallbacks");
 /// Neighbours pruned by the self-healing paths: dead/out-of-range neighbours
 /// dropped on a neighbourhood change, plus silent neighbours aged out by the
 /// staleness liveness timeout.

@@ -3,7 +3,10 @@
 //!
 //! The detectors of §5–§6 react only to local events over single-hop,
 //! reliable links, and they stop at a fixed point whatever order messages
-//! arrive in. [`run_to_quiescence`] fixes one order, so a run is exactly
+//! arrive in. In the global scope that fixed point's estimates do not
+//! depend on the order (Theorem 2); in the hop scope they can, so a
+//! hop-scope node's estimates are those of the order that ran.
+//! [`run_to_quiescence`] fixes one order, so a run is exactly
 //! reproducible: every node processes once, in ascending id order; then
 //! each broadcast is delivered FIFO to its sender's neighbours, also in
 //! ascending id order, and each receiver folds the points in with

@@ -7,6 +7,8 @@
 //! Intel trace lost samples to packet loss); missing readings are represented
 //! explicitly and later filled in by [`crate::impute`].
 
+use std::collections::BTreeMap;
+
 use crate::error::DataError;
 use crate::geometry::Position;
 use crate::point::{DataPoint, Epoch, PointKey, SensorId, Timestamp};
@@ -166,13 +168,22 @@ impl DeploymentTrace {
         self.streams.iter().map(|s| s.spec).collect()
     }
 
-    /// Looks up a sensor's stream by id.
+    /// Looks up a sensor's stream by id. Each call scans the streams;
+    /// callers that look up many sensors use
+    /// [`DeploymentTrace::streams_by_id`].
     ///
     /// # Errors
     ///
     /// Returns [`DataError::UnknownSensor`] when no stream has that id.
     pub fn stream(&self, id: SensorId) -> Result<&SensorStream, DataError> {
         self.streams.iter().find(|s| s.spec.id == id).ok_or(DataError::UnknownSensor(id.raw()))
+    }
+
+    /// Every sensor's stream keyed by its id, built in one pass: the stream
+    /// [`DeploymentTrace::stream`] returns for each id.
+    pub fn streams_by_id(&self) -> BTreeMap<SensorId, &SensorStream> {
+        // Inserted last to first, so the first stream of a repeated id wins.
+        self.streams.iter().rev().map(|s| (s.spec.id, s)).collect()
     }
 
     /// All present data points of sampling round `round` (one per sensor that
@@ -318,6 +329,11 @@ mod tests {
         assert_eq!(trace.sensor_specs().len(), 2);
         assert!(trace.stream(SensorId(2)).is_ok());
         assert_eq!(trace.stream(SensorId(9)).unwrap_err(), DataError::UnknownSensor(9));
+        let by_id = trace.streams_by_id();
+        assert_eq!(by_id.len(), trace.sensor_count());
+        for s in &trace.streams {
+            assert!(std::ptr::eq(by_id[&s.spec.id], trace.stream(s.spec.id).unwrap()));
+        }
     }
 
     #[test]

@@ -608,8 +608,9 @@ mod tests {
             any.keys()
         );
         assert!(rt.traffic().messages > 0, "agreement required traffic");
-        // Any delivery order reaches the same estimates but moves different
-        // traffic, so these counts pin the transport's order.
+        // In the global scope any delivery order reaches the same estimates
+        // but moves different traffic, so these counts pin the transport's
+        // order.
         let pinned = TenantTraffic { messages: 159, points: 608, bytes: 21_788 };
         assert_eq!(rt.traffic(), pinned, "the transport's delivery order changed");
     }

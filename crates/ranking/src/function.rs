@@ -7,7 +7,7 @@
 //! instead of whole datasets, which is where all its bandwidth savings come
 //! from (§5.2).
 
-use crate::index::{AnyIndex, IndexStrategy, NeighborIndex};
+use crate::index::{AnyIndex, NeighborIndex};
 use wsn_data::order::total_order;
 use wsn_data::{DataPoint, PointSet};
 
@@ -175,7 +175,7 @@ pub fn support_of_set<R: RankingFunction + ?Sized>(
     data: &PointSet,
     query: &PointSet,
 ) -> PointSet {
-    let index = AnyIndex::build(IndexStrategy::Auto, data);
+    let index = AnyIndex::build(data);
     support_of_set_indexed(ranking, &index, query)
 }
 

@@ -8,21 +8,19 @@
 //! query and makes `top_n_outliers` quadratic in the window size `w`.
 //!
 //! A [`NeighborIndex`] is built **once** per dataset and then answers many
-//! queries cheaply. Three static implementations ship:
+//! queries cheaply. Two static implementations ship:
 //!
 //! * [`BruteIndex`] — the baseline: a thin wrapper over the original
 //!   full-sort path. Cheapest to build, `O(w log w)` per query; right for
-//!   tiny sets and the reference the other two are tested against.
-//! * [`KdTreeIndex`] — a k-d tree with median splits; `O(w log w)` build,
-//!   near-logarithmic queries on the low-dimensional feature spaces the
-//!   paper uses (`[temperature, x, y]`).
-//! * [`GridIndex`] — a uniform grid over the bounding box of feature space,
-//!   searched in expanding cell rings; excellent for evenly spread data.
+//!   tiny sets and the reference the k-d tree is tested against.
+//! * [`KdTreeIndex`] — a k-d tree with median splits over the set's shared
+//!   point handles; `O(w log w)` build, near-logarithmic queries on the
+//!   low-dimensional feature spaces the paper uses (`[temperature, x, y]`).
 //!
 //! For changing datasets — the sufficient-set fixed point of `wsn-core`
 //! extends its hypothetical sets a handful of points per iteration, and
-//! window slides evict from them — the [`DynamicIndex`] wraps a static base
-//! index with an LSM-style brute-force spill buffer:
+//! window slides evict from them — the [`DynamicIndex`] wraps a k-d tree
+//! base with an LSM-style brute-force spill buffer:
 //! [`DynamicIndex::insert_arc`] is a set insertion, [`DynamicIndex::remove`]
 //! deletes from the base in place, queries merge the base and spill
 //! candidate streams exactly, and the base is rebuilt only once the spill or
@@ -35,28 +33,23 @@
 //! support sets, which the paper obtains by breaking distance ties with the
 //! total order `≺` ([`total_order`]). Every index here returns *exactly* the
 //! ordering of `neighbors_by_distance` — candidates are compared by
-//! `(distance, ≺)` and subtrees/cells are pruned only when they are
-//! **strictly** farther than the current worst candidate, so equal-distance
-//! points are always examined and resolved by `≺`. Distances are computed
-//! with the same [`DataPoint::feature_distance`] arithmetic as the brute
-//! path, so results are bit-identical, not merely equivalent: estimates,
-//! support sets and sufficient sets do not change when an index is swapped
-//! in. The property suite `tests/property_index.rs` asserts this equivalence
-//! across 256 seeded cases.
+//! `(distance, ≺)` and subtrees are pruned only when they are **strictly**
+//! farther than the current worst candidate, so equal-distance points are
+//! always examined and resolved by `≺`. Distances are computed with the same
+//! [`DataPoint::feature_distance`] arithmetic as the brute path, so results
+//! are bit-identical, not merely equivalent: estimates, support sets and
+//! sufficient sets do not change when an index is swapped in. The property
+//! suite `tests/property_index.rs` asserts this equivalence across 256
+//! seeded cases.
 //!
 //! # Choosing an index
 //!
-//! [`AnyIndex::build`] with [`IndexStrategy::Auto`] picks brute force for
-//! small sets (where building a structure costs more than it saves). Above
-//! the threshold it builds the grid and measures the occupancy of the cells
-//! the build just filled (build-then-measure — nothing is scanned twice):
-//! if the points spread roughly uniformly over their bounding box (most
-//! cells occupied, no cell grossly over-full) the grid is kept — its ring
-//! search beats the k-d tree on spread data — otherwise it is discarded for
-//! a k-d tree, which degrades gracefully on clustered data where most grid
-//! cells would sit empty around one overloaded cell. Sets with mixed
-//! feature dimensionality fall back to brute force, which mirrors what the
-//! brute path would have accepted.
+//! There is no strategy to choose. [`AnyIndex::build`] keeps the brute path
+//! for sets below [`AUTO_BRUTE_THRESHOLD`] points, where building a
+//! structure costs more than it saves, and builds a k-d tree above it. Sets
+//! with mixed feature dimensionality always get the brute index, which
+//! mirrors what the brute path would have accepted. [`DynamicIndex`] makes
+//! the same choice at every build and rebuild of its base.
 
 use crate::function::neighbors_by_distance;
 use std::cmp::Ordering;
@@ -64,17 +57,10 @@ use std::sync::Arc;
 use wsn_data::order::total_order;
 use wsn_data::{DataPoint, PointKey, PointSet};
 
-/// Below this many points, [`IndexStrategy::Auto`] keeps the brute path: the
-/// `O(w log w)` structure build does not pay for itself on tiny windows.
+/// Below this many points, [`AnyIndex::build`] and the [`DynamicIndex`]
+/// keep the brute path: the `O(w log w)` structure build does not pay for
+/// itself on tiny windows.
 pub const AUTO_BRUTE_THRESHOLD: usize = 48;
-
-/// Fraction of grid cells that must be occupied for the auto strategy's
-/// occupancy probe to call a dataset "uniformly spread".
-const AUTO_GRID_MIN_OCCUPANCY: f64 = 0.5;
-
-/// Maximum allowed ratio between the fullest grid cell and the average cell
-/// occupancy before the auto probe rejects the grid as too clustered.
-const AUTO_GRID_MAX_SKEW: f64 = 4.0;
 
 /// A queryable spatial index over one immutable snapshot of a [`PointSet`].
 ///
@@ -105,29 +91,13 @@ pub trait NeighborIndex: Send + Sync {
     fn to_point_set(&self) -> PointSet;
 
     /// Borrows the indexed snapshot when the implementation already keeps
-    /// it in [`PointSet`] form ([`BruteIndex`] does). Generic ranking
-    /// fallbacks try this first so brute-backed indexes — everything the
-    /// auto strategy builds for small sets — pay no materialisation at all.
+    /// it in [`PointSet`] form ([`BruteIndex`] and [`DynamicIndex`] do).
+    /// Generic ranking fallbacks try this first so brute-backed indexes —
+    /// everything [`AnyIndex::build`] builds below [`AUTO_BRUTE_THRESHOLD`]
+    /// points — pay no materialisation at all.
     fn snapshot(&self) -> Option<&PointSet> {
         None
     }
-}
-
-/// Which index implementation to build for a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexStrategy {
-    /// Brute force below [`AUTO_BRUTE_THRESHOLD`] points; above it, the
-    /// [`GridIndex`] is built and kept when its measured cell occupancy says
-    /// the data spreads uniformly over its bounding box, with the
-    /// [`KdTreeIndex`] built instead otherwise.
-    #[default]
-    Auto,
-    /// Always the [`BruteIndex`] baseline.
-    Brute,
-    /// Always the [`GridIndex`].
-    Grid,
-    /// Always the [`KdTreeIndex`].
-    KdTree,
 }
 
 /// A bounded, sorted candidate list: the `k` best `(distance, point)` pairs
@@ -239,9 +209,10 @@ struct KdNode {
 /// the near child first and prune the far child only when the splitting
 /// plane is strictly farther than the current worst candidate, which keeps
 /// equal-distance ties reachable and the output identical to brute force.
+/// The tree holds the set's own [`Arc`] handles, so a build copies no point.
 #[derive(Debug, Clone)]
 pub struct KdTreeIndex {
-    points: Vec<DataPoint>,
+    points: Vec<Arc<DataPoint>>,
     /// Per entry of `points`: deleted in place by `KdTreeIndex::delete`.
     /// A deleted point still splits its node, but is never a candidate.
     deleted: Vec<bool>,
@@ -250,14 +221,14 @@ pub struct KdTreeIndex {
 }
 
 impl KdTreeIndex {
-    /// Builds the tree over a snapshot of `data`.
+    /// Builds the tree over a snapshot of `data`, sharing its points.
     ///
     /// All points must share one feature dimensionality (callers that cannot
     /// guarantee this should go through [`AnyIndex::build`], which falls back
     /// to brute force for mixed sets).
     pub fn build(data: &PointSet) -> Self {
-        let points: Vec<DataPoint> = data.iter().cloned().collect();
-        let dim = points.first().map(DataPoint::dimension).unwrap_or(0);
+        let points: Vec<Arc<DataPoint>> = data.iter_arcs().cloned().collect();
+        let dim = points.first().map(|p| p.dimension()).unwrap_or(0);
         let mut indices: Vec<usize> = (0..points.len()).collect();
         let mut nodes = Vec::with_capacity(points.len());
         let root = Self::build_recursive(&points, &mut indices, 0, dim, &mut nodes);
@@ -285,7 +256,7 @@ impl KdTreeIndex {
     }
 
     fn build_recursive(
-        points: &[DataPoint],
+        points: &[Arc<DataPoint>],
         indices: &mut [usize],
         depth: usize,
         dim: usize,
@@ -312,7 +283,7 @@ impl KdTreeIndex {
 
     fn search_nearest<'a>(&'a self, node: usize, x: &DataPoint, best: &mut BestK<'a>) {
         let n = &self.nodes[node];
-        let p = &self.points[n.point];
+        let p: &DataPoint = &self.points[n.point];
         if p.key != x.key && !self.deleted[n.point] {
             best.push(x.feature_distance(p), p);
         }
@@ -343,7 +314,7 @@ impl KdTreeIndex {
         out: &mut Vec<(f64, &'a DataPoint)>,
     ) {
         let n = &self.nodes[node];
-        let p = &self.points[n.point];
+        let p: &DataPoint = &self.points[n.point];
         if p.key != x.key && !self.deleted[n.point] {
             let d = x.feature_distance(p);
             if d <= radius {
@@ -389,7 +360,11 @@ impl NeighborIndex for KdTreeIndex {
     }
 
     fn to_point_set(&self) -> PointSet {
-        self.points.iter().cloned().collect()
+        let mut set = PointSet::new();
+        for p in &self.points {
+            set.insert_arc(Arc::clone(p));
+        }
+        set
     }
 
     fn is_empty(&self) -> bool {
@@ -398,440 +373,50 @@ impl NeighborIndex for KdTreeIndex {
 }
 
 // ---------------------------------------------------------------------------
-// Uniform grid
+// Dispatch
 // ---------------------------------------------------------------------------
 
-/// A uniform grid over the bounding box of the indexed feature vectors.
-///
-/// Cell counts are chosen so the average occupancy is about one point per
-/// cell. Queries walk outward in Chebyshev "rings" of cells around the query
-/// cell and stop once the next ring provably lies strictly beyond the worst
-/// candidate; individual cells are additionally pruned by their exact
-/// point-to-box distance. Both prunes keep equal-distance cells, preserving
-/// the `≺` tie-breaking of the brute path.
-#[derive(Debug, Clone)]
-pub struct GridIndex {
-    points: Vec<DataPoint>,
-    dim: usize,
-    mins: Vec<f64>,
-    maxs: Vec<f64>,
-    cell_size: Vec<f64>,
-    cells_per_dim: Vec<usize>,
-    /// Flattened row-major cell buckets of indices into `points`.
-    cells: Vec<Vec<u32>>,
-    /// Smallest cell extent along any axis with more than one cell; the ring
-    /// lower bound `(r - 1) * min_cell_size` is valid because any cell in
-    /// Chebyshev ring `r` is at least `r - 1` whole cells away on some axis.
-    min_cell_size: f64,
-}
-
-/// Hard cap on grid cells per axis, bounding memory for any window size.
-const MAX_CELLS_PER_DIM: usize = 64;
-
-impl GridIndex {
-    /// Builds the grid over a snapshot of `data`.
-    ///
-    /// All points must share one feature dimensionality (see
-    /// [`AnyIndex::build`] for the mixed-dimension fallback).
-    pub fn build(data: &PointSet) -> Self {
-        let points: Vec<DataPoint> = data.iter().cloned().collect();
-        let dim = points.first().map(DataPoint::dimension).unwrap_or(0);
-        let mut mins = vec![f64::INFINITY; dim];
-        let mut maxs = vec![f64::NEG_INFINITY; dim];
-        for p in &points {
-            for (d, v) in p.features.iter().enumerate() {
-                mins[d] = mins[d].min(*v);
-                maxs[d] = maxs[d].max(*v);
-            }
-        }
-        let target = if dim == 0 || points.is_empty() {
-            1
-        } else {
-            ((points.len() as f64).powf(1.0 / dim as f64).floor() as usize)
-                .clamp(1, MAX_CELLS_PER_DIM)
-        };
-        let mut cells_per_dim = vec![1usize; dim];
-        let mut cell_size = vec![0.0f64; dim];
-        for d in 0..dim {
-            let extent = maxs[d] - mins[d];
-            if extent > 0.0 && target > 1 {
-                cells_per_dim[d] = target;
-                cell_size[d] = extent / target as f64;
-            } else {
-                // One cell on this axis; its box must still cover the whole
-                // data extent or the box-distance prune would overestimate.
-                cell_size[d] = extent.max(0.0);
-            }
-        }
-        let min_cell_size = cells_per_dim
-            .iter()
-            .zip(cell_size.iter())
-            .filter(|(cells, _)| **cells > 1)
-            .map(|(_, size)| *size)
-            .fold(f64::INFINITY, f64::min);
-        let total: usize = cells_per_dim.iter().product::<usize>().max(1);
-        let mut cells = vec![Vec::new(); total];
-        let grid = GridIndex {
-            points: Vec::new(),
-            dim,
-            mins: mins.clone(),
-            maxs: maxs.clone(),
-            cell_size: cell_size.clone(),
-            cells_per_dim: cells_per_dim.clone(),
-            cells: Vec::new(),
-            min_cell_size,
-        };
-        for (i, p) in points.iter().enumerate() {
-            let coords = grid.cell_of(&p.features);
-            cells[grid.flatten(&coords)].push(i as u32);
-        }
-        GridIndex { points, cells, ..grid }
-    }
-
-    /// Lower edge of cell `c` along axis `d`.
-    fn axis_lo(&self, d: usize, c: usize) -> f64 {
-        self.mins[d] + c as f64 * self.cell_size[d]
-    }
-
-    /// Upper edge of cell `c` along axis `d`. The top cell's edge is
-    /// extended to the true data maximum: clamped assignments and the
-    /// rounding sliver of `extent / cells * cells < extent` land there, and
-    /// the box-distance prune is only sound if every stored point lies
-    /// inside its cell's box.
-    fn axis_hi(&self, d: usize, c: usize) -> f64 {
-        if c + 1 == self.cells_per_dim[d] {
-            self.axis_lo(d, c + 1).max(self.maxs[d])
-        } else {
-            self.axis_lo(d, c + 1)
-        }
-    }
-
-    /// The (clamped) cell coordinates containing a feature vector.
-    fn cell_of(&self, features: &[f64]) -> Vec<usize> {
-        (0..self.dim)
-            .map(|d| {
-                let cells = self.cells_per_dim[d];
-                let offset = (features[d] - self.mins[d]) / self.cell_size[d];
-                let mut c = if offset.is_finite() && offset > 0.0 {
-                    (offset.floor() as usize).min(cells - 1)
-                } else {
-                    0
-                };
-                // The division above and the edge multiplication in
-                // `axis_lo` can round differently; snap the cell so the
-                // value provably lies inside its box.
-                while c > 0 && features[d] < self.axis_lo(d, c) {
-                    c -= 1;
-                }
-                while c + 1 < cells && features[d] >= self.axis_lo(d, c + 1) {
-                    c += 1;
-                }
-                c
-            })
-            .collect()
-    }
-
-    /// Deletes `point` (by identity) in place from its cell's bucket. The
-    /// grid geometry stays as built, so every live point still lies inside
-    /// its cell's box and both prunes stay exact. Returns `true` if a live
-    /// entry was deleted.
-    fn delete(&mut self, point: &DataPoint) -> bool {
-        let bucket = self.flatten(&self.cell_of(&point.features));
-        let points = &self.points;
-        let cell = &mut self.cells[bucket];
-        match cell.iter().position(|&i| points[i as usize].key == point.key) {
-            Some(at) => {
-                cell.swap_remove(at);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The points still stored in some cell bucket (all of them unless the
-    /// grid is a `DynamicIndex` base with in-place deletions).
-    fn live_points(&self) -> impl Iterator<Item = &DataPoint> {
-        self.cells.iter().flatten().map(|&i| &self.points[i as usize])
-    }
-
-    fn flatten(&self, coords: &[usize]) -> usize {
-        let mut idx = 0;
-        for (d, &c) in coords.iter().enumerate() {
-            idx = idx * self.cells_per_dim[d] + c;
-        }
-        idx
-    }
-
-    /// Exact Euclidean distance from `x` to the axis-aligned box of a cell —
-    /// a lower bound on the distance to any point stored in it (guaranteed
-    /// by the snapping in [`GridIndex::cell_of`] plus the extended top
-    /// edge).
-    fn cell_box_distance(&self, features: &[f64], coords: &[usize]) -> f64 {
-        let mut sum = 0.0;
-        for (d, &c) in coords.iter().enumerate() {
-            let lo = self.axis_lo(d, c);
-            let hi = self.axis_hi(d, c);
-            let gap = (lo - features[d]).max(features[d] - hi).max(0.0);
-            sum += gap * gap;
-        }
-        sum.sqrt()
-    }
-
-    /// Conservative lower bound on the distance from the query to any cell
-    /// in Chebyshev ring `r` around the query cell.
-    fn ring_lower_bound(&self, ring: i64) -> f64 {
-        if ring <= 1 {
-            0.0
-        } else {
-            (ring - 1) as f64 * self.min_cell_size
-        }
-    }
-
-    fn max_ring(&self, center: &[usize]) -> i64 {
-        (0..self.dim)
-            .map(|d| center[d].max(self.cells_per_dim[d] - 1 - center[d]) as i64)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Invokes `visit` on every in-bounds cell at Chebyshev distance exactly
-    /// `ring` from `center`.
-    fn for_each_ring_cell(&self, center: &[usize], ring: i64, visit: &mut impl FnMut(&[usize])) {
-        let mut coords = vec![0usize; self.dim];
-        self.ring_recurse(center, ring, 0, false, &mut coords, visit);
-    }
-
-    fn ring_recurse(
-        &self,
-        center: &[usize],
-        ring: i64,
-        depth: usize,
-        on_shell: bool,
-        coords: &mut Vec<usize>,
-        visit: &mut impl FnMut(&[usize]),
-    ) {
-        if depth == self.dim {
-            if on_shell {
-                visit(coords);
-            }
-            return;
-        }
-        for delta in -ring..=ring {
-            let c = center[depth] as i64 + delta;
-            if c < 0 || c >= self.cells_per_dim[depth] as i64 {
-                continue;
-            }
-            coords[depth] = c as usize;
-            self.ring_recurse(
-                center,
-                ring,
-                depth + 1,
-                on_shell || delta.abs() == ring,
-                coords,
-                visit,
-            );
-        }
-    }
-}
-
-impl NeighborIndex for GridIndex {
-    fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    fn k_nearest(&self, x: &DataPoint, k: usize) -> Vec<(f64, &DataPoint)> {
-        if k == 0 || self.points.is_empty() {
-            return Vec::new();
-        }
-        if self.dim == 0 {
-            // Zero-dimensional points: every pair is at distance 0, so the
-            // ordering is entirely decided by ≺.
-            let mut all: Vec<(f64, &DataPoint)> = self
-                .live_points()
-                .filter(|p| p.key != x.key)
-                .map(|p| (x.feature_distance(p), p))
-                .collect();
-            all.sort_by(candidate_order);
-            all.truncate(k);
-            return all;
-        }
-        let center = self.cell_of(&x.features);
-        let mut best = BestK::new(k);
-        for ring in 0..=self.max_ring(&center) {
-            if best.full() && self.ring_lower_bound(ring) > best.worst_distance() {
-                break;
-            }
-            let mut buckets: Vec<usize> = Vec::new();
-            self.for_each_ring_cell(&center, ring, &mut |coords| {
-                if !best.full()
-                    || self.cell_box_distance(&x.features, coords) <= best.worst_distance()
-                {
-                    buckets.push(self.flatten(coords));
-                }
-            });
-            for bucket in buckets {
-                for &i in &self.cells[bucket] {
-                    let p = &self.points[i as usize];
-                    if p.key != x.key {
-                        best.push(x.feature_distance(p), p);
-                    }
-                }
-            }
-        }
-        best.entries
-    }
-
-    fn within_radius(&self, x: &DataPoint, radius: f64) -> Vec<(f64, &DataPoint)> {
-        if self.points.is_empty() {
-            return Vec::new();
-        }
-        let mut out: Vec<(f64, &DataPoint)> = Vec::new();
-        if self.dim == 0 {
-            for p in self.live_points() {
-                if p.key != x.key {
-                    let d = x.feature_distance(p);
-                    if d <= radius {
-                        out.push((d, p));
-                    }
-                }
-            }
-            out.sort_by(candidate_order);
-            return out;
-        }
-        let center = self.cell_of(&x.features);
-        for ring in 0..=self.max_ring(&center) {
-            if self.ring_lower_bound(ring) > radius {
-                break;
-            }
-            let mut buckets: Vec<usize> = Vec::new();
-            self.for_each_ring_cell(&center, ring, &mut |coords| {
-                if self.cell_box_distance(&x.features, coords) <= radius {
-                    buckets.push(self.flatten(coords));
-                }
-            });
-            for bucket in buckets {
-                for &i in &self.cells[bucket] {
-                    let p = &self.points[i as usize];
-                    if p.key != x.key {
-                        let d = x.feature_distance(p);
-                        if d <= radius {
-                            out.push((d, p));
-                        }
-                    }
-                }
-            }
-        }
-        out.sort_by(candidate_order);
-        out
-    }
-
-    fn to_point_set(&self) -> PointSet {
-        self.points.iter().cloned().collect()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Strategy dispatch
-// ---------------------------------------------------------------------------
-
-/// Occupancy verdict behind [`IndexStrategy::Auto`], measured on an already
-/// built [`GridIndex`] (build-then-measure: the cells the grid filled during
-/// construction *are* the occupancy histogram, so the probe costs one pass
-/// over the cell array and no re-binning). The grid is kept when at least
-/// [`AUTO_GRID_MIN_OCCUPANCY`] of its cells hold a point and no cell exceeds
-/// [`AUTO_GRID_MAX_SKEW`] × the average occupancy; clustered data fails
-/// both, and a degenerate grid (all extents collapsed into < 4 cells)
-/// cannot discriminate and is always rejected.
-fn grid_occupancy_is_uniform(grid: &GridIndex) -> bool {
-    let total = grid.cells.len();
-    let n = grid.len();
-    if n == 0 || total < 4 {
-        return false;
-    }
-    let occupied = grid.cells.iter().filter(|cell| !cell.is_empty()).count();
-    let fullest = grid.cells.iter().map(Vec::len).max().unwrap_or(0);
-    let average = (n as f64 / total as f64).max(1.0);
-    occupied as f64 >= AUTO_GRID_MIN_OCCUPANCY * total as f64
-        && fullest as f64 <= AUTO_GRID_MAX_SKEW * average
-}
-
-/// A concrete index of any strategy, dispatching [`NeighborIndex`] calls.
+/// The index [`AnyIndex::build`] picks for a dataset, dispatching
+/// [`NeighborIndex`] calls.
 #[derive(Debug, Clone)]
 pub enum AnyIndex {
-    /// Brute-force baseline.
+    /// Brute-force baseline: sets below [`AUTO_BRUTE_THRESHOLD`] points, and
+    /// sets of mixed feature dimensionality.
     Brute(BruteIndex),
-    /// Uniform grid.
-    Grid(GridIndex),
-    /// k-d tree.
+    /// k-d tree: every other set.
     KdTree(KdTreeIndex),
 }
 
 impl AnyIndex {
-    /// Builds an index over `data` using the requested strategy.
+    /// Builds an index over `data`: brute force below
+    /// [`AUTO_BRUTE_THRESHOLD`] points, a k-d tree from there on.
     ///
     /// Sets whose points do not share one feature dimensionality always get
-    /// the brute index — the structured indexes assume a single metric
-    /// space, exactly like [`DataPoint::feature_distance`] itself.
-    pub fn build(strategy: IndexStrategy, data: &PointSet) -> AnyIndex {
-        AnyIndex::structured(strategy, data)
-            .unwrap_or_else(|| AnyIndex::Brute(BruteIndex::build(data)))
+    /// the brute index — the k-d tree assumes a single metric space, exactly
+    /// like [`DataPoint::feature_distance`] itself.
+    pub fn build(data: &PointSet) -> AnyIndex {
+        match tree_for(data) {
+            Some(tree) => AnyIndex::KdTree(tree),
+            None => AnyIndex::Brute(BruteIndex::build(data)),
+        }
     }
+}
 
-    /// The grid or k-d tree [`AnyIndex::build`] would build, or `None` where
-    /// it would build the brute index (which then never copies `data`).
-    fn structured(strategy: IndexStrategy, data: &PointSet) -> Option<AnyIndex> {
-        let uniform = {
-            let mut dims = data.iter().map(DataPoint::dimension);
-            match dims.next() {
-                None => true,
-                Some(first) => dims.all(|d| d == first),
-            }
-        };
-        let auto_small =
-            matches!(strategy, IndexStrategy::Auto) && data.len() < AUTO_BRUTE_THRESHOLD;
-        if !uniform || auto_small {
-            return None;
-        }
-        match strategy {
-            IndexStrategy::Brute => None,
-            IndexStrategy::Grid => Some(AnyIndex::Grid(GridIndex::build(data))),
-            IndexStrategy::KdTree => Some(AnyIndex::KdTree(KdTreeIndex::build(data))),
-            IndexStrategy::Auto => {
-                // Build-then-measure: the grid's own cell buckets are the
-                // occupancy histogram, so nothing is scanned twice. Keep the
-                // grid for uniformly spread data; fall back to the k-d tree
-                // (which degrades gracefully on clusters) otherwise.
-                let grid = GridIndex::build(data);
-                if grid_occupancy_is_uniform(&grid) {
-                    Some(AnyIndex::Grid(grid))
-                } else {
-                    Some(AnyIndex::KdTree(KdTreeIndex::build(data)))
-                }
-            }
-        }
+/// The k-d tree [`AnyIndex::build`] would build, or `None` where it would
+/// build the brute index (which then never touches `data`).
+fn tree_for(data: &PointSet) -> Option<KdTreeIndex> {
+    if data.len() < AUTO_BRUTE_THRESHOLD {
+        return None;
     }
-
-    /// Deletes `point` (by identity) in place; see `GridIndex::delete` and
-    /// `KdTreeIndex::delete`. Only a `DynamicIndex` base is ever deleted
-    /// from, and the dynamic index answers `len` and `to_point_set` itself.
-    fn delete(&mut self, point: &DataPoint) -> bool {
-        match self {
-            AnyIndex::Brute(i) => i.points.discard(&point.key),
-            AnyIndex::Grid(i) => i.delete(point),
-            AnyIndex::KdTree(i) => i.delete(point),
-        }
-    }
+    let mut dims = data.iter().map(DataPoint::dimension);
+    let first = dims.next();
+    dims.all(|d| Some(d) == first).then(|| KdTreeIndex::build(data))
 }
 
 impl NeighborIndex for AnyIndex {
     fn len(&self) -> usize {
         match self {
             AnyIndex::Brute(i) => i.len(),
-            AnyIndex::Grid(i) => i.len(),
             AnyIndex::KdTree(i) => i.len(),
         }
     }
@@ -839,7 +424,6 @@ impl NeighborIndex for AnyIndex {
     fn k_nearest(&self, x: &DataPoint, k: usize) -> Vec<(f64, &DataPoint)> {
         match self {
             AnyIndex::Brute(i) => i.k_nearest(x, k),
-            AnyIndex::Grid(i) => i.k_nearest(x, k),
             AnyIndex::KdTree(i) => i.k_nearest(x, k),
         }
     }
@@ -847,7 +431,6 @@ impl NeighborIndex for AnyIndex {
     fn within_radius(&self, x: &DataPoint, radius: f64) -> Vec<(f64, &DataPoint)> {
         match self {
             AnyIndex::Brute(i) => i.within_radius(x, radius),
-            AnyIndex::Grid(i) => i.within_radius(x, radius),
             AnyIndex::KdTree(i) => i.within_radius(x, radius),
         }
     }
@@ -855,7 +438,6 @@ impl NeighborIndex for AnyIndex {
     fn to_point_set(&self) -> PointSet {
         match self {
             AnyIndex::Brute(i) => i.to_point_set(),
-            AnyIndex::Grid(i) => i.to_point_set(),
             AnyIndex::KdTree(i) => i.to_point_set(),
         }
     }
@@ -863,7 +445,6 @@ impl NeighborIndex for AnyIndex {
     fn snapshot(&self) -> Option<&PointSet> {
         match self {
             AnyIndex::Brute(i) => i.snapshot(),
-            AnyIndex::Grid(i) => i.snapshot(),
             AnyIndex::KdTree(i) => i.snapshot(),
         }
     }
@@ -891,9 +472,9 @@ pub const DYNAMIC_SPILL_MIN: usize = 32;
 pub const DYNAMIC_SPILL_FRACTION: usize = 8;
 
 /// A [`NeighborIndex`] that supports **insertion and removal** without
-/// per-update rebuilds, in the style of an LSM tree: a static base index (a
-/// grid or k-d tree, per the [`IndexStrategy`]) plus a small brute-force
-/// *spill* buffer of the points inserted since the base was last built.
+/// per-update rebuilds, in the style of an LSM tree: a static
+/// [`KdTreeIndex`] base plus a small brute-force *spill* buffer of the
+/// points inserted since the base was last built.
 ///
 /// # Contract
 ///
@@ -913,37 +494,35 @@ pub const DYNAMIC_SPILL_FRACTION: usize = 8;
 ///   replaces with inserts). [`DynamicIndex::remove`] drops an identity; it
 ///   may be inserted again later.
 /// * **Removal in place.** A removed spill point simply leaves the spill. A
-///   removed base point is deleted inside the base: the grid drops it from
-///   its cell bucket, the k-d tree marks its node deleted (the node keeps
-///   splitting its subtree, so every prune stays exact). Neither is ever a
-///   candidate again, so queries need no filtering and no over-fetch. The
-///   index releases every handle of a removed point at once; the base only
-///   holds copies of the points it was built over.
+///   removed base point is deleted inside the base: the k-d tree marks its
+///   node deleted, and the node keeps splitting its subtree, so every prune
+///   stays exact. Neither is ever a candidate again, so queries need no
+///   filtering and no over-fetch. The base shares the handles of the points
+///   it was built over, so a removed base point's handle stays in the tree
+///   until the base's next rebuild; the deletion count below bounds how
+///   many stay.
 /// * **Rebuild policy.** An insert appends to the spill buffer, whose
 ///   queries cost `O(s log s)` for `s` spilled points. Once the spill — or,
 ///   counted separately, the deletions inside the base — exceeds
 ///   `max(`[`DYNAMIC_SPILL_MIN`]`, len /`[`DYNAMIC_SPILL_FRACTION`]`)`, the
-///   base is rebuilt over the whole set (under the construction-time
-///   [`IndexStrategy`]) and both counts restart at zero. Workloads that
-///   insert a bounded trickle of points — the fixed point adds at most a
-///   few support points per iteration — therefore rarely rebuild, and
-///   unbounded update streams pay amortised `O(log)`-ish work per point
-///   instead of a rebuild per iteration.
-/// * **One copy while brute-sized.** Where [`AnyIndex::build`] would pick
-///   the brute index (the [`IndexStrategy::Brute`] strategy, mixed feature
-///   dimensions, or [`IndexStrategy::Auto`] below
+///   base is rebuilt over the whole set and both counts restart at zero.
+///   Workloads that insert a bounded trickle of points — the fixed point
+///   adds at most a few support points per iteration — therefore rarely
+///   rebuild, and unbounded update streams pay amortised `O(log)`-ish work
+///   per point instead of a rebuild per iteration.
+/// * **No base while brute-sized.** Where [`AnyIndex::build`] would pick
+///   the brute index (mixed feature dimensions, or fewer than
 ///   [`AUTO_BRUTE_THRESHOLD`] points), the dynamic index keeps no base and
 ///   no spill: queries read the indexed set itself, whose
-///   `(distance, ≺)`-sorted neighbour list is exactly the merged order.
-///   Under `Auto` a structured base is built once the set grows to the
-///   threshold, and dropped again at a rebuild that finds it below.
+///   `(distance, ≺)`-sorted neighbour list is exactly the merged order. A
+///   k-d tree base is built once the set grows to the threshold, and
+///   dropped again at a rebuild that finds it below.
 #[derive(Debug, Clone)]
 pub struct DynamicIndex {
-    strategy: IndexStrategy,
-    /// A grid or k-d tree over `all \ spill`, plus the entries deleted from
-    /// it in place, which it no longer returns; `None` while the set is
+    /// A k-d tree over `all \ spill`, plus the entries deleted from it in
+    /// place, which it no longer returns; `None` while the set is
     /// brute-sized.
-    base: Option<AnyIndex>,
+    base: Option<KdTreeIndex>,
     /// Points inserted since `base` was built; disjoint from its live
     /// entries by key, and empty while there is no base.
     spill: PointSet,
@@ -955,17 +534,9 @@ pub struct DynamicIndex {
 }
 
 impl DynamicIndex {
-    /// Builds the index over a snapshot of `data`, remembering `strategy`
-    /// for future rebuilds (the strategy's small-set / occupancy heuristics
-    /// are re-evaluated against the current set on every rebuild).
-    pub fn build(strategy: IndexStrategy, data: &PointSet) -> Self {
-        DynamicIndex {
-            strategy,
-            base: AnyIndex::structured(strategy, data),
-            spill: PointSet::new(),
-            deleted: 0,
-            all: data.clone(),
-        }
+    /// Builds the index over a snapshot of `data`, sharing its points.
+    pub fn build(data: &PointSet) -> Self {
+        DynamicIndex { base: tree_for(data), spill: PointSet::new(), deleted: 0, all: data.clone() }
     }
 
     /// Inserts a point, sharing the caller's allocation. Returns `true` if
@@ -979,7 +550,7 @@ impl DynamicIndex {
             if self.spill.len() > self.rebuild_threshold() {
                 self.rebuild();
             }
-        } else if self.strategy != IndexStrategy::Brute && self.all.len() >= AUTO_BRUTE_THRESHOLD {
+        } else if self.all.len() >= AUTO_BRUTE_THRESHOLD {
             self.rebuild();
         }
         true
@@ -990,8 +561,9 @@ impl DynamicIndex {
         self.insert_arc(Arc::new(point))
     }
 
-    /// Removes the point with identity `key`, dropping every handle the
-    /// index held on it. Returns `true` if the identity was present.
+    /// Removes the point with identity `key`. The index drops its handles
+    /// on the point at once, except a k-d tree base's, which stays until
+    /// the base's next rebuild. Returns `true` if the identity was present.
     pub fn remove(&mut self, key: &PointKey) -> bool {
         let Some(point) = self.all.get_arc(key).cloned() else { return false };
         self.all.discard(key);
@@ -1015,10 +587,10 @@ impl DynamicIndex {
         DYNAMIC_SPILL_MIN.max(self.all.len() / DYNAMIC_SPILL_FRACTION)
     }
 
-    /// Rebuilds the base over the whole set (or drops it, where the strategy
-    /// now keeps the set brute-sized) and empties the spill.
+    /// Rebuilds the base over the whole set (or drops it, where the set is
+    /// now brute-sized) and empties the spill.
     fn rebuild(&mut self) {
-        self.base = AnyIndex::structured(self.strategy, &self.all);
+        self.base = tree_for(&self.all);
         self.spill = PointSet::new();
         self.deleted = 0;
     }
@@ -1149,11 +721,7 @@ mod tests {
     }
 
     fn all_indexes(data: &PointSet) -> Vec<AnyIndex> {
-        vec![
-            AnyIndex::build(IndexStrategy::Brute, data),
-            AnyIndex::build(IndexStrategy::Grid, data),
-            AnyIndex::build(IndexStrategy::KdTree, data),
-        ]
+        vec![AnyIndex::Brute(BruteIndex::build(data)), AnyIndex::KdTree(KdTreeIndex::build(data))]
     }
 
     #[test]
@@ -1247,76 +815,15 @@ mod tests {
     }
 
     #[test]
-    fn grid_cells_contain_their_points_despite_rounding_slivers() {
-        // Extents whose division by the cell count is inexact (thirds,
-        // sevenths) leave `extent / cells * cells < extent`: the data
-        // maximum then lies beyond the last cell's nominal edge and clamped
-        // assignments must still fall inside the (extended) cell box, or
-        // the box-distance prune would not be a lower bound.
-        for denom in [3.0f64, 7.0, 11.0] {
-            let data: PointSet = (0..49)
-                .map(|i| pt(i, 0, vec![i as f64 / denom, (48 - i) as f64 / denom]))
-                .collect();
-            let grid = GridIndex::build(&data);
-            for (flat, bucket) in grid.cells.iter().enumerate() {
-                // Recover the coordinates of this flat cell index.
-                let mut coords = vec![0usize; grid.dim];
-                let mut rest = flat;
-                for d in (0..grid.dim).rev() {
-                    coords[d] = rest % grid.cells_per_dim[d];
-                    rest /= grid.cells_per_dim[d];
-                }
-                for &i in bucket {
-                    let p = &grid.points[i as usize];
-                    for (d, &c) in coords.iter().enumerate() {
-                        let v = p.features[d];
-                        assert!(
-                            v >= grid.axis_lo(d, c) && v <= grid.axis_hi(d, c),
-                            "denom {denom}: point {v} escapes its cell box on axis {d}"
-                        );
-                    }
-                    assert_eq!(grid.cell_box_distance(&p.features, &coords), 0.0);
-                }
-            }
-            // And the queries stay exact, including from beyond the sliver.
-            let brute = BruteIndex::build(&data);
-            for q in
-                [pt(90, 0, vec![48.0 / denom, 48.0 / denom]), pt(91, 0, vec![100.0, -3.0 / denom])]
-            {
-                for k in [1, 4] {
-                    let expected = brute.k_nearest(&q, k);
-                    let got = grid.k_nearest(&q, k);
-                    assert_eq!(expected.len(), got.len());
-                    for (e, g) in expected.iter().zip(got.iter()) {
-                        assert_eq!(e.0.to_bits(), g.0.to_bits());
-                        assert_eq!(e.1.key, g.1.key);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn snapshot_is_available_exactly_for_brute_backed_indexes() {
         let data = sample_set();
-        assert!(AnyIndex::build(IndexStrategy::Brute, &data).snapshot().is_some());
-        assert!(AnyIndex::build(IndexStrategy::Auto, &data).snapshot().is_some());
-        assert!(AnyIndex::build(IndexStrategy::Grid, &data).snapshot().is_none());
-        assert!(AnyIndex::build(IndexStrategy::KdTree, &data).snapshot().is_none());
+        assert!(AnyIndex::build(&data).snapshot().is_some());
+        assert!(AnyIndex::KdTree(KdTreeIndex::build(&data)).snapshot().is_none());
         assert_eq!(
-            AnyIndex::build(IndexStrategy::Brute, &data).snapshot(),
+            AnyIndex::build(&data).snapshot(),
             Some(&data),
             "the snapshot is the indexed data itself"
         );
-    }
-
-    #[test]
-    fn identical_points_collapse_to_one_grid_cell() {
-        let data: PointSet = (0..10).map(|i| pt(i, 0, vec![7.0, 7.0])).collect();
-        let grid = GridIndex::build(&data);
-        let got = grid.k_nearest(&pt(0, 0, vec![7.0, 7.0]), 10);
-        assert_eq!(got.len(), 9);
-        assert!(got.iter().all(|(d, _)| *d == 0.0));
     }
 
     #[test]
@@ -1328,29 +835,33 @@ mod tests {
     }
 
     #[test]
-    fn auto_strategy_picks_by_size_and_occupancy() {
+    fn build_picks_by_size_and_dimensionality() {
         let small = sample_set();
-        assert!(matches!(AnyIndex::build(IndexStrategy::Auto, &small), AnyIndex::Brute(_)));
-        // Evenly spread points fill the probe's cells: the grid wins.
+        assert!(matches!(AnyIndex::build(&small), AnyIndex::Brute(_)));
         let spread: PointSet =
-            (0..AUTO_BRUTE_THRESHOLD as u32 + 1).map(|i| pt(i, 0, vec![i as f64, 0.5])).collect();
-        assert!(matches!(AnyIndex::build(IndexStrategy::Auto, &spread), AnyIndex::Grid(_)));
-        // One dense cluster plus a lone straggler leaves almost every cell
-        // empty: the probe rejects the grid and the k-d tree is built.
-        let clustered: PointSet = (0..AUTO_BRUTE_THRESHOLD as u32)
-            .map(|i| pt(i, 0, vec![i as f64 * 1e-3, 0.5]))
-            .chain(std::iter::once(pt(999, 0, vec![1000.0, 0.5])))
+            (0..AUTO_BRUTE_THRESHOLD as u32).map(|i| pt(i, 0, vec![i as f64, 0.5])).collect();
+        assert!(matches!(AnyIndex::build(&spread), AnyIndex::KdTree(_)));
+        // Mixed dimensionality stays brute force at any size.
+        let mixed: PointSet = (0..AUTO_BRUTE_THRESHOLD as u32)
+            .map(|i| pt(i, 0, if i == 0 { vec![1.0] } else { vec![1.0, i as f64] }))
             .collect();
-        assert!(matches!(AnyIndex::build(IndexStrategy::Auto, &clustered), AnyIndex::KdTree(_)));
-        let mixed: PointSet =
-            vec![pt(1, 0, vec![1.0]), pt(2, 0, vec![1.0, 2.0])].into_iter().collect();
-        assert!(matches!(AnyIndex::build(IndexStrategy::KdTree, &mixed), AnyIndex::Brute(_)));
-        assert_eq!(IndexStrategy::default(), IndexStrategy::Auto);
+        assert!(matches!(AnyIndex::build(&mixed), AnyIndex::Brute(_)));
+    }
+
+    #[test]
+    fn the_tree_shares_the_sets_points() {
+        let spread: PointSet =
+            (0..AUTO_BRUTE_THRESHOLD as u32).map(|i| pt(i, 0, vec![i as f64, 0.5])).collect();
+        let AnyIndex::KdTree(tree) = AnyIndex::build(&spread) else { panic!("a k-d tree") };
+        for p in spread.iter_arcs() {
+            assert!(tree.points.iter().any(|q| Arc::ptr_eq(p, q)), "{p} is shared, not copied");
+        }
+        assert_eq!(tree.to_point_set(), spread);
     }
 
     #[test]
     fn dynamic_index_matches_fresh_build_after_inserts() {
-        let mut dynamic = DynamicIndex::build(IndexStrategy::Auto, &sample_set());
+        let mut dynamic = DynamicIndex::build(&sample_set());
         let mut contents = sample_set();
         // Grow one point at a time, including a duplicate-coordinate twin
         // (tie under ≺) and a duplicate key (no-op).
@@ -1393,7 +904,7 @@ mod tests {
 
     #[test]
     fn dynamic_index_rebuilds_once_the_spill_overflows() {
-        let mut dynamic = DynamicIndex::build(IndexStrategy::Auto, &PointSet::new());
+        let mut dynamic = DynamicIndex::build(&PointSet::new());
         let mut inserted = 0u32;
         // Insert well past the minimum spill size: the spill must have been
         // folded into the base at least once (spilled() < total inserted).
@@ -1426,7 +937,7 @@ mod tests {
         // the insert lands in the spill.
         let spread: PointSet =
             (0..AUTO_BRUTE_THRESHOLD as u32).map(|i| pt(i, 0, vec![i as f64, 0.5])).collect();
-        let mut dynamic = DynamicIndex::build(IndexStrategy::Auto, &spread);
+        let mut dynamic = DynamicIndex::build(&spread);
         let handle = Arc::new(pt(400, 0, vec![9.0, 9.0]));
         assert!(dynamic.insert_arc(Arc::clone(&handle)));
         assert!(Arc::ptr_eq(dynamic.contents().get_arc(&handle.key).unwrap(), &handle));
@@ -1436,7 +947,7 @@ mod tests {
 
     #[test]
     fn a_brute_sized_dynamic_index_holds_one_copy_and_no_spill() {
-        let mut dynamic = DynamicIndex::build(IndexStrategy::Auto, &sample_set());
+        let mut dynamic = DynamicIndex::build(&sample_set());
         let handle = Arc::new(pt(40, 0, vec![9.0, 9.0]));
         assert!(dynamic.insert_arc(Arc::clone(&handle)));
         assert_eq!(dynamic.spilled(), 0, "a brute-sized index keeps no spill");
@@ -1449,18 +960,5 @@ mod tests {
             dynamic.insert(pt(100 + i, 0, vec![i as f64, -1.0]));
         }
         assert!(dynamic.base.is_some());
-    }
-
-    #[test]
-    fn occupancy_probe_handles_degenerate_shapes() {
-        // All points identical: every extent collapses into one cell, which
-        // cannot discriminate — the grid is rejected.
-        let identical: PointSet = (0..60).map(|i| pt(i, 0, vec![7.0, 7.0])).collect();
-        assert!(!grid_occupancy_is_uniform(&GridIndex::build(&identical)));
-        assert!(matches!(AnyIndex::build(IndexStrategy::Auto, &identical), AnyIndex::KdTree(_)));
-        // Zero-dimensional points: no axes to probe.
-        let zero_dim: PointSet = (0..60).map(|i| pt(i, 0, vec![])).collect();
-        assert!(!grid_occupancy_is_uniform(&GridIndex::build(&zero_dim)));
-        assert!(!grid_occupancy_is_uniform(&GridIndex::build(&PointSet::new())));
     }
 }

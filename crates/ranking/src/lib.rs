@@ -71,7 +71,7 @@ pub mod topn;
 
 pub use count::NeighborCountInverse;
 pub use function::RankingFunction;
-pub use index::{AnyIndex, DynamicIndex, IndexStrategy, NeighborIndex};
+pub use index::{AnyIndex, DynamicIndex, NeighborIndex};
 pub use knn::{KnnAverageDistance, KthNeighborDistance};
 pub use nn::NnDistance;
 pub use topn::{top_n_outliers, top_n_outliers_indexed, OutlierEstimate};

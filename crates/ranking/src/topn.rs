@@ -5,7 +5,7 @@
 //! order `≺` (§4.1). When `|D| < n`, `O_n(D) = D`.
 
 use crate::function::RankingFunction;
-use crate::index::{AnyIndex, IndexStrategy, NeighborIndex};
+use crate::index::{AnyIndex, NeighborIndex};
 use std::sync::Arc;
 use wsn_data::order::{sort_by_outlier_order, RankedPoint};
 use wsn_data::{DataPoint, PointKey, PointSet};
@@ -28,8 +28,14 @@ pub struct OutlierEstimate {
 }
 
 impl OutlierEstimate {
-    /// Wraps an already rank-ordered selection, caching its sorted keys.
-    fn from_ranked(ranked: Vec<RankedPoint>) -> Self {
+    /// Wraps a selection already in outlier order (descending rank, ties
+    /// by `≺`, as [`sort_by_outlier_order`] leaves it), caching its sorted
+    /// keys.
+    pub fn from_ranked(ranked: Vec<RankedPoint>) -> Self {
+        debug_assert!(
+            ranked.windows(2).all(|w| w[0].outlier_order(&w[1]).is_le()),
+            "the selection must be in outlier order"
+        );
         let mut sorted_keys: Vec<PointKey> = ranked.iter().map(|r| r.point.key).collect();
         sorted_keys.sort_unstable();
         OutlierEstimate { ranked, sorted_keys }
@@ -96,7 +102,7 @@ pub fn top_n_outliers<R: RankingFunction + ?Sized>(
     n: usize,
     data: &PointSet,
 ) -> OutlierEstimate {
-    let index = AnyIndex::build(IndexStrategy::Auto, data);
+    let index = AnyIndex::build(data);
     top_n_outliers_indexed(ranking, n, data, &index)
 }
 

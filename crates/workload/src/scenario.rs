@@ -353,6 +353,7 @@ impl FieldStack {
         let Some(first) = layers.first() else {
             return Ok(Vec::new());
         };
+        let by_id: Vec<_> = layers.iter().map(DeploymentTrace::streams_by_id).collect();
         let mut out = Vec::new();
         'sensors: for stream in &first.streams {
             let spec = stream.spec;
@@ -360,8 +361,9 @@ impl FieldStack {
             let mut anomalous = false;
             let mut epoch = None;
             let mut timestamp = None;
-            for layer in layers {
-                let layer_stream = layer.stream(spec.id)?;
+            for streams in &by_id {
+                let layer_stream =
+                    streams.get(&spec.id).ok_or(DataError::UnknownSensor(spec.id.raw()))?;
                 let Some(reading) = layer_stream.readings.get(round) else {
                     continue 'sensors;
                 };

@@ -125,8 +125,8 @@ pub mod prelude {
     pub use wsn_fleet::{DetectorFleet, FleetError, TenantId, TenantRuntime, TenantSpec};
     pub use wsn_netsim::{LossModel, NetworkStats, SimConfig, Simulator, Topology};
     pub use wsn_ranking::{
-        top_n_outliers, top_n_outliers_indexed, AnyIndex, IndexStrategy, KnnAverageDistance,
-        NeighborIndex, NnDistance, OutlierEstimate, RankingFunction,
+        top_n_outliers, top_n_outliers_indexed, AnyIndex, KnnAverageDistance, NeighborIndex,
+        NnDistance, OutlierEstimate, RankingFunction,
     };
     pub use wsn_workload::{FieldStack, Injector, Scenario, TraceReplay};
 }

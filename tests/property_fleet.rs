@@ -17,14 +17,17 @@
 //!    replayed over the same input stream (at-least-once re-ingestion:
 //!    stale epochs are dropped) finishes with exactly the estimates,
 //!    traffic counters and cursors of a fleet that was never killed, and a
-//!    leftover `*.tmp` is overwritten by the next round of its shard. The
+//!    leftover `*.tmp` is overwritten by the next round of its shard. Each
+//!    tenant the killed run checkpointed in a step that returned is
+//!    restored with at least the slides that checkpoint recorded, so a
+//!    stale record fails the case even though replay would catch it up. The
 //!    directory the resumed fleet leaves, where a tenant that was not due
 //!    when its shard was rewritten keeps a record copied from the shard's
 //!    previous file, resumes a third fleet just as exactly.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use in_network_outlier::data::stream::SensorSpec;
 use in_network_outlier::detection::persist::{arm_crash_point, disarm_crash_points, CRASH_MARKER};
@@ -185,6 +188,38 @@ fn final_state(fleet: &DetectorFleet) -> Vec<TenantFinal> {
         .collect()
 }
 
+/// The slides each tenant's checkpoint record holds at least, replayed from
+/// the fleet's checkpoint rule after every step that returned: a shard with
+/// a due member (`slides − checkpointed_at ≥ every`) is rewritten, with a
+/// fresh record for each due member and for each member that has no record
+/// yet; the other members keep theirs. `None`: no record yet.
+struct RecordFloor {
+    every: u64,
+    slides: BTreeMap<TenantId, Option<u64>>,
+}
+
+impl RecordFloor {
+    fn after_step(&mut self, fleet: &DetectorFleet, dir: &Path) {
+        let mut shards: BTreeMap<PathBuf, Vec<TenantId>> = BTreeMap::new();
+        for tenant in fleet.tenant_ids() {
+            shards.entry(fleet.checkpoint_path(dir, tenant)).or_default().push(tenant);
+        }
+        for members in shards.values() {
+            let recorded = |t: &TenantId| self.slides.get(t).copied().flatten();
+            let due =
+                |t: &TenantId| fleet.slides(*t).unwrap() - recorded(t).unwrap_or(0) >= self.every;
+            if !members.iter().any(due) {
+                continue;
+            }
+            let fresh: Vec<TenantId> =
+                members.iter().filter(|t| due(t) || recorded(t).is_none()).copied().collect();
+            for t in fresh {
+                self.slides.insert(t, Some(fleet.slides(t).unwrap()));
+            }
+        }
+    }
+}
+
 /// The `*.tmp` files under `dir`: shard files written but not installed.
 fn leftover_tmp_files(dir: &std::path::Path) -> Vec<String> {
     std::fs::read_dir(dir)
@@ -265,10 +300,27 @@ fn a_fleet_killed_at_a_checkpoint_and_resumed_matches_the_run_that_never_stopped
 
         // The checkpointed run, killed by the injected crash. With a late
         // `kill_at` the armed site may never fire — then the run simply
-        // completes, which is a valid (trivial) resume case.
+        // completes, which is a valid (trivial) resume case. Every step
+        // that returns moves the floor of the records it wrote.
         let site = KILL_SITES[case as usize % KILL_SITES.len()];
+        let mut floor = RecordFloor { every, slides: BTreeMap::new() };
         arm_crash_point(site, kill_at);
-        let killed = catch_unwind(AssertUnwindSafe(|| replay(build(Some(&dir)), &ops)));
+        let killed = catch_unwind(AssertUnwindSafe(|| {
+            let mut fleet = build(Some(&dir));
+            for op in &ops {
+                match op {
+                    Op::Ingest(tenant, batch) => {
+                        fleet.ingest(*tenant, batch.clone()).unwrap();
+                    }
+                    Op::Step => {
+                        fleet.step().unwrap();
+                        floor.after_step(&fleet, &dir);
+                    }
+                }
+            }
+            fleet.flush().unwrap();
+            floor.after_step(&fleet, &dir);
+        }));
         disarm_crash_points();
         if let Err(payload) = killed {
             let message = payload.downcast::<String>().expect("crash panics carry a String");
@@ -287,6 +339,18 @@ fn a_fleet_killed_at_a_checkpoint_and_resumed_matches_the_run_that_never_stopped
             "checkpoints written before the kill must restore cleanly: {:?}",
             report.failed
         );
+        // Replay catches a stale tenant up, so check each record's slides
+        // before it does.
+        for (tenant, recorded) in &floor.slides {
+            let Some(recorded) = *recorded else { continue };
+            assert!(
+                report.restored.contains(tenant) && resumed.slides(*tenant).unwrap() >= recorded,
+                "case {case}, {site} hit {kill_at}: tenant {tenant:?} resumed at {} slides, \
+                 below the {recorded} its checkpoint recorded (restored: {:?})",
+                resumed.slides(*tenant).unwrap(),
+                report.restored
+            );
+        }
         // Replaying the whole stream into fresh tenants would also end equal
         // to the baseline, so count the tenants that resumed mid-stream.
         resumed_mid_stream +=

@@ -1,6 +1,6 @@
 //! Property suite for the spatial neighbour-index subsystem: across 256
-//! seeded cases, the grid and k-d tree indexes must agree **exactly** — bit
-//! for bit — with the brute-force path on every query the ranking layer
+//! seeded cases, the k-d tree index must agree **exactly** — bit for bit —
+//! with the brute-force path on every query the ranking layer
 //! makes: raw `k`-nearest / in-radius lookups, ranks, support sets, top-`n`
 //! outlier estimates and sufficient sets, for the NN, average-k-NN, k-th-NN
 //! and inverse-count rankings.
@@ -19,7 +19,8 @@ use wsn_data::rng::SeededRng;
 use wsn_data::{PointKey, SlidingWindow};
 use wsn_ranking::function::{support_of_set, support_of_set_indexed};
 use wsn_ranking::index::{
-    AnyIndex, DynamicIndex, IndexStrategy, NeighborIndex, DYNAMIC_SPILL_FRACTION, DYNAMIC_SPILL_MIN,
+    AnyIndex, BruteIndex, DynamicIndex, KdTreeIndex, NeighborIndex, AUTO_BRUTE_THRESHOLD,
+    DYNAMIC_SPILL_FRACTION, DYNAMIC_SPILL_MIN,
 };
 use wsn_ranking::{top_n_outliers_indexed, KthNeighborDistance, NeighborCountInverse};
 
@@ -75,10 +76,7 @@ fn gen_queries(rng: &mut SeededRng, data: &PointSet, dim: usize) -> Vec<DataPoin
 }
 
 fn structured_indexes(data: &PointSet) -> Vec<(&'static str, AnyIndex)> {
-    vec![
-        ("grid", AnyIndex::build(IndexStrategy::Grid, data)),
-        ("kd", AnyIndex::build(IndexStrategy::KdTree, data)),
-    ]
+    vec![("kd", AnyIndex::KdTree(KdTreeIndex::build(data)))]
 }
 
 /// Asserts two `(distance, point)` candidate lists are identical, down to
@@ -97,7 +95,7 @@ fn assert_same_candidates(
 }
 
 /// Raw index queries (`k_nearest`, `within_radius`) agree with brute force
-/// for every strategy, query point, `k` and radius.
+/// for every query point, `k` and radius.
 #[test]
 fn index_queries_match_brute_force() {
     let mut rng = SeededRng::seed_from_u64(SEED);
@@ -108,7 +106,7 @@ fn index_queries_match_brute_force() {
         let queries = gen_queries(&mut rng, &data, dim);
         let k = rng.gen_range(1usize..7);
         let radius = rng.gen_range(0.0..12.0);
-        let brute = AnyIndex::build(IndexStrategy::Brute, &data);
+        let brute = BruteIndex::build(&data);
         for (label, index) in structured_indexes(&data) {
             assert_eq!(index.len(), data.len());
             for (qi, x) in queries.iter().enumerate() {
@@ -167,7 +165,7 @@ fn indexed_ranks_and_support_sets_match_plain_computation() {
 }
 
 /// `top_n_outliers`, `support_of_set` and `sufficient_set` — the protocol's
-/// three consumers — produce identical results through every index strategy,
+/// three consumers — produce identical results through every index,
 /// for both the NN and KNN rankings the paper evaluates.
 #[test]
 fn protocol_kernels_are_identical_across_index_strategies() {
@@ -182,7 +180,7 @@ fn protocol_kernels_are_identical_across_index_strategies() {
         let known: PointSet = data.iter().filter(|_| rng.gen_bool(0.4)).cloned().collect();
         let rankings: Vec<Box<dyn RankingFunction>> =
             vec![Box::new(NnDistance), Box::new(KnnAverageDistance::new(k))];
-        let brute = AnyIndex::build(IndexStrategy::Brute, &data);
+        let brute = BruteIndex::build(&data);
         for ranking in &rankings {
             let ranking = ranking.as_ref();
             let context = || {
@@ -224,18 +222,18 @@ fn protocol_kernels_are_identical_across_index_strategies() {
                 "sufficient_set_indexed differs from the rebuild reference: {}",
                 context()
             );
-            // The public auto-strategy entry points agree with the explicit
-            // brute baseline.
+            // The public entry points, which build their own index, agree
+            // with the explicit brute baseline.
             assert_eq!(
                 top_n_outliers(ranking, n, &data).ranked(),
                 reference_estimate.ranked(),
-                "auto top-n differs from brute: {}",
+                "top-n differs from brute: {}",
                 context()
             );
             assert_eq!(
                 sufficient_set(ranking, n, &data, &known),
                 reference_sufficient,
-                "auto sufficient set differs from brute: {}",
+                "sufficient set differs from brute: {}",
                 context()
             );
             for (label, index) in structured_indexes(&data) {
@@ -276,18 +274,11 @@ fn protocol_kernels_are_identical_across_index_strategies() {
 fn dynamic_index_matches_fresh_rebuild_under_interleaved_inserts() {
     let mut rng = SeededRng::seed_from_u64(SEED ^ 3);
     let (mut reinserted, mut crossed) = (0usize, 0usize);
-    let strategies = [
-        ("auto", IndexStrategy::Auto),
-        ("brute", IndexStrategy::Brute),
-        ("grid", IndexStrategy::Grid),
-        ("kd", IndexStrategy::KdTree),
-    ];
     for case in 0..CASES {
         let dim = rng.gen_range(1usize..4);
         let initial_len = rng.gen_range(0usize..80);
         let initial = gen_dataset(&mut rng, initial_len, dim);
-        let (label, strategy) = strategies[case % strategies.len()];
-        let mut dynamic = DynamicIndex::build(strategy, &initial);
+        let mut dynamic = DynamicIndex::build(&initial);
         let mut contents = initial.clone();
         let k = rng.gen_range(1usize..6);
         let radius = rng.gen_range(0.0..12.0);
@@ -321,7 +312,7 @@ fn dynamic_index_matches_fresh_rebuild_under_interleaved_inserts() {
                 assert_eq!(
                     dynamic.insert_arc(Arc::clone(&arc)),
                     expect_new,
-                    "case {case} (seed {SEED:#x}) {label}: insert outcome differs"
+                    "case {case} (seed {SEED:#x}): insert outcome differs"
                 );
                 contents.insert_arc(arc);
             }
@@ -336,28 +327,27 @@ fn dynamic_index_matches_fresh_rebuild_under_interleaved_inserts() {
                 let key = keys.swap_remove(rng.gen_index(keys.len()));
                 assert!(
                     dynamic.remove(&key),
-                    "case {case} (seed {SEED:#x}) {label}: removing a held identity"
+                    "case {case} (seed {SEED:#x}): removing a held identity"
                 );
                 removed.push(contents.get(&key).expect("a held identity").clone());
                 contents.discard(&key);
             }
             assert!(!dynamic.remove(&point(99, 0, vec![]).key), "an absent identity");
             // At most `spilled` removals came out of the spill; past that,
-            // more than the threshold means the base was rebuilt.
+            // more than the threshold means the base was rebuilt. A set of
+            // at least the brute threshold always has a k-d tree base.
             let threshold = DYNAMIC_SPILL_MIN.max(before / DYNAMIC_SPILL_FRACTION);
-            let structured = matches!(strategy, IndexStrategy::Grid | IndexStrategy::KdTree);
-            if structured && count > spilled + threshold {
+            if before >= AUTO_BRUTE_THRESHOLD && count > spilled + threshold {
                 crossed += 1;
             }
             assert_eq!(dynamic.len(), contents.len());
             assert_eq!(dynamic.to_point_set(), contents);
-            let fresh = AnyIndex::build(IndexStrategy::Brute, &contents);
+            let fresh = BruteIndex::build(&contents);
             let mut queries = gen_queries(&mut rng, &contents, dim);
             queries.extend(removed.iter().rev().take(3).cloned());
             for (qi, x) in queries.iter().enumerate().step_by(3) {
-                let context = format!(
-                    "case {case} (seed {SEED:#x}) {label}, dim={dim}, round={round}, q#{qi}"
-                );
+                let context =
+                    format!("case {case} (seed {SEED:#x}), dim={dim}, round={round}, q#{qi}");
                 assert_same_candidates(
                     &fresh.k_nearest(x, k),
                     &dynamic.k_nearest(x, k),
@@ -372,19 +362,19 @@ fn dynamic_index_matches_fresh_rebuild_under_interleaved_inserts() {
         }
         // The protocol kernels through the grown dynamic index equal the
         // fresh rebuild too.
-        let fresh = AnyIndex::build(IndexStrategy::Brute, &contents);
+        let fresh = BruteIndex::build(&contents);
         let n = rng.gen_range(1usize..4);
         let estimate = top_n_outliers_indexed(&NnDistance, n, &contents, &dynamic);
         assert_eq!(
             estimate.ranked(),
             top_n_outliers_indexed(&NnDistance, n, &contents, &fresh).ranked(),
-            "case {case} (seed {SEED:#x}) {label}: top-n through the dynamic index differs"
+            "case {case} (seed {SEED:#x}): top-n through the dynamic index differs"
         );
         let known: PointSet = contents.iter().filter(|_| rng.gen_bool(0.3)).cloned().collect();
         assert_eq!(
             sufficient_set_indexed(&NnDistance, n, &contents, &dynamic, &known),
             sufficient_set_rebuild_reference(&NnDistance, n, &contents, &fresh, &known),
-            "case {case} (seed {SEED:#x}) {label}: sufficient set through the dynamic index differs"
+            "case {case} (seed {SEED:#x}): sufficient set through the dynamic index differs"
         );
         assert_eq!(dynamic.to_point_set(), contents);
     }
@@ -513,7 +503,7 @@ fn note_driven_engine_matches_the_rebuild_reference_across_slides() {
             // Process: every neighbour's sufficient set against the
             // reference, then the send recorded and noted.
             let pi = window.contents().clone();
-            let index = AnyIndex::build(IndexStrategy::Brute, &pi);
+            let index = BruteIndex::build(&pi);
             for &j in &neighbors {
                 let known_j = known.get(&j).cloned().unwrap_or_default();
                 let revision = revisions.get(&j).copied().unwrap_or(0);

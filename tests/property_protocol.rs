@@ -7,6 +7,7 @@
 //! case prints its index and every generated input.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use in_network_outlier::detection::metrics::{estimates_agree, GroundTruth};
 use in_network_outlier::detection::sufficient::sufficient_set;
@@ -214,4 +215,103 @@ fn sufficient_sets_satisfy_equation_2() {
         let support = wsn_ranking::function::support_of_set(&NnDistance, &pi, &neighbour_estimate);
         assert!(support.is_subset_of(&z), "Z is not closed under equation (2)\n{}", context());
     }
+}
+
+/// Asserts two estimates are identical: the same points in the same order,
+/// with bit-identical ranks.
+fn assert_same_estimate(served: &OutlierEstimate, reference: &OutlierEstimate, context: &str) {
+    assert_eq!(served.len(), reference.len(), "estimate sizes differ: {context}");
+    for (i, (s, r)) in served.ranked().iter().zip(reference.ranked()).enumerate() {
+        assert_eq!(s.rank.to_bits(), r.rank.to_bits(), "rank #{i} differs: {context}");
+        assert_eq!(*s.point, *r.point, "outlier #{i} differs: {context}");
+    }
+}
+
+/// A global-scope node's estimate, which the fixed-point engine serves
+/// whenever it processed the window's current revision, equals
+/// `top_n_outliers` over the node's window, ranks compared bitwise, across
+/// 256 seeded cases. Each case runs a random connected graph of 2–6 nodes
+/// through 3–7 window slides of a 2–4 s window, so most slides evict; NN and
+/// KNN-avg (k = 1–4) alternate, with n = 1–4. Every node is checked after
+/// every quiescence, and also right after each slide's clock advance, when
+/// the engine still holds the previous revision's selection; now and then a
+/// node is replaced by a copy restored from its snapshot, whose engine
+/// starts cold.
+#[test]
+fn served_global_estimates_equal_the_reference_selection() {
+    let mut rng = SeededRng::seed_from_u64(SEED ^ 3);
+    let (mut checked, mut evictions, mut restores) = (0usize, 0usize, 0usize);
+    for case in 0..CASES {
+        let count = rng.gen_range(2usize..7);
+        let edges = gen_topology(&mut rng, count);
+        let n = rng.gen_range(1usize..5);
+        let k = rng.gen_range(1usize..5);
+        let ranking: Arc<dyn RankingFunction> =
+            if case % 2 == 0 { Arc::new(NnDistance) } else { Arc::new(KnnAverageDistance::new(k)) };
+        let window = WindowConfig::from_secs(rng.gen_range(2u64..5)).unwrap();
+        let mut adjacency: BTreeMap<SensorId, Vec<SensorId>> =
+            (0..count).map(|i| (SensorId(i as u32), Vec::new())).collect();
+        for &(a, b) in &edges {
+            adjacency.get_mut(&SensorId(a as u32)).unwrap().push(SensorId(b as u32));
+            adjacency.get_mut(&SensorId(b as u32)).unwrap().push(SensorId(a as u32));
+        }
+        for peers in adjacency.values_mut() {
+            peers.sort_unstable();
+        }
+        let make =
+            |i: usize| DetectorNode::new(SensorId(i as u32), ranking.clone(), n, None, window);
+        let mut nodes: Vec<DetectorNode<Arc<dyn RankingFunction>>> = (0..count).map(make).collect();
+        let mut epoch = 0u64;
+        let slides = rng.gen_range(3u64..8);
+        let check = |nodes: &[DetectorNode<Arc<dyn RankingFunction>>], at: &str| {
+            for node in nodes {
+                let context = format!(
+                    "case {case} (seed {SEED:#x}) {}, n={n}, {at}, node {}, edges {edges:?}",
+                    ranking.name(),
+                    node.id()
+                );
+                let reference = top_n_outliers(node.ranking(), n, node.held_points());
+                assert_same_estimate(&node.estimate(), &reference, &context);
+            }
+            nodes.len()
+        };
+        for secs in 1..=slides {
+            let now = Timestamp::from_secs(secs);
+            for node in &mut nodes {
+                let held = node.held_points().len();
+                node.advance_time(now);
+                evictions += usize::from(node.held_points().len() < held);
+            }
+            checked += check(&nodes, &format!("t={secs}s after the clock advance"));
+            if rng.gen_bool(0.1) {
+                let i = rng.gen_index(count);
+                let mut restored = make(i);
+                restored.persist_restore(&nodes[i].persist_snapshot()).unwrap();
+                nodes[i] = restored;
+                restores += 1;
+                checked += check(&nodes, &format!("t={secs}s after restoring node {i}"));
+            }
+            for (i, node) in nodes.iter_mut().enumerate() {
+                let points = (0..rng.gen_range(0usize..4))
+                    .map(|_| {
+                        epoch += 1;
+                        let value = if rng.gen_bool(0.8) {
+                            rng.gen_range(18.0..24.0)
+                        } else {
+                            rng.gen_range(-100.0..150.0)
+                        };
+                        DataPoint::new(SensorId(i as u32), Epoch(epoch), now, vec![value]).unwrap()
+                    })
+                    .collect();
+                node.add_local_points(points);
+            }
+            run_to_quiescence(&mut nodes, &adjacency);
+            checked += check(&nodes, &format!("t={secs}s at quiescence"));
+        }
+    }
+    assert!(
+        evictions > 0 && restores > 0,
+        "the cases must slide and restore: {evictions} evicting advances, {restores} restores \
+         over {checked} checked estimates"
+    );
 }

@@ -111,8 +111,10 @@ fn telemetry_on_and_off_runs_are_bit_identical_across_256_cases() {
 /// perform **zero** desync rebuilds, whether or not the windows slide —
 /// every record and every eviction reaches the engines as a delta note, so
 /// no sync chain breaks. A regression that re-introduced full rebuilds on
-/// the hot path would trip this before it tripped a benchmark. Three
-/// Global-NN inputs:
+/// the hot path would trip this before it tripped a benchmark. Every
+/// estimate read must come from the engine, too, with **zero** fallbacks
+/// to `top_n_outliers`: each node processed its window's last revision
+/// before it is read. Three Global-NN inputs:
 ///
 /// * a 12-sensor streaming run whose window (10 samples) is wider than its
 ///   4-round trace: nothing is ever evicted;
@@ -120,7 +122,8 @@ fn telemetry_on_and_off_runs_are_bit_identical_across_256_cases() {
 ///   from the fourth evicts;
 /// * one 3×3 fleet tenant (10 m grid, 15 m range, `n = 2`, `w = 8`, the
 ///   shape of the benchmark's fleet tenants) served 12 epochs through
-///   [`TenantRuntime`]: its windows evict from the ninth epoch on.
+///   [`TenantRuntime`], every node's estimate read after each epoch: its
+///   windows evict from the ninth epoch on.
 #[test]
 fn steady_state_streaming_performs_zero_desync_rebuilds() {
     use wsn_data::rng::SeededRng;
@@ -160,6 +163,7 @@ fn steady_state_streaming_performs_zero_desync_rebuilds() {
             sample_interval_secs: 31.0,
         };
         let mut runtime = TenantRuntime::new(spec).expect("a valid tenant");
+        let mut read = 0;
         for epoch in 0..12u64 {
             // Clustered readings with a rare spike, so the protocol works.
             let mut rng = SeededRng::seed_from_u64(epoch);
@@ -172,8 +176,10 @@ fn steady_state_streaming_performs_zero_desync_rebuilds() {
                 })
                 .collect();
             runtime.ingest(readings);
+            assert_eq!(runtime.run_due(true).len(), 1, "every epoch must slide");
+            read += runtime.estimates().len();
         }
-        assert_eq!(runtime.run_due(true).len(), 12, "every epoch must slide");
+        assert_eq!(read, 12 * 9, "every node's estimate is read after every epoch");
     };
     let inputs: [(&str, &dyn Fn()); 3] = [
         ("streaming, no eviction (w = 10, 4 rounds)", &streaming(4, 10)),
@@ -195,6 +201,12 @@ fn steady_state_streaming_performs_zero_desync_rebuilds() {
                 report.counter("engine.desync_rebuilds"),
                 0,
                 "{what}: the fixed point must never desync-rebuild; report: {:?}",
+                report.counters,
+            );
+            assert_eq!(
+                report.counter("detector.estimate_fallbacks"),
+                0,
+                "{what}: the engine must serve every estimate; report: {:?}",
                 report.counters,
             );
         }
