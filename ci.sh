@@ -64,15 +64,25 @@ CARGO_TARGET_DIR=target/benchmark RUSTDOCFLAGS="-D warnings" \
 # converging would pass it; quickstart must end with the two sensors in
 # agreement, and semi_global_tracking runs the loss-free transport
 # (`wsn_core::transport::run_to_quiescence`) on a chain for three hop
-# diameters. lab_deployment simulates the paper's 53-sensor lab with
-# Global-NN, whose estimates the fixed-point engine serves: every node must
-# agree and hold the exact O_n.
+# diameters: its three result lines (which sensors flag the phantom, and
+# how many points moved) must read exactly as below, so any change to
+# hop-scope answers or traffic fails here. lab_deployment simulates the
+# paper's 53-sensor lab with Global-NN, whose estimates the fixed-point
+# engine serves: every node must agree and hold the exact O_n.
 echo "== example smoke (quickstart, semi_global_tracking, lab_deployment) =="
 quickstart=$(cargo run --release --offline --example quickstart)
 printf '%s\n' "$quickstart"
 grep -q "estimates agree: true" <<<"$quickstart" \
     || { echo "quickstart: the two sensors did not agree"; exit 1; }
-cargo run --release --offline --example semi_global_tracking
+tracking=$(cargo run --release --offline --example semi_global_tracking)
+printf '%s\n' "$tracking"
+for line in \
+    "epsilon = 1: sensors flagging the phantom: s1 s2 s3   (data points moved: 30)" \
+    "epsilon = 2: sensors flagging the phantom: s0 s1 s2 s3 s4   (data points moved: 42)" \
+    "epsilon = 3: sensors flagging the phantom: s0 s1 s2 s3 s4 s5   (data points moved: 48)"; do
+    grep -qxF "$line" <<<"$tracking" \
+        || { echo "semi_global_tracking: missing the line \"$line\""; exit 1; }
+done
 lab=$(cargo run --release --offline --example lab_deployment)
 printf '%s\n' "$lab"
 grep -q "all estimates agree (Theorem 1):   true" <<<"$lab" \

@@ -206,7 +206,8 @@ mod tests {
         let table = r#"{"nodes":[[0,{"table":[[0,1,2,1.5],[1,1,2,2.5]]}]]}"#;
         let doc = shard_doc(&[table, r#"{"x":1}"#]);
         let summary = check_text("shard-0.json", &doc).unwrap();
-        assert!(summary.contains("fleet-shard file v3, 2 records"), "summary was {summary:?}");
+        let expected = format!("fleet-shard file v{}, 2 records", persist::PERSIST_VERSION);
+        assert!(summary.contains(&expected), "summary was {summary:?}");
 
         let rotted = doc.replace(r#""x":1"#, r#""x":2"#);
         let error = check_text("shard-0.json", &rotted).unwrap_err();

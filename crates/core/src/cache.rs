@@ -1,13 +1,16 @@
 //! Revision-keyed caching of state derived from a sliding window.
 //!
-//! The detectors repeatedly derive expensive structures from their window
-//! contents — most importantly the spatial neighbour index
-//! ([`wsn_ranking::index::AnyIndex`]) that accelerates every ranking query of
-//! one protocol step. The window contents only change on insertion, eviction
-//! or origin removal, all of which bump
-//! [`SlidingWindow::revision`](wsn_data::SlidingWindow::revision); a
-//! [`RevisionCache`] pairs a derived value with the revision it was built
-//! from and hands it back for free until the window slides.
+//! A hop-scope detector derives expensive structures from its window: the
+//! hop prefixes `P_i^{≤h}` and a spatial neighbour index
+//! ([`wsn_ranking::index::AnyIndex`]) over each, which every ranking query
+//! of one protocol step shares. A [`RevisionCache`] pairs a derived value
+//! with the revision it was built from and hands it back for free until
+//! that revision moves, so the revision must move whenever the state the
+//! value derives from changes. The detector keys its prefixes on its
+//! forwarded-prefix revision: the
+//! [`SlidingWindow::revision`](wsn_data::SlidingWindow::revision) at the
+//! last change to `P_i^{≤d−1}`. A window change that leaves that prefix
+//! alone, such as a receipt of copies at hop `d`, keeps the cached value.
 
 use std::fmt;
 use std::sync::Arc;

@@ -7,7 +7,9 @@
 //! itself.
 //!
 //! The memo of [`crate::node::DetectorNode::process`] is keyed by
-//! `(window revision, bookkeeping revision)` — the exact inputs of the
+//! `(forwarded-prefix revision, bookkeeping revision)`: the node's part
+//! pins `P_i^{≤d−1}` (the whole window in the global scope), the book's
+//! pins `known_j`, and together they cover every input of the
 //! sufficient-set computation. It is safe only if **every** mutation of a
 //! neighbour's shared-knowledge set bumps that neighbour's revision; a stale
 //! memo would silently suppress a broadcast. The book enforces this by
@@ -68,11 +70,11 @@ pub(crate) struct NeighborBook {
     shared_oldest: Option<Timestamp>,
     /// Per-neighbour change counter of the shared-knowledge sets.
     revisions: BTreeMap<SensorId, u64>,
-    /// The "nothing to send" memo: the `(window revision, bookkeeping
-    /// revision)` at which the last computation for a neighbour produced
-    /// nothing to send. While neither input changes, `process` skips that
-    /// neighbour outright — the sufficient-set computation is a pure
-    /// function of those inputs, so replaying the empty outcome is
+    /// The "nothing to send" memo: the `(forwarded-prefix revision,
+    /// bookkeeping revision)` at which the last computation for a neighbour
+    /// produced nothing to send. While neither input changes, `process`
+    /// skips that neighbour outright — the sufficient-set computation is a
+    /// pure function of those inputs, so replaying the empty outcome is
     /// bit-identical. This is what keeps the post-convergence chatter
     /// (every delivery triggers a full process pass) from re-running one
     /// fixed point per neighbour per event.
@@ -151,9 +153,9 @@ impl NeighborBook {
         true
     }
 
-    /// The memo key for `neighbor` at the given window revision.
-    pub fn state(&self, neighbor: SensorId, window_revision: u64) -> LedgerState {
-        (window_revision, self.revisions.get(&neighbor).copied().unwrap_or(0))
+    /// The memo key for `neighbor` at the node's forwarded-prefix revision.
+    pub fn state(&self, neighbor: SensorId, prefix_revision: u64) -> LedgerState {
+        (prefix_revision, self.revisions.get(&neighbor).copied().unwrap_or(0))
     }
 
     /// Returns `true` if the last computation at exactly this state produced

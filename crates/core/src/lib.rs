@@ -15,9 +15,10 @@
 //!     hop-annotated points.
 //! * [`sufficient`] — the sufficient-set computation of equation (2), the
 //!   kernel both algorithms share. It runs on the spatial neighbour indexes
-//!   of [`wsn_ranking::index`]; [`cache`] keeps one index per window
-//!   revision so a protocol step's per-neighbour fixed points share it and
-//!   it is invalidated exactly when the window slides.
+//!   of [`wsn_ranking::index`]; [`cache`] keeps a hop-scope node's prefixes
+//!   and their indexes per forwarded-prefix revision, so a protocol step's
+//!   per-neighbour fixed points share them and they are rebuilt exactly
+//!   when what the node forwards changes.
 //! * [`centralized`] — the **centralized baseline** of the evaluation (§7.1):
 //!   every node periodically ships its sliding window to a sink over AODV,
 //!   the sink computes the outliers and sends them back.

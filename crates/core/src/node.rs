@@ -32,6 +32,18 @@
 //! least the network diameter makes the algorithm behave exactly like the
 //! global one.
 //!
+//! A point held at hop `d` counts towards the estimate but is never
+//! forwarded: no engine ranks it. So what a node sends depends on its
+//! window only through the *forwarded prefix* `P_i^{≤d−1}`, and the node
+//! keys everything it derives for sending on the forwarded-prefix
+//! revision, the window revision at the last change to `P_i^{≤d−1}`: the
+//! hop prefixes and their indexes, each engine's seed and support caches
+//! (and its chains' `seed_at`), and the quiet memo. An insert at hop `< d`
+//! (a new point, or a lower-hop copy replacing one) and a slide that
+//! evicts a hop-`< d` point move it; a receipt of hop-`d` copies, every
+//! receipt at `d = 1`, does not. In the global scope every point is
+//! forwarded, so the key is the window revision itself.
+//!
 //! The two scopes share everything else — the window, the per-neighbour
 //! book (shared-knowledge sets, the quiet memo, liveness), and the
 //! persistence format. They differ only in which fixed-point engines run,
@@ -61,8 +73,8 @@ pub enum Scope {
 }
 
 /// One hop-prefix `P_i^{≤h}` of the window together with its neighbour
-/// index, precomputed once per window revision and reused for every
-/// neighbour's sufficient-set fixed point.
+/// index, precomputed once per forwarded-prefix revision and reused for
+/// every neighbour's sufficient-set fixed point.
 type HopPrefixes = Vec<(PointSet, AnyIndex)>;
 
 /// Which way a shared-knowledge delta the book just made moved `known`.
@@ -98,17 +110,25 @@ pub struct DetectorNode<R> {
     book: NeighborBook,
     /// The reusable sufficient-set evaluators: one for the global scope, one
     /// per hop prefix `P_i^{≤h}` for the hop scope. Each one's seed and
-    /// support caches are keyed to the window revision (every prefix is a
-    /// pure function of the window contents), so the per-neighbour fixed
-    /// points of one protocol step — and of every later step at the same
-    /// revision — share the seed and all support queries. The global engine
-    /// also maintains its own dynamic index over the window, fed by the
-    /// window's insertion and eviction notes, and its seed's selection
-    /// `O_n(P_i)` serves [`DetectorNode::estimate`].
+    /// support caches are keyed to `prefix_revision` (every prefix is a pure
+    /// function of `P_i^{≤d−1}`), so the per-neighbour fixed points of one
+    /// protocol step — and of every later step at the same revision — share
+    /// the seed and all support queries. The global engine also maintains
+    /// its own dynamic index over the window, fed by the window's insertion
+    /// and eviction notes, and its seed's selection `O_n(P_i)` serves
+    /// [`DetectorNode::estimate`].
     engines: Vec<FixedPointEngine>,
     /// The hop prefixes with their neighbour indexes (hop scope only),
-    /// invalidated whenever the window slides or changes.
+    /// rebuilt when `prefix_revision` moves: a receipt of hop-`d` copies
+    /// keeps them.
     prefix_cache: RevisionCache<HopPrefixes>,
+    /// The forwarded-prefix revision: the window revision at the last
+    /// change to `P_i^{≤d−1}`, and at every window change in the global
+    /// scope (see the module docs). It keys `prefix_cache`, the engines'
+    /// seed and support caches and the quiet memo. The hop-scope dump
+    /// persists it, because the memo and the chains' `seed_at` hold its
+    /// values.
+    prefix_revision: u64,
 }
 
 impl<R: RankingFunction> DetectorNode<R> {
@@ -137,12 +157,14 @@ impl<R: RankingFunction> DetectorNode<R> {
             }
         };
         let engine_count = hop_diameter.map_or(1, usize::from);
+        let window = SlidingWindow::new(window);
         DetectorNode {
             id,
             ranking,
             n,
             scope,
-            window: SlidingWindow::new(window),
+            prefix_revision: window.revision(),
+            window,
             book: NeighborBook::default(),
             engines: (0..engine_count).map(|_| FixedPointEngine::new()).collect(),
             prefix_cache: RevisionCache::new(),
@@ -213,20 +235,42 @@ impl<R: RankingFunction> DetectorNode<R> {
         }
     }
 
-    /// Inserts `point` into the window. The global engine keeps its own
-    /// index over the window, so it is told of every accepted insertion.
+    /// Whether `point`, held in the window, lies in the forwarded prefix
+    /// `P_i^{≤d−1}` (every point does in the global scope).
+    fn forwards(&self, point: &DataPoint) -> bool {
+        match self.scope {
+            Scope::Global => true,
+            Scope::Hops(d) => point.hop < d,
+        }
+    }
+
+    /// Inserts `point` into the window, moving the forwarded-prefix
+    /// revision if the point lands in the prefix. The global engine keeps
+    /// its own index over the window, so it is told of every accepted
+    /// insertion.
     fn insert_into_window(&mut self, point: &Arc<DataPoint>) -> bool {
         let inserted = self.window.insert_arc(Arc::clone(point));
-        if inserted && self.scope == Scope::Global {
-            self.engines[0].note_window_point(point, self.window.revision());
+        if inserted {
+            // A copy at hop d never changes the prefix: min-hop insertion
+            // never lets it replace a lower-hop copy.
+            if self.forwards(point) {
+                self.prefix_revision = self.window.revision();
+            }
+            if self.scope == Scope::Global {
+                self.engines[0].note_window_point(point, self.window.revision());
+            }
         }
         inserted
     }
 
-    /// Slides the window to `now`. The global engine is told of the
-    /// evicted points too, so its index over the window follows the slide.
+    /// Slides the window to `now`, moving the forwarded-prefix revision if
+    /// a prefix point left. The global engine is told of the evicted points
+    /// too, so its index over the window follows the slide.
     fn advance_window(&mut self, now: Timestamp) {
         let evicted = self.window.advance_to(now);
+        if evicted.iter().any(|p| self.forwards(p)) {
+            self.prefix_revision = self.window.revision();
+        }
         if !evicted.is_empty() && self.scope == Scope::Global {
             self.engines[0].note_window_evictions(&self.ranking, &evicted, self.window.revision());
         }
@@ -315,16 +359,23 @@ impl<R: RankingFunction> DetectorNode<R> {
         let book = self.book.persist_snapshot(&mut table);
         let engines =
             self.engines.iter().map(|engine| persist::engine_to_json(engine, &mut table)).collect();
-        JsonValue::Object(vec![
+        let mut fields = vec![
             ("kind".into(), JsonValue::from("detector")),
             ("id".into(), JsonValue::from(self.id.raw())),
             ("n".into(), JsonValue::from(self.n)),
             ("hop_diameter".into(), persist::opt_u64_to_json(self.hop_diameter().map(u64::from))),
             ("window".into(), window),
+        ];
+        // In the global scope the forwarded-prefix revision is the window's.
+        if self.scope != Scope::Global {
+            fields.push(("prefix_revision".into(), JsonValue::from(self.prefix_revision)));
+        }
+        fields.extend([
             ("book".into(), book),
             ("engines".into(), JsonValue::Array(engines)),
             table.into_field(),
-        ])
+        ]);
+        JsonValue::Object(fields)
     }
 
     /// Installs a [`DetectorNode::persist_snapshot`] into this node. The
@@ -335,6 +386,9 @@ impl<R: RankingFunction> DetectorNode<R> {
     /// # Errors
     ///
     /// [`PersistError::Schema`] for malformed dumps,
+    /// [`PersistError::Corrupt`] for inconsistent ones (a window point
+    /// behind its cutoff, or a hop-scope forwarded-prefix revision ahead of
+    /// the window's revision, which no live node has),
     /// [`PersistError::Mismatch`] when the snapshot belongs to a different
     /// node or configuration. On error the node is left untouched.
     pub fn persist_restore(&mut self, dump: &JsonValue) -> Result<(), PersistError> {
@@ -369,6 +423,19 @@ impl<R: RankingFunction> DetectorNode<R> {
                 self.window.config().length_micros
             )));
         }
+        let prefix_revision = match self.scope {
+            Scope::Global => window.revision(),
+            Scope::Hops(_) => {
+                let revision = persist::u64_field(dump, "prefix_revision")?;
+                if revision > window.revision() {
+                    return Err(PersistError::Corrupt(format!(
+                        "forwarded-prefix revision {revision} is ahead of the window's revision {}",
+                        window.revision()
+                    )));
+                }
+                revision
+            }
+        };
         let book = self.book.restored(persist::field(dump, "book")?, &mut rows)?;
         let engine_values = persist::array_field(dump, "engines")?;
         if engine_values.len() != self.engines.len() {
@@ -383,6 +450,7 @@ impl<R: RankingFunction> DetectorNode<R> {
             .map(|engine| persist::engine_dumps_from_json(engine, &mut rows))
             .collect::<Result<Vec<_>, _>>()?;
         self.window = window;
+        self.prefix_revision = prefix_revision;
         self.book = book;
         self.prefix_cache.invalidate();
         for (engine, dumps) in self.engines.iter_mut().zip(engine_dumps) {
@@ -474,8 +542,12 @@ impl<R: RankingFunction> DetectorNode<R> {
         // the hop prefixes derived from it share its stored points. The
         // global engine needs no index from here: it maintains its own
         // dynamic index over the window, kept in sync by the insertion notes.
+        // Every input `batch_for` reads from the window lies in the
+        // forwarded prefix, so its revision keys the prefixes, the engines'
+        // caches and the quiet memo; in the global scope it is the window's.
         let pi = self.window.snapshot();
-        let revision = self.window.revision();
+        let revision = self.prefix_revision;
+        debug_assert!(self.scope != Scope::Global || revision == self.window.revision());
         let prefixes = match self.scope {
             Scope::Global => None,
             Scope::Hops(d) => Some(self.prefix_cache.get_or_build(revision, || {
@@ -496,9 +568,9 @@ impl<R: RankingFunction> DetectorNode<R> {
             }
             let state = self.book.state(j, revision);
             if self.book.is_quiet(j, state) {
-                // Neither P_i nor the shared-knowledge set for j changed
-                // since the last (empty) computation: same inputs, same
-                // nothing-to-send outcome.
+                // Neither the forwarded prefix nor the shared-knowledge set
+                // for j changed since the last (empty) computation: same
+                // inputs, same nothing-to-send outcome.
                 continue;
             }
             let mut batch = self.batch_for(j, &pi, prefixes.as_deref(), state);
@@ -918,6 +990,96 @@ mod tests {
                 assert!(matches!(other.persist_restore(&dump), Err(PersistError::Mismatch(_))));
             }
         }
+    }
+
+    /// The forwarded-prefix revision moves exactly when `P_i^{≤d−1}` does:
+    /// on inserts at hop `< d`, lower-hop replacements included, and on
+    /// slides that evict a hop-`< d` point, but not on a receipt or an
+    /// eviction of hop-`d` copies alone. In the global scope it is the
+    /// window revision.
+    #[test]
+    fn the_forwarded_prefix_revision_moves_only_with_the_prefix() {
+        let at = |origin: u32, epoch: u64, secs: u64, hop: HopCount| {
+            let p = DataPoint::new(
+                SensorId(origin),
+                Epoch(epoch),
+                Timestamp::from_secs(secs),
+                vec![epoch as f64],
+            );
+            p.unwrap().with_hop(hop)
+        };
+        let short = WindowConfig::from_secs(10).unwrap();
+        let mut node = DetectorNode::new(SensorId(1), NnDistance, 1, Some(2), short);
+        assert_eq!(node.prefix_revision, node.window.revision());
+        let moved = |node: &mut DetectorNode<NnDistance>, step: &dyn Fn(&mut DetectorNode<_>)| {
+            let (window, prefix) = (node.window.revision(), node.prefix_revision);
+            step(node);
+            assert_ne!(node.window.revision(), window, "every step changes the window");
+            node.prefix_revision != prefix
+        };
+        assert!(moved(&mut node, &|n| n.add_local_points(vec![at(1, 0, 5, 0)])));
+        assert!(!moved(&mut node, &|n| n.receive(SensorId(2), vec![at(5, 0, 5, 2)])));
+        assert!(moved(&mut node, &|n| n.receive(SensorId(2), vec![at(4, 0, 5, 1)])));
+        assert!(moved(&mut node, &|n| n.receive(SensorId(3), vec![at(5, 0, 5, 1)])), "hop 2 → 1");
+        assert!(!moved(&mut node, &|n| n.receive(SensorId(3), vec![at(6, 0, 3, 2)])));
+        // t = 14: only the hop-2 copy sampled at t = 3 leaves; t = 20 takes
+        // the local point and the hop-1 copies.
+        assert!(!moved(&mut node, &|n| n.advance_time(Timestamp::from_secs(14))));
+        assert!(moved(&mut node, &|n| n.advance_time(Timestamp::from_secs(20))));
+
+        let mut global = self::node(1, None);
+        global.add_local_points(vec![pt(1, 0, 1.0)]);
+        global.receive(SensorId(2), vec![pt(2, 0, 2.0).with_hop(1)]);
+        assert_eq!(global.prefix_revision, global.window.revision());
+    }
+
+    /// A receipt at hop `d` leaves every other neighbour's quiet memo
+    /// valid: what this node would send them has not changed.
+    #[test]
+    fn a_receipt_at_hop_d_keeps_other_neighbours_quiet() {
+        let mut node = node(1, Some(1));
+        node.add_local_points((0..4).map(|e| pt(1, e, e as f64)).collect());
+        let neighbors = [SensorId(2), SensorId(3)];
+        assert!(node.process(&neighbors).is_some());
+        assert!(node.process(&neighbors).is_none(), "everything sufficient was sent");
+        node.receive(SensorId(2), vec![pt(2, 0, 1.5).with_hop(1)]);
+        let revision = node.prefix_revision;
+        assert!(node.book.is_quiet(SensorId(3), node.book.state(SensorId(3), revision)));
+        assert!(!node.book.is_quiet(SensorId(2), node.book.state(SensorId(2), revision)));
+        assert!(node.process(&neighbors).is_none(), "a hop-1 point is never forwarded at d = 1");
+    }
+
+    /// Replaces `key`'s value in an object dump.
+    fn with_field(dump: &JsonValue, key: &str, value: JsonValue) -> JsonValue {
+        let JsonValue::Object(fields) = dump else { panic!("a node dump is an object") };
+        let replace = |(k, v): &(String, JsonValue)| {
+            (k.clone(), if k == key { value.clone() } else { v.clone() })
+        };
+        JsonValue::Object(fields.iter().map(replace).collect())
+    }
+
+    /// A hop-scope dump carries its forwarded-prefix revision, which can
+    /// never be ahead of its window's; a global-scope dump carries none.
+    #[test]
+    fn a_prefix_revision_ahead_of_the_window_is_refused_as_corrupt() {
+        let mut nodes = chain(3, Some(2));
+        nodes[0].add_local_points(vec![pt(0, 99, -500.0)]);
+        chain_round(&mut nodes);
+        let dump = nodes[1].persist_snapshot();
+        let window_revision = nodes[1].window.revision();
+        assert_eq!(dump.get("prefix_revision"), Some(&JsonValue::from(nodes[1].prefix_revision)));
+
+        let mut fresh = node(1, Some(2));
+        let untouched = fresh.persist_snapshot();
+        let ahead = with_field(&dump, "prefix_revision", JsonValue::from(window_revision + 1));
+        assert!(matches!(fresh.persist_restore(&ahead), Err(PersistError::Corrupt(_))));
+        assert_eq!(fresh.persist_snapshot(), untouched, "a refused dump leaves the node alone");
+        let level = with_field(&dump, "prefix_revision", JsonValue::from(window_revision));
+        fresh.persist_restore(&level).expect("a prefix revision at the window's is consistent");
+
+        let mut global = chain(3, None);
+        chain_round(&mut global);
+        assert!(global[1].persist_snapshot().get("prefix_revision").is_none());
     }
 
     #[test]

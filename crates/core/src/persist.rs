@@ -15,7 +15,7 @@
 //! A snapshot file is two lines of text:
 //!
 //! ```text
-//! {"format":"wsn-persist","kind":"checkpoint","version":3,"len":N,"checksum":C}
+//! {"format":"wsn-persist","kind":"checkpoint","version":4,"len":N,"checksum":C}
 //! { ... payload JSON, exactly N bytes, FNV-1a 64 checksum C ... }
 //! ```
 //!
@@ -29,10 +29,10 @@
 //! payloads under one header line, so that many snapshots cost one file:
 //!
 //! ```text
-//! {"format":"wsn-persist","kind":"fleet-shard","version":3,"shard":0,"shards":8,"records":2}
-//! {"id":4,"kind":"fleet-tenant","version":3,"len":N4,"checksum":C4}
+//! {"format":"wsn-persist","kind":"fleet-shard","version":4,"shard":0,"shards":8,"records":2}
+//! {"id":4,"kind":"fleet-tenant","version":4,"len":N4,"checksum":C4}
 //! { ... tenant 4's payload ... }
-//! {"id":9,"kind":"fleet-tenant","version":3,"len":N9,"checksum":C9}
+//! {"id":9,"kind":"fleet-tenant","version":4,"len":N9,"checksum":C9}
 //! { ... tenant 9's payload ... }
 //! ```
 //!
@@ -98,6 +98,18 @@
 //! [`PersistError::Version`], which is the wanted behaviour for state whose
 //! misinterpretation would silently corrupt a resumed run.
 //!
+//! # Version history
+//!
+//! * 1 → 2: one `detector` payload, nesting the neighbour book, replaced
+//!   the separate global and semi-global node payloads.
+//! * 2 → 3: each observation is written once, in the dump's point table,
+//!   and every point set as references into it.
+//! * 3 → 4: a hop-scope detector keys its quiet memo (`quiet_at`) and its
+//!   chains' `seed_at` on its forwarded-prefix revision, the window
+//!   revision at the last change to `P_i^{≤d−1}`, instead of the window
+//!   revision, and its dump carries that revision as `prefix_revision`.
+//!   Global-scope dumps are unchanged apart from the header version.
+//!
 //! # Crash-injection harness
 //!
 //! Tests (and the `crash_resume` CI binary) call [`arm_crash_point`] to make
@@ -127,11 +139,8 @@ pub use wsn_json::JsonValue;
 pub const PERSIST_FORMAT: &str = "wsn-persist";
 
 /// The current on-disk format version (see the module docs for the
-/// compatibility contract). Version 2 replaced the separate global and
-/// semi-global node payloads with one `detector` payload that nests the
-/// neighbour book; version 3 writes each observation once, in a per-dump
-/// point table, and every point set as references into it.
-pub const PERSIST_VERSION: u64 = 3;
+/// compatibility contract and the version history).
+pub const PERSIST_VERSION: u64 = 4;
 
 /// Telemetry ([`wsn_obs`]): snapshots written and their total size.
 pub(crate) static OBS_SNAPSHOTS_WRITTEN: wsn_obs::Counter =
@@ -1345,9 +1354,12 @@ mod tests {
         let read = read_records(longer.as_bytes()).unwrap();
         assert!(matches!(read.records[&1], Err(PersistError::Corrupt(_))), "a longer line");
 
-        let stale = with_line(5, &|line| line.replace("\"version\":3", "\"version\":2"));
+        let current = format!("\"version\":{PERSIST_VERSION}");
+        let older = format!("\"version\":{}", PERSIST_VERSION - 1);
+        let stale = with_line(5, &|line| line.replace(&current, &older));
         let read = read_records(stale.as_bytes()).unwrap();
-        assert_eq!(read.records[&2], Err(PersistError::Version { found: 2, expected: 3 }));
+        let expected = PERSIST_VERSION;
+        assert_eq!(read.records[&2], Err(PersistError::Version { found: expected - 1, expected }));
 
         let lost_id = with_line(3, &|_| "[[[".to_string());
         let read = read_records(lost_id.as_bytes()).unwrap();
@@ -1366,7 +1378,7 @@ mod tests {
 
         let recount = with_line(0, &|line| line.replace("\"records\":3", "\"records\":4"));
         assert!(read_records(recount.as_bytes()).unwrap().damage.is_some());
-        let old_file = with_line(0, &|line| line.replace("\"version\":3", "\"version\":2"));
+        let old_file = with_line(0, &|line| line.replace(&current, &older));
         assert!(matches!(read_records(old_file.as_bytes()), Err(PersistError::Version { .. })));
         let foreign = with_line(0, &|line| line.replace("wsn-persist", "other"));
         assert!(matches!(read_records(foreign.as_bytes()), Err(PersistError::Corrupt(_))));

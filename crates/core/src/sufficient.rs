@@ -138,11 +138,13 @@ pub fn sufficient_set_rebuild_reference<R: RankingFunction + ?Sized>(
 /// One engine serves one detector: the ranking function and `n` must stay
 /// fixed across calls, and the `revision` argument of
 /// [`FixedPointEngine::sufficient_set`] must pin `P_i` (and the index built
-/// over it) exactly — both detectors pass their window revision, which is
-/// bumped on every contents change. Under that contract the engine caches:
+/// over it) exactly — the detector passes its forwarded-prefix revision,
+/// which moves on every change to the prefix the engine ranks (in the
+/// global scope, on every window change). Under that contract the engine
+/// caches:
 ///
 /// **Per revision** (shared by every neighbour of a protocol step and by
-/// every later step that leaves the window untouched):
+/// every later step at the same revision):
 ///
 /// * the seed `O_n(P_i) ∪ [P_i|O_n(P_i)]` — a pure function of `P_i`,
 ///   previously recomputed per neighbour, and
@@ -244,8 +246,9 @@ struct HypotheticalState {
     /// and [`FixedPointEngine::note_evicted_points`] (for the own-window
     /// state: the window revision, by the window notes).
     synced_at: Option<u64>,
-    /// The window revision whose seed was last folded in; one fold per
-    /// revision suffices because the seed is a pure function of `P_i`.
+    /// The `P_i` revision (the caller's `revisions.0`) whose seed was last
+    /// folded in; one fold per revision suffices because the seed is a pure
+    /// function of `P_i`.
     seed_at: Option<u64>,
     /// Identities H holds that were *not* in `known` when folded in (seed
     /// points and freshly added supports — the caller's `Z \ known`). The
@@ -667,13 +670,13 @@ impl FixedPointEngine {
     /// Computes `Z_j` for the neighbour `neighbor`; see [`sufficient_set`]
     /// for the shared parameters and the type-level docs for the caching
     /// contract. `revisions` pins the call's inputs exactly: its first
-    /// component is the window revision (identifying `pi` and `index`), its
-    /// second the neighbour's bookkeeping revision (identifying
-    /// `known_common`) — the same pair the detectors' `QuietLedger` keys
-    /// its nothing-to-send memo by. Ranking and `n` must not vary across
-    /// calls on one engine. The returned set is shared — when the fixed
-    /// point adds nothing beyond the seed (the common steady state), no set
-    /// is copied at all.
+    /// component is the revision of `pi` (identifying `pi` and `index`: the
+    /// detector's forwarded-prefix revision), its second the neighbour's
+    /// bookkeeping revision (identifying `known_common`) — the same pair the
+    /// detector's neighbour book keys its nothing-to-send memo by. Ranking
+    /// and `n` must not vary across calls on one engine. The returned set
+    /// is shared — when the fixed point adds nothing beyond the seed (the
+    /// common steady state), no set is copied at all.
     #[allow(clippy::too_many_arguments)]
     pub fn sufficient_set<R: RankingFunction + ?Sized>(
         &mut self,

@@ -55,8 +55,8 @@
 //! group-commits its checkpoints, one file per shard:
 //!
 //! ```text
-//! dir/shard-0.json   {"format":"wsn-persist","kind":"fleet-shard","version":3,"shard":0,"shards":8,"records":R}
-//!                    {"id":4,"kind":"fleet-tenant","version":3,"len":N,"checksum":C}
+//! dir/shard-0.json   {"format":"wsn-persist","kind":"fleet-shard","version":4,"shard":0,"shards":8,"records":R}
+//!                    {"id":4,"kind":"fleet-tenant","version":4,"len":N,"checksum":C}
 //!                    { ... tenant 4's payload ... }
 //!                    … one two-line record per tenant of the shard, ascending id
 //! dir/shard-1.json   …

@@ -111,10 +111,11 @@ fn telemetry_on_and_off_runs_are_bit_identical_across_256_cases() {
 /// perform **zero** desync rebuilds, whether or not the windows slide —
 /// every record and every eviction reaches the engines as a delta note, so
 /// no sync chain breaks. A regression that re-introduced full rebuilds on
-/// the hot path would trip this before it tripped a benchmark. Every
-/// estimate read must come from the engine, too, with **zero** fallbacks
-/// to `top_n_outliers`: each node processed its window's last revision
-/// before it is read. Three Global-NN inputs:
+/// the hot path would trip this before it tripped a benchmark. In the
+/// global scope every estimate read must come from the engine, too, with
+/// **zero** fallbacks to `top_n_outliers`: each node processed its window's
+/// last revision before it is read (every hop-scope estimate falls back by
+/// design). Three Global-NN inputs:
 ///
 /// * a 12-sensor streaming run whose window (10 samples) is wider than its
 ///   4-round trace: nothing is ever evicted;
@@ -124,24 +125,33 @@ fn telemetry_on_and_off_runs_are_bit_identical_across_256_cases() {
 ///   shape of the benchmark's fleet tenants) served 12 epochs through
 ///   [`TenantRuntime`], every node's estimate read after each epoch: its
 ///   windows evict from the ninth epoch on.
+///
+/// And one semi-global input, the first deployment at `d = 1`, whose gate
+/// is the forwarded-prefix key: a receipt (always of hop-1 copies) leaves
+/// other neighbours' quiet memos valid, so the memo must hit, and a node
+/// builds its one engine's seed at most once per change of its own points,
+/// at most `rounds + 1` times.
 #[test]
 fn steady_state_streaming_performs_zero_desync_rebuilds() {
     use wsn_data::rng::SeededRng;
     use wsn_data::stream::SensorSpec;
     use wsn_data::Position;
 
+    const SENSORS: u64 = 12;
     let _guard = lock();
     let global_nn = AlgorithmConfig::Global { ranking: RankingChoice::Nn };
-    let streaming = |rounds: usize, window_samples: u64| {
+    let semi_global_d1 =
+        AlgorithmConfig::SemiGlobal { ranking: RankingChoice::Nn, hop_diameter: 1 };
+    let streaming = |algorithm: AlgorithmConfig, rounds: usize, window_samples: u64| {
         let config = ExperimentConfig {
-            sensor_count: 12,
+            sensor_count: SENSORS as usize,
             trace: SyntheticTraceConfig { rounds, ..Default::default() },
             window_samples,
             n: 4,
             transmission_range_m: 18.0,
             ..Default::default()
         }
-        .with_algorithm(global_nn);
+        .with_algorithm(algorithm);
         move || {
             let outcome = StreamingExperiment::new(config.clone()).run().expect("streaming run");
             assert_eq!(outcome.slides.len(), rounds, "every slide must be observed");
@@ -181,12 +191,13 @@ fn steady_state_streaming_performs_zero_desync_rebuilds() {
         }
         assert_eq!(read, 12 * 9, "every node's estimate is read after every epoch");
     };
-    let inputs: [(&str, &dyn Fn()); 3] = [
-        ("streaming, no eviction (w = 10, 4 rounds)", &streaming(4, 10)),
-        ("streaming, evicting (w = 3, 8 rounds)", &streaming(8, 3)),
-        ("fleet tenant, evicting (w = 8, 12 epochs)", &tenant),
+    let inputs: [(&str, &dyn Fn(), Scope); 4] = [
+        ("streaming, no eviction (w = 10, 4 rounds)", &streaming(global_nn, 4, 10), Scope::Global),
+        ("streaming, evicting (w = 3, 8 rounds)", &streaming(global_nn, 8, 3), Scope::Global),
+        ("fleet tenant, evicting (w = 8, 12 epochs)", &tenant, Scope::Global),
+        ("semi-global d = 1 (w = 10, 4 rounds)", &streaming(semi_global_d1, 4, 10), Scope::Hops(1)),
     ];
-    for (what, run) in inputs {
+    for (what, run, scope) in inputs {
         wsn_obs::reset();
         wsn_obs::set_enabled(true);
         run();
@@ -203,12 +214,27 @@ fn steady_state_streaming_performs_zero_desync_rebuilds() {
                 "{what}: the fixed point must never desync-rebuild; report: {:?}",
                 report.counters,
             );
-            assert_eq!(
-                report.counter("detector.estimate_fallbacks"),
-                0,
-                "{what}: the engine must serve every estimate; report: {:?}",
-                report.counters,
-            );
+            if scope == Scope::Global {
+                assert_eq!(
+                    report.counter("detector.estimate_fallbacks"),
+                    0,
+                    "{what}: the engine must serve every estimate; report: {:?}",
+                    report.counters,
+                );
+            } else {
+                assert!(
+                    report.counter("ledger.quiet_hits") > 0,
+                    "{what}: a receipt at hop d must leave other neighbours quiet; report: {:?}",
+                    report.counters,
+                );
+                let rounds = 4; // the semi-global input's
+                assert!(
+                    report.counter("engine.seed_builds") <= SENSORS * (rounds + 1),
+                    "{what}: a d = 1 node's seed is built once per change of its own points; \
+                     report: {:?}",
+                    report.counters,
+                );
+            }
         }
     }
 }
