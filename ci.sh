@@ -69,7 +69,12 @@ CARGO_TARGET_DIR=target/benchmark RUSTDOCFLAGS="-D warnings" \
 # hop-scope answers or traffic fails here. lab_deployment simulates the
 # paper's 53-sensor lab with Global-NN, whose estimates the fixed-point
 # engine serves: every node must agree and hold the exact O_n.
-echo "== example smoke (quickstart, semi_global_tracking, lab_deployment) =="
+# energy_comparison runs Centralized, Global-NN and Global-KNN through
+# `run_experiment` on the default backend, a one-region partition: its
+# three result rows (energy per round, the busiest node, accuracy) must
+# read exactly as below, so a change to that path's energy, traffic or
+# answers fails here.
+echo "== example smoke (quickstart, semi_global_tracking, lab_deployment, energy_comparison) =="
 quickstart=$(cargo run --release --offline --example quickstart)
 printf '%s\n' "$quickstart"
 grep -q "estimates agree: true" <<<"$quickstart" \
@@ -89,6 +94,15 @@ grep -q "all estimates agree (Theorem 1):   true" <<<"$lab" \
     || { echo "lab_deployment: the estimates did not agree"; exit 1; }
 grep -q "53/53" <<<"$lab" \
     || { echo "lab_deployment: not every node holds the exact O_n"; exit 1; }
+energy=$(cargo run --release --offline --example energy_comparison)
+printf '%s\n' "$energy"
+for line in \
+    "Centralized             0.0093          0.0530         2.724          2.73        1.00" \
+    "Global-NN               0.0080          0.0521         1.533          1.59        1.00" \
+    "Global-KNN              0.0145          0.0950         2.814          1.60        1.00"; do
+    grep -qxF "$line" <<<"$energy" \
+        || { echo "energy_comparison: missing the line \"$line\""; exit 1; }
+done
 
 # Campaign smoke: every figure and table spec of the paper's evaluation at
 # --quick scale, through the one journaled pipeline, gated on the exit
@@ -118,9 +132,10 @@ cargo run --release --offline -p wsn-bench --bin json_check -- results/fig_scena
 # the fault plan end to end through the streaming driver on every algorithm.
 # The figure keys rows by scenario index and names the scenarios in its
 # legend string, so presence in the legend means the scenario was swept.
-# (Their correctness properties — per-seed determinism, partitioned ≡
-# sequential under faults, no dead-neighbour state — are the
-# `property_churn` suite in the default test pass above.)
+# (Their correctness properties — per-seed determinism, two and four
+# regions ≡ the sequential backend's one region under faults, no
+# dead-neighbour state — are the `property_churn` suite in the default test
+# pass above.)
 echo "== churn smoke (fig_scenarios dynamic-network rows) =="
 for scenario in node_churn duty_cycle; do
     grep -q "=$scenario" results/fig_scenarios.json \

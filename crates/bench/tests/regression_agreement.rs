@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 
 use wsn_bench::paper::{global_nn, PaperScenario, PAPER_N};
-use wsn_core::app::{any_simulator_with_sampling, DetectorApp};
+use wsn_core::app::{simulator_with_sampling, DetectorApp};
 use wsn_core::DetectorNode;
 use wsn_data::impute::WindowMeanImputer;
 use wsn_data::lab::LabDeployment;
@@ -33,7 +33,7 @@ use wsn_data::window::WindowConfig;
 use wsn_data::SensorId;
 use wsn_netsim::radio::RadioConfig;
 use wsn_netsim::topology::Topology;
-use wsn_netsim::{SimConfig, SimHandle};
+use wsn_netsim::SimConfig;
 
 /// The smallest disagreeing cell of the archived grid: Figure 4's
 /// Global-NN series at `w = 15`, seed offset 1 (`sim_seed = 2`,
@@ -76,8 +76,8 @@ fn quiescent_window_skew_divergence_is_real_and_clock_alignment_removes_it() {
         );
         DetectorApp::new(detector, stream, schedule)
     };
-    let mut sim: wsn_netsim::region::AnySimulator<DetectorApp<_>> =
-        any_simulator_with_sampling(config.backend, sim_config, topology, &schedule, &make_app);
+    let mut sim =
+        simulator_with_sampling(config.backend, sim_config, topology, &schedule, &make_app);
 
     // (a) The run settles (every message delivered, nothing pending) ...
     let quiescent = sim.run_until_quiescent(config.deadline());
@@ -86,10 +86,8 @@ fn quiescent_window_skew_divergence_is_real_and_clock_alignment_removes_it() {
     // ... yet the estimates disagree: the staggered sampling clocks leave
     // at least one node holding an epoch its peers' windows already
     // evicted.
-    let mut estimates = BTreeMap::new();
-    sim.for_each_app(&mut |id, app| {
-        estimates.insert(id, app.detector().estimate());
-    });
+    let estimates: BTreeMap<_, _> =
+        sim.apps().map(|(id, app)| (id, app.detector().estimate())).collect();
     assert!(
         !wsn_core::metrics::estimates_agree(&estimates),
         "the archived divergence no longer reproduces — if a change \
@@ -102,7 +100,7 @@ fn quiescent_window_skew_divergence_is_real_and_clock_alignment_removes_it() {
     // window skew, not a protocol error.
     let common_now = config.deadline();
     let mut aligned = BTreeMap::new();
-    sim.for_each_app_mut(&mut |id, app| {
+    sim.for_each_app_mut(|id, app| {
         app.detector_mut().advance_time(common_now);
         aligned.insert(id, app.detector().estimate());
     });

@@ -15,8 +15,9 @@ use crate::message::OutlierBroadcast;
 use crate::node::DetectorNode;
 use wsn_data::stream::SensorStream;
 use wsn_data::{SensorId, Timestamp};
-use wsn_netsim::region::{AnySimulator, SimBackend, SimHandle};
-use wsn_netsim::sim::{Application, BatchTimerEntry, NodeContext, Simulator, TimerId};
+use wsn_netsim::region::{PartitionedSimulator, SimBackend};
+use wsn_netsim::sim::{Application, BatchTimerEntry, NodeContext, SimConfig, TimerId};
+use wsn_netsim::topology::Topology;
 use wsn_ranking::RankingFunction;
 
 /// Number of distinct stagger slots the sampling schedule spreads a round's
@@ -92,71 +93,30 @@ impl SamplingSchedule {
     }
 }
 
-/// A [`SamplingSchedule`]-driven application that can hand its sampling
-/// timers over to a centrally installed batch schedule (see
-/// [`install_sampling`]). Until told otherwise, implementors self-schedule
-/// their timers, so a plain [`Simulator::new`] still samples correctly.
-pub trait ScheduleDriven {
-    /// Tells the application its sampling timers are installed centrally:
-    /// it must stop scheduling its own.
-    fn sampling_installed(&mut self);
-}
-
-/// Installs the sampling schedule for every node of `sim` as **one batched
-/// queue entry per round** (see
-/// [`Simulator::schedule_timer_batch`]), and switches every application off
-/// its self-scheduling fallback: the event heap then carries one entry per
-/// round fan-out instead of one per node × round. Call this once, right
-/// after building the simulator, for any application driven by a
-/// [`SamplingSchedule`] ([`DetectorApp`] and
-/// [`crate::centralized::CentralizedApp`]) — or use
-/// [`simulator_with_sampling`], which does both steps.
-pub fn install_sampling<A, S>(sim: &mut S, schedule: &SamplingSchedule)
+/// Builds the simulator the backend selects (see [`SimBackend`]) **and**
+/// installs its sampling schedule — the one constructor of a
+/// schedule-driven deployment. Every round's fan-out is **one batched queue
+/// entry** (see [`PartitionedSimulator::schedule_timer_batch`]) instead of
+/// one per node × round, with timer ids encoding the round number.
+/// [`DetectorApp`] and [`crate::centralized::CentralizedApp`] schedule no
+/// sampling timers of their own, so a node that joins later needs its
+/// remaining rounds installed too ([`SamplingSchedule::node_batch_after`]).
+pub fn simulator_with_sampling<A>(
+    backend: SimBackend,
+    config: SimConfig,
+    topology: Topology,
+    schedule: &SamplingSchedule,
+    make_app: impl FnMut(SensorId) -> A,
+) -> PartitionedSimulator<A>
 where
-    A: Application + ScheduleDriven,
-    S: SimHandle<A> + ?Sized,
+    A: Application + Send + 'static,
+    A::Message: Send + Sync,
 {
-    sim.for_each_app_mut(&mut |_, app| app.sampling_installed());
-    let ids = sim.topology().sensor_ids();
+    let ids = topology.sensor_ids();
+    let mut sim = PartitionedSimulator::new(config, topology, backend.regions(), make_app);
     for round in 0..schedule.rounds {
         sim.schedule_timer_batch(schedule.round_batch(round, &ids));
     }
-}
-
-/// Builds a simulator **and** installs its batched sampling schedule in one
-/// step — the constructor every schedule-driven deployment should use.
-/// (A plain [`Simulator::new`] without [`install_sampling`] still works —
-/// the applications fall back to scheduling their own timers, at one queue
-/// entry per node × round.)
-pub fn simulator_with_sampling<A: Application + ScheduleDriven>(
-    config: wsn_netsim::sim::SimConfig,
-    topology: wsn_netsim::topology::Topology,
-    schedule: &SamplingSchedule,
-    make_app: impl FnMut(SensorId) -> A,
-) -> Simulator<A> {
-    let mut sim = Simulator::new(config, topology, make_app);
-    install_sampling(&mut sim, schedule);
-    sim
-}
-
-/// [`simulator_with_sampling`] with a [`SimBackend`] choice: builds either
-/// the sequential engine or the spatially partitioned parallel one behind
-/// [`AnySimulator`], and installs the batched sampling schedule on it. The
-/// two backends produce bit-for-bit identical results, so the choice is a
-/// pure wall-clock decision.
-pub fn any_simulator_with_sampling<A>(
-    backend: SimBackend,
-    config: wsn_netsim::sim::SimConfig,
-    topology: wsn_netsim::topology::Topology,
-    schedule: &SamplingSchedule,
-    make_app: impl FnMut(SensorId) -> A,
-) -> AnySimulator<A>
-where
-    A: Application + ScheduleDriven + Send + 'static,
-    A::Message: Send + Sync,
-{
-    let mut sim = AnySimulator::build(backend, config, topology, make_app);
-    install_sampling(&mut sim, schedule);
     sim
 }
 
@@ -167,9 +127,6 @@ pub struct DetectorApp<R> {
     detector: DetectorNode<R>,
     stream: SensorStream,
     schedule: SamplingSchedule,
-    /// `true` once [`install_sampling`] took over the sampling timers;
-    /// until then the app self-schedules them (the safe fallback).
-    batch_sampling: bool,
     packets_broadcast: u64,
     events_handled: u64,
 }
@@ -181,14 +138,7 @@ impl<R: RankingFunction> DetectorApp<R> {
         stream: SensorStream,
         schedule: SamplingSchedule,
     ) -> Self {
-        DetectorApp {
-            detector,
-            stream,
-            schedule,
-            batch_sampling: false,
-            packets_broadcast: 0,
-            events_handled: 0,
-        }
+        DetectorApp { detector, stream, schedule, packets_broadcast: 0, events_handled: 0 }
     }
 
     /// The wrapped detector (for reading estimates and counters).
@@ -202,8 +152,8 @@ impl<R: RankingFunction> DetectorApp<R> {
         &mut self.detector
     }
 
-    /// The sampling schedule this node runs under (install it on the
-    /// simulator with [`install_sampling`]).
+    /// The sampling schedule this node runs under (installed on the
+    /// simulator by [`simulator_with_sampling`]).
     pub fn schedule(&self) -> SamplingSchedule {
         self.schedule
     }
@@ -243,34 +193,15 @@ impl<R: RankingFunction> DetectorApp<R> {
             Err(_) => {}   // corrupted trace entries are skipped
         }
         self.react(ctx);
-        let next = round + 1;
-        if !self.batch_sampling && next < self.schedule.rounds {
-            ctx.set_timer_after_secs(self.schedule.sample_interval_secs, next as TimerId);
-        }
-    }
-}
-
-impl<R: RankingFunction> ScheduleDriven for DetectorApp<R> {
-    fn sampling_installed(&mut self) {
-        self.batch_sampling = true;
     }
 }
 
 impl<R: RankingFunction> Application for DetectorApp<R> {
     type Message = OutlierBroadcast;
 
-    fn on_start(&mut self, ctx: &mut NodeContext<Self::Message>) {
-        // With [`install_sampling`], the sampling timers arrive as one
-        // batched queue entry per round (timer ids encode the round number)
-        // and there is nothing to schedule per node. Without it, fall back
-        // to the self-scheduled first sample so a plain `Simulator::new`
-        // never silently runs zero rounds.
-        if self.batch_sampling {
-            return;
-        }
-        let first = self.schedule.sample_time(0, ctx.id());
-        let delay = first.saturating_since(ctx.now());
-        ctx.set_timer_after_micros(delay, 0);
+    fn on_start(&mut self, _ctx: &mut NodeContext<Self::Message>) {
+        // Nothing to schedule: the sampling timers arrive as
+        // `simulator_with_sampling`'s per-round batches.
     }
 
     fn on_timer(&mut self, ctx: &mut NodeContext<Self::Message>, timer: TimerId) {
@@ -313,19 +244,18 @@ mod tests {
     use wsn_data::stream::{SensorReading, SensorSpec};
     use wsn_data::window::WindowConfig;
     use wsn_data::{Epoch, Position};
-    use wsn_netsim::sim::{SimConfig, Simulator};
-    use wsn_netsim::topology::Topology;
     use wsn_ranking::NnDistance;
 
     /// Builds a 3-node chain where node 0's stream contains one wild value.
-    fn build_sim(rounds: usize) -> Simulator<DetectorApp<NnDistance>> {
+    fn build_sim(rounds: usize) -> PartitionedSimulator<DetectorApp<NnDistance>> {
         let specs: Vec<SensorSpec> = (0..3)
             .map(|i| SensorSpec::new(SensorId(i), Position::new(i as f64 * 5.0, 0.0)))
             .collect();
         let topo = Topology::from_specs(&specs, 6.0);
         let schedule = SamplingSchedule::new(10.0, rounds);
         let window = WindowConfig::from_samples(rounds as u64 + 5, 10.0).unwrap();
-        let sim = simulator_with_sampling(SimConfig::default(), topo, &schedule, |id| {
+        let config = SimConfig::default();
+        simulator_with_sampling(SimBackend::Sequential, config, topo, &schedule, |id| {
             let spec = specs.iter().find(|s| s.id == id).copied().unwrap();
             let mut stream = SensorStream::new(spec);
             for r in 0..rounds {
@@ -338,8 +268,7 @@ mod tests {
                 stream.readings.push(SensorReading::present(Epoch(r as u64), ts, value));
             }
             DetectorApp::new(DetectorNode::new(id, NnDistance, 1, None, window), stream, schedule)
-        });
-        sim
+        })
     }
 
     #[test]
@@ -364,34 +293,6 @@ mod tests {
                 -100.0,
                 "node {id} did not converge on the injected outlier"
             );
-        }
-    }
-
-    #[test]
-    fn a_simulator_without_install_sampling_still_samples() {
-        // The self-scheduling fallback: a plain `Simulator::new` (no
-        // install_sampling) must never silently run zero rounds.
-        let specs: Vec<SensorSpec> = (0..2)
-            .map(|i| SensorSpec::new(SensorId(i), Position::new(i as f64 * 5.0, 0.0)))
-            .collect();
-        let topo = Topology::from_specs(&specs, 6.0);
-        let schedule = SamplingSchedule::new(10.0, 3);
-        let window = WindowConfig::from_samples(8, 10.0).unwrap();
-        let mut sim = Simulator::new(SimConfig::default(), topo, |id| {
-            let spec = specs.iter().find(|s| s.id == id).copied().unwrap();
-            let mut stream = SensorStream::new(spec);
-            for r in 0..3u64 {
-                stream.readings.push(SensorReading::present(
-                    Epoch(r),
-                    Timestamp::from_secs(r * 10),
-                    20.0 + id.raw() as f64,
-                ));
-            }
-            DetectorApp::new(DetectorNode::new(id, NnDistance, 1, None, window), stream, schedule)
-        });
-        assert!(sim.run_until_quiescent(Timestamp::from_secs(200)));
-        for (id, app) in sim.apps() {
-            assert!(app.detector().held_points().len() >= 3, "node {id} sampled");
         }
     }
 

@@ -82,9 +82,6 @@ pub struct CentralizedApp<R> {
     stream: SensorStream,
     schedule: SamplingSchedule,
     router: AodvRouter<CentralizedPayload>,
-    /// `true` once [`crate::app::install_sampling`] took over the sampling
-    /// timers; until then the app self-schedules them (the safe fallback).
-    batch_sampling: bool,
     /// Sink only: the latest window reported by each node (the sink's own
     /// window is merged in incrementally as well).
     collected: BTreeMap<SensorId, PointSet>,
@@ -132,7 +129,6 @@ impl<R: RankingFunction> CentralizedApp<R> {
             stream,
             schedule,
             router: AodvRouter::new(id),
-            batch_sampling: false,
             collected: BTreeMap::new(),
             union: PointSet::new(),
             last_result: None,
@@ -350,10 +346,6 @@ impl<R: RankingFunction> CentralizedApp<R> {
             self.router.send(ctx, self.sink, payload, bytes);
             self.reports_sent += 1;
         }
-        let next = round + 1;
-        if !self.batch_sampling && next < self.schedule.rounds {
-            ctx.set_timer_after_secs(self.schedule.sample_interval_secs, next as TimerId);
-        }
     }
 
     /// Sink only: computes the outliers of the unioned data sets and routes
@@ -414,27 +406,13 @@ impl<R: RankingFunction> CentralizedApp<R> {
     }
 }
 
-impl<R: RankingFunction> crate::app::ScheduleDriven for CentralizedApp<R> {
-    fn sampling_installed(&mut self) {
-        self.batch_sampling = true;
-    }
-}
-
 impl<R: RankingFunction> Application for CentralizedApp<R> {
     type Message = AodvMessage<CentralizedPayload>;
 
-    fn on_start(&mut self, ctx: &mut NodeContext<Self::Message>) {
-        // With [`crate::app::install_sampling`], the sampling timers arrive
-        // as one batched queue entry per round and only the sink's reply
-        // timers are scheduled ad hoc. Without it, fall back to the
-        // self-scheduled first sample so a plain `Simulator::new` never
-        // silently runs zero rounds.
-        if self.batch_sampling {
-            return;
-        }
-        let first = self.schedule.sample_time(0, ctx.id());
-        let delay = first.saturating_since(ctx.now());
-        ctx.set_timer_after_micros(delay, 0);
+    fn on_start(&mut self, _ctx: &mut NodeContext<Self::Message>) {
+        // Nothing to schedule: the sampling timers arrive as
+        // `simulator_with_sampling`'s per-round batches, and only the sink's
+        // reply timers are scheduled ad hoc.
     }
 
     fn on_timer(&mut self, ctx: &mut NodeContext<Self::Message>, timer: TimerId) {
@@ -482,35 +460,35 @@ mod tests {
     use super::*;
     use wsn_data::stream::{SensorReading, SensorSpec};
     use wsn_data::{Epoch, Position, Timestamp};
-    use wsn_netsim::sim::{SimConfig, Simulator};
+    use wsn_netsim::region::{PartitionedSimulator, SimBackend};
+    use wsn_netsim::sim::SimConfig;
     use wsn_netsim::topology::Topology;
     use wsn_ranking::NnDistance;
 
     /// Builds a `count`-node chain running the centralized baseline with the
     /// sink at node 0. Node `count - 1` samples one wild value in round 1.
-    fn build_sim(count: u32, rounds: usize) -> Simulator<CentralizedApp<NnDistance>> {
+    fn build_sim(count: u32, rounds: usize) -> PartitionedSimulator<CentralizedApp<NnDistance>> {
         let specs: Vec<SensorSpec> = (0..count)
             .map(|i| SensorSpec::new(SensorId(i), Position::new(i as f64 * 5.0, 0.0)))
             .collect();
         let topo = Topology::from_specs(&specs, 6.0);
         let schedule = SamplingSchedule::new(10.0, rounds);
         let window = WindowConfig::from_samples(rounds as u64 + 5, 10.0).unwrap();
-        let sim =
-            crate::app::simulator_with_sampling(SimConfig::default(), topo, &schedule, |id| {
-                let spec = specs.iter().find(|s| s.id == id).copied().unwrap();
-                let mut stream = SensorStream::new(spec);
-                for r in 0..rounds {
-                    let ts = Timestamp::from_secs_f64(r as f64 * 10.0);
-                    let value = if id == SensorId(count - 1) && r == 1 {
-                        500.0
-                    } else {
-                        20.0 + id.raw() as f64 + r as f64 * 0.01
-                    };
-                    stream.readings.push(SensorReading::present(Epoch(r as u64), ts, value));
-                }
-                CentralizedApp::new(id, SensorId(0), NnDistance, 1, window, stream, schedule)
-            });
-        sim
+        let config = SimConfig::default();
+        crate::app::simulator_with_sampling(SimBackend::Sequential, config, topo, &schedule, |id| {
+            let spec = specs.iter().find(|s| s.id == id).copied().unwrap();
+            let mut stream = SensorStream::new(spec);
+            for r in 0..rounds {
+                let ts = Timestamp::from_secs_f64(r as f64 * 10.0);
+                let value = if id == SensorId(count - 1) && r == 1 {
+                    500.0
+                } else {
+                    20.0 + id.raw() as f64 + r as f64 * 0.01
+                };
+                stream.readings.push(SensorReading::present(Epoch(r as u64), ts, value));
+            }
+            CentralizedApp::new(id, SensorId(0), NnDistance, 1, window, stream, schedule)
+        })
     }
 
     #[test]

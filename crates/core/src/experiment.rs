@@ -162,9 +162,10 @@ pub struct ExperimentConfig {
     pub loss: LossModel,
     /// Radio range in metres.
     pub transmission_range_m: f64,
-    /// Which simulation engine runs the experiment. Both backends produce
-    /// bit-for-bit identical outcomes; the partitioned one trades worker
-    /// threads for wall-clock time on large deployments.
+    /// How many regions the simulator partitions the network into (see
+    /// [`SimBackend`]). Every region count produces bit-for-bit identical
+    /// outcomes; more regions trade worker threads for wall-clock time on
+    /// large deployments.
     pub backend: SimBackend,
     /// Scheduled node deaths, late joins and per-node duty cycles (see
     /// [`wsn_netsim::fault`]). `None` runs the paper's static network. Not

@@ -48,7 +48,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::app::{DetectorApp, SamplingSchedule, ScheduleDriven};
+use crate::app::{simulator_with_sampling, DetectorApp, SamplingSchedule};
 use crate::centralized::CentralizedApp;
 use crate::error::CoreError;
 use crate::experiment::{AlgorithmConfig, ExperimentConfig};
@@ -62,15 +62,16 @@ use wsn_data::{DataPoint, HopCount, PointKey, SensorId, Timestamp};
 use wsn_json::JsonValue;
 use wsn_netsim::fault::{FaultAction, FaultPlan};
 use wsn_netsim::radio::RadioConfig;
-use wsn_netsim::region::{AnySimulator, SimHandle};
+use wsn_netsim::region::PartitionedSimulator;
 use wsn_netsim::sim::{Application, SimConfig};
 use wsn_netsim::stats::NetworkStats;
 use wsn_netsim::topology::Topology;
 use wsn_ranking::{OutlierEstimate, RankingFunction};
 
 /// What the streaming driver needs to read off a running application at
-/// every slide, over and above [`Application`].
-trait StreamingProbe {
+/// every slide, over and above [`Application`]. The supertrait bounds are
+/// the ones a [`PartitionedSimulator`] needs of its applications.
+trait StreamingProbe: Application<Message: Send + Sync> + Send + 'static {
     /// The node's current outlier estimate.
     fn streaming_estimate(&self) -> OutlierEstimate;
     /// The node's own current data `D_i` (what the ground truth is over).
@@ -586,7 +587,7 @@ impl StreamingExperiment {
                         schedule,
                     )
                 };
-                let mut sim: AnySimulator<DetectorApp<_>> = crate::app::any_simulator_with_sampling(
+                let mut sim = simulator_with_sampling(
                     config.backend,
                     sim_config,
                     topology,
@@ -610,24 +611,23 @@ impl StreamingExperiment {
             }
             AlgorithmConfig::Centralized { .. } => {
                 let sink = wsn_data::lab::default_sink(&specs).expect("at least one sensor exists");
-                let mut sim: AnySimulator<CentralizedApp<Arc<dyn RankingFunction>>> =
-                    crate::app::any_simulator_with_sampling(
-                        config.backend,
-                        sim_config,
-                        topology,
-                        &schedule,
-                        |id| {
-                            CentralizedApp::new(
-                                id,
-                                sink,
-                                grader.ranking.clone(),
-                                config.n,
-                                window,
-                                stream_for(id),
-                                schedule,
-                            )
-                        },
-                    );
+                let mut sim = simulator_with_sampling(
+                    config.backend,
+                    sim_config,
+                    topology,
+                    &schedule,
+                    |id| {
+                        CentralizedApp::new(
+                            id,
+                            sink,
+                            grader.ranking.clone(),
+                            config.n,
+                            window,
+                            stream_for(id),
+                            schedule,
+                        )
+                    },
+                );
                 drive(&mut sim, &schedule, &grader, None, label, grading, persist_ctx, resume_state)
             }
         }
@@ -677,17 +677,17 @@ impl Grader {
     /// estimates against the ground truth over that data. Under churn the
     /// radio graph changes over time, so the `d`-hop grading scopes come
     /// from what is deployed *now*.
-    fn grade<A: Application + StreamingProbe, S: SimHandle<A>>(&self, sim: &S) -> Grade {
+    fn grade<A: StreamingProbe>(&self, sim: &PartitionedSimulator<A>) -> Grade {
         let mut local_data: BTreeMap<SensorId, Vec<DataPoint>> = BTreeMap::new();
         let mut estimates: BTreeMap<SensorId, OutlierEstimate> = BTreeMap::new();
         let mut data_points = 0u64;
         {
             let _collect_span = wsn_obs::span("collect");
-            sim.for_each_app(&mut |id, app| {
+            for (id, app) in sim.apps() {
                 local_data.insert(id, app.streaming_own_points(id));
                 estimates.insert(id, app.streaming_estimate());
                 data_points += app.streaming_points_sent();
-            });
+            }
         }
         let window_points = local_data.values().map(Vec::len).sum();
         let _eval_span = wsn_obs::span("evaluate");
@@ -724,8 +724,8 @@ fn eval_time(schedule: &SamplingSchedule, round: usize) -> Timestamp {
 /// checkpoint when one is due. Under [`Grading::Settled`] it never stops
 /// and grades once, after the tail.
 #[allow(clippy::too_many_arguments)]
-fn drive<A, S>(
-    sim: &mut S,
+fn drive<A: StreamingProbe>(
+    sim: &mut PartitionedSimulator<A>,
     schedule: &SamplingSchedule,
     grader: &Grader,
     mut faults: Option<FaultDriver<'_, A>>,
@@ -733,11 +733,7 @@ fn drive<A, S>(
     grading: Grading,
     persist: Option<&CheckpointCtx>,
     resume: Option<ResumeState>,
-) -> Result<(StreamingOutcome, Option<Grade>), CoreError>
-where
-    A: Application + StreamingProbe + ScheduleDriven,
-    S: SimHandle<A>,
-{
+) -> Result<(StreamingOutcome, Option<Grade>), CoreError> {
     let mut slides = Vec::with_capacity(schedule.rounds);
     let mut previous = Totals::default();
     let mut convergence_latency = None;
@@ -775,31 +771,25 @@ where
             ))
             .into());
         }
-        let mut install: Result<(), PersistError> = Ok(());
         let mut seen = 0usize;
-        sim.for_each_app_mut(&mut |id, app| {
-            if install.is_err() {
-                return;
-            }
+        for (id, app) in sim.apps() {
             seen += 1;
             match state.nodes.get(&id) {
                 None => {
-                    install = Err(PersistError::Mismatch(format!(
+                    return Err(PersistError::Mismatch(format!(
                         "live node {id} has no snapshot in the checkpoint"
-                    )));
+                    ))
+                    .into())
                 }
-                Some(dump) => {
-                    if app.persist_snapshot() != *dump {
-                        install = Err(PersistError::Mismatch(format!(
-                            "replayed state of node {id} diverges from the checkpoint"
-                        )));
-                    } else {
-                        install = app.persist_restore(dump);
-                    }
+                Some(dump) if app.persist_snapshot() != *dump => {
+                    return Err(PersistError::Mismatch(format!(
+                        "replayed state of node {id} diverges from the checkpoint"
+                    ))
+                    .into())
                 }
+                Some(_) => {}
             }
-        });
-        install?;
+        }
         if seen != state.nodes.len() {
             return Err(PersistError::Mismatch(format!(
                 "checkpoint holds {} node snapshots but the simulation has {seen} live apps",
@@ -807,6 +797,13 @@ where
             ))
             .into());
         }
+        let mut install = Ok(());
+        sim.for_each_app_mut(|id, app| {
+            if install.is_ok() {
+                install = app.persist_restore(&state.nodes[&id]);
+            }
+        });
+        install?;
         slides = state.slides;
         previous = state.previous;
         convergence_latency = state.convergence;
@@ -857,13 +854,12 @@ where
                 // Nested under the slide span, so telemetry reports the
                 // checkpoint cost as `slide/checkpoint`.
                 let _ckpt_span = wsn_obs::span("checkpoint");
-                let mut nodes: Vec<JsonValue> = Vec::with_capacity(node_count);
-                sim.for_each_app(&mut |id, app| {
-                    nodes.push(JsonValue::Array(vec![
-                        JsonValue::from(id.0),
-                        app.persist_snapshot(),
-                    ]));
-                });
+                let nodes: Vec<JsonValue> = sim
+                    .apps()
+                    .map(|(id, app)| {
+                        JsonValue::Array(vec![JsonValue::from(id.0), app.persist_snapshot()])
+                    })
+                    .collect();
                 let payload = JsonValue::Object(vec![
                     ("config_hash".to_string(), JsonValue::from(ctx.config_hash)),
                     ("cursor".to_string(), JsonValue::from(round + 1)),
@@ -910,8 +906,7 @@ where
         sim.run_until_quiescent(schedule.deadline())
     };
     let settled = (grading == Grading::Settled).then(|| grader.grade(sim));
-    let mut data_points_sent = 0;
-    sim.for_each_app(&mut |_, a| data_points_sent += a.streaming_points_sent());
+    let data_points_sent = sim.apps().map(|(_, app)| app.streaming_points_sent()).sum();
     let outcome = StreamingOutcome {
         label,
         slides,
@@ -929,9 +924,8 @@ where
 /// is advanced to each event's time before the event is applied, so deaths
 /// and joins interleave with protocol traffic exactly where the plan puts
 /// them. Joins construct a fresh application via the experiment's app
-/// factory, mark it schedule-driven, and install the node's *remaining*
-/// sampling rounds (past rounds are skipped, not replayed — a late joiner
-/// has no data for them).
+/// factory and install the node's *remaining* sampling rounds (past rounds
+/// are skipped, not replayed — a late joiner has no data for them).
 struct FaultDriver<'a, A> {
     plan: &'a FaultPlan,
     schedule: &'a SamplingSchedule,
@@ -941,12 +935,9 @@ struct FaultDriver<'a, A> {
     next: usize,
 }
 
-impl<'a, A> FaultDriver<'a, A>
-where
-    A: Application + ScheduleDriven,
-{
+impl<A: StreamingProbe> FaultDriver<'_, A> {
     /// Applies every not-yet-applied event scheduled at or before `until`.
-    fn apply_through<S: SimHandle<A> + ?Sized>(&mut self, sim: &mut S, until: Timestamp) {
+    fn apply_through(&mut self, sim: &mut PartitionedSimulator<A>, until: Timestamp) {
         while let Some(ev) = self.plan.events().get(self.next) {
             if ev.at > until {
                 break;
@@ -956,9 +947,7 @@ where
             match &ev.action {
                 FaultAction::Death(id) => sim.remove_node(*id),
                 FaultAction::Join { id, position } => {
-                    let mut app = (self.make_app)(*id);
-                    app.sampling_installed();
-                    let _ = sim.add_node(*id, *position, app);
+                    let _ = sim.add_node(*id, *position, (self.make_app)(*id));
                     sim.schedule_timer_batch(self.schedule.node_batch_after(sim.now(), *id));
                 }
             }
@@ -966,7 +955,7 @@ where
     }
 
     /// Applies all remaining events (call before waiting for quiescence).
-    fn finish<S: SimHandle<A> + ?Sized>(&mut self, sim: &mut S) {
+    fn finish(&mut self, sim: &mut PartitionedSimulator<A>) {
         self.apply_through(sim, Timestamp::from_micros(u64::MAX));
     }
 }

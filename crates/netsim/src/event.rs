@@ -467,11 +467,6 @@ impl<C: Component> SimCore<C> {
         self.components.iter().map(|(id, c)| (*id, c))
     }
 
-    /// Mutable iteration over components in ascending id order.
-    pub fn components_mut(&mut self) -> impl Iterator<Item = (u32, &mut C)> {
-        self.components.iter_mut().map(|(id, c)| (*id, c))
-    }
-
     /// Number of components.
     pub fn component_count(&self) -> usize {
         self.components.len()

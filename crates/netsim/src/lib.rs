@@ -56,7 +56,7 @@ pub use energy::{EnergyModel, EnergyReport};
 pub use event::{EventKey, EventQueue};
 pub use fault::{DutyCycle, FaultAction, FaultEvent, FaultPlan};
 pub use radio::{LossModel, RadioConfig};
-pub use region::{AnySimulator, Partition, PartitionedSimulator, SimBackend, SimHandle};
+pub use region::{Partition, PartitionedSimulator, SimBackend};
 pub use sim::{Application, NodeContext, SimConfig, Simulator};
 pub use stats::{NetworkStats, NodeStats};
 pub use topology::Topology;

@@ -4,11 +4,15 @@
 //! the layer diagram): it tiles a deployment into rectangular regions sized
 //! by the radio range, runs each region's event stream on its own
 //! [`Simulator`] engine instance on a worker pool, and merges cross-region
-//! transmissions deterministically at epoch barriers. The sequential
-//! single-region engine is kept as the equality oracle: both backends
-//! produce **bit-for-bit identical** results (estimates, energy floats,
-//! packet counters, hop counts), which the seeded property suite in
-//! `tests/property_partitioned_sim.rs` enforces.
+//! transmissions deterministically at epoch barriers.
+//! [`PartitionedSimulator`] is the one engine experiment drivers hold:
+//! [`SimBackend::Sequential`] builds it with a single region, which owns
+//! every node and runs its [`Simulator`] straight to each deadline, with
+//! no epochs and no worker pool. Every region count produces **bit-for-bit
+//! identical** results (estimates, energy floats, packet counters, hop
+//! counts): the seeded property suite in `tests/property_partitioned_sim.rs`
+//! compares one region against several, and this module's tests compare
+//! both against a plain [`Simulator::new`] run, the equality oracle.
 //!
 //! # The conservative epoch protocol
 //!
@@ -73,10 +77,12 @@ static OBS_IMBALANCE_PCT: wsn_obs::Histogram =
 /// Events carrying their definitive [`EventKey`], ready for queue injection.
 type KeyedEvents<M> = Vec<(EventKey, NetEvent<M>)>;
 
-/// Which engine an experiment driver should run its simulation on.
+/// How many regions an experiment driver's [`PartitionedSimulator`] tiles
+/// the network into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimBackend {
-    /// One engine instance over the whole network (the equality oracle).
+    /// One region owning every node: its [`Simulator`] runs straight to
+    /// each deadline, with no epochs and no worker pool.
     #[default]
     Sequential,
     /// Spatially partitioned regions run in parallel on a worker pool.
@@ -86,6 +92,16 @@ pub enum SimBackend {
         /// (see [`Partition::grid`]).
         regions: usize,
     },
+}
+
+impl SimBackend {
+    /// The requested region count: 1 for [`SimBackend::Sequential`].
+    pub fn regions(self) -> usize {
+        match self {
+            SimBackend::Sequential => 1,
+            SimBackend::Partitioned { regions } => regions,
+        }
+    }
 }
 
 /// A spatial tiling of a topology into regions, with interior/boundary
@@ -226,103 +242,21 @@ impl Partition {
     }
 }
 
-/// The common driving surface of the sequential and partitioned engines.
-///
-/// Experiment harnesses are written against this trait so a
-/// [`SimBackend`] choice is a pure configuration change. Application
-/// iteration is closure-based (`for_each_app`) rather than iterator-based so
-/// the trait stays object-safe-ish simple and the partitioned engine can
-/// walk its regions in **global ascending id order** without materialising a
-/// merged map.
-pub trait SimHandle<A: Application> {
-    /// Current simulation time.
-    fn now(&self) -> Timestamp;
-    /// The communication topology.
-    fn topology(&self) -> &Topology;
-    /// Runs until `deadline` (inclusive) and advances the clock to it.
-    /// Returns the number of events processed.
-    fn run_until(&mut self, deadline: Timestamp) -> u64;
-    /// Runs until drained or the next event lies beyond `deadline`; returns
-    /// `true` if the network went quiescent.
-    fn run_until_quiescent(&mut self, deadline: Timestamp) -> bool;
-    /// Snapshot of the network statistics at the current time.
-    fn network_stats(&self) -> NetworkStats;
-    /// Schedules an external timer.
-    fn schedule_timer(&mut self, node: SensorId, at: Timestamp, timer: TimerId);
-    /// Schedules a pre-sorted external timer batch (one queue slot per
-    /// engine).
-    fn schedule_timer_batch(&mut self, entries: Vec<BatchTimerEntry>);
-    /// Removes a node and notifies its former neighbours.
-    fn remove_node(&mut self, id: SensorId);
-    /// Adds (or re-adds) a node at `position` running `app` — the dual of
-    /// `remove_node`, modelling a late join or a rejoin after battery death.
-    /// Returns the node's new single-hop neighbours in ascending order.
-    fn add_node(&mut self, id: SensorId, position: Position, app: A) -> Vec<SensorId>;
-    /// Installs the per-node radio duty cycles (nodes without an entry are
-    /// always awake).
-    fn set_duty_cycles(&mut self, cycles: Arc<BTreeMap<SensorId, DutyCycle>>);
-    /// Visits every application in ascending node order.
-    fn for_each_app(&self, f: &mut dyn FnMut(SensorId, &A));
-    /// Mutably visits every application in ascending node order.
-    fn for_each_app_mut(&mut self, f: &mut dyn FnMut(SensorId, &mut A));
-}
-
-impl<A: Application> SimHandle<A> for Simulator<A> {
-    fn now(&self) -> Timestamp {
-        Simulator::now(self)
-    }
-    fn topology(&self) -> &Topology {
-        Simulator::topology(self)
-    }
-    fn run_until(&mut self, deadline: Timestamp) -> u64 {
-        Simulator::run_until(self, deadline)
-    }
-    fn run_until_quiescent(&mut self, deadline: Timestamp) -> bool {
-        Simulator::run_until_quiescent(self, deadline)
-    }
-    fn network_stats(&self) -> NetworkStats {
-        Simulator::network_stats(self)
-    }
-    fn schedule_timer(&mut self, node: SensorId, at: Timestamp, timer: TimerId) {
-        let _ = Simulator::schedule_timer(self, node, at, timer);
-    }
-    fn schedule_timer_batch(&mut self, entries: Vec<BatchTimerEntry>) {
-        Simulator::schedule_timer_batch(self, entries);
-    }
-    fn remove_node(&mut self, id: SensorId) {
-        Simulator::remove_node(self, id);
-    }
-    fn add_node(&mut self, id: SensorId, position: Position, app: A) -> Vec<SensorId> {
-        Simulator::add_node(self, id, position, app)
-    }
-    fn set_duty_cycles(&mut self, cycles: Arc<BTreeMap<SensorId, DutyCycle>>) {
-        Simulator::set_duty_cycles(self, cycles);
-    }
-    fn for_each_app(&self, f: &mut dyn FnMut(SensorId, &A)) {
-        for (id, app) in self.apps() {
-            f(id, app);
-        }
-    }
-    fn for_each_app_mut(&mut self, f: &mut dyn FnMut(SensorId, &mut A)) {
-        for (id, app) in self.apps_mut() {
-            f(id, app);
-        }
-    }
-}
-
 /// The spatially partitioned parallel engine.
 ///
 /// Each region is a full [`Simulator`] owning the applications, meters and
 /// statistics of its sensors (and a copy of the whole topology for fan-out
 /// computation). The coordinator owns the external event-sequence counter —
-/// it makes exactly the same allocations, in the same order, as the
-/// sequential engine's constructor and scheduling methods, so every event
-/// carries the same key in both backends.
+/// it makes exactly the same allocations, in the same order, as a plain
+/// [`Simulator`]'s constructor and scheduling methods, so every event
+/// carries the same key whatever the region count.
 ///
-/// The engine runs its regions on a **dedicated** worker pool rather than
-/// the process-global one: harnesses routinely run whole simulations *as
-/// jobs on* the global pool (seed sweeps), and joining same-pool jobs from
-/// inside a worker would deadlock.
+/// With two or more regions the engine runs them on a **dedicated** worker
+/// pool rather than the process-global one: harnesses routinely run whole
+/// simulations *as jobs on* the global pool (seed sweeps), and joining
+/// same-pool jobs from inside a worker would deadlock. A single region has
+/// no pool and no epochs: it runs its [`Simulator`] straight to each
+/// deadline.
 pub struct PartitionedSimulator<A>
 where
     A: Application + Send + 'static,
@@ -332,12 +266,13 @@ where
     /// on the worker pool.
     regions: Vec<Option<Simulator<A>>>,
     partition: Partition,
-    pool: WorkerPool,
+    /// The regions' worker pool; `None` for a single region.
+    pool: Option<WorkerPool>,
     config: SimConfig,
     /// Conservative lookahead: the airtime of a zero-payload packet, in µs.
     lookahead_micros: u64,
     /// The external event-sequence counter (start events, external timers,
-    /// batches, removal notifications) — mirrors the sequential engine's.
+    /// batches, removal notifications) — mirrors a plain [`Simulator`]'s.
     external_seq: u64,
     /// Global clock: the maximum of the regions' local clocks.
     now: Timestamp,
@@ -358,7 +293,7 @@ where
     /// `target_regions` regions, constructing applications with `make_app`
     /// in ascending id order — the same order as [`Simulator::new`] — and
     /// schedules every node's start event at time zero with the same event
-    /// keys the sequential engine assigns.
+    /// keys [`Simulator::new`] assigns.
     pub fn new(
         config: SimConfig,
         topology: Topology,
@@ -380,12 +315,13 @@ where
             })
             .collect();
         let lookahead_micros = ((config.radio.airtime_secs(0) * 1e6).round() as u64).max(1);
-        let pool_size = partition.region_count().min(wsn_pool::default_size()).max(1);
+        let pool = (partition.region_count() > 1)
+            .then(|| WorkerPool::new(partition.region_count().min(wsn_pool::default_size())));
         let mut sim = PartitionedSimulator {
             regions,
             outbox_routed: vec![0; partition.region_count()],
             partition,
-            pool: WorkerPool::new(pool_size),
+            pool,
             config,
             lookahead_micros,
             external_seq: 0,
@@ -455,9 +391,9 @@ where
         (0..self.regions.len()).map(|r| self.region(r).messages_in_flight()).sum()
     }
 
-    /// Runs the simulation until `deadline` (inclusive) in conservative
-    /// epochs. Advances every region's clock (and the global clock) to
-    /// `deadline`. Returns the number of events processed by this call.
+    /// Runs the simulation until `deadline` (inclusive). Advances every
+    /// region's clock (and the global clock) to `deadline`. Returns the
+    /// number of events processed by this call.
     pub fn run_until(&mut self, deadline: Timestamp) -> u64 {
         let before = self.events_processed();
         self.drain_until(deadline);
@@ -471,17 +407,18 @@ where
     }
 
     /// Runs until every region is drained or the earliest pending event lies
-    /// beyond `deadline`. Returns `true` if the network went quiescent. The
-    /// global clock stays at the last processed event, like the sequential
-    /// engine's.
+    /// beyond `deadline`. Returns `true` if the network went quiescent (every
+    /// region's queue drained), like [`Simulator::run_until_quiescent`]. The
+    /// global clock stays at the last processed event, like a plain
+    /// [`Simulator`]'s.
     pub fn run_until_quiescent(&mut self, deadline: Timestamp) -> bool {
         self.drain_until(deadline);
-        (0..self.regions.len())
-            .all(|r| self.region(r).next_event_time().map_or(true, |t| t > deadline))
+        (0..self.regions.len()).all(|r| self.region(r).next_event_time().is_none())
     }
 
-    /// Schedules an external timer (same external key as the sequential
-    /// engine would assign), routed to the owner region.
+    /// Schedules an external timer (same external key as
+    /// [`Simulator::schedule_timer`] would assign), routed to the owner
+    /// region.
     pub fn schedule_timer(&mut self, node: SensorId, at: Timestamp, timer: TimerId) {
         let seq = self.alloc_external_seqs(1);
         let key = EventKey::new(at, CLASS_TIMER, EXTERNAL_SOURCE, seq, node.raw());
@@ -490,7 +427,7 @@ where
 
     /// Schedules a pre-sorted timer batch, split by owner region — each
     /// region's share occupies one queue slot, and every entry keeps the
-    /// exact key it has in the sequential engine.
+    /// exact key [`Simulator::schedule_timer_batch`] gives it.
     ///
     /// # Panics
     ///
@@ -519,7 +456,7 @@ where
 
     /// Removes a node from every region's topology copy and notifies its
     /// former neighbours with the same control events (same keys, same
-    /// time) the sequential engine schedules.
+    /// time) a plain [`Simulator`] schedules.
     pub fn remove_node(&mut self, id: SensorId) {
         crate::sim::OBS_NODE_DEATHS.add(1);
         let mut former = Vec::new();
@@ -537,7 +474,7 @@ where
     /// Adds (or re-adds) a node: every region's topology copy is patched,
     /// the owner region adopts the application, and the node's start event
     /// plus the neighbour notifications are injected with the same keys (and
-    /// the same external-sequence allocations) the sequential engine assigns.
+    /// the same external-sequence allocations) a plain [`Simulator`] assigns.
     ///
     /// A **rejoining** node goes back to its original owner region — its
     /// energy meter and statistics live there and must keep accumulating —
@@ -583,7 +520,7 @@ where
 
     /// Network statistics merged across regions, with idle energy charged up
     /// to the **global** clock in every region (regions' local clocks stop at
-    /// their own last event; the sequential engine charges everyone up to
+    /// their own last event; a plain [`Simulator`] charges everyone up to
     /// the global last event).
     pub fn network_stats(&self) -> NetworkStats {
         let mut stats = NetworkStats::default();
@@ -597,7 +534,7 @@ where
     /// the per-region aggregates ([`NetworkStats::regions`]): events
     /// processed by each region's engine and boundary receptions it routed
     /// out at epoch barriers. Kept out of the plain snapshot so that one
-    /// stays field-for-field comparable with the sequential engine's (which
+    /// stays field-for-field comparable with a plain [`Simulator`]'s (which
     /// has no regions to report).
     pub fn network_stats_by_region(&self) -> NetworkStats {
         let mut stats = self.network_stats();
@@ -613,36 +550,34 @@ where
         stats
     }
 
-    /// Iterates applications in ascending global id order (regions own
-    /// disjoint id sets; the owner map provides the global order).
-    pub fn for_each_app(&self, f: &mut dyn FnMut(SensorId, &A)) {
+    /// Iterates over every live application in ascending global id order,
+    /// like [`Simulator::apps`] (regions own disjoint id sets; the owner map
+    /// provides the global order).
+    pub fn apps(&self) -> impl Iterator<Item = (SensorId, &A)> {
+        self.partition.owners().filter_map(|(id, r)| self.region(r).app(id).map(|app| (id, app)))
+    }
+
+    /// Mutably visits every live application in ascending global id order.
+    pub fn for_each_app_mut(&mut self, mut f: impl FnMut(SensorId, &mut A)) {
         for (id, r) in self.partition.owners() {
-            if let Some(app) = self.region(r).app(id) {
+            if let Some(app) = self.regions[r].as_mut().expect("region present").app_mut(id) {
                 f(id, app);
             }
         }
     }
 
-    /// Mutable counterpart of [`PartitionedSimulator::for_each_app`].
-    pub fn for_each_app_mut(&mut self, f: &mut dyn FnMut(SensorId, &mut A)) {
-        let owners: Vec<(SensorId, usize)> = self.partition.owners().collect();
-        for (id, r) in owners {
-            let region = self.regions[r].as_mut().expect("region present");
-            let mut found = false;
-            for (app_id, app) in region.apps_mut() {
-                if app_id == id {
-                    f(id, app);
-                    found = true;
-                    break;
-                }
-            }
-            let _ = found;
-        }
-    }
-
-    /// The conservative epoch loop: processes every event with time ≤
-    /// `deadline` across all regions.
+    /// Processes every event with time ≤ `deadline` across all regions: in
+    /// conservative epochs across two or more regions, straight through a
+    /// single one.
     fn drain_until(&mut self, deadline: Timestamp) {
+        let end = Timestamp::from_micros(deadline.as_micros().saturating_add(1));
+        if let [Some(region)] = self.regions.as_mut_slice() {
+            // One region owns every node, so no reception ever lands in an
+            // outbox and no epoch bound is needed.
+            region.run_window(end);
+            self.now = self.now.max(region.now());
+            return;
+        }
         loop {
             let t_min =
                 (0..self.regions.len()).filter_map(|r| self.region(r).next_event_time()).min();
@@ -652,9 +587,9 @@ where
             }
             // Exclusive epoch bound: no region may run past the earliest
             // possible cross-region effect, nor past the deadline.
-            let bound_micros = (t_min.as_micros().saturating_add(self.lookahead_micros))
-                .min(deadline.as_micros().saturating_add(1));
-            let bound = Timestamp::from_micros(bound_micros);
+            let bound =
+                Timestamp::from_micros(t_min.as_micros().saturating_add(self.lookahead_micros))
+                    .min(end);
             self.epochs += 1;
             let runnable: Vec<usize> = (0..self.regions.len())
                 .filter(|&r| self.region(r).next_event_time().is_some_and(|t| t < bound))
@@ -667,21 +602,15 @@ where
             } else {
                 Vec::new()
             };
-            if runnable.len() == 1 || self.pool.size() == 1 {
-                // A lone runnable region — or a single-core pool, where a
-                // worker round-trip buys nothing but context switches —
-                // runs inline on the coordinator thread.
-                for r in runnable {
-                    self.regions[r].as_mut().expect("region present").run_window(bound);
-                }
-            } else {
+            let pool = self.pool.as_ref().filter(|pool| runnable.len() > 1 && pool.size() > 1);
+            if let Some(pool) = pool {
                 let jobs: Vec<(usize, wsn_pool::JobHandle<Simulator<A>>)> = runnable
                     .into_iter()
                     .map(|r| {
                         let mut region = self.regions[r].take().expect("region present");
                         (
                             r,
-                            self.pool.submit(move || {
+                            pool.submit(move || {
                                 region.run_window(bound);
                                 region
                             }),
@@ -697,6 +626,13 @@ where
                 }
                 if let Some(t0) = stall_start {
                     OBS_BARRIER_STALL.record(t0.elapsed().as_nanos() as u64);
+                }
+            } else {
+                // A lone runnable region — or a single-core pool, where a
+                // worker round-trip buys nothing but context switches —
+                // runs inline on the coordinator thread.
+                for r in runnable {
+                    self.regions[r].as_mut().expect("region present").run_window(bound);
                 }
             }
             if wsn_obs::enabled() {
@@ -749,137 +685,6 @@ where
     fn inject(&mut self, node: SensorId, key: EventKey, event: NetEvent<A::Message>) {
         let r = self.partition.owner(node).unwrap_or(0);
         self.regions[r].as_mut().expect("region present").inject_keyed(key, event);
-    }
-}
-
-impl<A> SimHandle<A> for PartitionedSimulator<A>
-where
-    A: Application + Send + 'static,
-    A::Message: Send + Sync,
-{
-    fn now(&self) -> Timestamp {
-        PartitionedSimulator::now(self)
-    }
-    fn topology(&self) -> &Topology {
-        PartitionedSimulator::topology(self)
-    }
-    fn run_until(&mut self, deadline: Timestamp) -> u64 {
-        PartitionedSimulator::run_until(self, deadline)
-    }
-    fn run_until_quiescent(&mut self, deadline: Timestamp) -> bool {
-        PartitionedSimulator::run_until_quiescent(self, deadline)
-    }
-    fn network_stats(&self) -> NetworkStats {
-        PartitionedSimulator::network_stats(self)
-    }
-    fn schedule_timer(&mut self, node: SensorId, at: Timestamp, timer: TimerId) {
-        PartitionedSimulator::schedule_timer(self, node, at, timer);
-    }
-    fn schedule_timer_batch(&mut self, entries: Vec<BatchTimerEntry>) {
-        PartitionedSimulator::schedule_timer_batch(self, entries);
-    }
-    fn remove_node(&mut self, id: SensorId) {
-        PartitionedSimulator::remove_node(self, id);
-    }
-    fn add_node(&mut self, id: SensorId, position: Position, app: A) -> Vec<SensorId> {
-        PartitionedSimulator::add_node(self, id, position, app)
-    }
-    fn set_duty_cycles(&mut self, cycles: Arc<BTreeMap<SensorId, DutyCycle>>) {
-        PartitionedSimulator::set_duty_cycles(self, cycles);
-    }
-    fn for_each_app(&self, f: &mut dyn FnMut(SensorId, &A)) {
-        PartitionedSimulator::for_each_app(self, f);
-    }
-    fn for_each_app_mut(&mut self, f: &mut dyn FnMut(SensorId, &mut A)) {
-        PartitionedSimulator::for_each_app_mut(self, f);
-    }
-}
-
-/// Backend-erased simulator: one type experiment drivers can hold whichever
-/// [`SimBackend`] the configuration selected.
-pub enum AnySimulator<A>
-where
-    A: Application + Send + 'static,
-    A::Message: Send + Sync,
-{
-    /// The sequential engine.
-    Sequential(Simulator<A>),
-    /// The partitioned parallel engine.
-    Partitioned(PartitionedSimulator<A>),
-}
-
-impl<A> AnySimulator<A>
-where
-    A: Application + Send + 'static,
-    A::Message: Send + Sync,
-{
-    /// Builds the engine the backend selects.
-    pub fn build(
-        backend: SimBackend,
-        config: SimConfig,
-        topology: Topology,
-        make_app: impl FnMut(SensorId) -> A,
-    ) -> Self {
-        match backend {
-            SimBackend::Sequential => {
-                AnySimulator::Sequential(Simulator::new(config, topology, make_app))
-            }
-            SimBackend::Partitioned { regions } => AnySimulator::Partitioned(
-                PartitionedSimulator::new(config, topology, regions, make_app),
-            ),
-        }
-    }
-}
-
-macro_rules! delegate {
-    ($self:ident, $sim:ident => $body:expr) => {
-        match $self {
-            AnySimulator::Sequential($sim) => $body,
-            AnySimulator::Partitioned($sim) => $body,
-        }
-    };
-}
-
-impl<A> SimHandle<A> for AnySimulator<A>
-where
-    A: Application + Send + 'static,
-    A::Message: Send + Sync,
-{
-    fn now(&self) -> Timestamp {
-        delegate!(self, s => SimHandle::<A>::now(s))
-    }
-    fn topology(&self) -> &Topology {
-        delegate!(self, s => SimHandle::<A>::topology(s))
-    }
-    fn run_until(&mut self, deadline: Timestamp) -> u64 {
-        delegate!(self, s => SimHandle::<A>::run_until(s, deadline))
-    }
-    fn run_until_quiescent(&mut self, deadline: Timestamp) -> bool {
-        delegate!(self, s => SimHandle::<A>::run_until_quiescent(s, deadline))
-    }
-    fn network_stats(&self) -> NetworkStats {
-        delegate!(self, s => SimHandle::<A>::network_stats(s))
-    }
-    fn schedule_timer(&mut self, node: SensorId, at: Timestamp, timer: TimerId) {
-        delegate!(self, s => SimHandle::<A>::schedule_timer(s, node, at, timer))
-    }
-    fn schedule_timer_batch(&mut self, entries: Vec<BatchTimerEntry>) {
-        delegate!(self, s => SimHandle::<A>::schedule_timer_batch(s, entries))
-    }
-    fn remove_node(&mut self, id: SensorId) {
-        delegate!(self, s => SimHandle::<A>::remove_node(s, id))
-    }
-    fn add_node(&mut self, id: SensorId, position: Position, app: A) -> Vec<SensorId> {
-        delegate!(self, s => SimHandle::<A>::add_node(s, id, position, app))
-    }
-    fn set_duty_cycles(&mut self, cycles: Arc<BTreeMap<SensorId, DutyCycle>>) {
-        delegate!(self, s => SimHandle::<A>::set_duty_cycles(s, cycles))
-    }
-    fn for_each_app(&self, f: &mut dyn FnMut(SensorId, &A)) {
-        delegate!(self, s => SimHandle::<A>::for_each_app(s, f))
-    }
-    fn for_each_app_mut(&mut self, f: &mut dyn FnMut(SensorId, &mut A)) {
-        delegate!(self, s => SimHandle::<A>::for_each_app_mut(s, f))
     }
 }
 
@@ -940,7 +745,7 @@ mod tests {
     }
 
     /// The flood protocol from the engine tests, used here to compare
-    /// backends bit-for-bit.
+    /// engines bit-for-bit.
     #[derive(Clone)]
     struct Flood {
         is_origin: bool,
@@ -983,6 +788,57 @@ mod tests {
         Flood { is_origin: id == SensorId(0), seen: false, received_from: Vec::new() }
     }
 
+    /// Every live node's flood state, in the order the engine yields it.
+    fn flood_states<'a>(
+        apps: impl Iterator<Item = (SensorId, &'a Flood)>,
+    ) -> Vec<(SensorId, bool, Vec<SensorId>)> {
+        apps.map(|(id, app)| (id, app.seen, app.received_from.clone())).collect()
+    }
+
+    /// Drives one script against a plain [`Simulator`] (the oracle) and
+    /// against partitions of one and four regions, then checks each
+    /// partition against the oracle bit for bit: clock, topology, event
+    /// count, statistics (exact float equality) and every node's flood
+    /// state in global id order. A one-region partition must never enter
+    /// the epoch loop. The engines share no trait, so the script is a
+    /// block expanded once per engine, bound to `$sim`. Evaluates to the
+    /// oracle.
+    macro_rules! check_against_oracle {
+        ($topology:expr, $config:expr, |$sim:ident| $script:block) => {{
+            let topology: Topology = $topology;
+            let config: SimConfig = $config;
+            let mut oracle = Simulator::new(config, topology.clone(), flood_app);
+            {
+                let $sim = &mut oracle;
+                $script
+            }
+            for regions in [1, 4] {
+                let mut par =
+                    PartitionedSimulator::new(config, topology.clone(), regions, flood_app);
+                {
+                    let $sim = &mut par;
+                    $script
+                }
+                assert_eq!(par.region_count(), regions);
+                if regions == 1 {
+                    assert_eq!(par.epochs(), 0, "one region runs without epochs");
+                } else {
+                    assert!(par.epochs() > 0, "{regions} regions run in epochs");
+                }
+                assert_eq!(oracle.now(), par.now(), "regions={regions}");
+                assert_eq!(oracle.topology().len(), par.topology().len(), "regions={regions}");
+                assert_eq!(oracle.events_processed(), par.events_processed(), "regions={regions}");
+                assert_eq!(oracle.network_stats(), par.network_stats(), "regions={regions}");
+                assert_eq!(
+                    flood_states(oracle.apps()),
+                    flood_states(par.apps()),
+                    "regions={regions}: apps are visited in global id order"
+                );
+            }
+            oracle
+        }};
+    }
+
     #[test]
     fn partitioned_flood_matches_sequential_bit_for_bit() {
         for (loss, seed) in [
@@ -1001,6 +857,7 @@ mod tests {
                     seq.run_until_quiescent(Timestamp::from_secs(10)),
                     par.run_until_quiescent(Timestamp::from_secs(10))
                 );
+                assert_eq!(par.epochs() == 0, par.region_count() == 1, "regions={regions}");
                 assert_eq!(seq.now(), par.now(), "regions={regions} seed={seed}");
                 assert_eq!(seq.events_processed(), par.events_processed());
                 assert_eq!(
@@ -1008,88 +865,63 @@ mod tests {
                     par.network_stats(),
                     "regions={regions} seed={seed} (exact float equality)"
                 );
-                let mut seq_apps = Vec::new();
-                seq.for_each_app(&mut |id, a: &Flood| {
-                    seq_apps.push((id, a.seen, a.received_from.clone()));
-                });
-                let mut par_apps = Vec::new();
-                par.for_each_app(&mut |id, a: &Flood| {
-                    par_apps.push((id, a.seen, a.received_from.clone()));
-                });
-                assert_eq!(seq_apps, par_apps);
+                assert_eq!(flood_states(seq.apps()), flood_states(par.apps()));
             }
         }
     }
 
     #[test]
     fn partitioned_node_removal_matches_sequential() {
-        let topo = grid_topology(4, 5.0, 6.0);
-        let config = flood_config(LossModel::Reliable, 1);
-        let mut seq = Simulator::new(config, topo.clone(), flood_app);
-        let mut par = PartitionedSimulator::new(config, topo, 4, flood_app);
-        for sim in [&mut seq as &mut dyn SimHandle<Flood>, &mut par] {
-            sim.run_until(Timestamp::from_secs(1));
-            sim.remove_node(SensorId(5));
-            sim.schedule_timer_batch(vec![
-                (Timestamp::from_secs(2), SensorId(5), 0),
-                (Timestamp::from_secs(2), SensorId(10), 1),
-            ]);
-            sim.run_until(Timestamp::from_secs(5));
-        }
-        assert_eq!(seq.topology().len(), par.topology().len());
-        assert_eq!(seq.network_stats(), par.network_stats());
-        assert_eq!(seq.events_processed(), par.events_processed());
+        check_against_oracle!(
+            grid_topology(4, 5.0, 6.0),
+            flood_config(LossModel::Reliable, 1),
+            |sim| {
+                sim.run_until(Timestamp::from_secs(1));
+                sim.remove_node(SensorId(5));
+                sim.schedule_timer_batch(vec![
+                    (Timestamp::from_secs(2), SensorId(5), 0),
+                    (Timestamp::from_secs(2), SensorId(10), 1),
+                ]);
+                sim.run_until(Timestamp::from_secs(5));
+            }
+        );
     }
 
     #[test]
     fn partitioned_rejoin_after_death_matches_sequential() {
-        let topo = grid_topology(4, 5.0, 6.0);
         let config = flood_config(LossModel::bernoulli(0.2), 5);
-        let mut seq = Simulator::new(config, topo.clone(), flood_app);
-        let mut par = PartitionedSimulator::new(config, topo, 4, flood_app);
-        for sim in [&mut seq as &mut dyn SimHandle<Flood>, &mut par] {
+        check_against_oracle!(grid_topology(4, 5.0, 6.0), config, |sim| {
             sim.run_until(Timestamp::from_secs(1));
             sim.remove_node(SensorId(5));
             sim.run_until(Timestamp::from_secs(2));
             // Node 5 rejoins at its grid position and broadcasts on a timer:
             // its emission counter continues where it left off, so the
-            // packet-loss rolls line up across backends.
+            // packet-loss rolls line up across engines.
             sim.add_node(SensorId(5), Position::new(5.0, 5.0), flood_app(SensorId(5)));
             sim.schedule_timer(SensorId(5), Timestamp::from_secs(3), 9);
             sim.run_until(Timestamp::from_secs(5));
-        }
-        assert_eq!(seq.topology().len(), par.topology().len());
-        assert_eq!(seq.network_stats(), par.network_stats());
-        assert_eq!(seq.events_processed(), par.events_processed());
+        });
     }
 
     #[test]
     fn partitioned_late_join_of_a_new_node_matches_sequential() {
-        let topo = grid_topology(3, 5.0, 6.0);
-        let config = flood_config(LossModel::Reliable, 1);
-        let mut seq = Simulator::new(config, topo.clone(), flood_app);
-        let mut par = PartitionedSimulator::new(config, topo, 4, flood_app);
-        for sim in [&mut seq as &mut dyn SimHandle<Flood>, &mut par] {
-            sim.run_until(Timestamp::from_secs(1));
-            let linked =
-                sim.add_node(SensorId(100), Position::new(2.5, 2.5), flood_app(SensorId(100)));
-            assert!(!linked.is_empty(), "the joiner lands inside the grid");
-            sim.schedule_timer(SensorId(100), Timestamp::from_secs(2), 7);
-            sim.run_until(Timestamp::from_secs(4));
-        }
-        assert_eq!(seq.topology().len(), 10);
-        assert_eq!(seq.network_stats(), par.network_stats());
-        assert_eq!(seq.events_processed(), par.events_processed());
-        let mut seq_apps = Vec::new();
-        seq.for_each_app(&mut |id, a: &Flood| seq_apps.push((id, a.seen)));
-        let mut par_apps = Vec::new();
-        par.for_each_app(&mut |id, a: &Flood| par_apps.push((id, a.seen)));
-        assert_eq!(seq_apps, par_apps, "the joiner is visited in global id order");
+        let oracle = check_against_oracle!(
+            grid_topology(4, 5.0, 6.0),
+            flood_config(LossModel::Reliable, 1),
+            |sim| {
+                sim.run_until(Timestamp::from_secs(1));
+                let linked =
+                    sim.add_node(SensorId(100), Position::new(2.5, 2.5), flood_app(SensorId(100)));
+                assert!(!linked.is_empty(), "the joiner lands inside the grid");
+                sim.schedule_timer(SensorId(100), Timestamp::from_secs(2), 7);
+                sim.run_until(Timestamp::from_secs(4));
+            }
+        );
+        assert_eq!(oracle.topology().len(), 17);
     }
 
     #[test]
     fn duty_cycles_and_bursty_loss_match_sequential() {
-        let topo = grid_topology(4, 5.0, 6.0);
         let config = flood_config(LossModel::gilbert_elliott(0.3, 0.4, 0.05, 0.9), 2);
         let cycles: Arc<BTreeMap<SensorId, DutyCycle>> = Arc::new(
             (0..16)
@@ -1099,21 +931,52 @@ mod tests {
                 })
                 .collect(),
         );
-        let mut seq = Simulator::new(config, topo.clone(), flood_app);
-        let mut par = PartitionedSimulator::new(config, topo, 4, flood_app);
-        seq.set_duty_cycles(Arc::clone(&cycles));
-        par.set_duty_cycles(Arc::clone(&cycles));
-        for sim in [&mut seq as &mut dyn SimHandle<Flood>, &mut par] {
+        let oracle = check_against_oracle!(grid_topology(4, 5.0, 6.0), config, |sim| {
+            sim.set_duty_cycles(Arc::clone(&cycles));
             for t in 1..6u64 {
                 sim.schedule_timer(SensorId(t as u32), Timestamp::from_secs(t), t);
             }
             sim.run_until_quiescent(Timestamp::from_secs(30));
-        }
-        let seq_stats = seq.network_stats();
-        assert_eq!(seq_stats, par.network_stats(), "exact float equality");
-        assert_eq!(seq.events_processed(), par.events_processed());
-        assert!(seq_stats.total_packets_dropped_asleep() > 0, "some receptions hit sleepers");
-        assert!(seq_stats.total_packets_dropped() > 0, "the bursty channel dropped packets");
+        });
+        let stats = oracle.network_stats();
+        assert!(stats.total_packets_dropped_asleep() > 0, "some receptions hit sleepers");
+        assert!(stats.total_packets_dropped() > 0, "the bursty channel dropped packets");
+    }
+
+    #[test]
+    fn quiescence_respects_the_deadline_at_every_region_count() {
+        check_against_oracle!(
+            grid_topology(4, 5.0, 6.0),
+            flood_config(LossModel::Reliable, 0),
+            |sim| {
+                sim.schedule_timer(SensorId(3), Timestamp::from_secs(50), 9);
+                assert!(
+                    !sim.run_until_quiescent(Timestamp::from_secs(10)),
+                    "a timer beyond the deadline is still pending"
+                );
+                assert!(sim.run_until_quiescent(Timestamp::from_secs(100)));
+            }
+        );
+    }
+
+    #[test]
+    fn the_mutable_visit_reaches_every_live_app_once_in_global_id_order() {
+        let config = flood_config(LossModel::Reliable, 1);
+        let mut par = PartitionedSimulator::new(config, grid_topology(4, 5.0, 6.0), 4, flood_app);
+        par.run_until(Timestamp::from_secs(1));
+        par.remove_node(SensorId(6));
+        // The joiner is adopted by its lowest-id neighbour's region, behind
+        // that region's lower ids: the visit must still be globally sorted.
+        par.add_node(SensorId(100), Position::new(2.5, 2.5), flood_app(SensorId(100)));
+        let mut visited = Vec::new();
+        par.for_each_app_mut(|id, app| {
+            app.received_from.clear();
+            visited.push(id);
+        });
+        let expected: Vec<SensorId> =
+            (0..16).filter(|&i| i != 6).map(SensorId).chain([SensorId(100)]).collect();
+        assert_eq!(visited, expected);
+        assert!(par.apps().all(|(_, app)| app.received_from.is_empty()));
     }
 
     #[test]
@@ -1140,19 +1003,28 @@ mod tests {
         assert_eq!(stats.total_region_events(), par.events_processed());
         assert!(stats.total_boundary_crossings() > 0, "a flood crosses region boundaries");
         // The plain snapshot stays region-free so it remains bit-comparable
-        // with the sequential engine's.
+        // with a plain `Simulator`'s.
         assert!(par.network_stats().regions.is_empty());
     }
 
     #[test]
-    fn backend_selection_is_a_pure_configuration_change() {
-        let topo = grid_topology(3, 5.0, 6.0);
+    fn the_sequential_backend_is_one_region_without_a_pool() {
+        let topo = grid_topology(6, 5.0, 6.0);
         let config = flood_config(LossModel::Reliable, 0);
-        let mut a = AnySimulator::build(SimBackend::Sequential, config, topo.clone(), flood_app);
-        let mut b =
-            AnySimulator::build(SimBackend::Partitioned { regions: 2 }, config, topo, flood_app);
-        assert!(SimHandle::<Flood>::run_until_quiescent(&mut a, Timestamp::from_secs(5)));
-        assert!(SimHandle::<Flood>::run_until_quiescent(&mut b, Timestamp::from_secs(5)));
-        assert_eq!(SimHandle::<Flood>::network_stats(&a), SimHandle::<Flood>::network_stats(&b));
+        let regions = SimBackend::Sequential.regions();
+        let mut one = PartitionedSimulator::new(config, topo.clone(), regions, flood_app);
+        let mut four = PartitionedSimulator::new(
+            config,
+            topo,
+            SimBackend::Partitioned { regions: 4 }.regions(),
+            flood_app,
+        );
+        assert_eq!(one.region_count(), 1);
+        assert!(one.pool.is_none(), "one region needs no worker pool");
+        assert!(four.pool.is_some());
+        assert!(one.run_until_quiescent(Timestamp::from_secs(5)));
+        assert!(four.run_until_quiescent(Timestamp::from_secs(5)));
+        assert_eq!(one.epochs(), 0);
+        assert_eq!(one.network_stats(), four.network_stats());
     }
 }

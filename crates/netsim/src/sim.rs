@@ -263,13 +263,16 @@ impl<A: Application> Component for NodeComponent<A> {
 
 /// The discrete-event simulator.
 ///
-/// One `Simulator` instance runs either the whole network (the sequential
-/// backend) or the *owned* subset of it — one region of a
-/// [`crate::region::PartitionedSimulator`]. A region holds the full
+/// A `Simulator` is the region engine of a
+/// [`crate::region::PartitionedSimulator`], the engine experiment drivers
+/// hold: it runs the *owned* subset of the network. A region holds the full
 /// [`Topology`] (needed to compute every transmission's fan-out) but
 /// applications, energy meters and statistics only for its owned nodes;
 /// receptions addressed to nodes owned elsewhere are diverted to an outbox
-/// the partition coordinator routes at epoch barriers.
+/// the partition coordinator routes at epoch barriers. A one-region
+/// partition ([`crate::region::SimBackend::Sequential`]) owns every node.
+/// Built with [`Simulator::new`], it runs the whole network on its own:
+/// the equality oracle of the partition's tests.
 pub struct Simulator<A: Application> {
     config: SimConfig,
     topology: Topology,
@@ -379,16 +382,14 @@ impl<A: Application> Simulator<A> {
         self.core.component(id.raw()).map(|c| &c.app)
     }
 
+    /// Mutable access to a node's application.
+    pub(crate) fn app_mut(&mut self, id: SensorId) -> Option<&mut A> {
+        self.core.component_mut(id.raw()).map(|c| &mut c.app)
+    }
+
     /// Iterates over all applications in ascending node order.
     pub fn apps(&self) -> impl Iterator<Item = (SensorId, &A)> {
         self.core.components().map(|(id, c)| (SensorId(id), &c.app))
-    }
-
-    /// Mutable access to all applications, for harnesses that need to
-    /// configure the apps after construction (e.g. switching them to an
-    /// externally installed timer schedule).
-    pub fn apps_mut(&mut self) -> impl Iterator<Item = (SensorId, &mut A)> {
-        self.core.components_mut().map(|(id, c)| (SensorId(id), &mut c.app))
     }
 
     /// Number of events processed so far.

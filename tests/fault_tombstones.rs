@@ -5,9 +5,9 @@
 //! The event core must treat them as tombstones — skipped silently, exactly
 //! like an ordinary timer of a removed node — rather than panicking on a
 //! missing component or leaving the queue undrainable. These tests pin that
-//! contract down for the sequential engine and the partitioned coordinator,
-//! up to and including the degenerate run in which *every* node dies and
-//! the simulation must still quiesce.
+//! contract down for one region (the sequential backend) and for the
+//! partitioned coordinator's epochs, up to and including the degenerate run
+//! in which *every* node dies and the simulation must still quiesce.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -16,7 +16,7 @@ use in_network_outlier::prelude::*;
 use wsn_data::stream::SensorSpec;
 use wsn_data::Position;
 use wsn_netsim::fault::DutyCycle;
-use wsn_netsim::region::{AnySimulator, SimBackend, SimHandle};
+use wsn_netsim::region::{PartitionedSimulator, SimBackend};
 use wsn_netsim::sim::{Application, BatchTimerEntry, NodeContext, SimConfig, TimerId};
 
 /// A minimal application that records which timers fired and broadcasts a
@@ -41,7 +41,7 @@ impl Application for TickerApp {
 }
 
 /// A 3×3 grid, 5 m spacing, 6 m range (4-connected).
-fn grid_sim(backend: SimBackend) -> AnySimulator<TickerApp> {
+fn grid_sim(backend: SimBackend) -> PartitionedSimulator<TickerApp> {
     let specs: Vec<SensorSpec> = (0..9)
         .map(|i| {
             SensorSpec::new(
@@ -52,7 +52,7 @@ fn grid_sim(backend: SimBackend) -> AnySimulator<TickerApp> {
         .collect();
     let topology = Topology::from_specs(&specs, 6.0);
     let config = SimConfig { seed: 7, ..Default::default() };
-    AnySimulator::build(backend, config, topology, |_| TickerApp::default())
+    PartitionedSimulator::new(config, topology, backend.regions(), |_| TickerApp::default())
 }
 
 /// One timer per node per round, rounds at 10 s intervals.
@@ -83,10 +83,8 @@ fn a_dead_nodes_pending_timers_become_tombstones() {
             sim.run_until_quiescent(Timestamp::from_secs(600)),
             "{backend:?}: queue must drain past the dead node's timers"
         );
-        let mut seen = BTreeMap::new();
-        sim.for_each_app(&mut |id, app: &TickerApp| {
-            seen.insert(id, app.fired.clone());
-        });
+        let seen: BTreeMap<SensorId, Vec<TimerId>> =
+            sim.apps().map(|(id, app)| (id, app.fired.clone())).collect();
         assert!(!seen.contains_key(&SensorId(4)), "{backend:?}: the dead node is gone");
         for (id, fired) in &seen {
             assert_eq!(
@@ -148,9 +146,7 @@ fn every_node_dying_still_quiesces() {
             sim.run_until_quiescent(Timestamp::from_secs(600)),
             "{backend:?}: a fully dead network must still drain its queue"
         );
-        let mut survivors = 0;
-        sim.for_each_app(&mut |_, _| survivors += 1);
-        assert_eq!(survivors, 0, "{backend:?}: no applications remain");
+        assert_eq!(sim.apps().count(), 0, "{backend:?}: no applications remain");
         assert!(sim.topology().sensor_ids().is_empty(), "{backend:?}: topology is empty");
     }
 }
@@ -167,10 +163,8 @@ fn both_backends_agree_on_tombstoned_runs() {
         sim.run_until(Timestamp::from_secs(15));
         sim.remove_node(SensorId(4));
         sim.run_until_quiescent(Timestamp::from_secs(600));
-        let mut fired = BTreeMap::new();
-        sim.for_each_app(&mut |id, app: &TickerApp| {
-            fired.insert(id, app.fired.clone());
-        });
+        let fired: BTreeMap<SensorId, Vec<TimerId>> =
+            sim.apps().map(|(id, app)| (id, app.fired.clone())).collect();
         let stats = sim.network_stats();
         outcomes.push((fired, stats.total_packets_sent(), stats.total_packets_dropped()));
     }

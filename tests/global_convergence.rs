@@ -11,6 +11,7 @@ use in_network_outlier::prelude::*;
 use wsn_data::stream::{SensorReading, SensorSpec, SensorStream};
 use wsn_data::window::WindowConfig;
 use wsn_data::Position;
+use wsn_netsim::{PartitionedSimulator, SimBackend};
 
 /// Builds a multi-hop chain simulation in which exactly one node samples one
 /// extreme value; every node must converge on it.
@@ -19,7 +20,7 @@ fn chain_sim(
     rounds: usize,
     loss: LossModel,
     seed: u64,
-) -> Simulator<DetectorApp<NnDistance>> {
+) -> PartitionedSimulator<DetectorApp<NnDistance>> {
     let specs: Vec<SensorSpec> = (0..node_count)
         .map(|i| SensorSpec::new(SensorId(i), Position::new(f64::from(i) * 5.0, 0.0)))
         .collect();
@@ -31,7 +32,7 @@ fn chain_sim(
         seed,
         ..Default::default()
     };
-    simulator_with_sampling(config, topology, &schedule, move |id| {
+    simulator_with_sampling(SimBackend::Sequential, config, topology, &schedule, move |id| {
         let spec = specs.iter().find(|s| s.id == id).copied().unwrap();
         let mut stream = SensorStream::new(spec);
         for round in 0..rounds {

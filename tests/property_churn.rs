@@ -7,12 +7,13 @@
 //!    [`FaultPlan`], byte for byte, and every scheduled event stays inside
 //!    the run and names a deployed sensor. Different seeds pick different
 //!    victims — churn is seeded, not hard-coded.
-//! 2. **Backend bit-identity under faults** (64 cases): the partitioned
-//!    engine must equal the sequential oracle exactly — stats, accuracy,
-//!    labels, agreement, quiescence — while nodes die mid-run, rejoin,
-//!    duty-cycle their radios, and links drop packets in Gilbert–Elliott
-//!    bursts. This is the tentpole claim: spatial parallelism stays
-//!    observationally free even on a hostile, changing network.
+//! 2. **Backend bit-identity under faults** (64 cases): two and four
+//!    regions must equal the sequential backend's single region exactly —
+//!    stats, accuracy, labels, agreement, quiescence — while nodes die
+//!    mid-run, rejoin, duty-cycle their radios, and links drop packets in
+//!    Gilbert–Elliott bursts. This is the tentpole claim: spatial
+//!    parallelism stays observationally free even on a hostile, changing
+//!    network.
 //! 3. **Self-healing after death** (64 cases): after every death, once the
 //!    network settles, no surviving detector retains any per-neighbour state
 //!    for a dead node (`shares_state_with` — shared-knowledge sets,
@@ -20,9 +21,7 @@
 //!    `Arc<DataPoint>` stays pinned by a ghost), and the *live* node set
 //!    reaches quiescence before the deadline.
 
-use in_network_outlier::detection::app::{
-    any_simulator_with_sampling, DetectorApp, SamplingSchedule, ScheduleDriven,
-};
+use in_network_outlier::detection::app::{simulator_with_sampling, DetectorApp, SamplingSchedule};
 use in_network_outlier::detection::experiment::{
     run_experiment, AlgorithmConfig, ExperimentConfig, RankingChoice,
 };
@@ -31,7 +30,7 @@ use wsn_data::lab::LabDeployment;
 use wsn_data::stream::{SensorReading, SensorSpec, SensorStream};
 use wsn_data::Position;
 use wsn_netsim::fault::{FaultAction, FaultPlan};
-use wsn_netsim::region::{SimBackend, SimHandle};
+use wsn_netsim::region::{PartitionedSimulator, SimBackend};
 use wsn_workload::FaultProfile;
 
 // ---------------------------------------------------------------------------
@@ -216,7 +215,7 @@ fn stream_for(spec: SensorSpec) -> SensorStream {
 /// Walks the plan's timeline against a live simulator: the inlined
 /// equivalent of the experiment runner's fault driver.
 fn apply_plan(
-    sim: &mut (impl SimHandle<DetectorApp<NnDistance>> + ?Sized),
+    sim: &mut PartitionedSimulator<DetectorApp<NnDistance>>,
     plan: &FaultPlan,
     schedule: &SamplingSchedule,
     make_app: &dyn Fn(SensorId) -> DetectorApp<NnDistance>,
@@ -226,9 +225,7 @@ fn apply_plan(
         match &event.action {
             FaultAction::Death(id) => sim.remove_node(*id),
             FaultAction::Join { id, position } => {
-                let mut app = make_app(*id);
-                app.sampling_installed();
-                sim.add_node(*id, *position, app);
+                sim.add_node(*id, *position, make_app(*id));
                 sim.schedule_timer_batch(schedule.node_batch_after(sim.now(), *id));
             }
         }
@@ -261,7 +258,7 @@ where
         DetectorApp::new(make_detector(id), stream_for(spec), schedule)
     };
     let config = wsn_netsim::sim::SimConfig { seed, ..Default::default() };
-    let mut sim = any_simulator_with_sampling(backend, config, topology, &schedule, make_app);
+    let mut sim = simulator_with_sampling(backend, config, topology, &schedule, make_app);
     apply_plan(&mut sim, &plan, &schedule, &make_app);
 
     // Live-set quiescence: whatever the churn did, the surviving network
@@ -274,7 +271,7 @@ where
     let dead = dead_at_tail(&plan);
     assert!(!dead.is_empty(), "seed {seed}: at least one node stays dead");
     let mut live = 0usize;
-    sim.for_each_app(&mut |id, app: &DetectorApp<NnDistance>| {
+    for (id, app) in sim.apps() {
         live += 1;
         assert!(!dead.contains(&id), "backend {backend:?} seed {seed}: {id} is dead yet present");
         for d in &dead {
@@ -283,7 +280,7 @@ where
                 "backend {backend:?} seed {seed}: survivor {id} retains state for dead {d}"
             );
         }
-    });
+    }
     assert_eq!(live, 9 - dead.len(), "backend {backend:?} seed {seed}: live-set size");
 }
 

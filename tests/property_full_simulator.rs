@@ -14,7 +14,7 @@ use in_network_outlier::prelude::*;
 use wsn_data::rng::SeededRng;
 use wsn_data::stream::{SensorReading, SensorSpec, SensorStream};
 use wsn_data::{HopCount, Position};
-use wsn_netsim::RadioConfig;
+use wsn_netsim::{PartitionedSimulator, RadioConfig, SimBackend};
 
 /// Fixed seed for the property loops.
 const SEED: u64 = 0x5EED_A007;
@@ -72,7 +72,7 @@ fn chain_specs(rng: &mut SeededRng, nodes: u32) -> Vec<SensorSpec> {
 fn run_scenario(
     rng: &mut SeededRng,
     scenario: &Scenario,
-) -> (Simulator<DetectorApp<NnDistance>>, bool) {
+) -> (PartitionedSimulator<DetectorApp<NnDistance>>, bool) {
     let specs = chain_specs(rng, scenario.nodes);
     let topology = Topology::from_specs(&specs, RADIO_RANGE_M);
     assert!(topology.is_connected(), "the generated chain must be connected");
@@ -114,14 +114,15 @@ fn run_scenario(
     }
     let n = 2;
     let hop_diameter = scenario.hop_diameter;
-    let mut sim = simulator_with_sampling(config, topology, &schedule, |id| {
-        let stream = streams[id.raw() as usize].clone();
-        DetectorApp::new(
-            DetectorNode::new(id, NnDistance, n, hop_diameter, window),
-            stream,
-            schedule,
-        )
-    });
+    let mut sim =
+        simulator_with_sampling(SimBackend::Sequential, config, topology, &schedule, |id| {
+            let stream = streams[id.raw() as usize].clone();
+            DetectorApp::new(
+                DetectorNode::new(id, NnDistance, n, hop_diameter, window),
+                stream,
+                schedule,
+            )
+        });
     let deadline =
         Timestamp::from_secs_f64(SAMPLE_INTERVAL_SECS * (scenario.rounds as f64 + 2.0) + 600.0);
     let quiescent = sim.run_until_quiescent(deadline);

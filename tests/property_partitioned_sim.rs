@@ -4,11 +4,13 @@
 //! The partitioned engine's whole claim (see `wsn_netsim::region`) is that
 //! spatial parallelism is **observationally free**: every outcome — packet
 //! counters, energy floats, detector estimates, accuracy grades, quiescence —
-//! is identical to the sequential oracle's, not merely statistically close.
-//! This suite sweeps the experiment space (algorithm × loss × missing-data ×
-//! deployment size × trace/sim seeds) crossed with region counts {1, 2, 4, 9}
-//! and asserts exact equality of the full outcome on every one of the 256
-//! cases. Floats are compared with `==` deliberately: the determinism recipe
+//! is identical to the sequential backend's, not merely statistically close.
+//! The sequential backend is a one-region partition, whose single region
+//! runs its engine straight to each deadline with no epoch loop. This suite
+//! sweeps the experiment space (algorithm × loss × missing-data × deployment
+//! size × trace/sim seeds) crossed with `Partitioned` region counts
+//! {1, 2, 4, 9} and asserts exact equality of the full outcome on every one
+//! of the 256 cases. Floats are compared with `==` deliberately: the determinism recipe
 //! promises identical accumulation order, and a tolerance would let a real
 //! ordering bug hide inside it.
 
@@ -19,9 +21,8 @@ use in_network_outlier::prelude::*;
 use wsn_netsim::region::SimBackend;
 
 /// The region counts each base configuration is replayed under. One region
-/// exercises the partitioned coordinator with zero parallelism (the epoch
-/// loop must be harmless); nine on a 9-sensor deployment exercises the
-/// region-count cap.
+/// must build the same single-region engine as the sequential backend; nine
+/// on a 9-sensor deployment exercises the region-count cap.
 const REGION_COUNTS: [usize; 4] = [1, 2, 4, 9];
 
 fn base_configs() -> Vec<ExperimentConfig> {

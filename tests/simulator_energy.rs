@@ -12,6 +12,7 @@ use in_network_outlier::netsim::radio::RadioConfig;
 use in_network_outlier::prelude::*;
 use wsn_data::stream::{SensorReading, SensorStream};
 use wsn_data::window::WindowConfig;
+use wsn_netsim::SimBackend;
 
 #[test]
 fn the_paper_deployment_matches_section_7_1() {
@@ -57,18 +58,20 @@ fn every_in_range_node_pays_receive_energy_for_a_broadcast() {
     let topology = Topology::from_deployment(&deployment, PAPER_TRANSMISSION_RANGE_M);
     let schedule = SamplingSchedule::new(30.0, 2);
     let window = WindowConfig::from_samples(10, 30.0).unwrap();
-    let mut sim = simulator_with_sampling(SimConfig::default(), topology, &schedule, |id| {
-        let spec = *deployment.sensors().iter().find(|s| s.id == id).unwrap();
-        let mut stream = SensorStream::new(spec);
-        for round in 0..2u64 {
-            stream.readings.push(SensorReading::present(
-                Epoch(round),
-                Timestamp::from_secs(round * 30),
-                21.0 + id.raw() as f64 * 0.05,
-            ));
-        }
-        DetectorApp::new(DetectorNode::new(id, NnDistance, 2, None, window), stream, schedule)
-    });
+    let config = SimConfig::default();
+    let mut sim =
+        simulator_with_sampling(SimBackend::Sequential, config, topology, &schedule, |id| {
+            let spec = *deployment.sensors().iter().find(|s| s.id == id).unwrap();
+            let mut stream = SensorStream::new(spec);
+            for round in 0..2u64 {
+                stream.readings.push(SensorReading::present(
+                    Epoch(round),
+                    Timestamp::from_secs(round * 30),
+                    21.0 + id.raw() as f64 * 0.05,
+                ));
+            }
+            DetectorApp::new(DetectorNode::new(id, NnDistance, 2, None, window), stream, schedule)
+        });
     assert!(sim.run_until_quiescent(Timestamp::from_secs(400)));
     let stats = sim.network_stats();
 
@@ -102,25 +105,31 @@ fn packet_loss_costs_energy_but_delivers_nothing() {
                 radio: RadioConfig::with_range(PAPER_TRANSMISSION_RANGE_M).with_loss(loss),
                 ..Default::default()
             };
-            let mut sim = simulator_with_sampling(config, topology, &schedule, |id| {
-                let spec = *deployment.sensors().iter().find(|s| s.id == id).unwrap();
-                let mut stream = SensorStream::new(spec);
-                stream.readings.push(SensorReading::present(
-                    Epoch(0),
-                    Timestamp::ZERO,
-                    21.0 + id.raw() as f64 * 0.05,
-                ));
-                stream.readings.push(SensorReading::present(
-                    Epoch(1),
-                    Timestamp::from_secs(30),
-                    21.5 + id.raw() as f64 * 0.05,
-                ));
-                DetectorApp::new(
-                    DetectorNode::new(id, NnDistance, 1, None, window),
-                    stream,
-                    schedule,
-                )
-            });
+            let mut sim = simulator_with_sampling(
+                SimBackend::Sequential,
+                config,
+                topology,
+                &schedule,
+                |id| {
+                    let spec = *deployment.sensors().iter().find(|s| s.id == id).unwrap();
+                    let mut stream = SensorStream::new(spec);
+                    stream.readings.push(SensorReading::present(
+                        Epoch(0),
+                        Timestamp::ZERO,
+                        21.0 + id.raw() as f64 * 0.05,
+                    ));
+                    stream.readings.push(SensorReading::present(
+                        Epoch(1),
+                        Timestamp::from_secs(30),
+                        21.5 + id.raw() as f64 * 0.05,
+                    ));
+                    DetectorApp::new(
+                        DetectorNode::new(id, NnDistance, 1, None, window),
+                        stream,
+                        schedule,
+                    )
+                },
+            );
             sim.run_until_quiescent(Timestamp::from_secs(400));
             sim.network_stats()
         };
