@@ -153,6 +153,10 @@ done
 # and cursors; and a
 # journaled seed sweep re-run against its own journal must skip every
 # completed cell while reproducing the live sweep's aggregate bit for bit.
+# Its three result lines must read exactly as below: a restore rebuilds
+# the detectors' engine chains, quiet memo and revisions cold, so these
+# lines pin that the cold restore changes no packet count, no resumed
+# outcome and no sweep aggregate.
 # The journal artifact is gated through json_check, which reads it under
 # the journal's one rule (the parse SweepJournal::open loads with) and
 # refuses a torn tail, like every other machine-readable output. (The
@@ -161,8 +165,16 @@ done
 # test pass above.)
 echo "== crash-resume smoke (kill at a checkpoint, resume, journaled sweep) =="
 rm -f target/crash_resume_journal.jsonl
-WSN_CRASH_RESUME_OUT="$PWD/target/crash_resume_journal.jsonl" \
-    cargo run --release --offline -p wsn-bench --bin crash_resume
+resume=$(WSN_CRASH_RESUME_OUT="$PWD/target/crash_resume_journal.jsonl" \
+    cargo run --release --offline -p wsn-bench --bin crash_resume)
+printf '%s\n' "$resume"
+for line in \
+    "resume == never-stopped: 6 slides, 98 packets, quiescent=true" \
+    "fleet resume == never-stopped: 6 tenants, 2 shards, 6 epochs" \
+    "journaled sweep: 3 rows, re-run skipped all cells, aggregate == sequential oracle"; do
+    grep -qxF "$line" <<<"$resume" \
+        || { echo "crash_resume: missing the line \"$line\""; exit 1; }
+done
 cargo run --release --offline -p wsn-bench --bin json_check -- target/crash_resume_journal.jsonl
 
 # Archive gate: EXPERIMENTS.md must regenerate from the committed journal

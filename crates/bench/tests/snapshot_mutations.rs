@@ -297,11 +297,6 @@ fn each_observation_is_one_row_per_node_dump() {
         for pair in persist::array_field(book, "shared_with").unwrap() {
             mark(&pair.as_array().unwrap()[1]);
         }
-        for engine in persist::array_field(dump, "engines").unwrap() {
-            for chain in engine.as_array().unwrap() {
-                mark(persist::field(chain, "membership").unwrap());
-            }
-        }
         assert!(referenced.iter().all(|&r| r), "every row is referenced");
         let window_points = persist::array_field(window, "points").unwrap().len() / 2;
         assert_eq!(table.len(), window_points, "the window holds every observation once");

@@ -87,8 +87,9 @@ pub struct CentralizedApp<R> {
     collected: BTreeMap<SensorId, PointSet>,
     /// Sink only: the union of the sink's own window and every collected
     /// window, maintained incrementally — points are inserted or evicted as
-    /// reports arrive and the sink's own window slides, never rebuilt from
-    /// scratch. All points are shared with `collected` / the window.
+    /// reports arrive and the sink's own window slides; only a restore
+    /// rebuilds it from scratch. All points are shared with `collected` /
+    /// the window.
     union: PointSet,
     /// Non-sink only: the most recent answer returned by the sink.
     last_result: Option<Vec<DataPoint>>,
@@ -97,7 +98,8 @@ pub struct CentralizedApp<R> {
     results_sent: u64,
     results_received: u64,
     /// Bumped whenever the sink's detection input changes (own window
-    /// mutation or a fresh report); keys `index_cache`.
+    /// mutation or a fresh report); keys `index_cache`, which a restore
+    /// empties, so it is not persisted.
     state_revision: u64,
     /// Sink only: the neighbour index over `union`, rebuilt lazily when
     /// `state_revision` moves.
@@ -208,16 +210,17 @@ impl<R: RankingFunction> CentralizedApp<R> {
     }
 
     /// Serializes this node's canonical baseline state for
-    /// [`crate::persist`]: window, the sink's collected windows and union,
-    /// the last returned answer and the report/result counters. Transport
-    /// state (routes, pending acks) is *not* snapshotted — a resumed run
-    /// replays the simulation up to the checkpoint, which reconstructs it
+    /// [`crate::persist`]: window, the sink's collected windows, the last
+    /// returned answer and the report/result counters. The sink's union is
+    /// not written: [`CentralizedApp::persist_restore`] rebuilds it from
+    /// the window and the collected windows. Transport state (routes,
+    /// pending acks) is *not* snapshotted — a resumed run replays the
+    /// simulation up to the checkpoint, which reconstructs it
     /// deterministically.
     pub fn persist_snapshot(&self) -> JsonValue {
         let mut table = PointTable::new();
         let window = persist::snapshot_window(&self.window, &mut table);
         let collected = table.sets_by_id(&self.collected);
-        let union = table.set(&self.union);
         let last_result = match &self.last_result {
             Some(points) => {
                 let points: Vec<Arc<DataPoint>> = points.iter().cloned().map(Arc::new).collect();
@@ -232,13 +235,11 @@ impl<R: RankingFunction> CentralizedApp<R> {
             ("n".into(), JsonValue::from(self.n)),
             ("window".into(), window),
             ("collected".into(), collected),
-            ("union".into(), union),
             ("last_result".into(), last_result),
             ("reports_sent".into(), JsonValue::from(self.reports_sent)),
             ("reports_received".into(), JsonValue::from(self.reports_received)),
             ("results_sent".into(), JsonValue::from(self.results_sent)),
             ("results_received".into(), JsonValue::from(self.results_received)),
-            ("state_revision".into(), JsonValue::from(self.state_revision)),
             table.into_field(),
         ])
     }
@@ -284,7 +285,6 @@ impl<R: RankingFunction> CentralizedApp<R> {
             )));
         }
         let collected = rows.sets_by_id(persist::field(dump, "collected")?)?;
-        let union = rows.set(persist::field(dump, "union")?)?;
         let last_result = match persist::field(dump, "last_result")? {
             JsonValue::Null => None,
             refs => Some(rows.points(refs)?.iter().map(|p| DataPoint::clone(p)).collect()),
@@ -293,16 +293,20 @@ impl<R: RankingFunction> CentralizedApp<R> {
         let reports_received = persist::u64_field(dump, "reports_received")?;
         let results_sent = persist::u64_field(dump, "results_sent")?;
         let results_received = persist::u64_field(dump, "results_received")?;
-        let state_revision = persist::u64_field(dump, "state_revision")?;
         self.window = window;
         self.collected = collected;
-        self.union = union;
+        self.union = PointSet::new();
+        if self.is_sink() {
+            self.union.extend_from(self.window.contents());
+            for report in self.collected.values() {
+                self.union.extend_from(report);
+            }
+        }
         self.last_result = last_result;
         self.reports_sent = reports_sent;
         self.reports_received = reports_received;
         self.results_sent = results_sent;
         self.results_received = results_received;
-        self.state_revision = state_revision;
         self.index_cache.invalidate();
         Ok(())
     }
@@ -612,6 +616,11 @@ mod tests {
                 SamplingSchedule::new(10.0, 3),
             )
         };
+        // Neither the union nor the revision keying its index is written:
+        // restore rebuilds both.
+        for derived in ["union", "state_revision"] {
+            assert!(dump.get(derived).is_none(), "the dump holds \"{derived}\"");
+        }
         let mut fresh = fresh_app(0);
         fresh.persist_restore(&dump).unwrap();
         assert_eq!(fresh.persist_snapshot(), dump, "restore is lossless");

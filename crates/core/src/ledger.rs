@@ -4,7 +4,13 @@
 //! the points it knows `p_j` holds (`D^i_{i,j} ∪ D^i_{j,i}`), a revision
 //! counter and "nothing to send" memo over them, liveness timestamps, and
 //! traffic counters. All of it lives here, in one type that also persists
-//! itself.
+//! itself: the shared-knowledge sets, liveness and counters are written, and
+//! the revisions, the memo and the oldest-timestamp bound are not. Restore
+//! starts the revisions and the memo empty, as [`NeighborBook`] leaves them
+//! for a neighbour it forgot, and re-derives the bound from the sets. A
+//! revision is only compared with values recorded since the memo and the
+//! engines' chains were last emptied, which a restore does too, so the
+//! count may start over.
 //!
 //! The memo of [`crate::node::DetectorNode::process`] is keyed by
 //! `(forwarded-prefix revision, bookkeeping revision)`: the node's part
@@ -64,9 +70,10 @@ pub(crate) struct NeighborBook {
     shared_with: BTreeMap<SensorId, PointSet>,
     /// The smallest timestamp ever inserted into any shared-knowledge set
     /// and still possibly present (conservative: never later than the true
-    /// minimum). Clock advances whose cutoff does not pass it skip the
-    /// whole per-neighbour eviction sweep in O(1) — the common case, since
-    /// every delivery advances the clock but only window slides evict.
+    /// minimum; exact after a restore). Clock advances whose cutoff does not
+    /// pass it skip the whole per-neighbour eviction sweep in O(1) — the
+    /// common case, since every delivery advances the clock but only window
+    /// slides evict.
     shared_oldest: Option<Timestamp>,
     /// Per-neighbour change counter of the shared-knowledge sets.
     revisions: BTreeMap<SensorId, u64>,
@@ -260,8 +267,7 @@ impl NeighborBook {
                 evictions.push((j, evicted, *revision));
             }
         }
-        self.shared_oldest =
-            self.shared_with.values().flat_map(|s| s.iter().map(|p| p.timestamp)).min();
+        self.shared_oldest = oldest(&self.shared_with);
         evictions
     }
 
@@ -298,18 +304,13 @@ impl NeighborBook {
         self.last_heard.remove(&neighbor);
     }
 
-    /// The book's complete canonical state, for [`crate::persist`], its
-    /// points written into the node dump's `table`.
+    /// The book's canonical state, for [`crate::persist`], its points
+    /// written into the node dump's `table`: everything but the revisions,
+    /// the memo and the oldest-timestamp bound (see the module docs).
     pub fn persist_snapshot(&self, table: &mut PointTable) -> JsonValue {
         JsonValue::Object(vec![
             ("liveness_timeout_secs".into(), persist::opt_f64_to_json(self.liveness_timeout_secs)),
             ("shared_with".into(), table.sets_by_id(&self.shared_with)),
-            (
-                "shared_oldest".into(),
-                persist::opt_u64_to_json(self.shared_oldest.map(|t| t.as_micros())),
-            ),
-            ("revisions".into(), persist::rows_by_id_to_json(&self.revisions, |&r| vec![r])),
-            ("quiet_at".into(), persist::rows_by_id_to_json(&self.quiet_at, |&(w, b)| vec![w, b])),
             ("last_now".into(), JsonValue::from(self.last_now.as_micros())),
             (
                 "last_heard".into(),
@@ -323,7 +324,8 @@ impl NeighborBook {
 
     /// Parses a [`NeighborBook::persist_snapshot`] against the node dump's
     /// `rows`, refusing one taken under a different liveness timeout than
-    /// this book's.
+    /// this book's. The revisions and the memo start empty, and the
+    /// oldest-timestamp bound is the sets' exact minimum.
     pub fn restored(
         &self,
         dump: &JsonValue,
@@ -333,16 +335,12 @@ impl NeighborBook {
         if liveness_timeout_secs != self.liveness_timeout_secs {
             return Err(PersistError::Mismatch("liveness timeout differs".into()));
         }
+        let shared_with = rows.sets_by_id(persist::field(dump, "shared_with")?)?;
         Ok(NeighborBook {
-            shared_with: rows.sets_by_id(persist::field(dump, "shared_with")?)?,
-            shared_oldest: persist::opt_u64_field(dump, "shared_oldest")?
-                .map(Timestamp::from_micros),
-            revisions: persist::rows_by_id_from_json(persist::field(dump, "revisions")?, 1, |r| {
-                r[0]
-            })?,
-            quiet_at: persist::rows_by_id_from_json(persist::field(dump, "quiet_at")?, 2, |r| {
-                (r[0], r[1])
-            })?,
+            shared_oldest: oldest(&shared_with),
+            shared_with,
+            revisions: BTreeMap::new(),
+            quiet_at: BTreeMap::new(),
             liveness_timeout_secs,
             last_now: Timestamp::from_micros(persist::u64_field(dump, "last_now")?),
             last_heard: persist::rows_by_id_from_json(
@@ -357,6 +355,11 @@ impl NeighborBook {
             points_received: persist::u64_field(dump, "points_received")?,
         })
     }
+}
+
+/// The oldest timestamp any of `sets` holds.
+fn oldest(sets: &BTreeMap<SensorId, PointSet>) -> Option<Timestamp> {
+    sets.values().flat_map(|s| s.iter().map(|p| p.timestamp)).min()
 }
 
 #[cfg(test)]

@@ -125,9 +125,8 @@ pub struct DetectorNode<R> {
     /// The forwarded-prefix revision: the window revision at the last
     /// change to `P_i^{≤d−1}`, and at every window change in the global
     /// scope (see the module docs). It keys `prefix_cache`, the engines'
-    /// seed and support caches and the quiet memo. The hop-scope dump
-    /// persists it, because the memo and the chains' `seed_at` hold its
-    /// values.
+    /// seed and support caches and the quiet memo, all of which a restore
+    /// starts cold, so a restored node sets it to its window's revision.
     prefix_revision: u64,
 }
 
@@ -347,35 +346,26 @@ impl<R: RankingFunction> DetectorNode<R> {
             .collect()
     }
 
-    /// Serializes this node's complete canonical protocol state for
-    /// [`crate::persist`]: configuration, window, the neighbour book and
-    /// every engine's per-neighbour chains. Derived caches (spatial indexes,
-    /// hop prefixes, rank bounds, seed/support caches) are not included —
-    /// [`DetectorNode::persist_restore`] rebuilds them cold with identical
+    /// Serializes this node's canonical protocol state (§5: the window
+    /// `P_i` and the shared-knowledge sets) for [`crate::persist`]:
+    /// configuration, window and the neighbour book. Everything derived from
+    /// it (the engines' chains and caches, hop prefixes, spatial indexes,
+    /// the quiet memo and the revisions that key them) is not included —
+    /// [`DetectorNode::persist_restore`] starts it cold, with identical
     /// outputs.
     pub fn persist_snapshot(&self) -> JsonValue {
         let mut table = PointTable::new();
         let window = persist::snapshot_window(&self.window, &mut table);
         let book = self.book.persist_snapshot(&mut table);
-        let engines =
-            self.engines.iter().map(|engine| persist::engine_to_json(engine, &mut table)).collect();
-        let mut fields = vec![
+        JsonValue::Object(vec![
             ("kind".into(), JsonValue::from("detector")),
             ("id".into(), JsonValue::from(self.id.raw())),
             ("n".into(), JsonValue::from(self.n)),
             ("hop_diameter".into(), persist::opt_u64_to_json(self.hop_diameter().map(u64::from))),
             ("window".into(), window),
-        ];
-        // In the global scope the forwarded-prefix revision is the window's.
-        if self.scope != Scope::Global {
-            fields.push(("prefix_revision".into(), JsonValue::from(self.prefix_revision)));
-        }
-        fields.extend([
             ("book".into(), book),
-            ("engines".into(), JsonValue::Array(engines)),
             table.into_field(),
-        ]);
-        JsonValue::Object(fields)
+        ])
     }
 
     /// Installs a [`DetectorNode::persist_snapshot`] into this node. The
@@ -387,8 +377,7 @@ impl<R: RankingFunction> DetectorNode<R> {
     ///
     /// [`PersistError::Schema`] for malformed dumps,
     /// [`PersistError::Corrupt`] for inconsistent ones (a window point
-    /// behind its cutoff, or a hop-scope forwarded-prefix revision ahead of
-    /// the window's revision, which no live node has),
+    /// behind its cutoff),
     /// [`PersistError::Mismatch`] when the snapshot belongs to a different
     /// node or configuration. On error the node is left untouched.
     pub fn persist_restore(&mut self, dump: &JsonValue) -> Result<(), PersistError> {
@@ -423,39 +412,12 @@ impl<R: RankingFunction> DetectorNode<R> {
                 self.window.config().length_micros
             )));
         }
-        let prefix_revision = match self.scope {
-            Scope::Global => window.revision(),
-            Scope::Hops(_) => {
-                let revision = persist::u64_field(dump, "prefix_revision")?;
-                if revision > window.revision() {
-                    return Err(PersistError::Corrupt(format!(
-                        "forwarded-prefix revision {revision} is ahead of the window's revision {}",
-                        window.revision()
-                    )));
-                }
-                revision
-            }
-        };
         let book = self.book.restored(persist::field(dump, "book")?, &mut rows)?;
-        let engine_values = persist::array_field(dump, "engines")?;
-        if engine_values.len() != self.engines.len() {
-            return Err(PersistError::Schema(format!(
-                "snapshot holds {} engine chains, this node runs {}",
-                engine_values.len(),
-                self.engines.len()
-            )));
-        }
-        let engine_dumps = engine_values
-            .iter()
-            .map(|engine| persist::engine_dumps_from_json(engine, &mut rows))
-            .collect::<Result<Vec<_>, _>>()?;
+        self.prefix_revision = window.revision();
         self.window = window;
-        self.prefix_revision = prefix_revision;
         self.book = book;
         self.prefix_cache.invalidate();
-        for (engine, dumps) in self.engines.iter_mut().zip(engine_dumps) {
-            engine.restore_neighbor_states(dumps);
-        }
+        self.engines.fill_with(FixedPointEngine::new);
         Ok(())
     }
 
@@ -843,9 +805,8 @@ mod tests {
             node.receive_arcs(SensorId(2), vec![Arc::clone(&old)]);
             assert!(node.known_common_with(SensorId(2)).contains(&old));
             let _ = node.process(&[SensorId(2)]);
-            let chains_hold_it = node.engines.iter().any(|engine| {
-                engine.export_neighbor_states().iter().any(|chain| chain.membership.contains(&old))
-            });
+            let chains_hold_it =
+                node.engines.iter().any(|engine| engine.chain_holds(SensorId(2), &old.key));
             assert!(chains_hold_it, "{scope:?}: a chain holds the received point");
             node.advance_time(Timestamp::from_secs(100));
             assert!(node.held_points().is_empty(), "{scope:?}");
@@ -957,6 +918,12 @@ mod tests {
         }
     }
 
+    /// The keys of an object dump, in order.
+    fn field_names(dump: &JsonValue) -> Vec<&str> {
+        let JsonValue::Object(fields) = dump else { panic!("a dump is an object") };
+        fields.iter().map(|(key, _)| key.as_str()).collect()
+    }
+
     #[test]
     fn persist_snapshot_round_trips_mid_protocol() {
         for scope in SCOPES {
@@ -967,6 +934,26 @@ mod tests {
             chain_round(&mut nodes);
             chain_round(&mut nodes);
             let dump = nodes[1].persist_snapshot();
+            // The dump holds canonical state only: no chain, memo or
+            // revision that restore can rebuild.
+            assert_eq!(
+                field_names(&dump),
+                ["kind", "id", "n", "hop_diameter", "window", "book", "table"],
+                "{scope:?}"
+            );
+            assert_eq!(
+                field_names(dump.get("book").unwrap()),
+                [
+                    "liveness_timeout_secs",
+                    "shared_with",
+                    "last_now",
+                    "last_heard",
+                    "presumed_dead",
+                    "points_sent",
+                    "points_received"
+                ],
+                "{scope:?}"
+            );
             let mut fresh = node(1, scope);
             fresh.persist_restore(&dump).unwrap();
             assert_eq!(fresh.persist_snapshot(), dump, "{scope:?}: restore is lossless");
@@ -1049,39 +1036,6 @@ mod tests {
         assert!(node.process(&neighbors).is_none(), "a hop-1 point is never forwarded at d = 1");
     }
 
-    /// Replaces `key`'s value in an object dump.
-    fn with_field(dump: &JsonValue, key: &str, value: JsonValue) -> JsonValue {
-        let JsonValue::Object(fields) = dump else { panic!("a node dump is an object") };
-        let replace = |(k, v): &(String, JsonValue)| {
-            (k.clone(), if k == key { value.clone() } else { v.clone() })
-        };
-        JsonValue::Object(fields.iter().map(replace).collect())
-    }
-
-    /// A hop-scope dump carries its forwarded-prefix revision, which can
-    /// never be ahead of its window's; a global-scope dump carries none.
-    #[test]
-    fn a_prefix_revision_ahead_of_the_window_is_refused_as_corrupt() {
-        let mut nodes = chain(3, Some(2));
-        nodes[0].add_local_points(vec![pt(0, 99, -500.0)]);
-        chain_round(&mut nodes);
-        let dump = nodes[1].persist_snapshot();
-        let window_revision = nodes[1].window.revision();
-        assert_eq!(dump.get("prefix_revision"), Some(&JsonValue::from(nodes[1].prefix_revision)));
-
-        let mut fresh = node(1, Some(2));
-        let untouched = fresh.persist_snapshot();
-        let ahead = with_field(&dump, "prefix_revision", JsonValue::from(window_revision + 1));
-        assert!(matches!(fresh.persist_restore(&ahead), Err(PersistError::Corrupt(_))));
-        assert_eq!(fresh.persist_snapshot(), untouched, "a refused dump leaves the node alone");
-        let level = with_field(&dump, "prefix_revision", JsonValue::from(window_revision));
-        fresh.persist_restore(&level).expect("a prefix revision at the window's is consistent");
-
-        let mut global = chain(3, None);
-        chain_round(&mut global);
-        assert!(global[1].persist_snapshot().get("prefix_revision").is_none());
-    }
-
     #[test]
     fn a_restored_node_shares_one_allocation_per_copy_across_its_sets() {
         for scope in SCOPES {
@@ -1093,23 +1047,21 @@ mod tests {
             assert_eq!(rows.len(), nodes[1].held_points().len(), "{scope:?}: a row per point");
             let mut fresh = node(1, scope);
             fresh.persist_restore(&dump).unwrap();
-            // Every copy a chain ranks is the very copy the window and the
-            // neighbour's shared-knowledge set hold, as in the live node.
+            // Every copy a neighbour's shared-knowledge set holds at the
+            // window's hop is the very copy the window holds, as in the live
+            // node, so one allocation serves every set that holds it.
             let mut shared = 0;
-            for engine in &fresh.engines {
-                for chain in engine.export_neighbor_states() {
-                    let known = fresh.book.known(chain.neighbor).expect("a chain has a book entry");
-                    for p in chain.membership.iter_arcs() {
-                        let held = fresh.window.contents().get_arc(&p.key);
-                        let Some((w, k)) = held.zip(known.get_arc(&p.key)) else { continue };
-                        if w.hop == p.hop && k.hop == p.hop {
-                            assert!(Arc::ptr_eq(w, p) && Arc::ptr_eq(k, p), "{scope:?}: {p}");
-                            shared += 1;
-                        }
+            for j in [SensorId(0), SensorId(2)] {
+                let known = fresh.book.known(j).expect("both neighbours exchanged points");
+                for k in known.iter_arcs() {
+                    let Some(w) = fresh.window.contents().get_arc(&k.key) else { continue };
+                    if w.hop == k.hop {
+                        assert!(Arc::ptr_eq(w, k), "{scope:?}: {k}");
+                        shared += 1;
                     }
                 }
             }
-            assert!(shared > 0, "{scope:?}: some point sits in all three sets");
+            assert!(shared > 0, "{scope:?}: some point sits in the window and a shared set");
         }
     }
 

@@ -1,21 +1,22 @@
-//! Crash-safe persistence: snapshot/restore for detector and engine state.
+//! Crash-safe persistence: snapshot/restore for detector and sink state.
 //!
 //! This module lets a long streaming run survive a process kill: every piece
 //! of **canonical** node state — the sliding window, the per-neighbour
-//! shared-knowledge sets, the quiet ledger, the liveness bookkeeping, the
-//! fixed-point engine's per-neighbour `H` chains, and the centralized sink's
-//! collected union — serializes to a [`wsn_json::JsonValue`] and back.
-//! Derived state (spatial indexes, rank bounds, seed/support caches) is
-//! deliberately *not* persisted: it is rebuilt cold on restore, and the
-//! detectors' outputs are exact regardless of cache temperature (stale rank
-//! bounds are still upper bounds; see [`crate::sufficient`]).
+//! shared-knowledge sets, the liveness bookkeeping, the traffic counters and
+//! the centralized sink's collected reports — serializes to a
+//! [`wsn_json::JsonValue`] and back. State derived from it is deliberately
+//! *not* persisted and is rebuilt cold on restore: spatial indexes, the
+//! fixed-point engines' per-neighbour `H` chains with their rank bounds and
+//! seed/support caches, the quiet memo and the revision counters that key
+//! it, and the sink's union. The detectors' outputs are exact regardless of
+//! cache temperature (see [`crate::sufficient`]).
 //!
 //! # File format
 //!
 //! A snapshot file is two lines of text:
 //!
 //! ```text
-//! {"format":"wsn-persist","kind":"checkpoint","version":4,"len":N,"checksum":C}
+//! {"format":"wsn-persist","kind":"checkpoint","version":5,"len":N,"checksum":C}
 //! { ... payload JSON, exactly N bytes, FNV-1a 64 checksum C ... }
 //! ```
 //!
@@ -29,10 +30,10 @@
 //! payloads under one header line, so that many snapshots cost one file:
 //!
 //! ```text
-//! {"format":"wsn-persist","kind":"fleet-shard","version":4,"shard":0,"shards":8,"records":2}
-//! {"id":4,"kind":"fleet-tenant","version":4,"len":N4,"checksum":C4}
+//! {"format":"wsn-persist","kind":"fleet-shard","version":5,"shard":0,"shards":8,"records":2}
+//! {"id":4,"kind":"fleet-tenant","version":5,"len":N4,"checksum":C4}
 //! { ... tenant 4's payload ... }
-//! {"id":9,"kind":"fleet-tenant","version":4,"len":N9,"checksum":C9}
+//! {"id":9,"kind":"fleet-tenant","version":5,"len":N9,"checksum":C9}
 //! { ... tenant 9's payload ... }
 //! ```
 //!
@@ -47,10 +48,9 @@
 //!
 //! # Point tables
 //!
-//! A node holds one observation in many sets at once: its window, the
-//! `shared_with` set of every neighbour that has it, and the `membership`
-//! of every fixed-point chain that ranks it. Each node dump therefore
-//! carries one point table, a closing `"table"` field written by
+//! A node holds one observation in several sets at once: its window and
+//! the `shared_with` set of every neighbour that has it. Each node dump
+//! therefore carries one point table, a closing `"table"` field written by
 //! [`PointTable`]. Each distinct observation is one row,
 //! `[origin, epoch, micros, f_1, …, f_k]`, and every point set in the dump
 //! is a flat list `[row, hop, row, hop, …]` of references into it:
@@ -59,7 +59,6 @@
 //! {"kind":"detector", …,
 //!  "window":{…,"points":[0,0,1,0,2,1]},
 //!  "book":{…,"shared_with":[[4,[2,1]]],…},
-//!  "engines":[[{"j":4,"membership":[0,0,1,0,2,1],…}]],
 //!  "table":[[3,17,527000000,20.25],[3,18,558000000,19.5],[4,18,558000000,35.0]]}
 //! ```
 //!
@@ -72,7 +71,8 @@
 //! point, as in the live node. It refuses, as [`PersistError::Schema`], an
 //! out-of-range row, an odd-length reference list, a hop that overflows
 //! [`HopCount`], a non-finite feature and rows of mixed feature counts.
-//! Versions 1 and 2 wrote a full copy of a point per set; their files get
+//! Versions 1 and 2 wrote a full copy of a point per set; like every
+//! version other than the current one, their files get
 //! [`PersistError::Version`].
 //!
 //! # Atomicity contract
@@ -98,6 +98,11 @@
 //! [`PersistError::Version`], which is the wanted behaviour for state whose
 //! misinterpretation would silently corrupt a resumed run.
 //!
+//! A value that restore can rebuild from other persisted fields is not
+//! written: restore derives it, as [`SlidingWindow::from_parts`] derives
+//! the window's oldest timestamp, or starts it cold, as it starts every
+//! cache.
+//!
 //! # Version history
 //!
 //! * 1 → 2: one `detector` payload, nesting the neighbour book, replaced
@@ -109,6 +114,13 @@
 //!   revision at the last change to `P_i^{≤d−1}`, instead of the window
 //!   revision, and its dump carries that revision as `prefix_revision`.
 //!   Global-scope dumps are unchanged apart from the header version.
+//! * 4 → 5: dumps hold canonical state only. A detector dump drops its
+//!   engines' chains (`engines`), `prefix_revision`, and its book's
+//!   `quiet_at`, `revisions` and `shared_oldest`; a centralized dump drops
+//!   `union` and `state_revision`. Restore starts the engines, the memo
+//!   and the revisions cold, sets the forwarded-prefix revision to the
+//!   window's, and rebuilds the book's oldest timestamp and the sink's
+//!   union from the persisted sets.
 //!
 //! # Crash-injection harness
 //!
@@ -127,7 +139,6 @@ use std::path::Path;
 use std::sync::Arc;
 
 use crate::experiment::ExperimentConfig;
-use crate::sufficient::{FixedPointEngine, NeighborStateDump};
 use wsn_data::window::{SlidingWindow, WindowConfig};
 use wsn_data::{DataPoint, Epoch, HopCount, PointKey, PointSet, SensorId, Timestamp};
 /// The document model every snapshot serializes to, re-exported from
@@ -140,7 +151,7 @@ pub const PERSIST_FORMAT: &str = "wsn-persist";
 
 /// The current on-disk format version (see the module docs for the
 /// compatibility contract and the version history).
-pub const PERSIST_VERSION: u64 = 4;
+pub const PERSIST_VERSION: u64 = 5;
 
 /// Telemetry ([`wsn_obs`]): snapshots written and their total size.
 pub(crate) static OBS_SNAPSHOTS_WRITTEN: wsn_obs::Counter =
@@ -971,27 +982,6 @@ impl PointRows {
 // Scalar codecs
 // ---------------------------------------------------------------------------
 
-pub(crate) fn key_to_json(key: &PointKey) -> JsonValue {
-    JsonValue::Array(vec![JsonValue::from(key.origin.raw()), JsonValue::from(key.epoch.raw())])
-}
-
-pub(crate) fn key_from_json(value: &JsonValue) -> Result<PointKey, PersistError> {
-    match value.as_array() {
-        Some([o, e]) => Ok(PointKey {
-            origin: SensorId(
-                o.as_u64()
-                    .and_then(|v| u32::try_from(v).ok())
-                    .ok_or_else(|| PersistError::Schema("point key origin is not a u32".into()))?,
-            ),
-            epoch: Epoch(
-                e.as_u64()
-                    .ok_or_else(|| PersistError::Schema("point key epoch is not a u64".into()))?,
-            ),
-        }),
-        _ => Err(PersistError::Schema("point key is not a two-element array".into())),
-    }
-}
-
 /// A `SensorId → V` map whose values encode as `width` integers, as
 /// `[[id, v_1, …, v_width], …]`.
 pub(crate) fn rows_by_id_to_json<V>(
@@ -1051,7 +1041,7 @@ pub(crate) fn ids_from_json(value: &JsonValue) -> Result<Vec<SensorId>, PersistE
 }
 
 // ---------------------------------------------------------------------------
-// Window and engine codecs
+// Window codec
 // ---------------------------------------------------------------------------
 
 /// Serializes a sliding window: configuration, clock, revision, and its
@@ -1086,52 +1076,6 @@ pub fn restore_window(
         u64_field(value, "revision")?,
     )
     .map_err(|e| PersistError::Corrupt(format!("inconsistent window state: {e}")))
-}
-
-/// The per-neighbour `H` chains of one engine, canonical core only (see
-/// [`FixedPointEngine::export_neighbor_states`]).
-pub(crate) fn engine_to_json(engine: &FixedPointEngine, table: &mut PointTable) -> JsonValue {
-    JsonValue::Array(
-        engine
-            .export_neighbor_states()
-            .into_iter()
-            .map(|dump| {
-                JsonValue::Object(vec![
-                    ("j".into(), JsonValue::from(dump.neighbor.raw())),
-                    ("membership".into(), table.set(&dump.membership)),
-                    ("synced_at".into(), opt_u64_to_json(dump.synced_at)),
-                    ("seed_at".into(), opt_u64_to_json(dump.seed_at)),
-                    (
-                        "unrecorded".into(),
-                        JsonValue::Array(dump.unrecorded.iter().map(key_to_json).collect()),
-                    ),
-                ])
-            })
-            .collect(),
-    )
-}
-
-pub(crate) fn engine_dumps_from_json(
-    value: &JsonValue,
-    rows: &mut PointRows,
-) -> Result<Vec<NeighborStateDump>, PersistError> {
-    value
-        .as_array()
-        .ok_or_else(|| PersistError::Schema("engine state is not an array".into()))?
-        .iter()
-        .map(|entry| {
-            Ok(NeighborStateDump {
-                neighbor: SensorId(u32_field(entry, "j")?),
-                membership: rows.set(field(entry, "membership")?)?,
-                synced_at: opt_u64_field(entry, "synced_at")?,
-                seed_at: opt_u64_field(entry, "seed_at")?,
-                unrecorded: array_field(entry, "unrecorded")?
-                    .iter()
-                    .map(key_from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]

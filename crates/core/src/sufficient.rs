@@ -186,6 +186,11 @@ pub fn sufficient_set_rebuild_reference<R: RankingFunction + ?Sized>(
 /// rank. No iteration builds an index or re-materialises the union, and
 /// supports are queried only for estimate points not already folded into
 /// `Z`.
+///
+/// Everything the engine holds is therefore a cache: a cold engine returns
+/// the same sets. None of it is persisted. A restored detector starts each
+/// engine with [`FixedPointEngine::new`], and each neighbour's first call
+/// after the restore is a cold build of its chain.
 #[derive(Debug, Clone, Default)]
 pub struct FixedPointEngine {
     /// The `P_i` revision the two caches below were computed for.
@@ -263,22 +268,6 @@ struct HypotheticalState {
 /// How many recent insertions a [`HypotheticalState`] keeps for the
 /// affection-radius shortcut before falling back to full re-ranks.
 const PENDING_INSERTS_CAP: usize = 48;
-
-/// The serializable core of one neighbour's [`HypotheticalState`] — see
-/// [`FixedPointEngine::export_neighbor_states`].
-#[derive(Debug, Clone)]
-pub(crate) struct NeighborStateDump {
-    /// The neighbour the chain belongs to.
-    pub neighbor: SensorId,
-    /// The exact membership of `H` (full points, hop counts included).
-    pub membership: PointSet,
-    /// [`HypotheticalState::synced_at`].
-    pub synced_at: Option<u64>,
-    /// [`HypotheticalState::seed_at`].
-    pub seed_at: Option<u64>,
-    /// [`HypotheticalState::unrecorded`], order preserved.
-    pub unrecorded: Vec<PointKey>,
-}
 
 impl HypotheticalState {
     /// Builds the state over `contents`, all ranks unknown (`+∞` bounds).
@@ -561,53 +550,10 @@ impl FixedPointEngine {
         self.neighbors.keys().copied()
     }
 
-    /// The canonical core of every per-neighbour `H` chain, for the
-    /// persistence layer ([`crate::persist`]): the chain membership plus the
-    /// three markers the incremental sync paths branch on. Everything else
-    /// in a [`HypotheticalState`] (rank bounds, contender order, pending
-    /// inserts, the own-window state and the revision-scoped seed/support
-    /// caches) is derived and is rebuilt cold on restore — the fixed-point
-    /// outputs are exact regardless of cache temperature, because stale rank
-    /// bounds are still upper bounds and `select_top_n` revalidates them.
-    pub(crate) fn export_neighbor_states(&self) -> Vec<NeighborStateDump> {
-        self.neighbors
-            .iter()
-            .map(|(&neighbor, state)| NeighborStateDump {
-                neighbor,
-                membership: state.order.iter().map(|c| Arc::clone(&c.point)).fold(
-                    PointSet::new(),
-                    |mut set, p| {
-                        set.insert_arc(p);
-                        set
-                    },
-                ),
-                synced_at: state.synced_at,
-                seed_at: state.seed_at,
-                unrecorded: state.unrecorded.clone(),
-            })
-            .collect()
-    }
-
-    /// Rebuilds the engine from [`FixedPointEngine::export_neighbor_states`]
-    /// dumps: every chain comes back with its exact membership and sync
-    /// markers (so the no-scan fast paths stay intact) but all-unknown rank
-    /// bounds, and every revision-scoped cache starts cold.
-    pub(crate) fn restore_neighbor_states(&mut self, dumps: Vec<NeighborStateDump>) {
-        self.revision = None;
-        self.own_seed = None;
-        self.support_cache.clear();
-        self.own = None;
-        self.scratch_processed.clear();
-        self.neighbors = dumps
-            .into_iter()
-            .map(|dump| {
-                let mut state = HypotheticalState::build(&dump.membership);
-                state.synced_at = dump.synced_at;
-                state.seed_at = dump.seed_at;
-                state.unrecorded = dump.unrecorded;
-                (dump.neighbor, state)
-            })
-            .collect();
+    /// Whether the chain of `neighbor` holds the observation `key`.
+    #[cfg(test)]
+    pub(crate) fn chain_holds(&self, neighbor: SensorId, key: &PointKey) -> bool {
+        self.neighbors.get(&neighbor).is_some_and(|state| state.ranks.contains_key(key))
     }
 
     /// `O_n(P_i)` at window revision `revision`, read from the selection

@@ -55,8 +55,8 @@
 //! group-commits its checkpoints, one file per shard:
 //!
 //! ```text
-//! dir/shard-0.json   {"format":"wsn-persist","kind":"fleet-shard","version":4,"shard":0,"shards":8,"records":R}
-//!                    {"id":4,"kind":"fleet-tenant","version":4,"len":N,"checksum":C}
+//! dir/shard-0.json   {"format":"wsn-persist","kind":"fleet-shard","version":5,"shard":0,"shards":8,"records":R}
+//!                    {"id":4,"kind":"fleet-tenant","version":5,"len":N,"checksum":C}
 //!                    { ... tenant 4's payload ... }
 //!                    … one two-line record per tenant of the shard, ascending id
 //! dir/shard-1.json   …
@@ -82,19 +82,20 @@
 //! together with the tenant's epoch cursor, traffic counters and a
 //! per-tenant `config_hash`. Each node dump carries its own point table
 //! ([`wsn_core::persist::PointTable`]): an observation the node holds in
-//! its window, in several neighbours' shared-knowledge sets and in several
-//! fixed-point chains is written once, and every set refers to it by
-//! `(row, hop)`. The centralized baseline's sink window is encoded the same
+//! its window and in several neighbours' shared-knowledge sets is written
+//! once, and every set refers to it by `(row, hop)`. A dump holds no
+//! fixed-point chain, memo or revision counter: a restored node starts
+//! them cold. The centralized baseline's sink window is encoded the same
 //! way. On restore, each `(row, hop)` becomes one shared point, as in the
 //! live node.
 //!
 //! [`DetectorFleet::resume_from`] reads each shard file once and restores
 //! each tenant from its own record. Refusals are as narrow as the damage:
 //!
-//! * a record that is corrupt, stale-version (1 or 2), of the wrong kind or
-//!   of a different `config_hash`, whose header nests too deep, or whose
-//!   nodes hold points of different feature counts refuses its tenant only,
-//!   with a typed [`PersistError`](wsn_core::PersistError);
+//! * a record that is corrupt, of another format version, of the wrong
+//!   kind or of a different `config_hash`, whose header nests too deep, or
+//!   whose nodes hold points of different feature counts refuses its tenant
+//!   only, with a typed [`PersistError`](wsn_core::PersistError);
 //! * damage to a shard header, or to a record's framing, refuses the
 //!   tenants of that shard whose records cannot be read, never another
 //!   shard's. A record's checksum covers its id, so a record whose id is
@@ -117,7 +118,7 @@
 //! ahead of the shard it joins, so at most two shards' payloads are alive
 //! at a time, however fast the pool runs. Every file operation and crash
 //! point stays on the calling thread. A steady-state tenant of the
-//! benchmark's fleet (nine sensors, `w = 8`) snapshots to about 26 kB.
+//! benchmark's fleet (nine sensors, `w = 8`) snapshots to about 18 kB.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,7 +19,8 @@
 //! hop, local ones included, age out while the protocol runs, some in a
 //! tick that brings the node no sample of its own. About one
 //! step in ten first replaces a random node by a copy restored from its
-//! snapshot, so restored memos, chains and cold caches feed the checks too.
+//! snapshot, whose memo, chains and caches start cold, so cold restores
+//! feed the checks too.
 
 use std::collections::VecDeque;
 

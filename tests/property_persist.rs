@@ -152,9 +152,10 @@ fn assert_network_round_trips(
     }
 }
 
-/// 96 seeded cases: the global detector's full state — window, shared-
-/// knowledge sets, quiet ledger, fixed-point chains, traffic counters —
-/// survives a snapshot taken at a random point mid-protocol.
+/// 96 seeded cases: the global detector's canonical state — window,
+/// shared-knowledge sets, liveness, traffic counters — survives a snapshot
+/// taken at a random point mid-protocol, and the restored node, whose
+/// engine, quiet memo and revisions start cold, continues identically.
 #[test]
 fn global_node_snapshots_round_trip_mid_protocol() {
     let mut rng = SeededRng::seed_from_u64(SEED);
@@ -194,8 +195,8 @@ fn global_node_snapshots_round_trip_mid_protocol() {
     }
 }
 
-/// 96 seeded cases: the same property for the semi-global detector, whose
-/// state additionally spans one fixed-point engine per hop prefix.
+/// 96 seeded cases: the same property for the semi-global detector, which
+/// runs one fixed-point engine per hop prefix, each restored cold.
 #[test]
 fn semiglobal_node_snapshots_round_trip_mid_protocol() {
     let mut rng = SeededRng::seed_from_u64(SEED ^ 1);

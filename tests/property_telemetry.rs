@@ -115,7 +115,7 @@ fn telemetry_on_and_off_runs_are_bit_identical_across_256_cases() {
 /// global scope every estimate read must come from the engine, too, with
 /// **zero** fallbacks to `top_n_outliers`: each node processed its window's
 /// last revision before it is read (every hop-scope estimate falls back by
-/// design). Three Global-NN inputs:
+/// design). Four Global-NN inputs:
 ///
 /// * a 12-sensor streaming run whose window (10 samples) is wider than its
 ///   4-round trace: nothing is ever evicted;
@@ -124,7 +124,12 @@ fn telemetry_on_and_off_runs_are_bit_identical_across_256_cases() {
 /// * one 3×3 fleet tenant (10 m grid, 15 m range, `n = 2`, `w = 8`, the
 ///   shape of the benchmark's fleet tenants) served 12 epochs through
 ///   [`TenantRuntime`], every node's estimate read after each epoch: its
-///   windows evict from the ninth epoch on.
+///   windows evict from the ninth epoch on;
+/// * the same tenant restored from its payload after those 12 epochs into
+///   a fresh runtime, counted over the one epoch it serves next: a restore
+///   starts every chain cold, so that step builds exactly one chain per
+///   directed link (40 on the grid, whose diagonals are in range) and still
+///   rebuilds none and serves every estimate.
 ///
 /// And one semi-global input, the first deployment at `d = 1`, whose gate
 /// is the forwarded-prefix key: a receipt (always of hop-1 copies) leaves
@@ -157,44 +162,69 @@ fn steady_state_streaming_performs_zero_desync_rebuilds() {
             assert_eq!(outcome.slides.len(), rounds, "every slide must be observed");
         }
     };
-    let tenant = || {
-        let sensors = (0..9u32)
+    let spec = TenantSpec {
+        sensors: (0..9u32)
             .map(|i| {
                 let position = Position { x: f64::from(i % 3) * 10.0, y: f64::from(i / 3) * 10.0 };
                 SensorSpec::new(SensorId(i), position)
             })
-            .collect();
-        let spec = TenantSpec {
-            sensors,
-            transmission_range_m: 15.0,
-            algorithm: global_nn,
-            n: 2,
-            window_samples: 8,
-            sample_interval_secs: 31.0,
-        };
-        let mut runtime = TenantRuntime::new(spec).expect("a valid tenant");
+            .collect(),
+        transmission_range_m: 15.0,
+        algorithm: global_nn,
+        n: 2,
+        window_samples: 8,
+        sample_interval_secs: 31.0,
+    };
+    // Clustered readings with a rare spike, so the protocol works.
+    let readings = |epoch: u64| -> Vec<DataPoint> {
+        let mut rng = SeededRng::seed_from_u64(epoch);
+        (0..9u32)
+            .map(|i| {
+                let spike = if rng.gen_bool(0.05) { rng.gen_range(10.0..30.0) } else { 0.0 };
+                let value = rng.gen_gaussian(20.0, 0.5) + spike;
+                let at = Timestamp::from_secs_f64(epoch as f64 * 31.0);
+                DataPoint::new(SensorId(i), Epoch(epoch), at, vec![value]).expect("finite")
+            })
+            .collect()
+    };
+    let tenant = || {
+        let mut runtime = TenantRuntime::new(spec.clone()).expect("a valid tenant");
         let mut read = 0;
         for epoch in 0..12u64 {
-            // Clustered readings with a rare spike, so the protocol works.
-            let mut rng = SeededRng::seed_from_u64(epoch);
-            let readings = (0..9u32)
-                .map(|i| {
-                    let spike = if rng.gen_bool(0.05) { rng.gen_range(10.0..30.0) } else { 0.0 };
-                    let value = rng.gen_gaussian(20.0, 0.5) + spike;
-                    let at = Timestamp::from_secs_f64(epoch as f64 * 31.0);
-                    DataPoint::new(SensorId(i), Epoch(epoch), at, vec![value]).expect("finite")
-                })
-                .collect();
-            runtime.ingest(readings);
+            runtime.ingest(readings(epoch));
             assert_eq!(runtime.run_due(true).len(), 1, "every epoch must slide");
             read += runtime.estimates().len();
         }
         assert_eq!(read, 12 * 9, "every node's estimate is read after every epoch");
     };
-    let inputs: [(&str, &dyn Fn(), Scope); 4] = [
+    let restored_tenant = || {
+        let mut live = TenantRuntime::new(spec.clone()).expect("a valid tenant");
+        for epoch in 0..12u64 {
+            live.ingest(readings(epoch));
+            live.run_due(true);
+        }
+        let mut restored = TenantRuntime::new(spec.clone()).expect("a valid tenant");
+        restored.restore(&live.snapshot_payload()).expect("the tenant's own payload restores");
+        // Only the first step after the restore is counted.
+        wsn_obs::reset();
+        restored.ingest(readings(12));
+        assert_eq!(restored.run_due(true).len(), 1, "the epoch must slide");
+        assert_eq!(restored.estimates().len(), 9, "every node's estimate is read");
+        if wsn_obs::compiled() {
+            let report = wsn_obs::report();
+            assert_eq!(
+                report.counter("engine.cold_builds"),
+                40,
+                "a restore starts every chain cold: one build per directed link; report: {:?}",
+                report.counters,
+            );
+        }
+    };
+    let inputs: [(&str, &dyn Fn(), Scope); 5] = [
         ("streaming, no eviction (w = 10, 4 rounds)", &streaming(global_nn, 4, 10), Scope::Global),
         ("streaming, evicting (w = 3, 8 rounds)", &streaming(global_nn, 8, 3), Scope::Global),
         ("fleet tenant, evicting (w = 8, 12 epochs)", &tenant, Scope::Global),
+        ("fleet tenant, first step after a restore", &restored_tenant, Scope::Global),
         ("semi-global d = 1 (w = 10, 4 rounds)", &streaming(semi_global_d1, 4, 10), Scope::Hops(1)),
     ];
     for (what, run, scope) in inputs {
