@@ -73,8 +73,12 @@ CARGO_TARGET_DIR=target/benchmark RUSTDOCFLAGS="-D warnings" \
 # `run_experiment` on the default backend, a one-region partition: its
 # three result rows (energy per round, the busiest node, accuracy) must
 # read exactly as below, so a change to that path's energy, traffic or
-# answers fails here.
-echo "== example smoke (quickstart, semi_global_tracking, lab_deployment, energy_comparison) =="
+# answers fails here. streaming_scenarios drives the simulator through the
+# per-slide driver (`StreamingExperiment`) over two labelled workload
+# scenarios and, with INTEL_LAB_DIR unset, the committed Intel-shaped
+# fixture: the fallback notice and three slide rows (accuracy, precision,
+# recall, agreement, packets, points) must read exactly as below.
+echo "== example smoke (quickstart, semi_global_tracking, lab_deployment, energy_comparison, streaming_scenarios) =="
 quickstart=$(cargo run --release --offline --example quickstart)
 printf '%s\n' "$quickstart"
 grep -q "estimates agree: true" <<<"$quickstart" \
@@ -102,6 +106,16 @@ for line in \
     "Global-KNN              0.0145          0.0950         2.814          1.60        1.00"; do
     grep -qxF "$line" <<<"$energy" \
         || { echo "energy_comparison: missing the line \"$line\""; exit 1; }
+done
+scenarios=$(env -u INTEL_LAB_DIR cargo run --release --offline --example streaming_scenarios)
+printf '%s\n' "$scenarios"
+for line in \
+    "  Intel-lab dataset not found; replaying the committed Intel-shaped fixture instead (8 motes, 12 rounds)" \
+    "      1    1.000     0.250     1.000     yes      133       448" \
+    "      3    1.000     0.000     0.000     yes       80       280" \
+    "      5    1.000     1.000     1.000     yes       38       228"; do
+    grep -qxF "$line" <<<"$scenarios" \
+        || { echo "streaming_scenarios: missing the line \"$line\""; exit 1; }
 done
 
 # Campaign smoke: every figure and table spec of the paper's evaluation at

@@ -496,7 +496,7 @@ where
                 r
             }
         };
-        self.regions[owner].as_mut().expect("region present").adopt_component(id, app);
+        self.regions[owner].as_mut().expect("region present").adopt_app(id, app);
         let base = self.alloc_external_seqs(1 + new_neighbors.len() as u64);
         let now = self.now;
         let start = EventKey::new(now, CLASS_START, EXTERNAL_SOURCE, base, id.raw());

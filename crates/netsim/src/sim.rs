@@ -1,4 +1,4 @@
-//! The WSN domain layer of the simulator, built on the generic event core.
+//! The WSN domain layer of the simulator, built on the event queue.
 //!
 //! The simulator owns one [`Application`] instance per sensor and delivers
 //! four kinds of events to it — start-up, timer expiry, message arrival and
@@ -9,11 +9,10 @@
 //! event-driven, with all communication restricted to single-hop neighbours
 //! (§4.2, §5.2).
 //!
-//! Since the restructuring onto [`crate::event`], this type is a *domain
-//! layer* over [`SimCore`]: applications are wrapped in a [`Component`]
-//! adapter, the old hand-rolled heap is gone, and three properties were made
-//! engine-topology-independent so the same `Simulator` can serve either as
-//! the whole simulation or as one region of a [`crate::region`] partition:
+//! The simulator pops events from an [`EventQueue`] and dispatches them to
+//! its applications itself. Three properties are engine-topology-independent
+//! so the same `Simulator` can serve either as the whole simulation or as
+//! one region of a [`crate::region`] partition:
 //!
 //! 1. **Intrinsic event order.** Events are ordered by `(time, class,
 //!    source, source_seq, target)`, never by queue-insertion sequence.
@@ -28,8 +27,7 @@
 
 use crate::energy::{EnergyMeter, EnergyModel};
 use crate::event::{
-    Component, ComponentContext, EventHandle, EventKey, SimCore, CLASS_CONTROL, CLASS_RECEPTION,
-    CLASS_START, CLASS_TIMER, EXTERNAL_SOURCE,
+    EventKey, EventQueue, CLASS_CONTROL, CLASS_RECEPTION, CLASS_START, CLASS_TIMER, EXTERNAL_SOURCE,
 };
 use crate::fault::DutyCycle;
 use crate::mac;
@@ -49,6 +47,10 @@ use wsn_data::{Position, SensorId, Timestamp};
 pub(crate) static OBS_NODE_DEATHS: wsn_obs::Counter = wsn_obs::Counter::new("sim.node_deaths");
 pub(crate) static OBS_NODE_JOINS: wsn_obs::Counter = wsn_obs::Counter::new("sim.node_joins");
 static OBS_DROPPED_ASLEEP: wsn_obs::Counter = wsn_obs::Counter::new("sim.dropped_asleep");
+/// Telemetry: events popped across every engine in the process.
+static OBS_EVENTS_POPPED: wsn_obs::Counter = wsn_obs::Counter::new("sim.events_popped");
+/// Telemetry: entry depth of the engine's queue observed at each pop.
+static OBS_QUEUE_DEPTH: wsn_obs::Histogram = wsn_obs::Histogram::new("sim.queue_depth");
 
 /// Identifier an application assigns to a timer it sets.
 pub type TimerId = u64;
@@ -155,16 +157,9 @@ pub struct SimConfig {
 /// One entry of a pre-planned timer batch: fire `timer` at `node` at `time`.
 pub type BatchTimerEntry = (Timestamp, SensorId, TimerId);
 
-/// A cancellation handle for an externally scheduled timer (see
-/// [`Simulator::schedule_timer`] / [`Simulator::cancel_timer`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerHandle {
-    handle: EventHandle,
-}
-
-/// The event payload delivered through the generic core. The engine (not the
-/// node component) interprets the accounting fields of `Reception`; the
-/// component only ever sees receptions that carry a payload.
+/// The payload of a queued event. The engine interprets the accounting
+/// fields of `Reception`; an application only ever sees receptions that
+/// carry a payload.
 pub(crate) enum NetEvent<M> {
     /// The node's start-up event.
     Start,
@@ -187,81 +182,9 @@ pub(crate) enum NetEvent<M> {
     NeighborhoodChanged,
 }
 
-impl<M> Clone for NetEvent<M> {
-    fn clone(&self) -> Self {
-        match self {
-            NetEvent::Start => NetEvent::Start,
-            NetEvent::Timer(t) => NetEvent::Timer(*t),
-            NetEvent::Reception { from, payload, payload_bytes, airtime_secs, dropped } => {
-                NetEvent::Reception {
-                    from: *from,
-                    payload: payload.clone(),
-                    payload_bytes: *payload_bytes,
-                    airtime_secs: *airtime_secs,
-                    dropped: *dropped,
-                }
-            }
-            NetEvent::NeighborhoodChanged => NetEvent::NeighborhoodChanged,
-        }
-    }
-}
-
-/// What a node asks the engine to do in reaction to an event, in emission
-/// order (packets before timers, matching the pre-refactor dispatch order).
-pub(crate) enum NodeEmission<M> {
-    Packet(OutgoingPacket<M>),
-    Timer { delay_micros: u64, timer: TimerId },
-}
-
-/// The [`Component`] adapter wrapping one [`Application`] instance.
-pub(crate) struct NodeComponent<A: Application> {
-    pub(crate) app: A,
-}
-
-impl<A: Application> Component for NodeComponent<A> {
-    type Event = NetEvent<A::Message>;
-    type Emission = NodeEmission<A::Message>;
-    /// The node's cached neighbour list, shared with the context.
-    type Env = Arc<Vec<SensorId>>;
-
-    fn on_event(
-        &mut self,
-        ctx: &mut ComponentContext<Self::Emission>,
-        env: &Arc<Vec<SensorId>>,
-        event: NetEvent<A::Message>,
-    ) {
-        let mut node_ctx = NodeContext {
-            id: SensorId(ctx.component_id()),
-            now: ctx.time(),
-            neighbors: Arc::clone(env),
-            outgoing: Vec::new(),
-            timers: Vec::new(),
-        };
-        match event {
-            NetEvent::Start => self.app.on_start(&mut node_ctx),
-            NetEvent::Timer(timer) => self.app.on_timer(&mut node_ctx, timer),
-            NetEvent::Reception { from, payload: Some(payload), .. } => {
-                // The last receiver of an interned payload takes it by move;
-                // earlier ones clone.
-                let payload = Arc::try_unwrap(payload).unwrap_or_else(|shared| (*shared).clone());
-                self.app.on_message(&mut node_ctx, from, payload);
-            }
-            // Payload-less receptions are pure accounting; the engine handles
-            // them before dispatch and never routes them here.
-            NetEvent::Reception { payload: None, .. } => {}
-            NetEvent::NeighborhoodChanged => self.app.on_neighborhood_change(&mut node_ctx),
-        }
-        let NodeContext { outgoing, timers, .. } = node_ctx;
-        for packet in outgoing {
-            ctx.emit(NodeEmission::Packet(packet));
-        }
-        for (delay_micros, timer) in timers {
-            ctx.emit(NodeEmission::Timer { delay_micros, timer });
-        }
-    }
-}
-
-/// The discrete-event simulator.
+/// The discrete-event simulator: the owned nodes' applications, one
+/// [`EventQueue`], the clock and the counters that key every event it
+/// schedules.
 ///
 /// A `Simulator` is the region engine of a
 /// [`crate::region::PartitionedSimulator`], the engine experiment drivers
@@ -279,7 +202,20 @@ pub struct Simulator<A: Application> {
     /// Per-node neighbour lists, derived from the topology once and shared
     /// with every [`NodeContext`]; rebuilt only on topology changes.
     adjacency: BTreeMap<SensorId, Arc<Vec<SensorId>>>,
-    core: SimCore<NodeComponent<A>>,
+    /// The owned nodes' applications; events addressed to an absent
+    /// (removed) node are skipped silently.
+    apps: BTreeMap<SensorId, A>,
+    queue: EventQueue<NetEvent<A::Message>>,
+    now: Timestamp,
+    events_processed: u64,
+    /// Per-node emission counters: the `source_seq` of the next event a node
+    /// causes. A pure function of the node's own event history, which makes
+    /// keys reproducible across engine topologies (one queue or many).
+    emission_seqs: BTreeMap<SensorId, u64>,
+    /// Counter behind [`EXTERNAL_SOURCE`] keys: harness-scheduled events
+    /// key identically in every engine topology, provided the harness makes
+    /// the same calls in the same order.
+    external_seq: u64,
     meters: BTreeMap<SensorId, EnergyMeter>,
     node_stats: BTreeMap<SensorId, NodeStats>,
     pending_deliveries: usize,
@@ -304,7 +240,7 @@ impl<A: Application> Simulator<A> {
     pub fn new(config: SimConfig, topology: Topology, make_app: impl FnMut(SensorId) -> A) -> Self {
         let ids = topology.sensor_ids();
         let mut sim = Self::new_owned(config, topology, ids.clone(), make_app);
-        let base = sim.core.alloc_external_seqs(ids.len() as u64);
+        let base = sim.alloc_external_seqs(ids.len() as u64);
         for (i, id) in ids.into_iter().enumerate() {
             let key = EventKey::new(
                 Timestamp::ZERO,
@@ -313,7 +249,7 @@ impl<A: Application> Simulator<A> {
                 base + i as u64,
                 id.raw(),
             );
-            sim.core.queue_mut().push(key, NetEvent::Start);
+            sim.queue.push(key, NetEvent::Start);
         }
         sim
     }
@@ -331,11 +267,11 @@ impl<A: Application> Simulator<A> {
         mut make_app: impl FnMut(SensorId) -> A,
     ) -> Self {
         let adjacency = Self::build_adjacency(&topology);
-        let mut core = SimCore::new();
+        let mut apps = BTreeMap::new();
         let mut meters = BTreeMap::new();
         let mut node_stats = BTreeMap::new();
         for id in owned {
-            core.insert_component(id.raw(), NodeComponent { app: make_app(id) });
+            apps.insert(id, make_app(id));
             meters.insert(id, EnergyMeter::new());
             node_stats.insert(id, NodeStats::default());
         }
@@ -343,7 +279,12 @@ impl<A: Application> Simulator<A> {
             config,
             topology,
             adjacency,
-            core,
+            apps,
+            queue: EventQueue::new(),
+            now: Timestamp::ZERO,
+            events_processed: 0,
+            emission_seqs: BTreeMap::new(),
+            external_seq: 0,
             meters,
             node_stats,
             pending_deliveries: 0,
@@ -355,7 +296,7 @@ impl<A: Application> Simulator<A> {
 
     /// Current simulation time.
     pub fn now(&self) -> Timestamp {
-        self.core.now()
+        self.now
     }
 
     /// Installs the per-node radio duty cycles. Nodes without an entry are
@@ -379,22 +320,22 @@ impl<A: Application> Simulator<A> {
 
     /// Immutable access to a node's application.
     pub fn app(&self, id: SensorId) -> Option<&A> {
-        self.core.component(id.raw()).map(|c| &c.app)
+        self.apps.get(&id)
     }
 
     /// Mutable access to a node's application.
     pub(crate) fn app_mut(&mut self, id: SensorId) -> Option<&mut A> {
-        self.core.component_mut(id.raw()).map(|c| &mut c.app)
+        self.apps.get_mut(&id)
     }
 
     /// Iterates over all applications in ascending node order.
     pub fn apps(&self) -> impl Iterator<Item = (SensorId, &A)> {
-        self.core.components().map(|(id, c)| (SensorId(id), &c.app))
+        self.apps.iter().map(|(id, app)| (*id, app))
     }
 
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.core.events_processed()
+        self.events_processed
     }
 
     /// Number of payload-carrying transmissions currently in flight
@@ -403,26 +344,18 @@ impl<A: Application> Simulator<A> {
         self.pending_deliveries
     }
 
-    /// Number of queue slots occupied (a timer batch counts as one however
-    /// many entries it still carries).
+    /// Number of queue entries (a timer batch counts as one however many
+    /// events it still carries).
     pub fn queued_events(&self) -> usize {
-        self.core.queue().len()
+        self.queue.len()
     }
 
     /// Schedules a timer for `node` at absolute time `at` from outside the
-    /// application (used by harnesses to drive sampling rounds). Returns a
-    /// handle that can cancel the timer while it is still pending.
-    pub fn schedule_timer(&mut self, node: SensorId, at: Timestamp, timer: TimerId) -> TimerHandle {
-        let seq = self.core.alloc_external_seqs(1);
+    /// application (used by harnesses to drive sampling rounds).
+    pub fn schedule_timer(&mut self, node: SensorId, at: Timestamp, timer: TimerId) {
+        let seq = self.alloc_external_seqs(1);
         let key = EventKey::new(at, CLASS_TIMER, EXTERNAL_SOURCE, seq, node.raw());
-        let handle = self.core.queue_mut().push(key, NetEvent::Timer(timer));
-        TimerHandle { handle }
-    }
-
-    /// Cancels a timer scheduled through [`Simulator::schedule_timer`].
-    /// Returns `false` if it already fired or was cancelled before.
-    pub fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
-        self.core.queue_mut().cancel(handle.handle)
+        self.queue.push(key, NetEvent::Timer(timer));
     }
 
     /// Schedules a whole batch of timers behind a **single** queue entry.
@@ -446,9 +379,9 @@ impl<A: Application> Simulator<A> {
         if entries.is_empty() {
             return;
         }
-        let base = self.core.alloc_external_seqs(entries.len() as u64);
+        let base = self.alloc_external_seqs(entries.len() as u64);
         let keyed = Self::keyed_batch(&entries, base);
-        self.core.queue_mut().push_batch(keyed);
+        self.queue.push_batch(keyed);
     }
 
     /// Derives the event keys of a timer batch from its external base
@@ -487,11 +420,11 @@ impl<A: Application> Simulator<A> {
     pub fn remove_node(&mut self, id: SensorId) {
         OBS_NODE_DEATHS.add(1);
         let former_neighbors = self.remove_node_local(id);
-        let base = self.core.alloc_external_seqs(former_neighbors.len() as u64);
-        let now = self.core.now();
+        let base = self.alloc_external_seqs(former_neighbors.len() as u64);
+        let now = self.now;
         for (i, n) in former_neighbors.into_iter().enumerate() {
             let key = EventKey::new(now, CLASS_CONTROL, EXTERNAL_SOURCE, base + i as u64, n.raw());
-            self.core.queue_mut().push(key, NetEvent::NeighborhoodChanged);
+            self.queue.push(key, NetEvent::NeighborhoodChanged);
         }
     }
 
@@ -509,14 +442,14 @@ impl<A: Application> Simulator<A> {
     pub fn add_node(&mut self, id: SensorId, position: Position, app: A) -> Vec<SensorId> {
         OBS_NODE_JOINS.add(1);
         let new_neighbors = self.add_node_local(id, position, Some(app));
-        let base = self.core.alloc_external_seqs(1 + new_neighbors.len() as u64);
-        let now = self.core.now();
+        let base = self.alloc_external_seqs(1 + new_neighbors.len() as u64);
+        let now = self.now;
         let start = EventKey::new(now, CLASS_START, EXTERNAL_SOURCE, base, id.raw());
-        self.core.queue_mut().push(start, NetEvent::Start);
+        self.queue.push(start, NetEvent::Start);
         for (i, n) in new_neighbors.iter().enumerate() {
             let key =
                 EventKey::new(now, CLASS_CONTROL, EXTERNAL_SOURCE, base + 1 + i as u64, n.raw());
-            self.core.queue_mut().push(key, NetEvent::NeighborhoodChanged);
+            self.queue.push(key, NetEvent::NeighborhoodChanged);
         }
         new_neighbors
     }
@@ -538,17 +471,17 @@ impl<A: Application> Simulator<A> {
             self.adjacency.insert(*n, Arc::new(self.topology.neighbors(*n)));
         }
         if let Some(app) = app {
-            self.adopt_component(id, app);
+            self.adopt_app(id, app);
         }
         new_neighbors
     }
 
-    /// Installs `app` as the component of `id` and ensures the node has an
+    /// Installs `app` as the application of `id` and ensures the node has an
     /// energy meter and statistics entry. Both persist across a death →
     /// rejoin cycle (`or_insert`/`or_default`), so accounting accumulates
     /// over the mote's whole lifetime on every backend identically.
-    pub(crate) fn adopt_component(&mut self, id: SensorId, app: A) {
-        self.core.insert_component(id.raw(), NodeComponent { app });
+    pub(crate) fn adopt_app(&mut self, id: SensorId, app: A) {
+        self.apps.insert(id, app);
         self.meters.entry(id).or_default();
         self.node_stats.entry(id).or_default();
     }
@@ -560,7 +493,7 @@ impl<A: Application> Simulator<A> {
     pub(crate) fn remove_node_local(&mut self, id: SensorId) -> Vec<SensorId> {
         let former_neighbors = self.topology.neighbors(id);
         self.topology.remove_sensor(id);
-        self.core.remove_component(id.raw());
+        self.apps.remove(&id);
         self.adjacency.remove(&id);
         for n in &former_neighbors {
             self.adjacency.insert(*n, Arc::new(self.topology.neighbors(*n)));
@@ -573,14 +506,14 @@ impl<A: Application> Simulator<A> {
     /// Returns the number of events processed by this call.
     pub fn run_until(&mut self, deadline: Timestamp) -> u64 {
         let mut processed = 0;
-        while let Some(key) = self.core.queue().peek_key() {
+        while let Some(key) = self.queue.peek_key() {
             if key.time > deadline {
                 break;
             }
             self.step();
             processed += 1;
         }
-        self.core.advance_now(deadline);
+        self.advance_clock(deadline);
         processed
     }
 
@@ -588,7 +521,7 @@ impl<A: Application> Simulator<A> {
     /// lies beyond `deadline`. Returns `true` if the queue drained (the
     /// network is quiescent: no messages in flight and no timers pending).
     pub fn run_until_quiescent(&mut self, deadline: Timestamp) -> bool {
-        while let Some(key) = self.core.queue().peek_key() {
+        while let Some(key) = self.queue.peek_key() {
             if key.time > deadline {
                 return false;
             }
@@ -600,9 +533,16 @@ impl<A: Application> Simulator<A> {
     /// Processes the single earliest queued event, if any. Returns `false`
     /// when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some((key, event)) = self.core.pop_event() else {
+        let Some((key, event)) = self.queue.pop() else {
             return false;
         };
+        debug_assert!(key.time >= self.now, "events must pop in time order");
+        self.now = key.time;
+        self.events_processed += 1;
+        if wsn_obs::enabled() {
+            OBS_EVENTS_POPPED.add(1);
+            OBS_QUEUE_DEPTH.record(self.queue.len() as u64);
+        }
         self.process(key, event);
         true
     }
@@ -610,7 +550,7 @@ impl<A: Application> Simulator<A> {
     /// A snapshot of the per-node link counters and energy reports, with idle
     /// energy charged up to the current simulation time.
     pub fn network_stats(&self) -> NetworkStats {
-        self.network_stats_at(self.core.now())
+        self.network_stats_at(self.now)
     }
 
     /// Like [`Simulator::network_stats`], but charging idle energy up to an
@@ -641,14 +581,14 @@ impl<A: Application> Simulator<A> {
 
     /// The time of the earliest queued event, if any.
     pub(crate) fn next_event_time(&self) -> Option<Timestamp> {
-        self.core.queue().peek_key().map(|k| k.time)
+        self.queue.peek_key().map(|k| k.time)
     }
 
     /// Processes every queued event with `time < exclusive_bound` (one
     /// conservative epoch). Cross-region receptions generated inside the
     /// window land in the outbox.
     pub(crate) fn run_window(&mut self, exclusive_bound: Timestamp) {
-        while let Some(key) = self.core.queue().peek_key() {
+        while let Some(key) = self.queue.peek_key() {
             if key.time >= exclusive_bound {
                 break;
             }
@@ -662,12 +602,12 @@ impl<A: Application> Simulator<A> {
         if matches!(&event, NetEvent::Reception { payload: Some(_), .. }) {
             self.pending_deliveries += 1;
         }
-        self.core.queue_mut().push(key, event);
+        self.queue.push(key, event);
     }
 
     /// Injects a pre-keyed timer batch (one queue slot).
     pub(crate) fn inject_batch(&mut self, entries: Vec<(EventKey, NetEvent<A::Message>)>) {
-        self.core.queue_mut().push_batch(entries);
+        self.queue.push_batch(entries);
     }
 
     /// Drains the receptions addressed to nodes owned by other regions.
@@ -678,7 +618,7 @@ impl<A: Application> Simulator<A> {
     /// Moves the clock forward (never backwards) — the coordinator aligns
     /// every region on the global clock at deadlines.
     pub(crate) fn advance_clock(&mut self, to: Timestamp) {
-        self.core.advance_now(to);
+        self.now = self.now.max(to);
     }
 
     /// Whether this engine owns `id` (executes its events and accounts its
@@ -694,7 +634,7 @@ impl<A: Application> Simulator<A> {
     }
 
     /// Applies one popped event: engine-side accounting first, then (when the
-    /// event concerns the application) component dispatch.
+    /// event concerns the application) dispatch.
     fn process(&mut self, key: EventKey, event: NetEvent<A::Message>) {
         let target = SensorId(key.target);
         match event {
@@ -723,7 +663,7 @@ impl<A: Application> Simulator<A> {
                 match payload {
                     Some(payload) => {
                         self.pending_deliveries -= 1;
-                        if self.core.component(target.raw()).is_some() {
+                        if self.apps.contains_key(&target) {
                             let stats = self.node_stats.entry(target).or_default();
                             stats.packets_received += 1;
                             stats.bytes_received += payload_bytes as u64;
@@ -752,22 +692,59 @@ impl<A: Application> Simulator<A> {
         }
     }
 
-    /// Dispatches an event to a node's component and interprets its
-    /// emissions (packets first, then timers).
+    /// Dispatches an event to a node's application (skipped if the node is
+    /// absent) and applies what it asked for: its packets first, then its
+    /// timers, each drawing the node's next emission counter in that order.
     fn dispatch_event(&mut self, node: SensorId, event: NetEvent<A::Message>) {
-        let env = self.adjacency.get(&node).cloned().unwrap_or_default();
-        let emissions = self.core.dispatch(node.raw(), &env, event);
-        for emission in emissions {
-            match emission {
-                NodeEmission::Packet(packet) => self.transmit(node, packet),
-                NodeEmission::Timer { delay_micros, timer } => {
-                    let at = self.core.now().advanced_by_micros(delay_micros);
-                    let seq = self.core.next_emission_seq(node.raw());
-                    let key = EventKey::new(at, CLASS_TIMER, node.raw(), seq, node.raw());
-                    self.core.queue_mut().push(key, NetEvent::Timer(timer));
-                }
+        let Some(app) = self.apps.get_mut(&node) else {
+            return;
+        };
+        let mut ctx = NodeContext {
+            id: node,
+            now: self.now,
+            neighbors: self.adjacency.get(&node).cloned().unwrap_or_default(),
+            outgoing: Vec::new(),
+            timers: Vec::new(),
+        };
+        match event {
+            NetEvent::Start => app.on_start(&mut ctx),
+            NetEvent::Timer(timer) => app.on_timer(&mut ctx, timer),
+            NetEvent::Reception { from, payload: Some(payload), .. } => {
+                // The last receiver of an interned payload takes it by move;
+                // earlier ones clone.
+                let payload = Arc::try_unwrap(payload).unwrap_or_else(|shared| (*shared).clone());
+                app.on_message(&mut ctx, from, payload);
             }
+            // Payload-less receptions are pure accounting; `process` handles
+            // them and never dispatches them.
+            NetEvent::Reception { payload: None, .. } => {}
+            NetEvent::NeighborhoodChanged => app.on_neighborhood_change(&mut ctx),
         }
+        for packet in ctx.outgoing {
+            self.transmit(node, packet);
+        }
+        for (delay_micros, timer) in ctx.timers {
+            let at = self.now.advanced_by_micros(delay_micros);
+            let seq = self.next_emission_seq(node);
+            let key = EventKey::new(at, CLASS_TIMER, node.raw(), seq, node.raw());
+            self.queue.push(key, NetEvent::Timer(timer));
+        }
+    }
+
+    /// The next emission `source_seq` of `source`, advancing its counter.
+    fn next_emission_seq(&mut self, source: SensorId) -> u64 {
+        let seq = self.emission_seqs.entry(source).or_insert(0);
+        let current = *seq;
+        *seq += 1;
+        current
+    }
+
+    /// Allocates `count` consecutive external sequence numbers and returns
+    /// the first.
+    fn alloc_external_seqs(&mut self, count: u64) -> u64 {
+        let base = self.external_seq;
+        self.external_seq += count;
+        base
     }
 
     /// The loss model's RNG for one transmission, derived from the seed, the
@@ -786,7 +763,7 @@ impl<A: Application> Simulator<A> {
 
     fn transmit(&mut self, sender: SensorId, packet: OutgoingPacket<A::Message>) {
         let OutgoingPacket { destination, payload, payload_bytes } = packet;
-        let seq = self.core.next_emission_seq(sender.raw());
+        let seq = self.next_emission_seq(sender);
         let mut rng = self.transmission_rng(sender, seq);
         let outcome = mac::transmit_with_channels(
             &self.topology,
@@ -809,7 +786,7 @@ impl<A: Application> Simulator<A> {
         // receiver-side effects (energy, statistics, delivery) happen when
         // the reception fires — possibly in another region's engine.
         let payload = Arc::new(payload);
-        let delivery_time = self.core.now().advanced_by_secs_f64(outcome.airtime_secs);
+        let delivery_time = self.now.advanced_by_secs_f64(outcome.airtime_secs);
         for reception in outcome.receptions {
             let key = EventKey::new(
                 delivery_time,
@@ -829,7 +806,7 @@ impl<A: Application> Simulator<A> {
                 if reception.delivers_payload {
                     self.pending_deliveries += 1;
                 }
-                self.core.queue_mut().push(key, event);
+                self.queue.push(key, event);
             } else {
                 self.outbox.push((key, event));
             }
@@ -842,9 +819,7 @@ impl<A: Application> Simulator<A> {
         // change if it unicasts to a vanished neighbour. The notification is
         // sender-local and synchronous, so it is region-safe.
         if let Destination::Unicast(target) = destination {
-            if !self.topology.are_neighbors(sender, target)
-                && self.core.component(sender.raw()).is_some()
-            {
+            if !self.topology.are_neighbors(sender, target) {
                 self.dispatch_event(sender, NetEvent::NeighborhoodChanged);
             }
         }
@@ -1002,20 +977,6 @@ mod tests {
         sim.run_until(Timestamp::from_secs(6));
         let after = sim.network_stats().total_packets_sent();
         assert_eq!(after, before + 1, "the timer callback broadcast one packet");
-    }
-
-    #[test]
-    fn cancelled_timers_never_fire() {
-        let mut sim = flood_sim(2, SimConfig::default());
-        sim.run_until_quiescent(Timestamp::from_secs(1));
-        let before = sim.network_stats().total_packets_sent();
-        let keep = sim.schedule_timer(SensorId(0), Timestamp::from_secs(5), 1);
-        let cancel = sim.schedule_timer(SensorId(1), Timestamp::from_secs(5), 2);
-        assert!(sim.cancel_timer(cancel));
-        assert!(!sim.cancel_timer(cancel), "double cancel is a stale no-op");
-        sim.run_until(Timestamp::from_secs(6));
-        assert_eq!(sim.network_stats().total_packets_sent(), before + 1);
-        assert!(!sim.cancel_timer(keep), "a fired timer can no longer be cancelled");
     }
 
     #[test]

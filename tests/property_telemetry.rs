@@ -499,6 +499,58 @@ fn the_city_topology_build_makes_a_linear_number_of_distance_tests() {
     }
 }
 
+/// The event core's counter, from which the benchmark derives
+/// `netsim.events` and `netsim.ns_per_event`: `sim.events_popped` must equal
+/// the events the engine processed, on one region and on four. A 4×4 grid
+/// (5 m spacing, 6 m range: 24 links) of beacons, each broadcasting once on
+/// one external timer: 16 starts, 16 timers and 48 receptions.
+#[test]
+fn the_events_popped_counter_equals_the_events_processed() {
+    use wsn_data::stream::SensorSpec;
+    use wsn_data::Position;
+    use wsn_netsim::radio::RadioConfig;
+    use wsn_netsim::region::PartitionedSimulator;
+    use wsn_netsim::sim::{Application, NodeContext, TimerId};
+
+    struct Beacon;
+    impl Application for Beacon {
+        type Message = ();
+        fn on_start(&mut self, _ctx: &mut NodeContext<()>) {}
+        fn on_message(&mut self, _ctx: &mut NodeContext<()>, _from: SensorId, _message: ()) {}
+        fn on_timer(&mut self, ctx: &mut NodeContext<()>, _timer: TimerId) {
+            ctx.broadcast((), 8);
+        }
+    }
+
+    let _guard = lock();
+    let specs: Vec<SensorSpec> = (0..16u32)
+        .map(|i| {
+            let position = Position::new(f64::from(i % 4) * 5.0, f64::from(i / 4) * 5.0);
+            SensorSpec::new(SensorId(i), position)
+        })
+        .collect();
+    let topology = Topology::from_specs(&specs, 6.0);
+    let config = SimConfig { radio: RadioConfig::with_range(6.0), ..Default::default() };
+    for regions in [1, 4] {
+        let mut sim = PartitionedSimulator::new(config, topology.clone(), regions, |_| Beacon);
+        for i in 0..16u32 {
+            sim.schedule_timer(SensorId(i), Timestamp::from_secs(u64::from(i) + 1), u64::from(i));
+        }
+        wsn_obs::reset();
+        wsn_obs::set_enabled(true);
+        assert!(sim.run_until_quiescent(Timestamp::from_secs(60)), "{regions} region(s)");
+        wsn_obs::set_enabled(false);
+        assert_eq!(sim.events_processed(), 16 + 16 + 48, "{regions} region(s)");
+        if wsn_obs::compiled() {
+            assert_eq!(
+                wsn_obs::report().counter("sim.events_popped"),
+                sim.events_processed(),
+                "{regions} region(s)"
+            );
+        }
+    }
+}
+
 /// The merged span report is deterministic: two identical instrumented runs
 /// on the partitioned backend (which drains per-thread span buffers from
 /// the worker pool) must agree on every counter value, every span path and

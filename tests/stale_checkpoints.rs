@@ -1,12 +1,12 @@
 //! A checkpoint written under an older persistence format version is refused
 //! end to end with a typed [`PersistError::Version`]: the streaming driver
 //! fails before it simulates anything, and the fleet refuses only the stale
-//! tenant's record while the others resume. Both older versions are
-//! covered: 1 (the separate global and semi-global payloads) and 2 (a full
-//! copy of a point per set, before the point table). A fleet also refuses,
-//! with [`PersistError::Mismatch`] and never as fresh, the two directory
-//! layouts it cannot read: per-tenant `tenant-<id>.json` files from before
-//! the shard files, and shard files written under another shard count.
+//! tenant's record while the others resume. Every older version is covered,
+//! from 1 (the separate global and semi-global payloads) to the one before
+//! [`PERSIST_VERSION`]. A fleet also refuses, with [`PersistError::Mismatch`]
+//! and never as fresh, the two directory layouts it cannot read: per-tenant
+//! `tenant-<id>.json` files from before the shard files, and shard files
+//! written under another shard count.
 
 use std::path::{Path, PathBuf};
 
@@ -17,7 +17,7 @@ use in_network_outlier::prelude::*;
 use wsn_data::Position;
 
 /// Every format version before the current one.
-const STALE_VERSIONS: [u64; 2] = [1, 2];
+const STALE_VERSIONS: std::ops::Range<u64> = 1..PERSIST_VERSION;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wsn-stale-{tag}-{}", std::process::id()));
