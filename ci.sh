@@ -78,7 +78,10 @@ CARGO_TARGET_DIR=target/benchmark RUSTDOCFLAGS="-D warnings" \
 # scenarios and, with INTEL_LAB_DIR unset, the committed Intel-shaped
 # fixture: the fallback notice and three slide rows (accuracy, precision,
 # recall, agreement, packets, points) must read exactly as below.
-echo "== example smoke (quickstart, semi_global_tracking, lab_deployment, energy_comparison, streaming_scenarios) =="
+# archived_trace parses an embedded Intel-format snippet in memory, imputes
+# its missing reading, ranks it and round-trips it through CSV: its two
+# outlier lines and its archive line must read exactly as below.
+echo "== example smoke (quickstart, semi_global_tracking, lab_deployment, energy_comparison, streaming_scenarios, archived_trace) =="
 quickstart=$(cargo run --release --offline --example quickstart)
 printf '%s\n' "$quickstart"
 grep -q "estimates agree: true" <<<"$quickstart" \
@@ -116,6 +119,15 @@ for line in \
     "      5    1.000     1.000     1.000     yes       38       228"; do
     grep -qxF "$line" <<<"$scenarios" \
         || { echo "streaming_scenarios: missing the line \"$line\""; exit 1; }
+done
+archived=$(cargo run --release --offline --example archived_trace)
+printf '%s\n' "$archived"
+for line in \
+    "  sensor s3 epoch e2 -> temperature 122.15 (rank 51.21)" \
+    "  sensor s3 epoch e3 -> temperature 121.80 (rank 51.03)" \
+    "archived the trace as 404 bytes of CSV and verified it reads back losslessly"; do
+    grep -qxF "$line" <<<"$archived" \
+        || { echo "archived_trace: missing the line \"$line\""; exit 1; }
 done
 
 # Campaign smoke: every figure and table spec of the paper's evaluation at
@@ -214,9 +226,11 @@ cargo run --release --offline -p wsn-bench --bin json_check -- results/journal.j
 # observationally free: the property suite pairs collection-on and
 # collection-off runs and asserts bit-identical outcomes, and with the
 # counters compiled in it checks the fault plan's churn and the checkpoints
-# on the faulted, checkpointed 2 000-sensor city among its inputs, and that
+# on the faulted, checkpointed 2 000-sensor city among its inputs, that
 # the fixed point never desync-rebuilds, on streaming runs with and without
-# window evictions and on an evicting fleet tenant.
+# window evictions and on an evicting fleet tenant, and that every engine
+# builds its window state once, on those inputs and on an evicting
+# hop-scope run.
 echo "== telemetry build + property suite (--features telemetry) =="
 cargo build --release --offline --features telemetry
 cargo test -q --offline --features telemetry --test property_telemetry

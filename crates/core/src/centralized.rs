@@ -12,7 +12,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::app::SamplingSchedule;
-use crate::cache::RevisionCache;
 use crate::persist::{self, PersistError, PointRows, PointTable};
 use wsn_data::stream::SensorStream;
 use wsn_data::window::WindowConfig;
@@ -101,9 +100,9 @@ pub struct CentralizedApp<R> {
     /// mutation or a fresh report); keys `index_cache`, which a restore
     /// empties, so it is not persisted.
     state_revision: u64,
-    /// Sink only: the neighbour index over `union`, rebuilt lazily when
-    /// `state_revision` moves.
-    index_cache: RevisionCache<AnyIndex>,
+    /// Sink only: the neighbour index over `union` with the
+    /// `state_revision` it was built at, rebuilt lazily when that moves.
+    index_cache: Option<(u64, AnyIndex)>,
 }
 
 impl<R: RankingFunction> CentralizedApp<R> {
@@ -139,7 +138,7 @@ impl<R: RankingFunction> CentralizedApp<R> {
             results_sent: 0,
             results_received: 0,
             state_revision: 0,
-            index_cache: RevisionCache::new(),
+            index_cache: None,
         }
     }
 
@@ -190,10 +189,11 @@ impl<R: RankingFunction> CentralizedApp<R> {
     /// an estimate over their own window if no answer has arrived yet).
     pub fn estimate(&self) -> OutlierEstimate {
         if self.is_sink() {
-            if let Some(index) = self.index_cache.get(self.state_revision) {
-                top_n_outliers_indexed(&self.ranking, self.n, &self.union, index.as_ref())
-            } else {
-                top_n_outliers(&self.ranking, self.n, &self.union)
+            match &self.index_cache {
+                Some((revision, index)) if *revision == self.state_revision => {
+                    top_n_outliers_indexed(&self.ranking, self.n, &self.union, index)
+                }
+                _ => top_n_outliers(&self.ranking, self.n, &self.union),
             }
         } else if let Some(points) = &self.last_result {
             let set: PointSet = points.iter().cloned().collect();
@@ -307,7 +307,7 @@ impl<R: RankingFunction> CentralizedApp<R> {
         self.reports_received = reports_received;
         self.results_sent = results_sent;
         self.results_received = results_received;
-        self.index_cache.invalidate();
+        self.index_cache = None;
         Ok(())
     }
 
@@ -358,9 +358,12 @@ impl<R: RankingFunction> CentralizedApp<R> {
         if !self.is_sink() || self.collected.is_empty() {
             return;
         }
-        let union = &self.union;
-        let index = self.index_cache.get_or_build(self.state_revision, || AnyIndex::build(union));
-        let answer = top_n_outliers_indexed(&self.ranking, self.n, &self.union, index.as_ref());
+        let index = match self.index_cache.take() {
+            Some((revision, index)) if revision == self.state_revision => index,
+            _ => AnyIndex::build(&self.union),
+        };
+        let answer = top_n_outliers_indexed(&self.ranking, self.n, &self.union, &index);
+        self.index_cache = Some((self.state_revision, index));
         let points = answer.to_point_set().to_vec();
         let reporters: Vec<SensorId> = self.collected.keys().copied().collect();
         for reporter in reporters {
@@ -444,19 +447,6 @@ impl<R: RankingFunction> Application for CentralizedApp<R> {
         // next report; nothing to do immediately.
         let _ = ctx;
     }
-}
-
-/// Advances the window clock used when converting window lengths expressed in
-/// samples (`w`) into the time-based [`WindowConfig`] the applications use.
-///
-/// The paper parameterises experiments by `w`, the number of samples in the
-/// sliding window; with one sample per `sample_interval_secs` this is a
-/// window of `w × interval` seconds.
-pub fn window_from_samples(
-    w: u64,
-    sample_interval_secs: f64,
-) -> Result<WindowConfig, wsn_data::DataError> {
-    WindowConfig::from_samples(w, sample_interval_secs)
 }
 
 #[cfg(test)]

@@ -14,11 +14,10 @@
 //!     the outliers of the data held within `d` hops of it, using
 //!     hop-annotated points.
 //! * [`sufficient`] — the sufficient-set computation of equation (2), the
-//!   kernel both algorithms share. It runs on the spatial neighbour indexes
-//!   of [`wsn_ranking::index`]; [`cache`] keeps a hop-scope node's prefixes
-//!   and their indexes per forwarded-prefix revision, so a protocol step's
-//!   per-neighbour fixed points share them and they are rebuilt exactly
-//!   when what the node forwards changes.
+//!   kernel both algorithms share. Its engine ranks one hop frame of the
+//!   window (all of it, or a hop prefix `P_i^{≤h}`) through its own
+//!   spatial neighbour index ([`wsn_ranking::index`]), which follows the
+//!   window through the node's notes rather than being rebuilt.
 //! * [`centralized`] — the **centralized baseline** of the evaluation (§7.1):
 //!   every node periodically ships its sliding window to a sink over AODV,
 //!   the sink computes the outliers and sends them back.
@@ -62,7 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod app;
-pub mod cache;
 pub mod centralized;
 pub mod error;
 pub mod experiment;

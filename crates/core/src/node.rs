@@ -25,7 +25,8 @@
 //! (`O_n(D_i^{≤d})`). Every point carries a hop counter: 0 at birth,
 //! incremented each time it is forwarded. A sensor keeps only the lowest-hop
 //! copy of each observation, runs the global sufficient-set computation
-//! separately on every hop-prefix `P_i^{≤h}` for `h ∈ [0, d−1]`, unions the
+//! separately on every hop-prefix `P_i^{≤h}` for `h ∈ [0, d−1]` (one
+//! engine per prefix, [`FixedPointEngine::within_hops`]), unions the
 //! results (keeping minimum hops), suppresses anything the neighbour already
 //! holds at an equal or smaller hop, and broadcasts the rest. Copies that
 //! arrive with more than `d` hops are dropped on receipt. Setting `d` to at
@@ -36,23 +37,24 @@
 //! forwarded: no engine ranks it. So what a node sends depends on its
 //! window only through the *forwarded prefix* `P_i^{≤d−1}`, and the node
 //! keys everything it derives for sending on the forwarded-prefix
-//! revision, the window revision at the last change to `P_i^{≤d−1}`: the
-//! hop prefixes and their indexes, each engine's seed and support caches
-//! (and its chains' `seed_at`), and the quiet memo. An insert at hop `< d`
-//! (a new point, or a lower-hop copy replacing one) and a slide that
-//! evicts a hop-`< d` point move it; a receipt of hop-`d` copies, every
-//! receipt at `d = 1`, does not. In the global scope every point is
-//! forwarded, so the key is the window revision itself.
+//! revision, a counter that moves by one on every change to `P_i^{≤d−1}`:
+//! each engine's window state, seed and support caches (and its chains'
+//! `seed_at`), and the quiet memo. An insert at hop `< d` (a new point, or
+//! a lower-hop copy replacing one) and a slide that evicts a hop-`< d`
+//! point move it, and each such move reaches every engine as a window note;
+//! a receipt of hop-`d` copies, every receipt at `d = 1`, does not. In the
+//! global scope every point is forwarded, so the key is the window revision
+//! itself.
 //!
 //! The two scopes share everything else — the window, the per-neighbour
-//! book (shared-knowledge sets, the quiet memo, liveness), and the
-//! persistence format. They differ only in which fixed-point engines run,
-//! the hop increment and min-hop merge of `Z`, and the hop bound on receipt.
+//! book (shared-knowledge sets, the quiet memo, liveness), the notes every
+//! engine hears, and the persistence format. They differ only in their
+//! engines' frames, the hop increment and min-hop merge of `Z`, and the hop
+//! bound on receipt.
 
 use std::fmt;
 use std::sync::Arc;
 
-use crate::cache::RevisionCache;
 use crate::ledger::{Merge, NeighborBook};
 use crate::message::OutlierBroadcast;
 use crate::persist::{self, PersistError, PointRows, PointTable};
@@ -60,7 +62,6 @@ use crate::sufficient::FixedPointEngine;
 use wsn_data::window::WindowConfig;
 use wsn_data::{DataPoint, HopCount, PointSet, SensorId, SlidingWindow, Timestamp};
 use wsn_json::JsonValue;
-use wsn_ranking::index::AnyIndex;
 use wsn_ranking::{top_n_outliers, OutlierEstimate, RankingFunction};
 
 /// The spatial extent of detection.
@@ -71,11 +72,6 @@ pub enum Scope {
     /// The data sampled within `d` hops (§6's `d`, the plots' `epsilon`).
     Hops(HopCount),
 }
-
-/// One hop-prefix `P_i^{≤h}` of the window together with its neighbour
-/// index, precomputed once per forwarded-prefix revision and reused for
-/// every neighbour's sufficient-set fixed point.
-type HopPrefixes = Vec<(PointSet, AnyIndex)>;
 
 /// Which way a shared-knowledge delta the book just made moved `known`.
 #[derive(Clone, Copy)]
@@ -108,25 +104,23 @@ pub struct DetectorNode<R> {
     window: SlidingWindow,
     /// Shared-knowledge sets, quiet memo, liveness and traffic counters.
     book: NeighborBook,
-    /// The reusable sufficient-set evaluators: one for the global scope, one
-    /// per hop prefix `P_i^{≤h}` for the hop scope. Each one's seed and
-    /// support caches are keyed to `prefix_revision` (every prefix is a pure
+    /// The reusable sufficient-set evaluators ([`fresh_engines`]): one over
+    /// the whole window for the global scope, one per hop prefix
+    /// `P_i^{≤h}` for the hop scope. Each keeps its own index over its
+    /// frame of the window, fed by the window notes, and its seed and
+    /// support caches are keyed to `prefix_revision` (every frame is a pure
     /// function of `P_i^{≤d−1}`), so the per-neighbour fixed points of one
     /// protocol step — and of every later step at the same revision — share
-    /// the seed and all support queries. The global engine also maintains
-    /// its own dynamic index over the window, fed by the window's insertion
-    /// and eviction notes, and its seed's selection `O_n(P_i)` serves
-    /// [`DetectorNode::estimate`].
+    /// the seed and all support queries. The global engine's seed selection
+    /// `O_n(P_i)` also serves [`DetectorNode::estimate`].
     engines: Vec<FixedPointEngine>,
-    /// The hop prefixes with their neighbour indexes (hop scope only),
-    /// rebuilt when `prefix_revision` moves: a receipt of hop-`d` copies
-    /// keeps them.
-    prefix_cache: RevisionCache<HopPrefixes>,
-    /// The forwarded-prefix revision: the window revision at the last
-    /// change to `P_i^{≤d−1}`, and at every window change in the global
-    /// scope (see the module docs). It keys `prefix_cache`, the engines'
-    /// seed and support caches and the quiet memo, all of which a restore
-    /// starts cold, so a restored node sets it to its window's revision.
+    /// The forwarded-prefix revision: a counter that moves by one on every
+    /// change to `P_i^{≤d−1}` (see the module docs). It starts at the
+    /// window's revision, and in the global scope, where every window
+    /// change is a prefix change, it stays equal to it. It is the chain of
+    /// the engines' window notes and keys their seed and support caches and
+    /// the quiet memo, all of which a restore starts cold, so a restored
+    /// node sets it to its window's revision.
     prefix_revision: u64,
 }
 
@@ -155,7 +149,6 @@ impl<R: RankingFunction> DetectorNode<R> {
                 Scope::Hops(d)
             }
         };
-        let engine_count = hop_diameter.map_or(1, usize::from);
         let window = SlidingWindow::new(window);
         DetectorNode {
             id,
@@ -165,8 +158,7 @@ impl<R: RankingFunction> DetectorNode<R> {
             prefix_revision: window.revision(),
             window,
             book: NeighborBook::default(),
-            engines: (0..engine_count).map(|_| FixedPointEngine::new()).collect(),
-            prefix_cache: RevisionCache::new(),
+            engines: fresh_engines(scope),
         }
     }
 
@@ -243,42 +235,38 @@ impl<R: RankingFunction> DetectorNode<R> {
         }
     }
 
-    /// Inserts `point` into the window, moving the forwarded-prefix
-    /// revision if the point lands in the prefix. The global engine keeps
-    /// its own index over the window, so it is told of every accepted
-    /// insertion.
+    /// Inserts `point` into the window. If the point lands in the forwarded
+    /// prefix, the forwarded-prefix revision moves and every engine is told
+    /// of the insertion, so its index over its frame follows the window.
     fn insert_into_window(&mut self, point: &Arc<DataPoint>) -> bool {
         let inserted = self.window.insert_arc(Arc::clone(point));
-        if inserted {
-            // A copy at hop d never changes the prefix: min-hop insertion
-            // never lets it replace a lower-hop copy.
-            if self.forwards(point) {
-                self.prefix_revision = self.window.revision();
-            }
-            if self.scope == Scope::Global {
-                self.engines[0].note_window_point(point, self.window.revision());
+        // A copy at hop d never changes the prefix: min-hop insertion never
+        // lets it replace a lower-hop copy.
+        if inserted && self.forwards(point) {
+            self.prefix_revision = self.prefix_revision.wrapping_add(1);
+            for engine in &mut self.engines {
+                engine.note_window_point(&self.ranking, point, self.prefix_revision);
             }
         }
         inserted
     }
 
-    /// Slides the window to `now`, moving the forwarded-prefix revision if
-    /// a prefix point left. The global engine is told of the evicted points
-    /// too, so its index over the window follows the slide.
+    /// Slides the window to `now`. If a prefix point left, the
+    /// forwarded-prefix revision moves and every engine is told of the
+    /// evicted points, so its index over its frame follows the slide.
     fn advance_window(&mut self, now: Timestamp) {
         let evicted = self.window.advance_to(now);
         if evicted.iter().any(|p| self.forwards(p)) {
-            self.prefix_revision = self.window.revision();
-        }
-        if !evicted.is_empty() && self.scope == Scope::Global {
-            self.engines[0].note_window_evictions(&self.ranking, &evicted, self.window.revision());
+            self.prefix_revision = self.prefix_revision.wrapping_add(1);
+            for engine in &mut self.engines {
+                engine.note_window_evictions(&self.ranking, &evicted, self.prefix_revision);
+            }
         }
     }
 
-    /// Forwards a shared-knowledge delta the book just made to the engines.
-    /// In the hop scope a point at hop `v` belongs to `known^{≤h}` for every
-    /// `h ≥ v`, and engines whose prefix the delta does not touch still get
-    /// an (empty) note so their sync chain follows the bookkeeping revision.
+    /// Forwards a shared-knowledge delta the book just made to every
+    /// engine; each takes the points in its frame, and its sync chain
+    /// follows the bookkeeping revision either way.
     fn note_shared(
         &mut self,
         neighbor: SensorId,
@@ -286,54 +274,31 @@ impl<R: RankingFunction> DetectorNode<R> {
         revision: u64,
         delta: Delta,
     ) {
-        let ranking = &self.ranking;
-        let note = |engine: &mut FixedPointEngine, points: &[Arc<DataPoint>]| match delta {
-            Delta::Recorded => engine.note_shared_points(neighbor, points, revision),
-            Delta::Evicted => engine.note_evicted_points(ranking, neighbor, points, revision),
-        };
-        if self.scope == Scope::Global {
-            note(&mut self.engines[0], points);
-            return;
-        }
-        let mut prefix: Vec<Arc<DataPoint>> = Vec::with_capacity(points.len());
-        for (h, engine) in self.engines.iter_mut().enumerate() {
-            prefix.clear();
-            prefix.extend(points.iter().filter(|p| usize::from(p.hop) <= h).cloned());
-            note(engine, &prefix);
+        for engine in &mut self.engines {
+            match delta {
+                Delta::Recorded => engine.note_shared_points(neighbor, points, revision),
+                Delta::Evicted => {
+                    engine.note_evicted_points(&self.ranking, neighbor, points, revision)
+                }
+            }
         }
     }
 
     /// `Z_j \ known` for neighbour `j` (the points still to send), at the
     /// memo key `state`.
-    fn batch_for(
-        &mut self,
-        j: SensorId,
-        pi: &PointSet,
-        prefixes: Option<&HopPrefixes>,
-        state: (u64, u64),
-    ) -> Vec<Arc<DataPoint>> {
+    fn batch_for(&mut self, j: SensorId, pi: &PointSet, state: (u64, u64)) -> Vec<Arc<DataPoint>> {
         let empty = PointSet::new();
         let known = self.book.known(j).unwrap_or(&empty);
-        let Some(prefixes) = prefixes else {
-            let z =
-                self.engines[0].sufficient_set(&self.ranking, self.n, pi, None, j, known, state);
+        if self.scope == Scope::Global {
+            let z = self.engines[0].sufficient_set(&self.ranking, self.n, pi, j, known, state);
             return z.difference(known).iter_arcs().cloned().collect();
-        };
+        }
         // Per-prefix sufficient sets, hop-incremented and min-merged. The
         // hop increment necessarily materialises a fresh copy of each
         // forwarded point; every set below shares those copies.
         let mut z = PointSet::new();
-        for (h, (pi_h, index)) in prefixes.iter().enumerate() {
-            let known_h = known.filter_max_hop(h as HopCount);
-            let z_h = self.engines[h].sufficient_set(
-                &self.ranking,
-                self.n,
-                pi_h,
-                Some(index),
-                j,
-                &known_h,
-                state,
-            );
+        for engine in &mut self.engines {
+            let z_h = engine.sufficient_set(&self.ranking, self.n, pi, j, known, state);
             for p in z_h.iter() {
                 z.insert_min_hop(p.with_incremented_hop());
             }
@@ -349,8 +314,8 @@ impl<R: RankingFunction> DetectorNode<R> {
     /// Serializes this node's canonical protocol state (§5: the window
     /// `P_i` and the shared-knowledge sets) for [`crate::persist`]:
     /// configuration, window and the neighbour book. Everything derived from
-    /// it (the engines' chains and caches, hop prefixes, spatial indexes,
-    /// the quiet memo and the revisions that key them) is not included —
+    /// it (the engines' window states, chains and caches, the quiet memo and
+    /// the revisions that key them) is not included —
     /// [`DetectorNode::persist_restore`] starts it cold, with identical
     /// outputs.
     pub fn persist_snapshot(&self) -> JsonValue {
@@ -416,8 +381,7 @@ impl<R: RankingFunction> DetectorNode<R> {
         self.prefix_revision = window.revision();
         self.window = window;
         self.book = book;
-        self.prefix_cache.invalidate();
-        self.engines.fill_with(FixedPointEngine::new);
+        self.engines = fresh_engines(self.scope);
         Ok(())
     }
 
@@ -501,27 +465,13 @@ impl<R: RankingFunction> DetectorNode<R> {
     /// condition of §5).
     pub fn process(&mut self, neighbors: &[SensorId]) -> Option<OutlierBroadcast> {
         // A zero-copy snapshot of P_i: the window is read, never cloned, and
-        // the hop prefixes derived from it share its stored points. The
-        // global engine needs no index from here: it maintains its own
-        // dynamic index over the window, kept in sync by the insertion notes.
-        // Every input `batch_for` reads from the window lies in the
-        // forwarded prefix, so its revision keys the prefixes, the engines'
-        // caches and the quiet memo; in the global scope it is the window's.
+        // each engine takes its own frame of it. Every input `batch_for`
+        // reads from the window lies in the forwarded prefix, so its
+        // revision keys the engines' caches and the quiet memo; in the
+        // global scope it is the window's.
         let pi = self.window.snapshot();
         let revision = self.prefix_revision;
         debug_assert!(self.scope != Scope::Global || revision == self.window.revision());
-        let prefixes = match self.scope {
-            Scope::Global => None,
-            Scope::Hops(d) => Some(self.prefix_cache.get_or_build(revision, || {
-                (0..d)
-                    .map(|h| {
-                        let pi_h = pi.filter_max_hop(h);
-                        let index = AnyIndex::build(&pi_h);
-                        (pi_h, index)
-                    })
-                    .collect()
-            })),
-        };
         let merge = self.merge();
         let mut message = OutlierBroadcast::new();
         for &j in neighbors {
@@ -535,7 +485,7 @@ impl<R: RankingFunction> DetectorNode<R> {
                 // inputs, same nothing-to-send outcome.
                 continue;
             }
-            let mut batch = self.batch_for(j, &pi, prefixes.as_deref(), state);
+            let mut batch = self.batch_for(j, &pi, state);
             if batch.is_empty() {
                 self.book.mark_quiet(j, state);
                 continue;
@@ -583,6 +533,16 @@ impl<R: RankingFunction> DetectorNode<R> {
     /// The points the node currently holds (`P_i`).
     pub fn held_points(&self) -> &PointSet {
         self.window.contents()
+    }
+}
+
+/// The engines a node of `scope` ranks through: one over the whole window
+/// in the global scope, one per hop prefix `P_i^{≤h}`, `h < d`, in the hop
+/// scope.
+fn fresh_engines(scope: Scope) -> Vec<FixedPointEngine> {
+    match scope {
+        Scope::Global => vec![FixedPointEngine::new()],
+        Scope::Hops(d) => (0..d).map(FixedPointEngine::within_hops).collect(),
     }
 }
 
@@ -813,7 +773,7 @@ mod tests {
             assert!(node.known_common_with(SensorId(2)).is_empty(), "{scope:?}");
             // Nothing else keeps the evicted point alive: not the chains'
             // indexes, rank bounds, outlier order or pending insertions,
-            // and not the engine's own-window state.
+            // and not the engines' window states.
             let _ = node.process(&[SensorId(2)]);
             assert_eq!(Arc::strong_count(&old), 1, "{scope:?}: only the test handle remains");
         }
@@ -861,7 +821,7 @@ mod tests {
             assert!(!node.shares_state_with(SensorId(2)), "{scope:?}: all state dropped");
             // Flush the window so the held copy is evicted as well, then run
             // one protocol step against a live neighbour: that rolls the
-            // engines' revision-scoped own-window caches forward. The dead
+            // engines' revision-scoped caches forward. The dead
             // neighbour's hypothetical-set state would survive that roll —
             // only the explicit prune above removes it.
             node.advance_time(Timestamp::from_secs(5_000));

@@ -15,13 +15,14 @@
 //! hypothetical estimate until nothing changes. Only `Z_j` minus what the
 //! neighbour provably already has is transmitted.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use wsn_data::order::{sort_by_outlier_order, total_order, RankedPoint};
-use wsn_data::{DataPoint, PointKey, PointSet, SensorId};
+use wsn_data::{DataPoint, HopCount, PointKey, PointSet, SensorId};
 use wsn_ranking::function::support_of_set_indexed;
-use wsn_ranking::index::{AnyIndex, DynamicIndex, NeighborIndex};
+use wsn_ranking::index::{DynamicIndex, NeighborIndex};
 use wsn_ranking::{top_n_outliers, top_n_outliers_indexed, OutlierEstimate, RankingFunction};
 
 /// Telemetry ([`wsn_obs`]): engine calls.
@@ -30,6 +31,9 @@ static OBS_FP_CALLS: wsn_obs::Counter = wsn_obs::Counter::new("engine.calls");
 static OBS_FP_CHAIN_FAST: wsn_obs::Counter = wsn_obs::Counter::new("engine.chain_fast");
 /// Telemetry: first-contact builds of a neighbour's hypothetical state.
 static OBS_FP_COLD_BUILDS: wsn_obs::Counter = wsn_obs::Counter::new("engine.cold_builds");
+/// Telemetry: builds of an engine's window state (its first call, or a
+/// call whose window revision the state's chain never reached).
+static OBS_WINDOW_BUILDS: wsn_obs::Counter = wsn_obs::Counter::new("engine.window_builds");
 /// Telemetry: desync re-scans whose reason was a bookkeeping-revision gap
 /// (a missed or out-of-order delta note).
 static OBS_FP_RESCAN_REVISION_GAP: wsn_obs::Counter =
@@ -61,45 +65,18 @@ static OBS_SUPPORT_MISSES: wsn_obs::Counter = wsn_obs::Counter::new("engine.supp
 /// notes the result "is not guaranteed to be the smallest set to do so" —
 /// the same applies here.
 ///
-/// A spatial neighbour index over `pi` is built once and reused by every
+/// Runs a throwaway [`FixedPointEngine`], which indexes `pi` once for every
 /// rank and support query of the fixed point; callers that evaluate several
-/// neighbours against the same `P_i` (one per neighbour, as both detectors
-/// do) should build the index once themselves and run a reusable
-/// [`FixedPointEngine`] (or call [`sufficient_set_indexed`]).
+/// neighbours against the same `P_i` (one per neighbour, as the detector
+/// does) should hold on to one engine instead.
 pub fn sufficient_set<R: RankingFunction + ?Sized>(
     ranking: &R,
     n: usize,
     pi: &PointSet,
     known_common: &PointSet,
 ) -> PointSet {
-    let index = AnyIndex::build(pi);
-    sufficient_set_indexed(ranking, n, pi, &index, known_common)
-}
-
-/// [`sufficient_set`] over a pre-built neighbour index of `pi`.
-///
-/// `index` must have been built over exactly `pi`. The result is
-/// bit-identical to the unindexed computation: the index returns the same
-/// deterministically tie-broken neighbour orderings as the brute path, so
-/// the fixed point walks through the same intermediate sets. Runs a
-/// throwaway [`FixedPointEngine`]; callers invoking this repeatedly for the
-/// same `P_i` should hold on to one engine instead.
-pub fn sufficient_set_indexed<R: RankingFunction + ?Sized>(
-    ranking: &R,
-    n: usize,
-    pi: &PointSet,
-    index: &dyn NeighborIndex,
-    known_common: &PointSet,
-) -> PointSet {
-    let z = FixedPointEngine::new().sufficient_set(
-        ranking,
-        n,
-        pi,
-        Some(index),
-        SensorId(0),
-        known_common,
-        (0, 0),
-    );
+    let z =
+        FixedPointEngine::new().sufficient_set(ranking, n, pi, SensorId(0), known_common, (0, 0));
     Arc::try_unwrap(z).unwrap_or_else(|shared| (*shared).clone())
 }
 
@@ -135,13 +112,18 @@ pub fn sufficient_set_rebuild_reference<R: RankingFunction + ?Sized>(
 
 /// A reusable, rebuild-free evaluator of the equation (2) fixed point.
 ///
-/// One engine serves one detector: the ranking function and `n` must stay
-/// fixed across calls, and the `revision` argument of
-/// [`FixedPointEngine::sufficient_set`] must pin `P_i` (and the index built
-/// over it) exactly — the detector passes its forwarded-prefix revision,
-/// which moves on every change to the prefix the engine ranks (in the
-/// global scope, on every window change). Under that contract the engine
-/// caches:
+/// One engine serves one detector and ranks one **hop frame** of its
+/// window: [`FixedPointEngine::new`] the whole window `P_i` against the
+/// whole of `known`, and [`FixedPointEngine::within_hops`]`(h)` the hop
+/// prefix `P_i^{≤h}` against `known^{≤h}` (§6 runs one such computation per
+/// prefix). The engine applies its frame itself, to the window and `known`
+/// each call hands it and to every note, so a caller hands all its engines
+/// the same inputs and notes. The ranking function and `n` must stay fixed
+/// across calls, and the first component of a call's `revisions` must pin
+/// the window's frame exactly: the detector passes its forwarded-prefix
+/// revision, which moves by one on every change to `P_i^{≤d−1}` (in the
+/// global scope, on every window change), and so on every change to any of
+/// its engines' frames. Under that contract the engine caches:
 ///
 /// **Per revision** (shared by every neighbour of a protocol step and by
 /// every later step at the same revision):
@@ -151,6 +133,17 @@ pub fn sufficient_set_rebuild_reference<R: RankingFunction + ?Sized>(
 /// * every support set `[P_i|x]` it has queried, keyed by the identity of
 ///   `x` (support sets depend only on the observation's identity and
 ///   features, which all copies of an observation share).
+///
+/// **Over the window** (surviving across calls *and* revisions): the
+/// window state, `H = P_i` (the frame's points) inside one long-lived
+/// [`DynamicIndex`]. It follows the window through the window notes
+/// ([`FixedPointEngine::note_window_point`],
+/// [`FixedPointEngine::note_window_evictions`]), each of which moves it on
+/// by one revision. The seed's estimate `O_n(P_i)` is selected
+/// lazily over it, and its index answers every support query, so no call
+/// builds an index over the window. It is built at an engine's first call, and
+/// again only at a call whose revision its chain never reached (a missed
+/// note, or a window change the caller never noted).
 ///
 /// **Per neighbour** (surviving across calls *and* revisions): the
 /// hypothetical set `H = D_ij ∪ D_ji ∪ Z` inside one long-lived
@@ -176,24 +169,27 @@ pub fn sufficient_set_rebuild_reference<R: RankingFunction + ?Sized>(
 /// it re-scans `known`, and if `known` shrank under `H` the per-neighbour
 /// state is rebuilt from scratch; a cheap size check detects this exactly.
 ///
-/// The result is bit-identical to [`sufficient_set_rebuild_reference`]: the
-/// recurrence `Z ← Z ∪ [P_i | O_n(known ∪ Z)]` is evaluated with the same
-/// distance arithmetic and the same `(rank, ≺)` tie-broken selection — lazy
-/// validation re-queries a contender through the same index machinery the
-/// eager path would have used, and floating-point rank computations are
-/// monotone under set growth (pointwise-smaller sorted neighbour distances
-/// sum to a smaller rank), so an upper bound can never understate a true
-/// rank. No iteration builds an index or re-materialises the union, and
-/// supports are queried only for estimate points not already folded into
-/// `Z`.
+/// The result is bit-identical to [`sufficient_set_rebuild_reference`] over
+/// the frame: the recurrence `Z ← Z ∪ [P_i | O_n(known ∪ Z)]` is evaluated
+/// with the same distance arithmetic and the same `(rank, ≺)` tie-broken
+/// selection — lazy validation re-queries a contender through the same
+/// index machinery an eager selection would have used, and floating-point
+/// rank computations are monotone under set growth (pointwise-smaller
+/// sorted neighbour distances sum to a smaller rank), so an upper bound can
+/// never understate a true rank. No iteration builds an index or
+/// re-materialises the union, and supports are queried only for estimate
+/// points not already folded into `Z`.
 ///
-/// Everything the engine holds is therefore a cache: a cold engine returns
-/// the same sets. None of it is persisted. A restored detector starts each
-/// engine with [`FixedPointEngine::new`], and each neighbour's first call
-/// after the restore is a cold build of its chain.
+/// Everything the engine holds but its frame is therefore a cache: a cold
+/// engine of the same frame returns the same sets. None of it is
+/// persisted. A restored detector starts every engine cold, over the frame
+/// its scope gives it, so each engine's first call after the restore builds
+/// its window state and each neighbour's its chain.
 #[derive(Debug, Clone, Default)]
 pub struct FixedPointEngine {
-    /// The `P_i` revision the two caches below were computed for.
+    /// The hops of the window this engine ranks.
+    frame: Frame,
+    /// The window revision the two caches below were computed for.
     revision: Option<u64>,
     /// `O_n(P_i) ∪ [P_i|O_n(P_i)]` plus the estimate's keys (whose supports
     /// are already folded into the seed). Shared, so handing a caller the
@@ -203,19 +199,36 @@ pub struct FixedPointEngine {
     support_cache: BTreeMap<PointKey, PointSet>,
     /// Per-neighbour hypothetical-set state (see the type-level docs).
     neighbors: BTreeMap<SensorId, HypotheticalState>,
-    /// The same lazy-rank machinery over `P_i` itself, fed by
-    /// [`FixedPointEngine::note_window_point`] and
-    /// [`FixedPointEngine::note_window_evictions`]: while its sync chain
-    /// follows the window revision, the per-revision seed `O_n(P_i)` is
-    /// re-selected lazily and its [`DynamicIndex`] answers every support
-    /// query — the detector never builds a fresh window index again.
+    /// The window state (see the type-level docs): the same lazy-rank
+    /// machinery over the frame of `P_i` itself, its sync chain on the
+    /// window revision.
     own: Option<HypotheticalState>,
     /// Reusable scratch for the per-call processed-keys list (small: the
     /// seed plus a few support additions), saving one allocation per call.
     scratch_processed: Vec<PointKey>,
 }
 
-/// The long-lived `H = known ∪ Z` of one neighbour (or, for the own-window
+/// The hops of the window an engine ranks: `None` all of them, `Some(h)`
+/// those `≤ h`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Frame(Option<HopCount>);
+
+impl Frame {
+    /// Whether `point` lies in the frame.
+    fn holds(self, point: &DataPoint) -> bool {
+        self.0.map_or(true, |h| point.hop <= h)
+    }
+
+    /// The points of `set` that lie in the frame, sharing its points.
+    fn of(self, set: &PointSet) -> Cow<'_, PointSet> {
+        match self.0 {
+            None => Cow::Borrowed(set),
+            Some(h) => Cow::Owned(set.filter_max_hop(h)),
+        }
+    }
+}
+
+/// The long-lived `H = known ∪ Z` of one neighbour (or, for the window
 /// state, `H = P_i`): a [`DynamicIndex`], a rank upper bound per point, and
 /// the points ordered by those bounds — all persistent across calls and
 /// updated in place by insertions and removals, so a steady-state call does
@@ -248,8 +261,8 @@ struct HypotheticalState {
     /// The neighbour bookkeeping revision `known` was last folded in at;
     /// while it is unchanged, `known` is unchanged and the sync scan is
     /// skipped entirely. Kept in step by [`FixedPointEngine::note_shared_points`]
-    /// and [`FixedPointEngine::note_evicted_points`] (for the own-window
-    /// state: the window revision, by the window notes).
+    /// and [`FixedPointEngine::note_evicted_points`] (for the window state:
+    /// the window revision, by the window notes).
     synced_at: Option<u64>,
     /// The `P_i` revision (the caller's `revisions.0`) whose seed was last
     /// folded in; one fold per revision suffices because the seed is a pure
@@ -311,8 +324,12 @@ impl HypotheticalState {
     /// a point beyond it does not determine the rank. A pending insertion
     /// that is removed simply drops out of the shortcut, as if it had never
     /// been inserted.
-    fn remove<R: RankingFunction + ?Sized>(&mut self, ranking: &R, points: &[Arc<DataPoint>]) {
-        let mut removed: Vec<&Arc<DataPoint>> = Vec::with_capacity(points.len());
+    fn remove<'a, R: RankingFunction + ?Sized>(
+        &mut self,
+        ranking: &R,
+        points: impl IntoIterator<Item = &'a Arc<DataPoint>>,
+    ) {
+        let mut removed: Vec<&Arc<DataPoint>> = Vec::new();
         for p in points {
             if self.index.remove(&p.key) {
                 let (rank, _) = self.ranks.remove(&p.key).expect("ranks mirror the index");
@@ -466,9 +483,15 @@ impl PartialEq for Contender {
 impl Eq for Contender {}
 
 impl FixedPointEngine {
-    /// Creates an engine with cold caches.
+    /// Creates an engine with cold caches that ranks the whole window.
     pub fn new() -> Self {
         FixedPointEngine::default()
+    }
+
+    /// Creates an engine with cold caches that ranks the hop prefix
+    /// `P_i^{≤h}` of the window against `known^{≤h}`.
+    pub fn within_hops(h: HopCount) -> Self {
+        FixedPointEngine { frame: Frame(Some(h)), ..FixedPointEngine::default() }
     }
 
     /// Invalidates the revision-scoped caches when `revision` differs from
@@ -487,21 +510,22 @@ impl FixedPointEngine {
     /// Tells the engine that `points` have just been recorded into the
     /// shared-knowledge set of `neighbor`, whose bookkeeping revision is now
     /// `known_revision`. If the neighbour's cached hypothetical set was
-    /// synced to the immediately preceding revision, the delta is folded in
-    /// right here and the next [`FixedPointEngine::sufficient_set`] call
-    /// skips its `known` scan entirely; any gap in the chain (a missed or
-    /// out-of-order note) simply leaves the state behind, and the next call
-    /// re-scans or rebuilds. Purely an optimisation: correctness never
-    /// depends on being notified.
+    /// synced to the immediately preceding revision, the delta's points in
+    /// the engine's frame are folded in right here and the next
+    /// [`FixedPointEngine::sufficient_set`] call skips its `known` scan
+    /// entirely; any gap in the chain (a missed or out-of-order note) simply
+    /// leaves the state behind, and the next call re-scans or rebuilds.
+    /// Purely an optimisation: correctness never depends on being notified.
     pub fn note_shared_points(
         &mut self,
         neighbor: SensorId,
         points: &[Arc<DataPoint>],
         known_revision: u64,
     ) {
+        let frame = self.frame;
         if let Some(state) = self.neighbors.get_mut(&neighbor) {
             state.follow(known_revision, |state| {
-                for p in points {
+                for p in points.iter().filter(|p| frame.holds(p)) {
                     state.insert(Arc::clone(p));
                 }
             });
@@ -512,11 +536,12 @@ impl FixedPointEngine {
     /// shared-knowledge set of `neighbor`, whose bookkeeping revision is now
     /// `known_revision` — the eviction counterpart of
     /// [`FixedPointEngine::note_shared_points`], on the same chain. The
-    /// points leave the neighbour's hypothetical set in place, and only the
-    /// cached ranks they could have determined are marked unknown (see
-    /// [`RankingFunction::affection_radius`]), so a window slide keeps the
-    /// chain intact instead of forcing a rebuild. `ranking` must be the one
-    /// every [`FixedPointEngine::sufficient_set`] call passes.
+    /// points in the engine's frame leave the neighbour's hypothetical set
+    /// in place, and only the cached ranks they could have determined are
+    /// marked unknown (see [`RankingFunction::affection_radius`]), so a
+    /// window slide keeps the chain intact instead of forcing a rebuild.
+    /// `ranking` must be the one every [`FixedPointEngine::sufficient_set`]
+    /// call passes.
     pub fn note_evicted_points<R: RankingFunction + ?Sized>(
         &mut self,
         ranking: &R,
@@ -524,8 +549,11 @@ impl FixedPointEngine {
         points: &[Arc<DataPoint>],
         known_revision: u64,
     ) {
+        let frame = self.frame;
         if let Some(state) = self.neighbors.get_mut(&neighbor) {
-            state.follow(known_revision, |state| state.remove(ranking, points));
+            state.follow(known_revision, |state| {
+                state.remove(ranking, points.iter().filter(|p| frame.holds(p)));
+            });
         }
     }
 
@@ -557,14 +585,14 @@ impl FixedPointEngine {
     }
 
     /// `O_n(P_i)` at window revision `revision`, read from the selection
-    /// the own-window state made for this revision's seed: the points in
+    /// the window state made for this revision's seed: the points in
     /// outlier order, each with its exact rank. `None` unless that
     /// selection is provably current: the seed was computed at `revision`,
-    /// the own-window state is synced at `revision` (it has followed every
+    /// the window state is synced at `revision` (it has followed every
     /// window change up to it), and every selected point's rank was
     /// validated at the state's current version. The answer is then
-    /// bit-identical to [`top_n_outliers`] over `P_i`: the same lazy
-    /// selection the seed rests on, with the ranks it confirmed.
+    /// bit-identical to [`top_n_outliers`] over the frame of `P_i`: the
+    /// same lazy selection the seed rests on, with the ranks it confirmed.
     pub fn own_outliers(&self, revision: u64) -> Option<OutlierEstimate> {
         if self.revision != Some(revision) {
             return None;
@@ -585,101 +613,109 @@ impl FixedPointEngine {
     }
 
     /// Tells the engine the window just accepted `point`, moving its
-    /// revision to `revision`. Chains exactly like
-    /// [`FixedPointEngine::note_shared_points`]: if the engine's own-window
-    /// state was synced to the preceding revision the point is folded in,
-    /// otherwise the state falls behind and the next call rebuilds it.
-    pub fn note_window_point(&mut self, point: &Arc<DataPoint>, revision: u64) {
+    /// revision to `revision`. Chains like
+    /// [`FixedPointEngine::note_shared_points`]: if the window state was
+    /// synced to the preceding revision it follows (taking the point if it
+    /// lies in the engine's frame), otherwise the state falls behind and the
+    /// next call rebuilds it. An accepted point may be a lower-hop copy of
+    /// an observation the window held: it replaces the copy the state holds,
+    /// so the seed and the supports carry the window's hops. `ranking` must
+    /// be the one every [`FixedPointEngine::sufficient_set`] call passes.
+    pub fn note_window_point<R: RankingFunction + ?Sized>(
+        &mut self,
+        ranking: &R,
+        point: &Arc<DataPoint>,
+        revision: u64,
+    ) {
+        let frame = self.frame;
         if let Some(own) = self.own.as_mut() {
-            own.follow(revision, |own| own.insert(Arc::clone(point)));
+            own.follow(revision, |own| {
+                if frame.holds(point) {
+                    own.remove(ranking, [point]);
+                    own.insert(Arc::clone(point));
+                }
+            });
         }
     }
 
     /// Tells the engine the window just evicted `points` (all of one slide,
     /// under one revision bump), moving its revision to `revision`. The
     /// window counterpart of [`FixedPointEngine::note_evicted_points`]: the
-    /// points leave the own-window state in place, on the chain
-    /// [`FixedPointEngine::note_window_point`] follows. A change the window
-    /// makes without a note (an origin removal) still breaks the chain, and
-    /// the next call rebuilds the state from `P_i`.
+    /// points in the engine's frame leave the window state in place, on the
+    /// chain [`FixedPointEngine::note_window_point`] follows.
     pub fn note_window_evictions<R: RankingFunction + ?Sized>(
         &mut self,
         ranking: &R,
         points: &[Arc<DataPoint>],
         revision: u64,
     ) {
+        let frame = self.frame;
         if let Some(own) = self.own.as_mut() {
-            own.follow(revision, |own| own.remove(ranking, points));
+            own.follow(revision, |own| {
+                own.remove(ranking, points.iter().filter(|p| frame.holds(p)))
+            });
         }
     }
 
-    /// Computes `Z_j` for the neighbour `neighbor`; see [`sufficient_set`]
-    /// for the shared parameters and the type-level docs for the caching
-    /// contract. `revisions` pins the call's inputs exactly: its first
-    /// component is the revision of `pi` (identifying `pi` and `index`: the
-    /// detector's forwarded-prefix revision), its second the neighbour's
-    /// bookkeeping revision (identifying `known_common`) — the same pair the
-    /// detector's neighbour book keys its nothing-to-send memo by. Ranking
-    /// and `n` must not vary across calls on one engine. The returned set
-    /// is shared — when the fixed point adds nothing beyond the seed (the
-    /// common steady state), no set is copied at all.
-    #[allow(clippy::too_many_arguments)]
+    /// Computes `Z_j` over the engine's frame for the neighbour `neighbor`;
+    /// see [`sufficient_set`] for the shared parameters and the type-level
+    /// docs for the caching contract. `window` is the whole window and
+    /// `known_common` the whole shared-knowledge set: the engine takes their
+    /// frames itself. `revisions` pins the call's inputs exactly: its first
+    /// component is the window revision (the detector's forwarded-prefix
+    /// revision), its second the neighbour's bookkeeping revision
+    /// (identifying `known_common`) — the same pair the detector's
+    /// neighbour book keys its nothing-to-send memo by. Ranking and `n` must
+    /// not vary across calls on one engine. The returned set is shared —
+    /// when the fixed point adds nothing beyond the seed (the common steady
+    /// state), no set is copied at all.
     pub fn sufficient_set<R: RankingFunction + ?Sized>(
         &mut self,
         ranking: &R,
         n: usize,
-        pi: &PointSet,
-        index: Option<&dyn NeighborIndex>,
+        window: &PointSet,
         neighbor: SensorId,
         known_common: &PointSet,
         revisions: (u64, u64),
     ) -> Arc<PointSet> {
+        // Framing `known` prepares the call's input, so it stays outside the
+        // fixed point's span.
+        let frame = self.frame;
+        let known_frame = frame.of(known_common);
+        let known_common: &PointSet = &known_frame;
         OBS_FP_CALLS.add(1);
         let _fp_span = wsn_obs::span("fixed_point");
         self.roll_to(revisions.0);
-        // Resolve the index over P_i: a synced own-window state answers
-        // every query (bit-identically — the property suites pin dynamic
-        // vs fresh equality); otherwise a caller-provided index is used,
-        // and failing both the own-window state is rebuilt from `pi`.
-        let own_synced = self
-            .own
-            .as_ref()
-            .is_some_and(|own| own.synced_at == Some(revisions.0) && own.index.len() == pi.len());
-        if !own_synced && index.is_none() {
-            let mut rebuilt = HypotheticalState::build(pi);
+        // The revision chain pins the window state. Where the frame's size
+        // is O(1) to read (the whole window) it is checked too; a hop frame
+        // takes O(|P_i|) to count, so only debug builds count it.
+        let own_synced = self.own.as_ref().is_some_and(|own| {
+            own.synced_at == Some(revisions.0)
+                && (frame.0.is_some() || own.index.len() == window.len())
+        });
+        if !own_synced {
+            OBS_WINDOW_BUILDS.add(1);
+            let mut rebuilt = HypotheticalState::build(&frame.of(window));
             rebuilt.synced_at = Some(revisions.0);
             self.own = Some(rebuilt);
         }
-        let use_own = own_synced || index.is_none();
+        let own = self.own.as_mut().expect("the window state was just ensured");
+        debug_assert_eq!(own.index.len(), frame.of(window).len(), "the window state is stale");
         if self.own_seed.is_some() {
             OBS_SEED_REUSES.add(1);
         } else {
             OBS_SEED_BUILDS.add(1);
-        }
-        if self.own_seed.is_none() {
-            let own_estimate = if use_own {
-                // Lazy selection over the window: only contenders re-rank.
-                let own = self.own.as_mut().expect("own-window state just ensured");
-                let mut set = PointSet::new();
-                for p in own.select_top_n(ranking, n) {
-                    set.insert_arc(p);
-                }
-                set
-            } else {
-                let index = index.expect("eager path always has a caller index");
-                top_n_outliers_indexed(ranking, n, pi, index).to_point_set()
-            };
+            // Lazy selection over the window: only contenders re-rank.
+            let mut own_estimate = PointSet::new();
+            for p in own.select_top_n(ranking, n) {
+                own_estimate.insert_arc(p);
+            }
             let mut seed = own_estimate.clone();
             for x in own_estimate.iter() {
                 OBS_SUPPORT_QUERIES.add(1);
                 let support = self.support_cache.entry(x.key).or_insert_with(|| {
                     OBS_SUPPORT_MISSES.add(1);
-                    if use_own {
-                        let own = self.own.as_ref().expect("own-window state just ensured");
-                        ranking.support_set_indexed(x, &own.index)
-                    } else {
-                        ranking.support_set_indexed(x, index.expect("eager path"))
-                    }
+                    ranking.support_set_indexed(x, &own.index)
                 });
                 seed.extend_from(support);
             }
@@ -790,16 +826,10 @@ impl FixedPointEngine {
                     continue;
                 }
                 processed.push(x.key);
-                let own = &self.own;
                 OBS_SUPPORT_QUERIES.add(1);
                 let support = self.support_cache.entry(x.key).or_insert_with(|| {
                     OBS_SUPPORT_MISSES.add(1);
-                    if use_own {
-                        let own = own.as_ref().expect("own-window state ensured above");
-                        ranking.support_set_indexed(&x, &own.index)
-                    } else {
-                        ranking.support_set_indexed(&x, index.expect("eager path"))
-                    }
+                    ranking.support_set_indexed(&x, &own.index)
                 });
                 for p in support.iter_arcs() {
                     if Arc::make_mut(&mut z).insert_arc(Arc::clone(p)) {
@@ -835,6 +865,7 @@ mod tests {
     use super::*;
     use wsn_data::{DataPoint, Epoch, SensorId, Timestamp};
     use wsn_ranking::function::support_of_set;
+    use wsn_ranking::index::AnyIndex;
     use wsn_ranking::{KnnAverageDistance, NnDistance};
 
     fn pt(origin: u32, epoch: u64, v: f64) -> DataPoint {
@@ -971,22 +1002,14 @@ mod tests {
                     for neighbor in [SensorId(j as u32), SensorId(9)] {
                         assert_eq!(
                             engine
-                                .sufficient_set(
-                                    ranking,
-                                    n,
-                                    &pi,
-                                    Some(&index),
-                                    neighbor,
-                                    known,
-                                    (7, j as u64),
-                                )
+                                .sufficient_set(ranking, n, &pi, neighbor, known, (7, j as u64))
                                 .as_ref(),
                             &reference,
                             "engine diverges from the reference (n={n})"
                         );
                     }
                     assert_eq!(
-                        sufficient_set_indexed(ranking, n, &pi, &index, known),
+                        sufficient_set(ranking, n, &pi, known),
                         reference,
                         "one-shot wrapper diverges from the reference (n={n})"
                     );
@@ -995,11 +1018,10 @@ mod tests {
         }
     }
 
-    /// `own_outliers` serves the own-window selection only while it is
-    /// provably current. A note that arrives after its revision's seed was
-    /// computed from a caller's index leaves the revision, the sync and the
-    /// seed in step, but the selected rank was validated before the noted
-    /// point arrived, so the engine must refuse to serve it.
+    /// `own_outliers` serves the window state's selection only at the
+    /// revision it was made for, and only once a call made it: a window
+    /// note moves the state on, and the selection of the previous revision
+    /// is no longer served.
     #[test]
     fn own_outliers_serves_only_a_current_validated_selection() {
         let mut window: PointSet = [0.0, 10.0, 11.0, 12.0, 13.0]
@@ -1010,20 +1032,43 @@ mod tests {
         let mut engine = FixedPointEngine::new();
         let none = PointSet::new();
         assert_eq!(engine.own_outliers(1), None, "nothing selected yet");
-        engine.sufficient_set(&NnDistance, 1, &window, None, SensorId(2), &none, (1, 0));
-        let served = engine.own_outliers(1).expect("the own-window state selected at revision 1");
+        engine.sufficient_set(&NnDistance, 1, &window, SensorId(2), &none, (1, 0));
+        let served = engine.own_outliers(1).expect("the window state selected at revision 1");
         assert_eq!(served, top_n_outliers(&NnDistance, 1, &window));
         assert_eq!(served.ranked()[0].rank, 10.0);
         // Revision 2 adds 7.0, which lowers 0.0's rank to 7. Until a call at
         // revision 2, the engine holds revision 1's selection.
         let late = Arc::new(pt(1, 9, 7.0));
         window.insert_arc(Arc::clone(&late));
-        assert_eq!(engine.own_outliers(2), None, "the selection lags the window");
-        let index = AnyIndex::build(&window);
-        engine.sufficient_set(&NnDistance, 1, &window, Some(&index), SensorId(2), &none, (2, 0));
-        engine.note_window_point(&late, 2);
-        assert_eq!(engine.own_outliers(1), None, "revision 1 has passed");
-        assert_eq!(engine.own_outliers(2), None, "0.0's rank 10 was validated before 7.0 arrived");
+        engine.note_window_point(&NnDistance, &late, 2);
+        assert_eq!(engine.own_outliers(1), None, "the window state moved past revision 1");
+        assert_eq!(engine.own_outliers(2), None, "no call has selected at revision 2");
+        engine.sufficient_set(&NnDistance, 1, &window, SensorId(2), &none, (2, 0));
+        let served = engine.own_outliers(2).expect("the window state selected at revision 2");
+        assert_eq!(served, top_n_outliers(&NnDistance, 1, &window));
+        assert_eq!(served.ranked()[0].rank, 7.0);
+    }
+
+    /// A window note whose copy lowers the hop of an observation the window
+    /// state holds replaces the held copy, so the seed carries the window's
+    /// hop, which the hop scope increments before sending.
+    #[test]
+    fn a_noted_lower_hop_copy_replaces_the_held_one() {
+        let mut window: PointSet = (0..4).map(|e| pt(1, e, 10.0 + e as f64 * 0.1)).collect();
+        let outlier = pt(2, 0, -50.0);
+        window.insert(outlier.clone().with_hop(2));
+        let mut engine = FixedPointEngine::within_hops(2);
+        let none = PointSet::new();
+        let hop_sent = |engine: &mut FixedPointEngine, window: &PointSet, revision: u64| {
+            let z =
+                engine.sufficient_set(&NnDistance, 1, window, SensorId(3), &none, (revision, 0));
+            z.get(&outlier.key).map(|p| p.hop)
+        };
+        assert_eq!(hop_sent(&mut engine, &window, 1), Some(2));
+        let closer = Arc::new(outlier.clone().with_hop(1));
+        assert!(window.insert_min_hop_arc(Arc::clone(&closer)).changed());
+        engine.note_window_point(&NnDistance, &closer, 2);
+        assert_eq!(hop_sent(&mut engine, &window, 2), Some(1), "the window's copy is hop 1");
     }
 
     /// A revision move must invalidate the engine's seed and support caches:
@@ -1034,31 +1079,13 @@ mod tests {
         let mut engine = FixedPointEngine::new();
         let j = SensorId(2);
         let pi_a = section_5_1_pi();
-        let index_a = AnyIndex::build(&pi_a);
-        let from_engine = engine.sufficient_set(
-            &NnDistance,
-            1,
-            &pi_a,
-            Some(&index_a),
-            j,
-            &PointSet::new(),
-            (1, 0),
-        );
+        let from_engine = engine.sufficient_set(&NnDistance, 1, &pi_a, j, &PointSet::new(), (1, 0));
         assert_eq!(*from_engine, sufficient_set(&NnDistance, 1, &pi_a, &PointSet::new()));
         // The window slides: one point leaves, one arrives.
         let mut pi_b = pi_a.clone();
         pi_b.discard(&pt(1, 0, 0.5).key);
         pi_b.insert(pt(1, 99, -20.0));
-        let index_b = AnyIndex::build(&pi_b);
-        let from_engine = engine.sufficient_set(
-            &NnDistance,
-            1,
-            &pi_b,
-            Some(&index_b),
-            j,
-            &PointSet::new(),
-            (2, 0),
-        );
+        let from_engine = engine.sufficient_set(&NnDistance, 1, &pi_b, j, &PointSet::new(), (2, 0));
         assert_eq!(*from_engine, sufficient_set(&NnDistance, 1, &pi_b, &PointSet::new()));
     }
 }

@@ -5,7 +5,6 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use wsn_core::persist::{self, PersistError};
 use wsn_data::{DataPoint, SensorId};
@@ -186,12 +185,10 @@ fn shard_index(name: &str) -> Option<usize> {
     name.strip_prefix("shard-")?.strip_suffix(".json")?.parse().ok()
 }
 
-/// How slide jobs run: on the shared pool, an owned pool, or inline on the
-/// calling thread (the sequential reference the equivalence suite compares
-/// against).
+/// How slide jobs run: on the shared pool, or inline on the calling thread
+/// (the sequential reference the equivalence suite compares against).
 enum Dispatch {
     Global,
-    Owned(Arc<WorkerPool>),
     Sequential,
 }
 
@@ -230,12 +227,6 @@ impl DetectorFleet {
     /// pool is bit-for-bit equal to this.
     pub fn sequential() -> Self {
         DetectorFleet { dispatch: Dispatch::Sequential, ..DetectorFleet::new(1) }
-    }
-
-    /// Uses an owned pool instead of the shared one.
-    pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.dispatch = Dispatch::Owned(pool);
-        self
     }
 
     /// Registers a tenant. Fails on duplicate ids or an invalid spec.
@@ -326,13 +317,8 @@ impl DetectorFleet {
         let imbalance = loads.clone().max().unwrap_or(0) - loads.min().unwrap_or(0);
         crate::OBS_SHARD_IMBALANCE.set(imbalance as f64);
 
-        let owned;
         let pool = match &self.dispatch {
             Dispatch::Global => Some(wsn_pool::global()),
-            Dispatch::Owned(pool) => {
-                owned = Arc::clone(pool);
-                Some(owned.as_ref())
-            }
             Dispatch::Sequential => None,
         };
         let every = self.checkpoint.as_ref().map(|policy| policy.every);

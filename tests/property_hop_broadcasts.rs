@@ -1,8 +1,8 @@
 //! Bit-identity of the hop scope's broadcasts (§6, Algorithm 2) against
 //! the rule computed from scratch, across 256 seeded cases.
 //!
-//! A hop-scope node caches everything it derives for sending (its hop
-//! prefixes and their indexes, its engines' seeds, support sets and
+//! A hop-scope node caches everything it derives for sending (each
+//! engine's index over its hop prefix, its seeds, support sets and
 //! per-neighbour chains, and its quiet memo) and keys those caches on its
 //! forwarded-prefix revision, which moves only when `P_i^{≤d−1}` does. This
 //! suite checks that no cache ever changes what a node sends. Before every

@@ -10,7 +10,7 @@
 //! tie-breaking of every index is exercised, not just its metric pruning.
 
 use in_network_outlier::detection::sufficient::{
-    sufficient_set, sufficient_set_indexed, sufficient_set_rebuild_reference, FixedPointEngine,
+    sufficient_set, sufficient_set_rebuild_reference, FixedPointEngine,
 };
 use in_network_outlier::prelude::*;
 use std::collections::BTreeMap;
@@ -200,28 +200,12 @@ fn protocol_kernels_are_identical_across_index_strategies() {
             let mut engine = FixedPointEngine::new();
             for round in 0..2 {
                 assert_eq!(
-                    engine
-                        .sufficient_set(
-                            ranking,
-                            n,
-                            &data,
-                            Some(&brute),
-                            SensorId(7),
-                            &known,
-                            (42, 0)
-                        )
-                        .as_ref(),
+                    engine.sufficient_set(ranking, n, &data, SensorId(7), &known, (42, 0)).as_ref(),
                     &reference_sufficient,
                     "incremental engine differs from the rebuild reference (round {round}): {}",
                     context()
                 );
             }
-            assert_eq!(
-                sufficient_set_indexed(ranking, n, &data, &brute, &known),
-                reference_sufficient,
-                "sufficient_set_indexed differs from the rebuild reference: {}",
-                context()
-            );
             // The public entry points, which build their own index, agree
             // with the explicit brute baseline.
             assert_eq!(
@@ -247,7 +231,8 @@ fn protocol_kernels_are_identical_across_index_strategies() {
                 let support =
                     support_of_set_indexed(ranking, &index, &reference_estimate.to_point_set());
                 assert_eq!(support, reference_support, "{label} support differs: {}", context());
-                let sufficient = sufficient_set_indexed(ranking, n, &data, &index, &known);
+                let sufficient =
+                    sufficient_set_rebuild_reference(ranking, n, &data, &index, &known);
                 assert_eq!(
                     sufficient,
                     reference_sufficient,
@@ -372,7 +357,7 @@ fn dynamic_index_matches_fresh_rebuild_under_interleaved_inserts() {
         );
         let known: PointSet = contents.iter().filter(|_| rng.gen_bool(0.3)).cloned().collect();
         assert_eq!(
-            sufficient_set_indexed(&NnDistance, n, &contents, &dynamic, &known),
+            sufficient_set_rebuild_reference(&NnDistance, n, &contents, &dynamic, &known),
             sufficient_set_rebuild_reference(&NnDistance, n, &contents, &fresh, &known),
             "case {case} (seed {SEED:#x}): sufficient set through the dynamic index differs"
         );
@@ -388,7 +373,7 @@ fn dynamic_index_matches_fresh_rebuild_under_interleaved_inserts() {
 /// per-neighbour records and evictions, delivered in the order and on the
 /// revision chains `DetectorNode` uses in the global scope — against the
 /// rebuild-per-iteration reference, across 256 seeded random streams. The
-/// engine is given no index, so its own-window state answers every query.
+/// engine's window state answers every query.
 ///
 /// Each case slides a short window over a stream of local samples and
 /// neighbour deliveries (some of them stale: behind the cutoff, refused by
@@ -465,7 +450,7 @@ fn note_driven_engine_matches_the_rebuild_reference_across_slides() {
             for _ in 0..rng.gen_range(0usize..4) {
                 let p = sample(&mut rng, 0, secs);
                 if window.insert_arc(Arc::clone(&p)) && deliver(&mut rng) {
-                    engine.note_window_point(&p, window.revision());
+                    engine.note_window_point(ranking, &p, window.revision());
                 }
             }
             // Receipts: fresh or stale samples of the sender, and now and
@@ -487,7 +472,7 @@ fn note_driven_engine_matches_the_rebuild_reference_across_slides() {
                 }
                 for p in &batch {
                     if window.insert_arc(Arc::clone(p)) && deliver(&mut rng) {
-                        engine.note_window_point(p, window.revision());
+                        engine.note_window_point(ranking, p, window.revision());
                     }
                 }
                 let set = known.entry(j).or_default();
@@ -511,7 +496,6 @@ fn note_driven_engine_matches_the_rebuild_reference_across_slides() {
                     ranking,
                     n,
                     &pi,
-                    None,
                     j,
                     &known_j,
                     (window.revision(), revision),

@@ -107,11 +107,34 @@ fn telemetry_on_and_off_runs_are_bit_identical_across_256_cases() {
     assert_eq!(runs, 256, "the sweep is meant to cover exactly 256 runs");
 }
 
+/// The sensor count of the streaming inputs below.
+const SENSORS: u64 = 12;
+
+/// A streaming run of `SENSORS` sensors under `algorithm`, `rounds` rounds
+/// with a `window_samples`-sample window, that must observe every slide.
+fn streaming(algorithm: AlgorithmConfig, rounds: usize, window_samples: u64) -> impl Fn() {
+    let config = ExperimentConfig {
+        sensor_count: SENSORS as usize,
+        trace: SyntheticTraceConfig { rounds, ..Default::default() },
+        window_samples,
+        n: 4,
+        transmission_range_m: 18.0,
+        ..Default::default()
+    }
+    .with_algorithm(algorithm);
+    move || {
+        let outcome = StreamingExperiment::new(config.clone()).run().expect("streaming run");
+        assert_eq!(outcome.slides.len(), rounds, "every slide must be observed");
+    }
+}
+
 /// The steady-state regression gate on the incremental fixed point: it must
 /// perform **zero** desync rebuilds, whether or not the windows slide —
 /// every record and every eviction reaches the engines as a delta note, so
-/// no sync chain breaks. A regression that re-introduced full rebuilds on
-/// the hot path would trip this before it tripped a benchmark. In the
+/// no sync chain breaks — and every engine must build its window state
+/// exactly once, at its first call: every window change reaches it as a
+/// window note. A regression that re-introduced full rebuilds on the hot
+/// path would trip this before it tripped a benchmark. In the
 /// global scope every estimate read must come from the engine, too, with
 /// **zero** fallbacks to `top_n_outliers`: each node processed its window's
 /// last revision before it is read (every hop-scope estimate falls back by
@@ -142,26 +165,10 @@ fn steady_state_streaming_performs_zero_desync_rebuilds() {
     use wsn_data::stream::SensorSpec;
     use wsn_data::Position;
 
-    const SENSORS: u64 = 12;
     let _guard = lock();
     let global_nn = AlgorithmConfig::Global { ranking: RankingChoice::Nn };
     let semi_global_d1 =
         AlgorithmConfig::SemiGlobal { ranking: RankingChoice::Nn, hop_diameter: 1 };
-    let streaming = |algorithm: AlgorithmConfig, rounds: usize, window_samples: u64| {
-        let config = ExperimentConfig {
-            sensor_count: SENSORS as usize,
-            trace: SyntheticTraceConfig { rounds, ..Default::default() },
-            window_samples,
-            n: 4,
-            transmission_range_m: 18.0,
-            ..Default::default()
-        }
-        .with_algorithm(algorithm);
-        move || {
-            let outcome = StreamingExperiment::new(config.clone()).run().expect("streaming run");
-            assert_eq!(outcome.slides.len(), rounds, "every slide must be observed");
-        }
-    };
     let spec = TenantSpec {
         sensors: (0..9u32)
             .map(|i| {
@@ -220,14 +227,31 @@ fn steady_state_streaming_performs_zero_desync_rebuilds() {
             );
         }
     };
-    let inputs: [(&str, &dyn Fn(), Scope); 5] = [
-        ("streaming, no eviction (w = 10, 4 rounds)", &streaming(global_nn, 4, 10), Scope::Global),
-        ("streaming, evicting (w = 3, 8 rounds)", &streaming(global_nn, 8, 3), Scope::Global),
-        ("fleet tenant, evicting (w = 8, 12 epochs)", &tenant, Scope::Global),
-        ("fleet tenant, first step after a restore", &restored_tenant, Scope::Global),
-        ("semi-global d = 1 (w = 10, 4 rounds)", &streaming(semi_global_d1, 4, 10), Scope::Hops(1)),
+    // Each input with its engine count: one per node (a `d = 1` node has
+    // one engine, over `P_i^{≤0}`).
+    let inputs: [(&str, &dyn Fn(), Scope, u64); 5] = [
+        (
+            "streaming, no eviction (w = 10, 4 rounds)",
+            &streaming(global_nn, 4, 10),
+            Scope::Global,
+            SENSORS,
+        ),
+        (
+            "streaming, evicting (w = 3, 8 rounds)",
+            &streaming(global_nn, 8, 3),
+            Scope::Global,
+            SENSORS,
+        ),
+        ("fleet tenant, evicting (w = 8, 12 epochs)", &tenant, Scope::Global, 9),
+        ("fleet tenant, first step after a restore", &restored_tenant, Scope::Global, 9),
+        (
+            "semi-global d = 1 (w = 10, 4 rounds)",
+            &streaming(semi_global_d1, 4, 10),
+            Scope::Hops(1),
+            SENSORS,
+        ),
     ];
-    for (what, run, scope) in inputs {
+    for (what, run, scope, engines) in inputs {
         wsn_obs::reset();
         wsn_obs::set_enabled(true);
         run();
@@ -242,6 +266,12 @@ fn steady_state_streaming_performs_zero_desync_rebuilds() {
                 report.counter("engine.desync_rebuilds"),
                 0,
                 "{what}: the fixed point must never desync-rebuild; report: {:?}",
+                report.counters,
+            );
+            assert_eq!(
+                report.counter("engine.window_builds"),
+                engines,
+                "{what}: every engine builds its window state once; report: {:?}",
                 report.counters,
             );
             if scope == Scope::Global {
@@ -266,6 +296,37 @@ fn steady_state_streaming_performs_zero_desync_rebuilds() {
                 );
             }
         }
+    }
+}
+
+/// The window-state gate on an evicting hop-scope input: the first
+/// deployment above at `d = 2` over 8 rounds with a 3-sample window, so
+/// points at every hop age out. Every one of a node's two engines (over
+/// `P_i^{≤0}` and `P_i^{≤1}`) builds its window state once and follows
+/// every slide through the window notes. This input is not one of the
+/// zero-desync gate's: the per-neighbour chains of an evicting hop-scope
+/// window still desync-rebuild. A node records what it sends at the
+/// incremented hop, outside the frame of `known` the sending engine ranks
+/// against, so the eviction of a sent point never reaches the chain that
+/// holds it.
+#[test]
+fn evicting_hop_scope_windows_slide_without_a_rebuild() {
+    let _guard = lock();
+    let semi_global_d2 =
+        AlgorithmConfig::SemiGlobal { ranking: RankingChoice::Nn, hop_diameter: 2 };
+    wsn_obs::reset();
+    wsn_obs::set_enabled(true);
+    streaming(semi_global_d2, 8, 3)();
+    wsn_obs::set_enabled(false);
+    if wsn_obs::compiled() {
+        let report = wsn_obs::report();
+        assert!(report.counter("engine.calls") > 0, "the gate is vacuous unless the engines ran");
+        assert_eq!(
+            report.counter("engine.window_builds"),
+            2 * SENSORS,
+            "every engine builds its window state once; report: {:?}",
+            report.counters,
+        );
     }
 }
 
