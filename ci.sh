@@ -244,6 +244,60 @@ cargo test -q --offline --features telemetry --test property_telemetry
 # that the layer budget reconciles, each parent span within 10% of its
 # children (slide = sim + collect + evaluate, among others). The builds go
 # under target/, beside the unit tests'.
+#
+# A correct run can still simulate a different network: a change that is
+# meant only to be faster must not move traffic, energy or agreement. So the
+# traced run of each of the four streaming workloads must also reproduce,
+# exactly (the printed value, byte for byte, as the example smoke compares
+# its lines), the simulated outcome recorded below at the gate's default
+# seed: agreement_rate, packets_, points_, bytes_ and tx_mj_per_node_per_slide,
+# core.fixed_point_calls, core.detector.points_broadcast and netsim.events.
+# A change that moves one of them on purpose records the new value here and
+# says why.
+pinned_outcome() {
+    case "$1" in
+        lab53_global_nn) cat <<'PINNED' ;;
+agreement_rate 0.9583333333333334
+packets_per_node_per_slide 4.088443396226415
+points_per_node_per_slide 12.305817610062894
+bytes_per_node_per_slide 640.0644654088051
+tx_mj_per_node_per_slide 2.3369010416666676
+core.fixed_point_calls 65668.0
+core.detector.points_broadcast 31306.0
+netsim.events 39188.0
+PINNED
+        lab53_centralized) cat <<'PINNED' ;;
+agreement_rate 1.0
+packets_per_node_per_slide 24.50511006289308
+points_per_node_per_slide 0.0
+bytes_per_node_per_slide 6056.353773584906
+tx_mj_per_node_per_slide 21.360442708333736
+core.fixed_point_calls 0.0
+core.detector.points_broadcast 0.0
+netsim.events 230932.0
+PINNED
+        city2k_semiglobal) cat <<'PINNED' ;;
+agreement_rate 1.0
+packets_per_node_per_slide 1.0
+points_per_node_per_slide 5.707
+bytes_per_node_per_slide 293.35
+tx_mj_per_node_per_slide 1.024721874999986
+core.fixed_point_calls 128968.0
+core.detector.points_broadcast 45656.0
+netsim.events 55656.0
+PINNED
+        city10k_semiglobal) cat <<'PINNED' ;;
+agreement_rate 1.0
+packets_per_node_per_slide 0.9994
+points_per_node_per_slide 5.7864
+bytes_per_node_per_slide 297.3152
+tx_mj_per_node_per_slide 1.0378247999999737
+core.fixed_point_calls 327226.0
+core.detector.points_broadcast 115728.0
+netsim.events 145728.0
+PINNED
+    esac
+}
 echo "== benchmark gate (every workload, --trace 0 and 1) =="
 workloads=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 [ -n "$workloads" ] || { echo "BENCHMARK.json lists no workloads"; exit 1; }
@@ -262,6 +316,12 @@ for workload in $workloads; do
                 echo "benchmark $workload --trace $trace failed: $result"
                 exit 1 ;;
         esac
+        if [ "$trace" = 1 ]; then
+            while read -r metric value; do
+                grep -qF "\"$metric\":{\"value\":$value," <<<"$result" \
+                    || { echo "benchmark $workload: $metric is not the pinned $value"; exit 1; }
+            done < <(pinned_outcome "$workload")
+        fi
     done
 done
 

@@ -40,8 +40,7 @@ impl GroundTruth {
         n: usize,
         local_data: &BTreeMap<SensorId, Vec<DataPoint>>,
     ) -> Self {
-        let union: PointSet = local_data.values().flatten().cloned().collect();
-        let answer = Arc::new(top_n_outliers(ranking, n, &union));
+        let answer = Arc::new(global_answer(ranking, n, local_data));
         let per_node = local_data.keys().map(|id| (*id, Arc::clone(&answer))).collect();
         GroundTruth { per_node }
     }
@@ -281,22 +280,31 @@ impl LabelReport {
     }
 }
 
+/// Collects `points` into one set, a lower-hop copy of an observation
+/// winning (the rule `PointSet`'s `collect` applies). Owned points are each
+/// copied behind a new [`Arc`]; handles are shared, so a union of handles
+/// copies no point.
+fn union_of<'a, P: Clone + Into<Arc<DataPoint>> + 'a>(
+    points: impl IntoIterator<Item = &'a P>,
+) -> PointSet {
+    let mut union = PointSet::new();
+    for p in points {
+        union.insert_min_hop_arc(p.clone().into());
+    }
+    union
+}
+
 /// The union of the local data of every sensor within `hop_diameter` hops
 /// of `id` — the single source of the semi-global scoping rule shared by
 /// [`GroundTruth`], [`LabelTruth`] and [`paired_truths`].
-fn hop_scoped_union(
+fn hop_scoped_union<P: Clone + Into<Arc<DataPoint>>>(
     id: SensorId,
-    local_data: &BTreeMap<SensorId, Vec<DataPoint>>,
+    local_data: &BTreeMap<SensorId, Vec<P>>,
     topology: &Topology,
     hop_diameter: u32,
 ) -> PointSet {
-    topology
-        .within_hops(id, hop_diameter)
-        .iter()
-        .filter_map(|peer| local_data.get(peer))
-        .flatten()
-        .cloned()
-        .collect()
+    let peers = topology.within_hops(id, hop_diameter);
+    union_of(peers.iter().filter_map(|peer| local_data.get(peer)).flatten())
 }
 
 /// The label keys carried by `points`.
@@ -314,16 +322,24 @@ fn labels_among<'a>(
 /// it halves the per-slide scoping cost of the streaming driver and keeps
 /// the two metrics guaranteed-consistent. `hop_scope` is `None` for global
 /// (and centralized) scoping, `Some((topology, d))` for semi-global.
-pub fn paired_truths<R: RankingFunction + ?Sized>(
+///
+/// `local_data` holds each sensor's points either owned ([`DataPoint`]) or
+/// as the shared handles of the windows they were read from
+/// (`Arc<DataPoint>`, what the runners pass): every union is then built
+/// from reference-count bumps, and each point of a truth shares its
+/// allocation with its window. Both forms give the truths
+/// [`GroundTruth`]'s and [`LabelTruth`]'s constructors give over owned
+/// points.
+pub fn paired_truths<R: RankingFunction + ?Sized, P: Clone + Into<Arc<DataPoint>>>(
     ranking: &R,
     n: usize,
     labels: &BTreeSet<PointKey>,
-    local_data: &BTreeMap<SensorId, Vec<DataPoint>>,
+    local_data: &BTreeMap<SensorId, Vec<P>>,
     hop_scope: Option<(&Topology, u32)>,
 ) -> (GroundTruth, LabelTruth) {
     match hop_scope {
         None => {
-            let union: PointSet = local_data.values().flatten().cloned().collect();
+            let union = union_of(local_data.values().flatten());
             let answer = Arc::new(top_n_outliers(ranking, n, &union));
             let scope = Arc::new(labels_among(labels, union.iter()));
             (
@@ -372,8 +388,7 @@ pub fn global_answer<R: RankingFunction + ?Sized>(
     n: usize,
     local_data: &BTreeMap<SensorId, Vec<DataPoint>>,
 ) -> OutlierEstimate {
-    let union: PointSet = local_data.values().flatten().cloned().collect();
-    top_n_outliers(ranking, n, &union)
+    top_n_outliers(ranking, n, &union_of(local_data.values().flatten()))
 }
 
 #[cfg(test)]

@@ -74,8 +74,10 @@ use wsn_ranking::{OutlierEstimate, RankingFunction};
 trait StreamingProbe: Application<Message: Send + Sync> + Send + 'static {
     /// The node's current outlier estimate.
     fn streaming_estimate(&self) -> OutlierEstimate;
-    /// The node's own current data `D_i` (what the ground truth is over).
-    fn streaming_own_points(&self, id: SensorId) -> Vec<DataPoint>;
+    /// The node's own current data `D_i` (what the ground truth is over),
+    /// as the handles its window holds: grading shares every point with
+    /// the window instead of copying it.
+    fn streaming_own_points(&self, id: SensorId) -> Vec<Arc<DataPoint>>;
     /// Cumulative protocol data points this node has broadcast.
     fn streaming_points_sent(&self) -> u64;
     /// The node's canonical persisted state (see [`crate::persist`]).
@@ -90,8 +92,8 @@ impl StreamingProbe for DetectorApp<Arc<dyn RankingFunction>> {
         self.detector().estimate()
     }
 
-    fn streaming_own_points(&self, id: SensorId) -> Vec<DataPoint> {
-        self.detector().held_points().iter().filter(|p| p.key.origin == id).cloned().collect()
+    fn streaming_own_points(&self, id: SensorId) -> Vec<Arc<DataPoint>> {
+        self.detector().held_points().iter_arcs().filter(|p| p.key.origin == id).cloned().collect()
     }
 
     fn streaming_points_sent(&self) -> u64 {
@@ -112,8 +114,8 @@ impl StreamingProbe for CentralizedApp<Arc<dyn RankingFunction>> {
         self.estimate()
     }
 
-    fn streaming_own_points(&self, _id: SensorId) -> Vec<DataPoint> {
-        self.local_window().to_vec()
+    fn streaming_own_points(&self, _id: SensorId) -> Vec<Arc<DataPoint>> {
+        self.local_window().iter_arcs().cloned().collect()
     }
 
     fn streaming_points_sent(&self) -> u64 {
@@ -678,7 +680,7 @@ impl Grader {
     /// radio graph changes over time, so the `d`-hop grading scopes come
     /// from what is deployed *now*.
     fn grade<A: StreamingProbe>(&self, sim: &PartitionedSimulator<A>) -> Grade {
-        let mut local_data: BTreeMap<SensorId, Vec<DataPoint>> = BTreeMap::new();
+        let mut local_data: BTreeMap<SensorId, Vec<Arc<DataPoint>>> = BTreeMap::new();
         let mut estimates: BTreeMap<SensorId, OutlierEstimate> = BTreeMap::new();
         let mut data_points = 0u64;
         {

@@ -130,9 +130,12 @@ pub fn sufficient_set_rebuild_reference<R: RankingFunction + ?Sized>(
 ///
 /// * the seed `O_n(P_i) ∪ [P_i|O_n(P_i)]` — a pure function of `P_i`,
 ///   previously recomputed per neighbour, and
-/// * every support set `[P_i|x]` it has queried, keyed by the identity of
-///   `x` (support sets depend only on the observation's identity and
-///   features, which all copies of an observation share).
+/// * every support set `[P_i|x]` the fixed-point loop has queried, keyed by
+///   the identity of `x` (support sets depend only on the observation's
+///   identity and features, which all copies of an observation share). The
+///   seed's own supports are queried once, when the seed is built, and not
+///   cached: every call at the revision starts with the seed's estimate
+///   marked as processed, so no later query would read them.
 ///
 /// **Over the window** (surviving across calls *and* revisions): the
 /// window state, `H = P_i` (the frame's points) inside one long-lived
@@ -195,7 +198,8 @@ pub struct FixedPointEngine {
     /// are already folded into the seed). Shared, so handing a caller the
     /// unchanged seed as its `Z` is a reference-count bump.
     own_seed: Option<(Arc<PointSet>, Arc<[PointKey]>)>,
-    /// Memoized `[P_i|x]` support sets, keyed by the identity of `x`.
+    /// Memoized `[P_i|x]` support sets of the fixed-point loop, keyed by
+    /// the identity of `x`; never holds a key of the seed's estimate.
     support_cache: BTreeMap<PointKey, PointSet>,
     /// Per-neighbour hypothetical-set state (see the type-level docs).
     neighbors: BTreeMap<SensorId, HypotheticalState>,
@@ -710,14 +714,14 @@ impl FixedPointEngine {
             for p in own.select_top_n(ranking, n) {
                 own_estimate.insert_arc(p);
             }
+            // The seed's keys start every call's processed list at this
+            // revision, so the loop below never asks for their supports:
+            // they are queried here once and not cached.
             let mut seed = own_estimate.clone();
             for x in own_estimate.iter() {
                 OBS_SUPPORT_QUERIES.add(1);
-                let support = self.support_cache.entry(x.key).or_insert_with(|| {
-                    OBS_SUPPORT_MISSES.add(1);
-                    ranking.support_set_indexed(x, &own.index)
-                });
-                seed.extend_from(support);
+                OBS_SUPPORT_MISSES.add(1);
+                seed.extend_from(&ranking.support_set_indexed(x, &own.index));
             }
             let keys: Arc<[PointKey]> = own_estimate.keys().copied().collect();
             self.own_seed = Some((Arc::new(seed), keys));
@@ -1087,5 +1091,32 @@ mod tests {
         pi_b.insert(pt(1, 99, -20.0));
         let from_engine = engine.sufficient_set(&NnDistance, 1, &pi_b, j, &PointSet::new(), (2, 0));
         assert_eq!(*from_engine, sufficient_set(&NnDistance, 1, &pi_b, &PointSet::new()));
+    }
+
+    /// The seed's supports are queried when the seed is built and never
+    /// cached, since every call at the revision marks the seed's estimate
+    /// processed; the fixed-point loop's supports are cached, and a second
+    /// neighbour at the same revision reads them from the cache.
+    #[test]
+    fn only_the_loops_supports_are_cached() {
+        let pi = section_5_1_pi();
+        let none = PointSet::new();
+        let mut engine = FixedPointEngine::new();
+        let z = engine.sufficient_set(&NnDistance, 1, &pi, SensorId(2), &none, (1, 0));
+        assert_eq!(*z, sufficient_set(&NnDistance, 1, &pi, &none));
+        let (_, seeded) = engine.own_seed.clone().expect("the seed of revision 1");
+        assert_eq!(seeded.as_ref(), &[pt(1, 2, 6.0).key], "O_1(P_i) is {{6}}");
+        assert!(seeded.iter().all(|key| !engine.support_cache.contains_key(key)));
+        // H = the seed {3, 6} ranks 3 first (a tie with 6, broken by ≺): the
+        // loop queries its support, {0.5}, and caches it.
+        let looped = pt(1, 1, 3.0).key;
+        assert_eq!(engine.support_cache.len(), 1);
+        assert!(engine.support_cache.contains_key(&looped));
+        // Mark the cached entry: the next neighbour's Z carries the marker
+        // only if its loop read the entry instead of querying again.
+        let marker = pt(9, 0, 100.0);
+        engine.support_cache.get_mut(&looped).expect("cached above").insert(marker.clone());
+        let z = engine.sufficient_set(&NnDistance, 1, &pi, SensorId(3), &none, (1, 0));
+        assert!(z.contains(&marker), "the second neighbour's loop query hit the cache");
     }
 }

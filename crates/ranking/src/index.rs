@@ -3,16 +3,18 @@
 //! Every ranking query ultimately asks one of two questions about a dataset:
 //! "which are the `k` nearest neighbours of `x`?" (NN / k-NN rankings) or
 //! "which points lie within `α` of `x`?" (neighbour-count ranking). The
-//! brute-force answer — sort the whole set by distance per query, as
+//! plain answer — sort the whole set by distance per query, as
 //! [`crate::function::neighbors_by_distance`] does — costs `O(w log w)` per
 //! query and makes `top_n_outliers` quadratic in the window size `w`.
 //!
 //! A [`NeighborIndex`] is built **once** per dataset and then answers many
 //! queries cheaply. Two static implementations ship:
 //!
-//! * [`BruteIndex`] — the baseline: a thin wrapper over the original
-//!   full-sort path. Cheapest to build, `O(w log w)` per query; right for
-//!   tiny sets and the reference the k-d tree is tested against.
+//! * [`BruteIndex`] — the baseline: one pass over the set per query, which
+//!   keeps the `k` best candidates (or the in-radius ones, sorted) instead of
+//!   sorting the whole set. Cheapest to build, `O(w)` per `k`-nearest query
+//!   for small `k`; right for tiny sets and the reference the k-d tree is
+//!   tested against.
 //! * [`KdTreeIndex`] — a k-d tree with median splits over the set's shared
 //!   point handles; `O(w log w)` build, near-logarithmic queries on the
 //!   low-dimensional feature spaces the paper uses (`[temperature, x, y]`).
@@ -26,6 +28,12 @@
 //! candidate streams exactly, and the base is rebuilt only once the spill or
 //! the deletions grow past a threshold. While the set is small enough for
 //! brute force, the dynamic index keeps no base at all.
+//!
+//! Every brute-force query here — the [`BruteIndex`], a brute-sized
+//! [`DynamicIndex`] and a dynamic index's spill — runs one private one-pass
+//! kernel, which returns the `(distance, ≺)` prefix of
+//! [`neighbors_by_distance`](crate::function::neighbors_by_distance) bit for
+//! bit; that full sort stays the plain-path reference.
 //!
 //! # Exactness and tie-breaking
 //!
@@ -51,7 +59,6 @@
 //! mirrors what the brute path would have accepted. [`DynamicIndex`] makes
 //! the same choice at every build and rebuild of its base.
 
-use crate::function::neighbors_by_distance;
 use std::cmp::Ordering;
 use std::sync::Arc;
 use wsn_data::order::total_order;
@@ -66,8 +73,9 @@ pub const AUTO_BRUTE_THRESHOLD: usize = 48;
 ///
 /// Both query methods exclude the query point itself (any stored point whose
 /// [`key`](DataPoint::key) equals `x.key`), exactly like
-/// [`neighbors_by_distance`], and return `(distance, point)` pairs sorted by
-/// ascending distance with ties broken by the total order `≺`.
+/// [`neighbors_by_distance`](crate::function::neighbors_by_distance), and
+/// return `(distance, point)` pairs sorted by ascending distance with ties
+/// broken by the total order `≺`.
 pub trait NeighborIndex: Send + Sync {
     /// Number of points the index was built over.
     fn len(&self) -> usize;
@@ -118,13 +126,18 @@ impl<'a> BestK<'a> {
 
     fn push(&mut self, distance: f64, point: &'a DataPoint) {
         let candidate = (distance, point);
+        if self.full() {
+            // One comparison rejects most candidates of a long scan.
+            match self.entries.last() {
+                Some(worst) if candidate_order(&candidate, worst) == Ordering::Less => {
+                    self.entries.pop();
+                }
+                _ => return,
+            }
+        }
         let pos =
             self.entries.partition_point(|e| candidate_order(e, &candidate) == Ordering::Less);
-        if pos >= self.k {
-            return;
-        }
         self.entries.insert(pos, candidate);
-        self.entries.truncate(self.k);
     }
 
     fn full(&self) -> bool {
@@ -146,9 +159,44 @@ impl<'a> BestK<'a> {
 // Brute force
 // ---------------------------------------------------------------------------
 
-/// The baseline index: the original per-query full sort, behind the
-/// [`NeighborIndex`] interface. Exists so callers can be written against the
-/// trait, tiny sets stay cheap, and benchmarks have an in-tree baseline.
+/// The `k` nearest neighbours of `x` among `points`, in one pass that keeps
+/// the `k` best under `(distance, ≺)`, and the neighbours within `radius`,
+/// filtered in one pass and then sorted: the kernel of every brute-force
+/// query in this module. Both return the prefix of
+/// [`neighbors_by_distance`](crate::function::neighbors_by_distance) over
+/// `points` bit for bit — the same distance arithmetic, the same order (a
+/// strict one: `≺` tells distinct identities apart) — without sorting the
+/// whole set.
+fn scan_k_nearest<'a>(x: &DataPoint, points: &'a PointSet, k: usize) -> Vec<(f64, &'a DataPoint)> {
+    let mut best = BestK::new(k);
+    for p in points.iter().filter(|p| p.key != x.key) {
+        best.push(x.feature_distance(p), p);
+    }
+    best.entries
+}
+
+/// The in-radius half of the kernel; see [`scan_k_nearest`].
+fn scan_within_radius<'a>(
+    x: &DataPoint,
+    points: &'a PointSet,
+    radius: f64,
+) -> Vec<(f64, &'a DataPoint)> {
+    let mut inside: Vec<(f64, &DataPoint)> = points
+        .iter()
+        .filter(|p| p.key != x.key)
+        .map(|p| (x.feature_distance(p), p))
+        .filter(|(d, _)| *d <= radius)
+        .collect();
+    inside.sort_by(candidate_order);
+    inside
+}
+
+/// The baseline index: the one-pass brute-force kernel over the set, behind
+/// the [`NeighborIndex`] interface. A `k`-nearest query keeps the `k` best
+/// candidates of one pass, an in-radius query sorts only the candidates
+/// inside the radius; neither sorts the whole set. Exists so callers can be
+/// written against the trait, tiny sets stay cheap, and benchmarks have an
+/// in-tree baseline.
 #[derive(Debug, Clone)]
 pub struct BruteIndex {
     points: PointSet,
@@ -167,16 +215,11 @@ impl NeighborIndex for BruteIndex {
     }
 
     fn k_nearest(&self, x: &DataPoint, k: usize) -> Vec<(f64, &DataPoint)> {
-        let mut neighbors = neighbors_by_distance(x, &self.points);
-        neighbors.truncate(k);
-        neighbors
+        scan_k_nearest(x, &self.points, k)
     }
 
     fn within_radius(&self, x: &DataPoint, radius: f64) -> Vec<(f64, &DataPoint)> {
-        neighbors_by_distance(x, &self.points)
-            .into_iter()
-            .take_while(|(d, _)| *d <= radius)
-            .collect()
+        scan_within_radius(x, &self.points, radius)
     }
 
     fn to_point_set(&self) -> PointSet {
@@ -479,8 +522,9 @@ pub const DYNAMIC_SPILL_FRACTION: usize = 8;
 /// # Contract
 ///
 /// * **Bit-identical ordering.** Every query returns exactly the candidate
-///   list a freshly built index (equivalently, the brute path
-///   [`neighbors_by_distance`]) would return over the current point set —
+///   list a freshly built index (equivalently, the plain path
+///   [`neighbors_by_distance`](crate::function::neighbors_by_distance))
+///   would return over the current point set —
 ///   after any interleaving of inserts and removals: distances use the same
 ///   [`DataPoint::feature_distance`] arithmetic and ties resolve by the same
 ///   total order `≺`. Because the base's live entries and the spill are
@@ -501,8 +545,9 @@ pub const DYNAMIC_SPILL_FRACTION: usize = 8;
 ///   it was built over, so a removed base point's handle stays in the tree
 ///   until the base's next rebuild; the deletion count below bounds how
 ///   many stay.
-/// * **Rebuild policy.** An insert appends to the spill buffer, whose
-///   queries cost `O(s log s)` for `s` spilled points. Once the spill — or,
+/// * **Rebuild policy.** An insert appends to the spill buffer, which every
+///   query scans once with the brute-force kernel: `O(s)` for `s` spilled
+///   points and a small `k`. Once the spill — or,
 ///   counted separately, the deletions inside the base — exceeds
 ///   `max(`[`DYNAMIC_SPILL_MIN`]`, len /`[`DYNAMIC_SPILL_FRACTION`]`)`, the
 ///   base is rebuilt over the whole set and both counts restart at zero.
@@ -513,8 +558,9 @@ pub const DYNAMIC_SPILL_FRACTION: usize = 8;
 /// * **No base while brute-sized.** Where [`AnyIndex::build`] would pick
 ///   the brute index (mixed feature dimensions, or fewer than
 ///   [`AUTO_BRUTE_THRESHOLD`] points), the dynamic index keeps no base and
-///   no spill: queries read the indexed set itself, whose
-///   `(distance, ≺)`-sorted neighbour list is exactly the merged order. A
+///   no spill: queries scan the indexed set itself with the brute-force
+///   kernel, which returns the prefix of its `(distance, ≺)`-sorted
+///   neighbour list. A
 ///   k-d tree base is built once the set grows to the threshold, and
 ///   dropped again at a rebuild that finds it below.
 #[derive(Debug, Clone)]
@@ -648,45 +694,21 @@ impl NeighborIndex for DynamicIndex {
     }
 
     fn k_nearest(&self, x: &DataPoint, k: usize) -> Vec<(f64, &DataPoint)> {
-        let Some(base) = &self.base else {
-            // Brute-sized: keep the k best of one pass — the prefix of the
-            // sorted neighbour list, without sorting all of it.
-            let mut best = BestK::new(k);
-            for p in self.all.iter().filter(|p| p.key != x.key) {
-                best.push(x.feature_distance(p), p);
-            }
-            return best.entries;
-        };
+        let Some(base) = &self.base else { return scan_k_nearest(x, &self.all, k) };
         let base = base.k_nearest(x, k);
         if self.spill.is_empty() {
             return base;
         }
-        let mut spill = neighbors_by_distance(x, &self.spill);
-        spill.truncate(k);
-        merge_candidates(base, spill, k)
+        merge_candidates(base, scan_k_nearest(x, &self.spill, k), k)
     }
 
     fn within_radius(&self, x: &DataPoint, radius: f64) -> Vec<(f64, &DataPoint)> {
-        let Some(base) = &self.base else {
-            let mut inside: Vec<(f64, &DataPoint)> = self
-                .all
-                .iter()
-                .filter(|p| p.key != x.key)
-                .map(|p| (x.feature_distance(p), p))
-                .filter(|(d, _)| *d <= radius)
-                .collect();
-            inside.sort_by(candidate_order);
-            return inside;
-        };
+        let Some(base) = &self.base else { return scan_within_radius(x, &self.all, radius) };
         let base = base.within_radius(x, radius);
         if self.spill.is_empty() {
             return base;
         }
-        let spill: Vec<(f64, &DataPoint)> = neighbors_by_distance(x, &self.spill)
-            .into_iter()
-            .take_while(|(d, _)| *d <= radius)
-            .collect();
-        merge_candidates(base, spill, usize::MAX)
+        merge_candidates(base, scan_within_radius(x, &self.spill, radius), usize::MAX)
     }
 
     fn to_point_set(&self) -> PointSet {
@@ -701,6 +723,7 @@ impl NeighborIndex for DynamicIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::function::neighbors_by_distance;
     use wsn_data::{Epoch, SensorId, Timestamp};
 
     fn pt(id: u32, epoch: u64, features: Vec<f64>) -> DataPoint {

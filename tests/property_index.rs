@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use wsn_data::rng::SeededRng;
 use wsn_data::{PointKey, SlidingWindow};
-use wsn_ranking::function::{support_of_set, support_of_set_indexed};
+use wsn_ranking::function::{neighbors_by_distance, support_of_set, support_of_set_indexed};
 use wsn_ranking::index::{
     AnyIndex, BruteIndex, DynamicIndex, KdTreeIndex, NeighborIndex, AUTO_BRUTE_THRESHOLD,
     DYNAMIC_SPILL_FRACTION, DYNAMIC_SPILL_MIN,
@@ -528,5 +528,135 @@ fn note_driven_engine_matches_the_rebuild_reference_across_slides() {
         window_evictions > 0 && book_evictions > 0 && withheld > 0,
         "the stream must evict from both sides and withhold notes: {window_evictions} window \
          and {book_evictions} book evictions, {withheld} notes withheld over {calls} calls"
+    );
+}
+
+/// A random dataset on the integer grid `[-3, 3]^dim`, in which about one
+/// point in four repeats an earlier point's feature vector under a distinct
+/// key: equal distances, and equal feature vectors that only `≺`'s identity
+/// tail tells apart, are the rule rather than the exception. Keys start at
+/// epoch `first_epoch`.
+fn gen_grid(rng: &mut SeededRng, len: usize, dim: usize, first_epoch: u64) -> Vec<DataPoint> {
+    let mut points: Vec<DataPoint> = Vec::with_capacity(len);
+    for i in 0..len as u64 {
+        let features = if !points.is_empty() && rng.gen_bool(0.25) {
+            points[rng.gen_index(points.len())].features.clone()
+        } else {
+            (0..dim).map(|_| rng.gen_range(-3i64..4) as f64).collect()
+        };
+        points.push(point((i % 5) as u32, first_epoch + i, features));
+    }
+    points
+}
+
+/// Asserts an index's answer is the reference prefix bit for bit: the same
+/// distance bits and the very same points (one allocation, not an equal
+/// copy), in the same order.
+fn assert_same_prefix(expected: &[(f64, &DataPoint)], got: &[(f64, &DataPoint)], context: &str) {
+    assert_eq!(expected.len(), got.len(), "candidate count differs: {context}");
+    for (i, (e, g)) in expected.iter().zip(got.iter()).enumerate() {
+        assert_eq!(e.0.to_bits(), g.0.to_bits(), "distance #{i} differs: {context}");
+        assert!(std::ptr::eq(e.1, g.1), "neighbour #{i} is not the same point: {context}");
+    }
+}
+
+/// The one-pass brute-force kernel — the `BruteIndex`, a brute-sized
+/// `DynamicIndex`, and a dynamic index's spill merged with its k-d base —
+/// against the plain full sort `neighbors_by_distance`, across 256 seeded
+/// cases on the integer grid (see `gen_grid`). Half the cases stay below
+/// the brute threshold; the other half build a k-d base and then interleave
+/// inserts and removals without reaching a rebuild, so the spill is
+/// non-empty when queried. Queries are every member of the set, a copy of a
+/// member's features under a fresh key, and fresh grid points; `k` runs
+/// over {0, 1, 2, len, len + 3} and the radius over 0, a distance the
+/// reference holds (tied where it has a tie) and ∞.
+#[test]
+fn brute_kernels_equal_the_full_sort_reference() {
+    let mut rng = SeededRng::seed_from_u64(SEED ^ 5);
+    let (mut brute_sized, mut spilled, mut tied_radii) = (0usize, 0usize, 0usize);
+    for case in 0..CASES {
+        let dim = rng.gen_range(1usize..4);
+        let large = case % 2 == 1;
+        let len = if large {
+            rng.gen_range(AUTO_BRUTE_THRESHOLD..AUTO_BRUTE_THRESHOLD * 2)
+        } else {
+            rng.gen_range(0usize..AUTO_BRUTE_THRESHOLD - 8)
+        };
+        let mut contents: PointSet = gen_grid(&mut rng, len, dim, 0).into_iter().collect();
+        let mut dynamic = DynamicIndex::build(&contents);
+        // Interleave inserts (some repeating a held feature vector) and
+        // removals of held points, staying under both the rebuild
+        // threshold and, for the small cases, the brute threshold.
+        let inserts = rng.gen_range(1usize..8);
+        let fresh = gen_grid(&mut rng, inserts, dim, 1_000);
+        for p in fresh {
+            let p = if !contents.is_empty() && rng.gen_bool(0.5) {
+                let held = contents.iter().nth(rng.gen_index(contents.len())).expect("held");
+                point(p.key.origin.0, p.key.epoch.0, held.features.clone())
+            } else {
+                p
+            };
+            let handle = Arc::new(p);
+            assert!(dynamic.insert_arc(Arc::clone(&handle)), "case {case}: a fresh key");
+            contents.insert_arc(handle);
+            if rng.gen_bool(0.4) {
+                let key = *contents.keys().nth(rng.gen_index(contents.len())).expect("held");
+                assert!(dynamic.remove(&key), "case {case}: removing a held key");
+                contents.discard(&key);
+            }
+        }
+        assert_eq!(dynamic.to_point_set(), contents, "case {case}");
+        if large {
+            if dynamic.spilled() == 0 {
+                // Every insert was removed again: spill one more.
+                let handle = Arc::new(point(6, 2_000, vec![0.0; dim]));
+                dynamic.insert_arc(Arc::clone(&handle));
+                contents.insert_arc(handle);
+            }
+            assert!(dynamic.spilled() > 0, "case {case}: a k-d base and a non-empty spill");
+            spilled += 1;
+        } else {
+            assert!(contents.len() < AUTO_BRUTE_THRESHOLD && dynamic.spilled() == 0);
+            brute_sized += 1;
+        }
+        let brute = BruteIndex::build(&contents);
+        let mut queries: Vec<DataPoint> = contents.iter().cloned().collect();
+        if let Some(member) = contents.iter().nth(rng.gen_index(contents.len().max(1))) {
+            queries.push(point(7, 3_000, member.features.clone()));
+        }
+        queries.extend(gen_grid(&mut rng, 3, dim, 4_000)); // keys the set never holds
+        for (qi, x) in queries.iter().enumerate() {
+            let reference = neighbors_by_distance(x, &contents);
+            let tie = reference.windows(2).position(|w| w[0].0 == w[1].0);
+            let tied = tie.or_else(|| (!reference.is_empty()).then(|| qi % reference.len()));
+            tied_radii += usize::from(tie.is_some());
+            let len = contents.len();
+            for (label, index) in [
+                ("brute", &brute as &dyn NeighborIndex),
+                ("dynamic", &dynamic as &dyn NeighborIndex),
+            ] {
+                let context = format!("case {case} (seed {SEED:#x}) {label}, dim={dim}, q#{qi}");
+                for k in [0, 1, 2, len, len + 3] {
+                    assert_same_prefix(
+                        &reference[..k.min(reference.len())],
+                        &index.k_nearest(x, k),
+                        &format!("k_nearest k={k}, {context}"),
+                    );
+                }
+                let radii = [0.0, tied.map_or(1.0, |i| reference[i].0), f64::INFINITY];
+                for radius in radii {
+                    let inside = reference.iter().take_while(|(d, _)| *d <= radius).count();
+                    assert_same_prefix(
+                        &reference[..inside],
+                        &index.within_radius(x, radius),
+                        &format!("within_radius r={radius}, {context}"),
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        brute_sized > 0 && spilled > 0 && tied_radii > 0,
+        "{brute_sized} brute-sized and {spilled} spilled cases, {tied_radii} tied radii"
     );
 }

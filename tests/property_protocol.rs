@@ -6,10 +6,14 @@
 //! `SEED` through the in-repo PRNG ([`wsn_data::rng::SeededRng`]); a failing
 //! case prints its index and every generated input.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use in_network_outlier::detection::metrics::{estimates_agree, GroundTruth};
+use in_network_outlier::data::stream::SensorSpec;
+use in_network_outlier::data::{PointKey, Position};
+use in_network_outlier::detection::metrics::{
+    estimates_agree, paired_truths, GroundTruth, LabelTruth,
+};
 use in_network_outlier::detection::sufficient::sufficient_set;
 use in_network_outlier::detection::transport::run_to_quiescence;
 use in_network_outlier::prelude::*;
@@ -314,4 +318,82 @@ fn served_global_estimates_equal_the_reference_selection() {
         "the cases must slide and restore: {evictions} evicting advances, {restores} restores \
          over {checked} checked estimates"
     );
+}
+
+/// The ground truths the streaming driver grades with — `paired_truths` over
+/// each window's shared `Arc<DataPoint>` handles — equal the individual
+/// constructors `GroundTruth::{global, semi_global}` and
+/// `LabelTruth::{global, semi_global}` over owned copies, across 256 seeded
+/// random connected topologies, on the global path and at d = 1, 2 and 3.
+/// Every outlier of every truth is the very handle of the window it came
+/// from: building the truths copies no point.
+#[test]
+fn paired_truths_over_shared_handles_equal_the_owned_constructors() {
+    const RANGE_M: f64 = 10.0;
+    let mut rng = SeededRng::seed_from_u64(SEED ^ 4);
+    let mut outliers_checked = 0usize;
+    for case in 0..CASES {
+        // Each sensor lands within radio range of an earlier one, so the
+        // graph is connected by construction.
+        let count = rng.gen_range(2usize..10);
+        let mut specs = vec![SensorSpec::new(SensorId(0), Position::new(0.0, 0.0))];
+        for i in 1..count {
+            let anchor = specs[rng.gen_index(i)].position;
+            let angle = rng.gen_range(0.0..std::f64::consts::TAU);
+            let distance = rng.gen_range(0.0..RANGE_M * 0.95);
+            let position =
+                Position::new(anchor.x + distance * angle.cos(), anchor.y + distance * angle.sin());
+            specs.push(SensorSpec::new(SensorId(i as u32), position));
+        }
+        let topology = Topology::from_specs(&specs, RANGE_M);
+        assert!(topology.is_connected(), "case {case}: the topology is connected");
+        let windows: BTreeMap<SensorId, Vec<Arc<DataPoint>>> = gen_datasets(&mut rng, count)
+            .iter()
+            .enumerate()
+            .map(|(sensor, values)| {
+                let points = values.iter().enumerate().map(|(epoch, v)| {
+                    // Half the readings on a coarse lattice, for rank ties.
+                    let v = if epoch % 2 == 0 { v.round() } else { *v };
+                    Arc::new(point(sensor as u32, epoch as u64, v))
+                });
+                (SensorId(sensor as u32), points.collect())
+            })
+            .collect();
+        let owned: BTreeMap<SensorId, Vec<DataPoint>> = windows
+            .iter()
+            .map(|(id, points)| (*id, points.iter().map(|p| DataPoint::clone(p)).collect()))
+            .collect();
+        let labels: BTreeSet<PointKey> =
+            windows.values().flatten().filter(|_| rng.gen_bool(0.3)).map(|p| p.key).collect();
+        let n = rng.gen_range(1usize..4);
+        for hops in [None, Some(1), Some(2), Some(3)] {
+            let context = format!("case {case} (seed {SEED:#x}), n={n}, d={hops:?}");
+            let (truth, label_truth) =
+                paired_truths(&NnDistance, n, &labels, &windows, hops.map(|d| (&topology, d)));
+            let (owned_truth, owned_labels) = match hops {
+                None => (
+                    GroundTruth::global(&NnDistance, n, &owned),
+                    LabelTruth::global(&labels, &owned),
+                ),
+                Some(d) => (
+                    GroundTruth::semi_global(&NnDistance, n, &owned, &topology, d),
+                    LabelTruth::semi_global(&labels, &owned, &topology, d),
+                ),
+            };
+            assert_eq!(truth, owned_truth, "the ground truths differ: {context}");
+            assert_eq!(label_truth, owned_labels, "the label truths differ: {context}");
+            for (id, answer) in truth.iter() {
+                for outlier in answer.ranked() {
+                    let window = &windows[&outlier.point.key.origin];
+                    assert!(
+                        window.iter().any(|handle| Arc::ptr_eq(handle, &outlier.point)),
+                        "node {id}'s outlier {} is a copy: {context}",
+                        outlier.point.key
+                    );
+                    outliers_checked += 1;
+                }
+            }
+        }
+    }
+    assert!(outliers_checked > 0);
 }
